@@ -2,8 +2,8 @@
 equal-row-sum (ERS), and simultaneous (ECRS) dimension group realizations."""
 
 from .exact import (Matrix, UnimodularTransform, colsum_norm, content,
-                    is_unimodular, map_content1_row, rank_rational,
-                    right_kernel_basis, sup_norm)
+                    is_unimodular, map_content1_row, right_kernel_basis,
+                    sup_norm)
 from .supernatural import (FactorSequence, SupernaturalNumber, decide_ecrs,
                            from_factors, is_p_divisible, quotient_order)
 from .perron import (PerronData, ShiftEquivalence, check_equal_sums_criterion,

@@ -311,9 +311,6 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
         g = lower * (shift_inv * m * p_shift) * lower_inv
         if not g.is_integral():
             raise AssertionError("conjugation left the integers")
-        g = Matrix(size, size, [int(x) for x in
-                                (g[i, j] for i in range(size)
-                                 for j in range(size))])
         bad = next(((i, j) for i in range(size) for j in range(size)
                     if g[i, j] < 0), None)
         if bad is not None:

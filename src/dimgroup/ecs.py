@@ -318,15 +318,21 @@ def _candidate_cuts(n: int):
             yield list(range(drop, n, block))
 
 
-def _ratios_converge(data: ExtensionData, cuts: Sequence[int],
-                     epsilon: Fraction) -> bool:
-    tele = telescope_extension(data, cuts)
-    ratios = [_ratio(st) for st in tele.stages]
-    for r1, r2 in zip(ratios, ratios[1:]):
-        diff = max(abs(a - b) for a, b in zip(r1, r2))
-        if diff != 0 and diff >= epsilon:
-            return False
-    return True
+def _convergent_cuts(data: ExtensionData, epsilon: Fraction):
+    """Candidate cuts, finest first, after which consecutive telescoped
+    ratios v/q differ by less than epsilon in max norm (exactly equal ratios
+    always pass).  Raises HorizonExhausted if no candidate converges."""
+    found = False
+    for cuts in _candidate_cuts(len(data.stages)):
+        ratios = [_ratio(st) for st in telescope_extension(data, cuts).stages]
+        diffs = (max(abs(a - b) for a, b in zip(r1, r2))
+                 for r1, r2 in zip(ratios, ratios[1:]))
+        if all(diff == 0 or diff < epsilon for diff in diffs):
+            found = True
+            yield cuts
+    if not found:
+        raise HorizonExhausted(
+            f"no grouping of {len(data.stages)} stages meets epsilon={epsilon}")
 
 
 def select_convergent_prefix(data: ExtensionData,
@@ -338,11 +344,7 @@ def select_convergent_prefix(data: ExtensionData,
     for st in data.stages:
         if any(x < 0 or x >= st.p for x in st.v):
             raise SchemaError("select_convergent_prefix needs normalized data")
-    for cuts in _candidate_cuts(len(data.stages)):
-        if _ratios_converge(data, cuts, epsilon):
-            return cuts
-    raise HorizonExhausted(
-        f"no grouping of {len(data.stages)} stages meets epsilon={epsilon}")
+    return next(_convergent_cuts(data, epsilon))
 
 
 # -- the pipeline --------------------------------------------------------------
@@ -397,14 +399,10 @@ def ecs_pipeline(data: ExtensionData,
     norm, _ = normalize_extension(data)
     epsilon = Fraction(epsilon)
     last_error: Exception | None = None
-    any_convergent = False
-    for cuts in _candidate_cuts(len(norm.stages)):
-        # retry only over groupings that still meet the convergence
-        # criterion: coarser telescoping raises the stage values, which is
-        # what cures positivity and primitivity failures
-        if not _ratios_converge(norm, cuts, epsilon):
-            continue
-        any_convergent = True
+    # retry only over groupings that still meet the convergence criterion:
+    # coarser telescoping raises the stage values, which is what cures
+    # positivity and primitivity failures
+    for cuts in _convergent_cuts(norm, epsilon):
         try:
             seq = _build_from_telescoped(telescope_extension(norm, cuts))
         except (Infeasible, NotPrimitive) as exc:
@@ -415,10 +413,7 @@ def ecs_pipeline(data: ExtensionData,
         prov["epsilon"] = str(epsilon)
         return RealizationSeq(seq.matrices, seq.stage_values, seq.markers,
                               seq.properties, prov)
-    if not any_convergent:
-        raise HorizonExhausted(
-            f"no grouping of {len(norm.stages)} stages meets epsilon={epsilon}")
-    raise last_error
+    raise last_error    # set: _convergent_cuts raised if nothing converged
 
 
 # -- the composition algebra of bordered matrices (uniform parameters) -------------

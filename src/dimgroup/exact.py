@@ -1,10 +1,10 @@
 """Exact integer / rational linear algebra and GL(k,Z) machinery.
 
 Everything here is exact: matrices hold Python ints or ``fractions.Fraction``
-entries, determinants and ranks come from fraction-free (Bareiss) or rational
-elimination, and unimodular transforms are retained as replayable lists of
-elementary operations so whole matrix sequences can be conjugated
-simultaneously.  No floating point anywhere.
+entries; determinants, ranks, inverses and kernel bases all come from one
+fraction-free (Bareiss) elimination on integer rows; and unimodular transforms
+are retained as replayable lists of elementary operations so whole matrix
+sequences can be conjugated simultaneously.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -192,51 +192,19 @@ class Matrix:
     # -- exact elimination kernels ----------------------------------------------
 
     def det(self) -> Number:
-        """Exact determinant; Bareiss fraction-free elimination on integer input."""
+        """Exact determinant, by fraction-free elimination."""
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
-        n = self.rows
-        if all(isinstance(x, int) for x in self._data):
-            return _det_bareiss([list(self.row(i)) for i in range(n)])
-        m = [[Fraction(x) for x in self.row(i)] for i in range(n)]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                f = m[r][c] * inv
-                if f:
-                    for j in range(c, n):
-                        m[r][j] -= f * m[c][j]
-        return det
+        rows, scale = _integer_rows(self.to_rows())
+        pivots, d, sign = _eliminate(rows)
+        if len(pivots) < self.rows:
+            return 0
+        return sign * d if scale == 1 else Fraction(sign * d, scale)
 
     def rank(self) -> int:
-        """Rank over the rationals, by exact elimination."""
-        m = [[Fraction(x) for x in self.row(i)] for i in range(self.rows)]
-        rank = 0
-        row = 0
-        for c in range(self.cols):
-            piv = next((r for r in range(row, self.rows) if m[r][c] != 0), None)
-            if piv is None:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            inv = 1 / m[row][c]
-            for r in range(row + 1, self.rows):
-                f = m[r][c] * inv
-                if f:
-                    for j in range(c, self.cols):
-                        m[r][j] -= f * m[row][j]
-            rank += 1
-            row += 1
-            if row == self.rows:
-                break
-        return rank
+        """Rank over the rationals, by fraction-free elimination."""
+        rows, _ = _integer_rows(self.to_rows())
+        return len(_eliminate(rows)[0])
 
     def charpoly(self) -> tuple[int | Fraction, ...]:
         """Coefficients of det(xI - A), descending degree, leading 1.
@@ -274,44 +242,69 @@ class Matrix:
         return acc
 
     def inverse(self) -> "Matrix":
-        """Exact inverse over the rationals (Gauss-Jordan on Fractions)."""
+        """Exact inverse over the rationals: fraction-free Gauss-Jordan on
+        [A | I].  Entries are ints wherever the division is exact."""
         if not self.is_square:
             raise NonSquare("inverse needs a square matrix")
         n = self.rows
-        a = [[Fraction(self[i, j]) for j in range(n)]
-             + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i in range(n)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            a[c], a[piv] = a[piv], a[c]
-            inv = 1 / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for r in range(n):
-                if r != c and a[r][c] != 0:
-                    f = a[r][c]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return Matrix(n, n, [a[i][j + n] for i in range(n) for j in range(n)])
+        rows, _ = _integer_rows(
+            self.row(i) + tuple(1 if i == j else 0 for j in range(n))
+            for i in range(n))
+        pivots, d, _ = _eliminate(rows)
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("singular matrix")
+        return Matrix(n, n, [x // d if x % d == 0 else Fraction(x, d)
+                             for row in rows for x in row[n:]])
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if m[c][c] == 0:
-            piv = next((r for r in range(c + 1, n) if m[r][c] != 0), None)
-            if piv is None:
-                return 0
-            m[c], m[piv] = m[piv], m[c]
+def _integer_rows(rows: Iterable[Sequence[Number]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, as ints, and the product
+    of those scales.  Row scaling leaves rank and kernel unchanged and
+    multiplies the determinant by the returned product."""
+    out = []
+    scale = 1
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return out, scale
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place
+    (Bareiss 1968, extended to the rows above each pivot).
+
+    Each pivot step sets every other row to (d*x - f*y) // prev, where d is
+    the new pivot, f the row's entry in the pivot column, y the pivot row
+    and prev the previous pivot; Sylvester's identity makes the division
+    exact.  Returns (pivot columns, final pivot d, row-swap sign).  Row
+    i < rank then holds d at pivot column i and 0 at every other pivot
+    column; the remaining rows are zero.  For a nonsingular square matrix
+    det = sign * d.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
-        for r in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[r][j] = (m[r][j] * m[c][c] - m[r][c] * m[c][j]) // prev
-            m[r][c] = 0
-        prev = m[c][c]
-    return sign * m[-1][-1]
+        top = rows[r]
+        d = top[c]
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(d * x - f * y) // prev
+                           for x, y in zip(rows[i], top)]
+        pivots.append(c)
+        prev = d
+    return pivots, prev, sign
 
 
 # -- vector helpers -----------------------------------------------------------
@@ -346,10 +339,6 @@ def sup_norm(v: Sequence[Number]) -> Number:
     return max((abs(x) for x in v), default=0)
 
 
-def rank_rational(m: Matrix) -> int:
-    return m.rank()
-
-
 def is_unimodular(e: Matrix) -> bool:
     """True iff e is square with determinant +-1 (exact)."""
     if not e.is_square:
@@ -367,49 +356,20 @@ def right_kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
 
     Vectors are sign-normalized so their first nonzero entry is positive.
     """
-    rows, cols = m.rows, m.cols
-    a = [[Fraction(m[i, j]) for j in range(cols)] for i in range(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    rows, _ = _integer_rows(m.to_rows())
+    pivots, d, _ = _eliminate(rows)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -a[pr][fc]
-        basis.append(_integerize(v))
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        v = [0] * m.cols
+        v[fc] = d
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        lead = next(x for x in v if x != 0)
+        g = content(v) if lead > 0 else -content(v)
+        basis.append(tuple(x // g for x in v))
     return basis
-
-
-def _integerize(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to integers with content 1, first nonzero > 0."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = content(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
 
 
 # -- unimodular transforms ------------------------------------------------------
@@ -492,9 +452,6 @@ class UnimodularTransform:
         for op in self.ops:
             m = m * _op_matrix(self.size, op)
         return m
-
-    def replay(self) -> Matrix:
-        return self.matrix
 
     def inverse(self) -> "UnimodularTransform":
         return UnimodularTransform(

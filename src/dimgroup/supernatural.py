@@ -128,30 +128,6 @@ def quotient_order(u: SupernaturalNumber, l: int) -> int:
     return out
 
 
-def quotient_order_bruteforce(u: SupernaturalNumber, l: int) -> int:
-    """Independent oracle for |U/lU|.
-
-    U/lU is cyclic, generated by the class of a deep-level generator
-    g = 1/(finite part * infinite-prime-prefix); once the prefix depth
-    exceeds every p-adic valuation of l the quotient stabilizes, and the
-    order of [g] is the least n > 0 with n*g in lU.  Membership in lU is
-    decided purely from the definition: x in lU iff x/l has denominator
-    dividing the supernatural number.
-    """
-    fin = 1
-    for p, e in u.finite_part.items():
-        fin *= p ** e
-    inf = 1
-    for p in u.infinite_primes:
-        inf *= p
-    depth = l.bit_length() + 2   # deeper than any v_p(l)
-    g = Fraction(1, fin * inf ** depth)
-    for n in range(1, l + 1):
-        if u.divides(n * g / l):
-            return n
-    return l
-
-
 def _ge(a, b) -> bool:
     """a >= b where either side may be the INFINITE sentinel."""
     if a == INFINITE:

@@ -1,12 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dimgroup.errors import ContentMismatch, DimensionMismatch
 from dimgroup.exact import (Matrix, UnimodularTransform, colsum_norm, content,
-                            is_unimodular, map_content1_row, rank_rational,
+                            is_unimodular, map_content1_row,
                             right_kernel_basis)
 
 
@@ -23,10 +24,10 @@ def test_content_scale_invariant(v, c):
 
 
 def test_rank_examples():
-    assert rank_rational(Matrix.identity(3)) == 3
-    assert rank_rational(Matrix.zeros(2, 2)) == 0
+    assert Matrix.identity(3).rank() == 3
+    assert Matrix.zeros(2, 2).rank() == 0
     # the split matrix for k=1, p=5
-    assert rank_rational(Matrix.from_rows([[3, 4, 2], [1, 1, 1], [1, 0, 2]])) == 2
+    assert Matrix.from_rows([[3, 4, 2], [1, 1, 1], [1, 0, 2]]).rank() == 2
 
 
 def test_rank_transpose_symmetry():
@@ -145,7 +146,6 @@ def test_transform_replay_and_inverse():
                 ops.append(("neg", i))
         u = UnimodularTransform(k, tuple(ops))
         m = u.matrix
-        assert u.replay() == m
         assert abs(m.det()) == 1
         assert m.det() == u.det()
         assert m * u.inverse().matrix == Matrix.identity(k)
@@ -158,3 +158,82 @@ def test_matrix_shape_errors():
         Matrix.from_rows([[1, 2], [3]])
     with pytest.raises(DimensionMismatch):
         Matrix.identity(2) * Matrix.identity(3)
+
+
+def test_inverse_of_unimodular_is_integer():
+    ops = (("add", 0, 1, 3), ("swap", 1, 2), ("neg", 0), ("add", 2, 0, -5))
+    m = UnimodularTransform(3, ops).matrix
+    inv = m.inverse()
+    assert m * inv == Matrix.identity(3)
+    assert all(type(x) is int for row in inv.to_rows() for x in row)
+
+
+@st.composite
+def _exact_matrices(draw):
+    """int / Fraction matrices up to 6x6, with zero rows, integral-Fraction
+    rows and rows combined from earlier ones (rank deficiency)."""
+    small = st.integers(-9, 9)
+    r = draw(st.integers(1, 6))
+    c = draw(st.one_of(st.just(r), st.integers(1, 6)))   # square half the time
+    rows: list[list] = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(
+            ["int", "fraction", "integral", "zero", "combination"]))
+        if kind == "zero":
+            row = [0] * c
+        elif kind == "combination" and rows:
+            a, b = draw(small), draw(small)
+            u = rows[draw(st.integers(0, len(rows) - 1))]
+            w = rows[draw(st.integers(0, len(rows) - 1))]
+            row = [a * x + b * y for x, y in zip(u, w)]
+        elif kind == "fraction":
+            row = [Fraction(draw(small), draw(st.integers(2, 6)))
+                   for _ in range(c)]
+        elif kind == "integral":
+            row = [Fraction(draw(small)) for _ in range(c)]
+        else:
+            row = [draw(small) for _ in range(c)]
+        rows.append(row)
+    return rows
+
+
+def _normalized(v) -> tuple[int, ...]:
+    """Content 1, first nonzero entry positive."""
+    den = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = content(ints)
+    sign = 1 if next(x for x in ints if x) > 0 else -1
+    return tuple(sign * x // g for x in ints)
+
+
+@settings(deadline=None)
+@given(_exact_matrices())
+@example([[0, Fraction(1, 2)], [Fraction(3), Fraction(2, 3)]])
+def test_elimination_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+
+    def exact(x):
+        return Fraction(int(x.p), int(x.q))
+
+    m = Matrix.from_rows(rows)
+    ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                         for x in row] for row in rows])
+    assert m.rank() == ref.rank()
+    basis = right_kernel_basis(m)
+    assert basis == [_normalized([exact(x) for x in v])
+                     for v in ref.nullspace()]
+    assert all(type(x) is int for v in basis for x in v)
+    if not m.is_square:
+        return
+    assert m.det() == exact(ref.det())
+    if ref.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    expected = ref.inv()
+    for i in range(m.rows):
+        for j in range(m.cols):
+            x = inv[i, j]
+            assert x == exact(expected[i, j])
+            assert (type(x) is int) == (expected[i, j].q == 1)

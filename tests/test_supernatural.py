@@ -7,7 +7,7 @@ import pytest
 from dimgroup.supernatural import (INFINITE, FactorSequence,
                                    SupernaturalNumber, decide_ecrs,
                                    from_factors, is_p_divisible,
-                                   quotient_order, quotient_order_bruteforce)
+                                   quotient_order)
 
 
 def test_from_factors_examples():
@@ -29,6 +29,30 @@ def test_quotient_order_examples():
     assert quotient_order(SupernaturalNumber({}, frozenset([2])), 2) == 1
     u = SupernaturalNumber({3: 5}, frozenset([2]))
     assert quotient_order(u, 12) == 3
+
+
+def quotient_order_bruteforce(u: SupernaturalNumber, l: int) -> int:
+    """Independent oracle for |U/lU|.
+
+    U/lU is cyclic, generated by the class of a deep-level generator
+    g = 1/(finite part * infinite-prime-prefix); once the prefix depth
+    exceeds every p-adic valuation of l the quotient stabilizes, and the
+    order of [g] is the least n > 0 with n*g in lU.  Membership in lU is
+    decided purely from the definition: x in lU iff x/l has denominator
+    dividing the supernatural number.
+    """
+    fin = 1
+    for p, e in u.finite_part.items():
+        fin *= p ** e
+    inf = 1
+    for p in u.infinite_primes:
+        inf *= p
+    depth = l.bit_length() + 2   # deeper than any v_p(l)
+    g = Fraction(1, fin * inf ** depth)
+    for n in range(1, l + 1):
+        if u.divides(n * g / l):
+            return n
+    return l
 
 
 def test_quotient_order_against_bruteforce_and_properties():
