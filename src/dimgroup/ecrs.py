@@ -18,7 +18,7 @@ from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
                      NotPrimitive, PositivityFailed, RankDeficient, SchemaError)
 from .exact import (Matrix, UnimodularTransform, content, map_content1_row,
                     _euclid_to_first)
-from .perron import check_equal_sums_criterion, is_primitive
+from .perron import is_primitive
 from .realization import RealizationSeq
 from .supernatural import FactorSequence
 
@@ -321,9 +321,6 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
         p = m[0, 0]
         if set(g.row_sums()) != {p} or set(g.column_sums()) != {p}:
             raise AssertionError("finisher failed to equalize sums")
-        report = check_equal_sums_criterion(g)
-        if report.inner_product != size or not report.sums_equal:
-            raise AssertionError("equal-sums criterion failed on output")
         out.append(g)
         values.append(p)
     markers = tuple([tuple([1] * size)] * (len(out) + 1))
@@ -404,7 +401,8 @@ def poly_for(m: int, l: int) -> PolyNat:
     while len(digits) > 1 and digits[-1] == 0:
         digits.pop()
     f = PolyNat(tuple(digits))
-    assert f(m) == l and f(-1) == val
+    if f(m) != l or f(-1) != val:
+        raise AssertionError(f"poly_for({l}, {m}) evaluates wrongly")
     return f
 
 

@@ -174,8 +174,8 @@ def reduce_mod_rowlattice(z: Sequence[int], b: Matrix) -> tuple[int, ...]:
     floors = tuple(x // d for x in z)                       # z - d*floors in [0, d)
     scaled_inv = b_inv.scale(d)                             # +-adjugate, integral
     y = tuple(int(x) for x in scaled_inv.vector_mul(floors))
-    rem = vec_sub(z, b.vector_mul(y))
-    assert sup_norm(rem) < d
+    if sup_norm(vec_sub(z, b.vector_mul(y))) >= d:
+        raise AssertionError("row-lattice remainder not below |det B|")
     return y
 
 

@@ -1,5 +1,5 @@
-"""Primitivity, integer Perron data, the equal-sums criterion, the unique-trace
-diagnostic, and shift-equivalence checking."""
+"""Primitivity, integer Perron data certified by the sum sandwich or one
+charpoly bisection, equal sums, unique-trace diagnostic, shift equivalence."""
 
 from __future__ import annotations
 
@@ -61,28 +61,46 @@ class PerronData:
         return left_ok and right_ok
 
 
-def integer_perron(a: Matrix) -> PerronData:
-    """Perron data for a primitive matrix whose Perron eigenvalue is an integer.
+def perron_root(a: Matrix) -> int:
+    """Integer spectral radius rho of a nonnegative square matrix, else
+    NotIntegerEigenvalue.  max(min row sum, min column sum) <= rho <=
+    min(max row sum, max column sum); unless these meet, one charpoly chi is
+    bisected: t >= rho iff chi(x + t) has no negative coefficient (its roots
+    then have real part <= 0; below rho it has the root rho - t > 0).  The
+    least such t is rho iff chi(t) = 0."""
+    if not a.is_nonnegative():
+        raise NotNonnegative("spectral radius needs nonnegative entries")
+    rows, cols = a.row_sums(), a.column_sums()
+    lo, hi = max(min(rows), min(cols)), min(max(rows), max(cols))
+    chi = a.charpoly() if lo < hi else None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if min(_shifted(chi, mid)) >= 0 else (mid + 1, hi)
+    if chi is not None and _shifted(chi, hi)[0] != 0:
+        raise NotIntegerEigenvalue(
+            f"spectral radius lies strictly between {hi - 1} and {hi}")
+    return hi
 
-    Scans integer candidates between the extreme column sums (the classical
-    bounds for the spectral radius), largest first, and certifies the root by
-    exact kernel computation: ker(a - rI) must be one-dimensional with a
-    strictly positive content-1 vector.  Raises NotIntegerEigenvalue when no
-    integer root exists, which signals input outside this library's
-    constructions.
-    """
+
+def _shifted(chi: Sequence[int], t: int) -> list[int]:
+    """chi(x + t) by repeated synthetic division; constant term first."""
+    c, out = list(chi), []
+    for k in range(len(c), 0, -1):
+        for i in range(1, k):
+            c[i] += t * c[i - 1]
+        out.append(c[k - 1])
+    return out
+
+
+def integer_perron(a: Matrix) -> PerronData:
+    """Integer Perron data of a primitive matrix, certified by the sum
+    sandwich or one charpoly bisection (perron_root), then by exact kernels:
+    ker(a - rI) and ker(a^T - rI) must be one-dimensional with strictly
+    positive content-1 vectors.  NotIntegerEigenvalue signals input outside
+    this library's constructions."""
     if not is_primitive(a):
         raise NotPrimitive("integer_perron requires a primitive matrix")
-    sums = a.column_sums()
-    lo, hi = min(sums), max(sums)
-    root = None
-    for r in range(hi, lo - 1, -1):
-        if a.charpoly_at(r) == 0:
-            root = r
-            break
-    if root is None:
-        raise NotIntegerEigenvalue(
-            f"no integer Perron root in column-sum range [{lo}, {hi}]")
+    root = perron_root(a)
     shifted = a - Matrix.identity(a.rows).scale(root)
     right = right_kernel_basis(shifted)
     left = right_kernel_basis(shifted.transpose())
@@ -133,8 +151,8 @@ def unique_trace_diagnostic(seq: Sequence[Matrix], horizon: int,
     """Normalized product C_m ... C_1 / prod rho(C_i) at the horizon, newest
     factor on the left, with its numerical rank at the tolerance.
 
-    All matrices must be square of one size, nonnegative and primitive with
-    integer Perron values (the only case this library's constructions produce).
+    All matrices must be square of one size and nonnegative with an integer
+    spectral radius >= 1 (the only case this library's constructions produce).
     A sequence shorter than the horizon is cycled.  The rank is computed by
     exact rational elimination in which entries below tol are flushed to
     zero; the tolerance never feeds back into any construction.
@@ -153,28 +171,12 @@ def unique_trace_diagnostic(seq: Sequence[Matrix], horizon: int,
     for idx in range(horizon):
         c = seq[idx % len(seq)]
         product = c * product          # newest on the left
-        denom *= _dominant_integer_root(c)
-    limit = Matrix(size, size, [Fraction(x, denom) for x in
-                                [product[i, j] for i in range(size)
-                                 for j in range(size)]])
+        denom *= perron_root(c)
+    if denom == 0:
+        raise NotIntegerEigenvalue("a factor has spectral radius 0, not >= 1")
+    limit = product.scale(Fraction(1, denom))
     rank = _rank_at_tolerance(limit, tol)
     return UniqueTraceReport(limit, rank, horizon, tol)
-
-
-def _dominant_integer_root(c: Matrix) -> int:
-    """Largest integer root of the characteristic polynomial within the
-    column-sum bounds; the spectral radius for every matrix this library
-    builds.  Unlike integer_perron this does not insist on primitivity, so
-    degenerate diagnostics (e.g. identity sequences) still normalize."""
-    if not c.is_nonnegative():
-        raise NotNonnegative("diagnostic requires nonnegative matrices")
-    sums = c.column_sums()
-    lo, hi = min(sums), max(sums)
-    for r in range(hi, max(lo, 1) - 1, -1):
-        if c.charpoly_at(r) == 0:
-            return r
-    raise NotIntegerEigenvalue(
-        f"no integer spectral radius in column-sum range [{lo}, {hi}]")
 
 
 def _rank_at_tolerance(m: Matrix, tol: Fraction) -> int:

@@ -132,9 +132,9 @@ class RealizationSeq:
             if markers is not None:
                 markers = tuple(tuple(int(x) for x in h) for h in markers)
             props = {k: bool(v) for k, v in obj.get("properties", {}).items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(mats, values, markers, props, obj.get("provenance", {}))
+        except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
             raise SchemaError(f"malformed realization file: {exc}") from None
-        return cls(mats, values, markers, props, obj.get("provenance", {}))
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -153,3 +153,20 @@ def test_telescope_preserves_ecrs(tmp_path):
     result = json.loads(stdout)
     assert result["properties"]["ecrs"] is True
     assert run_cli("verify", "-i", tel)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "telescope"])
+@pytest.mark.parametrize("stages", [
+    [{"matrix": [["1", "2"], ["2", "1"]], "p": "3"},      # 2x2 then 3x3
+     {"matrix": [["1", "1", "1"]] * 3, "p": "3"}],
+    [{"matrix": [], "p": "3"}],
+], ids=["non-chaining", "empty-matrix"])
+def test_unbuildable_file_is_schema_error(tmp_path, command, stages):
+    path = write(tmp_path, "bad.json", {"version": "1", "kind": "realization",
+                                        "properties": {}, "stages": stages,
+                                        "markers": None})
+    extra = (["--cuts", "1", "-o", str(tmp_path / "t.json")]
+             if command == "telescope" else [])
+    code, stdout = run_cli(command, "-i", path, *extra)
+    assert code == 2
+    assert json.loads(stdout)["error"] == "SchemaError"

@@ -225,6 +225,7 @@ def test_elimination_matches_sympy(rows):
     assert all(type(x) is int for v in basis for x in v)
     if not m.is_square:
         return
+    assert m.charpoly() == tuple(exact(c) for c in ref.charpoly().all_coeffs())
     assert m.det() == exact(ref.det())
     if ref.det() == 0:
         with pytest.raises(ZeroDivisionError):

@@ -9,7 +9,8 @@ from dimgroup.errors import (DimensionMismatch, NotIntegerEigenvalue,
 from dimgroup.exact import Matrix
 from dimgroup.perron import (ShiftEquivalence, check_equal_sums_criterion,
                              check_shift_equivalence, integer_perron,
-                             is_primitive, unique_trace_diagnostic)
+                             is_primitive, perron_root,
+                             unique_trace_diagnostic)
 
 
 def test_is_primitive_examples():
@@ -47,6 +48,83 @@ def test_integer_perron_verifies():
     assert pd.left == (2, 1)
     assert pd.right == (1, 1)
     assert pd.verify(Matrix.from_rows([[3, 1], [2, 2]]))
+
+
+def _perron_cases(rng, count):
+    """Nonnegative integer matrices up to 4x4: general ones (rho mostly
+    irrational), permuted triangular ones (reducible, rho = the largest
+    diagonal entry), and permuted strictly triangular ones (nilpotent)."""
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        kind = rng.choice(["general", "triangular", "nilpotent"])
+        rows = [[rng.randint(0, 5) if rng.random() < 0.7 else 0
+                 for _ in range(n)] for _ in range(n)]
+        if kind != "general":
+            floor = 1 if kind == "nilpotent" else 0
+            rows = [[x if j >= i + floor else 0 for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)]
+            perm = rng.sample(range(n), n)
+            rows = [[rows[perm[i]][perm[j]] for j in range(n)]
+                    for i in range(n)]
+        yield rows
+
+
+def test_perron_root_matches_sympy():
+    """perron_root returns the spectral radius exactly when it is an integer
+    and raises otherwise, never a smaller integer root; sympy's largest real
+    eigenvalue (the spectral radius, by Perron-Frobenius) is the reference."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2013)
+    seen = {"integer": 0, "irrational": 0, "zero": 0, "not primitive": 0,
+            "smaller integer root": 0}
+    cases = list(_perron_cases(rng, 400)) + [[[1, 1, 1], [3, 1, 1], [1, 0, 3]],
+                                              [[0, 12], [1, 1]]]
+    for rows in cases:
+        m = Matrix.from_rows(rows)
+        roots = sympy.Matrix(rows).charpoly().real_roots()
+        rho = max(roots)
+        if not is_primitive(m):
+            seen["not primitive"] += 1
+        if rho.is_integer:
+            seen["integer" if rho else "zero"] += 1
+            assert perron_root(m) == int(rho), rows
+        else:
+            seen["irrational"] += 1
+            if any(r.is_integer and r > 0 for r in roots):
+                seen["smaller integer root"] += 1
+            with pytest.raises(NotIntegerEigenvalue):
+                perron_root(m)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_perron_root_sum_sandwich_needs_no_charpoly(monkeypatch):
+    def no_charpoly(self):
+        raise AssertionError("charpoly computed")
+    monkeypatch.setattr(Matrix, "charpoly", no_charpoly)
+    assert perron_root(Matrix.from_rows([[3, 1], [2, 2]])) == 4   # row sums
+    assert perron_root(Matrix.from_rows([[3, 2], [1, 2]])) == 4   # column sums
+    with pytest.raises(NotNonnegative):
+        perron_root(Matrix.from_rows([[1, -1], [1, 1]]))
+
+
+def test_integer_perron_one_charpoly_for_huge_sum_range(monkeypatch):
+    """[[0, r(r-1)], [1, 1]] has Perron root r, row sums (r(r-1), 2) and
+    column sums (1, r(r-1) + 1): no sum is constant and the sandwich
+    [2, r(r-1)] is wider than 10^20, so a scan could never finish."""
+    calls = []
+    charpoly = Matrix.charpoly
+
+    def counted(self):
+        calls.append(self)
+        if len(calls) > 1:
+            raise AssertionError("charpoly computed twice")
+        return charpoly(self)
+
+    monkeypatch.setattr(Matrix, "charpoly", counted)
+    r = 10 ** 11
+    pd = integer_perron(Matrix.from_rows([[0, r * (r - 1)], [1, 1]]))
+    assert (pd.eigenvalue, pd.left, pd.right) == (r, (1, r), (r - 1, 1))
+    assert len(calls) == 1
 
 
 def test_check_equal_sums_examples():
@@ -165,6 +243,15 @@ def test_unique_trace_commuting_family():
     conjugated = [perm * m * perm for m in seq.matrices]
     rep = unique_trace_diagnostic(conjugated, 12)
     assert rep.numeric_rank_at_tol == 1
+
+
+def test_unique_trace_diagnostic_needs_integer_spectral_radius():
+    # charpoly (x - 2)(x^2 - 3x - 3): the integer root 2 is not rho = 3.79...
+    with pytest.raises(NotIntegerEigenvalue):
+        unique_trace_diagnostic(
+            [Matrix.from_rows([[1, 1, 1], [3, 1, 1], [1, 0, 3]])], 4)
+    with pytest.raises(NotIntegerEigenvalue):    # nilpotent: rho = 0
+        unique_trace_diagnostic([Matrix.from_rows([[0, 1], [0, 0]])], 2)
 
 
 def test_unique_trace_diagnostic_errors():
