@@ -171,7 +171,11 @@ def cmd_telescope(args: argparse.Namespace) -> int:
         _emit(_error_payload(exc))
         return EXIT_CONSTRUCTION
 
-    result = structural_report(composed)
+    try:
+        result = structural_report(composed)
+    except errors.DimgroupError as exc:
+        _emit(_error_payload(exc))
+        return EXIT_VERIFY
     lost = [flag for flag, claimed in composed.properties.items()
             if claimed and not result.report["derived"].get(flag, False)]
     kept = {flag: (claimed and result.report["derived"].get(flag, False))

@@ -3,11 +3,18 @@
 Flags stored in a file are claims; everything here is recomputed from the
 matrices alone: sums, primitivity, Perron data, kernel ranks of telescoped
 products, the trace value group, the index of the marker subgroup, goodness
-of the constant row, and the nearly-split witness.
+of the constant row, and the nearly-split witness.  Every flag requires
+every stage to be primitive.
+
+The kernel ranks of the n(n+1)/2 telescoped products are certified rather
+than eliminated one by one: the exact rank of each stage bounds them from
+above, the rank modulo a prime of each suffix product from below, and only
+where the two bounds differ is the product built and eliminated exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DimgroupError
@@ -46,18 +53,67 @@ def _stage_report(idx: int, m: Matrix, designed: int) -> dict:
     return rep
 
 
+# A nonzero minor modulo this prime is a nonzero minor over the integers, so
+# a rank modulo it never exceeds the rank over the rationals.
+_PRIME = 2**61 - 1
+
+
+def _rank_mod_prime(rows: list[list[int]]) -> int:
+    """Rank over GF(_PRIME) of integer rows, by elimination in place."""
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, _PRIME)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % _PRIME
+            if f:
+                rows[i] = [(x - f * y) % _PRIME for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
 def _telescoped_kernel_ranks(seq: RealizationSeq) -> list[dict]:
-    """Right-kernel rank of every contiguous product A_m ... A_n."""
+    """Right-kernel rank of every contiguous product A_m ... A_n.
+
+    The rank of A_end ... A_start is certified between two bounds.  From
+    above: the exact ranks of its stages, and of any shorter product from the
+    same start.  From below: the rank modulo a prime of the whole suffix
+    A_last ... A_start, which is a left multiple of every such product.
+    Where the bounds differ the product is built and eliminated exactly.
+    """
+    mats = seq.matrices
+    n = len(mats)
+    stage_ranks = [m.rank() for m in mats]
+    lower = [0] * n
+    suffix = None
+    for start in reversed(range(n)):
+        # A nonzero multiple of a stage clears its denominators and keeps
+        # the rank of every product through it.
+        rows = mats[start].to_rows()
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        stage = Matrix.from_rows([[int(x * den) % _PRIME for x in row]
+                                  for row in rows])
+        prod = stage if suffix is None else suffix * stage
+        suffix = Matrix.from_rows([[x % _PRIME for x in row]
+                                   for row in prod.to_rows()])
+        lower[start] = _rank_mod_prime(suffix.to_rows())
+
     out = []
-    n = len(seq.matrices)
     for start in range(n):
-        prod = seq.matrices[start]
+        prod = mats[start]
+        rank = stage_ranks[start]
         for end in range(start, n):
             if end > start:
-                prod = seq.matrices[end] * prod
-            kernel_rank = prod.cols - prod.rank()
+                rank = min(rank, stage_ranks[end])
+                if rank > lower[start]:
+                    prod = mats[end] * prod
+                    rank = prod.rank()
             out.append({"from": start + 1, "to": end + 1,
-                        "kernel_rank": kernel_rank})
+                        "kernel_rank": prod.cols - rank})
     return out
 
 
@@ -76,11 +132,14 @@ def structural_report(seq: RealizationSeq) -> VerificationResult:
         if not st["nonnegative"]:
             failures.append({"stage": st["index"], "check": "nonnegative"})
 
-    ecs_ok = all(st["nonnegative"] and st["columns_equal"]
-                 and st["column_sums"][0] == st["designed_value"]
-                 for st in stages)
+    # Simple dimension groups need primitive (hence nonnegative) stages, so
+    # every flag does.
+    primitive = all(st["primitive"] is True for st in stages)
+    ecs_ok = primitive and all(st["columns_equal"]
+                               and st["column_sums"][0] == st["designed_value"]
+                               for st in stages)
     ers_report = verify_ers(seq)
-    ers_ok = (ers_report.ok
+    ers_ok = (primitive and ers_report.ok
               and all(str(p) == st["designed_value"]
                       for p, st in zip(ers_report.stage_values, stages)))
     ecrs_ok = ecs_ok and ers_ok
@@ -125,12 +184,12 @@ def _first_failing_stage(flag: str, stages: list[dict],
                          ers_report) -> int | None:
     if flag in ("ecs", "ecrs"):
         for st in stages:
-            if (not st["nonnegative"] or not st["columns_equal"]
+            if (st["primitive"] is not True or not st["columns_equal"]
                     or st["column_sums"][0] != st["designed_value"]):
                 return st["index"]
     if flag in ("ers", "ecrs"):
         for st in stages:
-            if (not st["nonnegative"] or not st["rows_equal"]
+            if (st["primitive"] is not True or not st["rows_equal"]
                     or st["row_sums"][0] != st["designed_value"]):
                 return st["index"]
     return None

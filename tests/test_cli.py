@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from dimgroup import cli, errors
+
 EXE = [sys.executable, "-m", "dimgroup"]
 
 ECS_INPUT = {"k": 1, "stages": [{"p": 5, "v": [0], "B": [[1]]},
@@ -170,3 +172,60 @@ def test_unbuildable_file_is_schema_error(tmp_path, command, stages):
     code, stdout = run_cli(command, "-i", path, *extra)
     assert code == 2
     assert json.loads(stdout)["error"] == "SchemaError"
+
+
+def realization_file(tmp_path, matrix, p, flags):
+    return write(tmp_path, "seq.json", {
+        "version": "1", "kind": "realization",
+        "properties": dict.fromkeys(flags, True),
+        "stages": [{"matrix": [[str(x) for x in row] for row in matrix],
+                    "p": str(p)}],
+        "markers": None})
+
+
+def test_non_primitive_stage_fails_every_claim(tmp_path):
+    path = realization_file(tmp_path, [[2, 0], [0, 2]], 2,
+                            ("ecs", "ers", "ecrs"))
+    code, stdout = run_cli("verify", "-i", path)
+    assert code == 4
+    report = json.loads(stdout)
+    assert report["derived"] == {"ecs": False, "ers": False, "ecrs": False}
+    assert report["failures"] == [{"stage": 1, "check": flag}
+                                  for flag in ("ecs", "ers", "ecrs")]
+
+
+@pytest.mark.parametrize("flags", [(), ("ecs", "ers", "ecrs")],
+                         ids=["no-claims", "claims"])
+@pytest.mark.parametrize("command", ["verify", "telescope"])
+def test_zero_matrix_file_reports_without_traceback(tmp_path, command, flags):
+    path = realization_file(tmp_path, [[0, 0], [0, 0]], 0, flags)
+    extra = (["--cuts", "1", "-o", str(tmp_path / "t.json")]
+             if command == "telescope" else [])
+    proc = subprocess.run(EXE + [command, "-i", path, *extra],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    if command == "verify":
+        assert proc.returncode == (4 if flags else 0)
+        assert payload["trace"] is None
+    else:
+        assert proc.returncode == 0
+        assert payload["lost_flags"] == list(flags)
+
+
+@pytest.mark.parametrize("command", ["verify", "telescope"])
+def test_verification_error_exits_4_with_payload(tmp_path, monkeypatch,
+                                                 capsys, command):
+    def fail(seq):
+        raise errors.NotPrimitive("not primitive", stage=1)
+    monkeypatch.setattr(cli, "structural_report", fail)
+    inp = write(tmp_path, "in.json", ECS_INPUT)
+    built = str(tmp_path / "out.json")
+    assert run_cli("build", "ecs", "-i", inp, "-o", built)[0] == 0
+    out = tmp_path / "t.json"
+    extra = ["--cuts", "1", "-o", str(out)] if command == "telescope" else []
+    assert cli.main([command, "-i", built, *extra]) == cli.EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "NotPrimitive", "message": "stage 1: not primitive",
+        "stage": 1}
+    assert not out.exists()

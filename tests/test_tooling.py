@@ -1,6 +1,7 @@
 """Source-level checks on the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import dimgroup
@@ -14,4 +15,22 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_src_imports_only_stdlib():
+    """The package runs on the standard library alone."""
+    found = []
+    for path in sorted(Path(dimgroup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names
+                      and name.split(".")[0] != "dimgroup"]
     assert found == []

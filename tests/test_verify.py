@@ -1,0 +1,148 @@
+"""The certified kernel ranks of telescoped products, against direct
+elimination of every product."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dimgroup.ecs import ExtensionData, ecs_pipeline
+from dimgroup.exact import Matrix
+from dimgroup.realization import RealizationSeq
+from dimgroup.verify import structural_report
+
+P = 2**61 - 1
+
+
+def oracle_kernel_ranks(mats):
+    """Right-kernel rank of every contiguous product, each built and
+    eliminated exactly."""
+    out = []
+    for start in range(len(mats)):
+        prod = mats[start]
+        for end in range(start, len(mats)):
+            if end > start:
+                prod = mats[end] * prod
+            out.append({"from": start + 1, "to": end + 1,
+                        "kernel_rank": prod.cols - prod.rank()})
+    return out
+
+
+def random_stage(rng, rows, cols):
+    kind = rng.choice(["dense", "sparse", "rank-one", "nilpotent", "prime"])
+    if kind == "nilpotent" and rows == cols:
+        return Matrix.from_rows([[rng.randint(-3, 3) if j > i else 0
+                                  for j in range(cols)] for i in range(rows)])
+    if kind == "sparse":
+        return Matrix.from_rows([[rng.choice([0, 0, 0, rng.randint(-2, 2)])
+                                  for _ in range(cols)] for _ in range(rows)])
+    if kind in ("rank-one", "prime"):
+        u = [rng.randint(-3, 3) for _ in range(rows)]
+        v = [rng.randint(-3, 3) for _ in range(cols)]
+        # Adding multiples of P keeps the rank modulo P at most one while
+        # the rank over the rationals is usually full.
+        extra = 1 if kind == "prime" else 0
+        return Matrix.from_rows([[a * b + extra * P * rng.randint(-1, 1)
+                                  for b in v] for a in u])
+    return Matrix.from_rows([[rng.randint(-3, 3) for _ in range(cols)]
+                             for _ in range(rows)])
+
+
+def random_chain(rng):
+    n = rng.randint(1, 6)
+    sizes = [rng.randint(1, 4) for _ in range(n + 1)]
+    return [random_stage(rng, sizes[i + 1], sizes[i]) for i in range(n)]
+
+
+def seq_of(mats):
+    return RealizationSeq(tuple(mats), tuple([1] * len(mats)))
+
+
+class RankCalls:
+    def __init__(self, monkeypatch):
+        self.count = 0
+        original = Matrix.rank
+
+        def counted(m):
+            self.count += 1
+            return original(m)
+        monkeypatch.setattr(Matrix, "rank", counted)
+
+
+def test_kernel_ranks_match_exact_products(monkeypatch):
+    rng = random.Random(20260418)
+    calls = RankCalls(monkeypatch)
+    fell_back = 0
+    for _ in range(300):
+        mats = random_chain(rng)
+        expected = oracle_kernel_ranks(mats)
+        calls.count = 0
+        report = structural_report(seq_of(mats)).report
+        assert report["telescoped_kernel_ranks"] == expected, mats
+        fell_back += calls.count > len(mats)
+    # The chains are built to make the two bounds disagree.
+    assert fell_back >= 20
+
+
+def test_rank_lost_modulo_the_prime_falls_back_to_exact(monkeypatch):
+    # Modulo P the first stage has rank 1, over the rationals rank 2.
+    mats = [Matrix.from_rows([[P, 0], [0, 1]]), Matrix.identity(2),
+            Matrix.from_rows([[1, 1], [1, 2]])]
+    calls = RankCalls(monkeypatch)
+    report = structural_report(seq_of(mats)).report
+    assert calls.count > len(mats)
+    assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
+    assert all(r["kernel_rank"] == 0
+               for r in report["telescoped_kernel_ranks"])
+
+
+def test_rational_stages_are_certified():
+    # The second stage kills the first one's image vector (0, 1, -2) only
+    # with its half entry kept exact: the product has rank 1, not 2.
+    mats = [Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, -2, 0]]),
+            Matrix.from_rows([[1, 0, 0], [0, 1, Fraction(1, 2)], [0, 2, 1]])]
+    report = structural_report(seq_of(mats)).report
+    assert report["telescoped_kernel_ranks"][1] == {
+        "from": 1, "to": 2, "kernel_rank": 2}
+    rng = random.Random(7)
+    for _ in range(100):
+        mats = []
+        for m in random_chain(rng):
+            # A stage over a common denominator keeps its rank pattern; a
+            # few entries get their own.
+            d = rng.choice([1, 2, 3, 7, P])
+            mats.append(Matrix.from_rows(
+                [[Fraction(x, d * rng.choice([1, 1, 1, 1, 2, 5]))
+                  for x in m.row(i)] for i in range(m.rows)]))
+        report = structural_report(seq_of(mats)).report
+        assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
+
+
+def test_fallback_stops_where_a_stage_rank_meets_the_lower_bound(
+        monkeypatch):
+    # Every suffix from stage 1 has rank 1, but the products of the first
+    # two and three stages have rank 2 and are eliminated exactly.  The last
+    # stage's own rank then certifies the whole product from stage 1, and
+    # no later start needs a product at all past its second stage.
+    ones = Matrix.from_rows([[1, 1], [1, 1]])
+    mats = [Matrix.identity(2)] * 3 + [ones]
+    calls = RankCalls(monkeypatch)
+    report = structural_report(seq_of(mats)).report
+    assert calls.count == len(mats) + 3
+    assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
+
+
+@pytest.mark.parametrize("b", [[[1, 0], [0, 1]], [[1, 0], [0, 2]]])
+def test_built_ecs_file_needs_one_rank_per_stage(tmp_path, monkeypatch, b):
+    data = ExtensionData.from_json(
+        {"k": 2, "stages": [{"p": 101 + 2 * i, "v": [1, 2], "B": b}
+                            for i in range(16)]})
+    path = str(tmp_path / "ecs.json")
+    ecs_pipeline(data).save(path)
+    seq = RealizationSeq.load(path)
+    calls = RankCalls(monkeypatch)
+    result = structural_report(seq)
+    assert result.ok
+    assert len(result.report["telescoped_kernel_ranks"]) == \
+        len(seq) * (len(seq) + 1) // 2
+    assert calls.count <= len(seq)
