@@ -6,8 +6,9 @@
     dimgroup decide --rank R --group g.json --lambda L
     dimgroup telescope -i in.json --cuts 1,3,7 -o out.json
 
-Exit codes: 0 ok, 2 schema error, 3 construction infeasible, 4 verification
-failure, 5 I/O error.  Set DIMGROUP_LOG=DEBUG|INFO|... for logging.
+Exit codes: 0 ok, 2 schema error, 3 construction infeasible (including a
+pipeline's own InvariantViolated), 4 verification failure, 5 I/O error.
+Set DIMGROUP_LOG=DEBUG|INFO|... for logging.
 """
 
 from __future__ import annotations

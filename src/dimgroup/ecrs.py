@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
-                     K1Unnormalizable, LambdaTooSmall, NoValidT, NotEqualSums,
-                     NotPrimitive, PositivityFailed, RankDeficient, SchemaError)
+                     InvariantViolated, K1Unnormalizable, LambdaTooSmall,
+                     NoValidT, NotEqualSums, NotPrimitive, PositivityFailed,
+                     RankDeficient, SchemaError)
 from .exact import (Matrix, UnimodularTransform, content, map_content1_row,
                     _euclid_to_first)
 from .perron import is_primitive
@@ -221,12 +222,6 @@ def embroidery_block(k: int, lam: int) -> Matrix | None:
 # -- the finishing conjugations -----------------------------------------------------
 
 
-def _lower_ones(size: int) -> Matrix:
-    rows = [[1 if (j == i or j == 0) else 0 for j in range(size)]
-            for i in range(size)]
-    return Matrix.from_rows(rows)
-
-
 def _p_divisible_shift(size: int, k: int, lam: int, q: int) -> UnimodularTransform:
     """Column operations sending the eigenvector tail (q, ..., q, lam, ..., lam)
     to all ones with small multipliers: each interior entry drops by
@@ -264,15 +259,13 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
     ones = tuple([1] * k)
     if case == "direct":
         v_evec = (lam,) + ones
-        p_shift = Matrix.identity(size)
+        shift = UnimodularTransform(size, ())
     elif case == "embroidered":
         v_evec = (lam,) + ones + tuple([0] * (lam - k - 1))
-        shift = [[0] * size for _ in range(size)]
-        for i in range(size):
-            shift[i][i] = 1
-        for j, target in enumerate(_cyclic_targets(k, lam - k - 1)):
-            shift[target][k + 1 + j] = 1
-        p_shift = Matrix.from_rows(shift)
+        # Copy each interior column onto the border column it feeds.
+        shift = UnimodularTransform(size, tuple(
+            ("add", target, k + 1 + j, 1)
+            for j, target in enumerate(_cyclic_targets(k, lam - k - 1))))
     elif case == "p-divisible":
         v_evec = (lam * q,) + tuple(q * x for x in ones) \
             + tuple([lam] * (size - k - 1))
@@ -284,7 +277,7 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
         if s_lo > s_hi:
             raise NoValidT(
                 f"empty window for t = sk: q/lam={q}/{lam}, qp-1={q * p_min - 1}")
-        p_shift = _p_divisible_shift(size, k, lam, q).matrix
+        shift = _p_divisible_shift(size, k, lam, q)
     else:
         raise SchemaError(f"unknown finisher case {case!r}")
 
@@ -302,15 +295,18 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
             raise SchemaError("stage lost the right eigenvector e_0",
                               stage=idx)
 
-    lower = _lower_ones(size)
-    lower_inv = lower.inverse()
-    shift_inv = p_shift.inverse()
+    # Every stage becomes T m T^{-1} with T = L S^{-1}, where L m adds
+    # row 0 to every other row.
+    lower = UnimodularTransform(size, tuple(
+        ("add", i, 0, 1) for i in range(1, size)))
+    conj = lower.compose(shift.inverse())
+    t, t_inv = conj.matrix, conj.inverse().matrix
     out = []
     values = []
     for idx, m in enumerate(mats, start=1):
-        g = lower * (shift_inv * m * p_shift) * lower_inv
+        g = t * m * t_inv
         if not g.is_integral():
-            raise AssertionError("conjugation left the integers")
+            raise InvariantViolated("conjugation left the integers", stage=idx)
         bad = next(((i, j) for i in range(size) for j in range(size)
                     if g[i, j] < 0), None)
         if bad is not None:
@@ -320,7 +316,8 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
             raise NotPrimitive("finished stage not primitive", stage=idx)
         p = m[0, 0]
         if set(g.row_sums()) != {p} or set(g.column_sums()) != {p}:
-            raise AssertionError("finisher failed to equalize sums")
+            raise InvariantViolated("finisher failed to equalize sums",
+                                    stage=idx)
         out.append(g)
         values.append(p)
     markers = tuple([tuple([1] * size)] * (len(out) + 1))
@@ -386,7 +383,7 @@ def poly_for(m: int, l: int) -> PolyNat:
             i = next((i for i in range(2, len(digits), 2) if digits[i] > 0),
                      None)
             if i is None:
-                raise AssertionError("no even digit to move")
+                raise InvariantViolated("no even digit to move")
             digits[i] -= 1
             digits[i - 1] += m
             val -= m + 1
@@ -394,7 +391,7 @@ def poly_for(m: int, l: int) -> PolyNat:
             i = next((i for i in range(1, len(digits), 2) if digits[i] > 0),
                      None)
             if i is None:
-                raise AssertionError("no odd digit to move")
+                raise InvariantViolated("no odd digit to move")
             digits[i] -= 1
             digits[i - 1] += m
             val += m + 1
@@ -402,7 +399,7 @@ def poly_for(m: int, l: int) -> PolyNat:
         digits.pop()
     f = PolyNat(tuple(digits))
     if f(m) != l or f(-1) != val:
-        raise AssertionError(f"poly_for({l}, {m}) evaluates wrongly")
+        raise InvariantViolated(f"poly_for({l}, {m}) evaluates wrongly")
     return f
 
 
@@ -436,10 +433,12 @@ def commuting_family(a: Matrix, p_seq: Sequence[int]) -> RealizationSeq:
             raise CongruenceViolated(str(exc), stage=idx) from None
         m = a * f.at_matrix(a)
         if not m.is_nonnegative():
-            raise AssertionError("nonnegative coefficients lost positivity")
+            raise InvariantViolated(
+                "nonnegative coefficients lost positivity", stage=idx)
         if m.mul_vector(ones) != tuple(q * p * x for x in ones) \
                 or m.vector_mul(ones) != tuple(q * p * x for x in ones):
-            raise AssertionError("Perron eigenvectors not preserved")
+            raise InvariantViolated("Perron eigenvectors not preserved",
+                                    stage=idx)
         mats.append(m)
         values.append(q * p)
     markers = tuple([ones] * (len(mats) + 1))
@@ -492,8 +491,8 @@ def _apply_normalizer(stages: Sequence[Matrix], conj: UnimodularTransform,
         c = (p - 1) // prob.lam
         expected = _stage_matrix(p, tuple([c] * prob.k))
         if g != expected:
-            raise AssertionError(
-                f"normalization failed at stage {idx}: got {g.to_rows()}")
+            raise InvariantViolated(
+                f"normalization failed: got {g.to_rows()}", stage=idx)
         out.append(g)
     return out
 

@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (BadCutPoints, DimensionMismatch, HorizonExhausted,
-                     Infeasible, NotNonnegative, NotPrimitive,
-                     ParameterExtractionFailed, PTooSmall, SchemaError)
+                     Infeasible, InvariantViolated, NotNonnegative,
+                     NotPrimitive, ParameterExtractionFailed, PTooSmall,
+                     SchemaError)
 from .exact import (Matrix, UnimodularTransform, vec_add, vec_scale, vec_sub)
 from .perron import is_primitive
 from .realization import RealizationSeq
@@ -106,10 +107,6 @@ class AParams:
     @classmethod
     def uniform(cls, k: int, a: int) -> "AParams":
         return cls(tuple([a] * (k + 2)))
-
-    @property
-    def a0(self) -> int:
-        return self.values[0]
 
 
 def eps_basis(k: int) -> tuple[tuple[int, ...], ...]:
@@ -224,7 +221,7 @@ def reduce_vector(v: Sequence[Fraction]) -> tuple[UnimodularTransform, tuple[int
             break
         guard += 1
         if guard > 10 ** 6:
-            raise AssertionError("reduction failed to terminate")
+            raise InvariantViolated("reduction failed to terminate")
         s_idx = max(nonzero, key=lambda i: work[i])
         t_idx = max((i for i in nonzero if i != s_idx), key=lambda i: work[i])
         m = work[s_idx] // work[t_idx]   # >= 1 since work[s] >= work[t] > 0
@@ -372,11 +369,13 @@ def _build_from_telescoped(tele: ExtensionData) -> RealizationSeq:
             raise Infeasible(str(exc), stage=idx) from None
         m = general_ecs_matrix(st.p, v_new, b_new, a)
         if set(m.column_sums()) != {st.p}:
-            raise AssertionError("column sums broke ECS by-construction")
+            raise InvariantViolated("column sums broke ECS by-construction",
+                                    stage=idx)
         if m.mul_vector(z) != tuple([0] * (k + 2)):
-            raise AssertionError("kernel vector not annihilated")
+            raise InvariantViolated("kernel vector not annihilated",
+                                    stage=idx)
         if m.rank() != k + 1:
-            raise AssertionError(f"rank {m.rank()} != k+1")
+            raise InvariantViolated(f"rank {m.rank()} != k+1", stage=idx)
         if not is_primitive(m):
             raise NotPrimitive("stage matrix not primitive", stage=idx)
         mats.append(m)

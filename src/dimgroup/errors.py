@@ -20,6 +20,10 @@ class SchemaError(DimgroupError):
     """Input data does not match the expected JSON schema."""
 
 
+class InvariantViolated(DimgroupError):
+    """A property that a construction guarantees by design failed to hold."""
+
+
 # -- exact_core ------------------------------------------------------------
 
 class NonSquare(DimgroupError):

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (DimensionMismatch, Infeasible, KernelMismatch,
-                     NotPrimitive, RegimeViolation, SchemaError, SingularB)
+from .errors import (DimensionMismatch, Infeasible, InvariantViolated,
+                     KernelMismatch, NotPrimitive, RegimeViolation,
+                     SchemaError, SingularB)
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
 from .ecs import choose_a_params, general_ecs_matrix, kernel_vector
 from .perron import is_primitive
@@ -175,7 +176,7 @@ def reduce_mod_rowlattice(z: Sequence[int], b: Matrix) -> tuple[int, ...]:
     scaled_inv = b_inv.scale(d)                             # +-adjugate, integral
     y = tuple(int(x) for x in scaled_inv.vector_mul(floors))
     if sup_norm(vec_sub(z, b.vector_mul(y))) >= d:
-        raise AssertionError("row-lattice remainder not below |det B|")
+        raise InvariantViolated("row-lattice remainder not below |det B|")
     return y
 
 
@@ -267,7 +268,7 @@ def build_w_sequence(data: ErsStageData, horizon: int,
             norm_limit = (Fraction(sup_norm(st.u))
                           + Fraction(st.p + colsum_norm(st.b), 2))
             if Fraction(sup_norm(w)) > norm_limit:
-                raise AssertionError("w-norm estimate violated")
+                raise InvariantViolated("w-norm estimate violated", stage=n)
         ws.append(w)
 
     # y_{n} enters M_n as the top-right row of F_n = [[1, y_n],[0, I]]; the
@@ -354,14 +355,17 @@ def ers_pipeline(data: ErsStageData, horizon: int,
             raise Infeasible(str(exc), stage=idx) from None
         ecs_m = general_ecs_matrix(st.p, w, bt, a)
         if set(ecs_m.column_sums()) != {st.p}:
-            raise AssertionError("column sums broke ECS by-construction")
+            raise InvariantViolated("column sums broke ECS by-construction",
+                                    stage=idx)
         if ecs_m.mul_vector(z) != tuple([0] * (k + 2)):
-            raise AssertionError("kernel vector not annihilated")
+            raise InvariantViolated("kernel vector not annihilated",
+                                    stage=idx)
         out = ecs_m.transpose()
         if not is_primitive(out):
             raise NotPrimitive("stage matrix not primitive", stage=idx)
         if set(out.row_sums()) != {st.p}:
-            raise AssertionError("row sums broke ERS by-construction")
+            raise InvariantViolated("row sums broke ERS by-construction",
+                                    stage=idx)
         ecs_mats.append(ecs_m)
         out_mats.append(out)
         values.append(st.p)
@@ -369,18 +373,19 @@ def ers_pipeline(data: ErsStageData, horizon: int,
     # Reconstruct the trace row from the output itself and compare.
     blocks = restrict_to_kernel_complement(ecs_mats)
     rec_stages = []
-    for blk, st in zip(blocks, stages):
+    for idx, (blk, st) in enumerate(zip(blocks, stages), start=1):
         p = blk[0, 0]
         w_rec = tuple(blk[0, 1 + j] for j in range(k))
         b_rec = Matrix.from_rows([[blk[1 + i, 1 + j] for j in range(k)]
                                   for i in range(k)]).transpose()
         if p != st.p or b_rec != st.b:
-            raise AssertionError("restricted block lost the stage data")
+            raise InvariantViolated("restricted block lost the stage data",
+                                    stage=idx)
         rec_stages.append(ErsStage(p, w_rec, st.b))
     reconstructed = partial_sum([st.u for st in rec_stages], rec_stages)
     gap = sup_norm(vec_sub(reconstructed, data.trace_row))
     if gap > wseq.error_bound:
-        raise AssertionError(
+        raise InvariantViolated(
             f"trace row gap {gap} exceeds reported bound {wseq.error_bound}")
 
     size = k + 2

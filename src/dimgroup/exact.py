@@ -61,14 +61,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, [0] * (rows * cols))
 
-    @classmethod
-    def column(cls, entries: Sequence[Number]) -> "Matrix":
-        return cls(len(entries), 1, list(entries))
-
-    @classmethod
-    def row_vector(cls, entries: Sequence[Number]) -> "Matrix":
-        return cls(1, len(entries), list(entries))
-
     # -- access --------------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> Number:
@@ -119,9 +111,6 @@ class Matrix:
 
     def scale(self, c: Number) -> "Matrix":
         return Matrix(self.rows, self.cols, [c * a for a in self._data])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.__mul__(other)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -318,12 +307,6 @@ def content(v: Iterable[int]) -> int:
     return g
 
 
-def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
-    if len(u) != len(v):
-        raise DimensionMismatch("dot length mismatch")
-    return sum(a * b for a, b in zip(u, v))
-
-
 def vec_add(u: Sequence[Number], v: Sequence[Number]) -> tuple[Number, ...]:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -382,43 +365,11 @@ def right_kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
 ElementaryOp = tuple
 
 
-def _op_matrix(size: int, op: ElementaryOp) -> Matrix:
-    e = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    kind = op[0]
-    if kind == "swap":
-        _, i, j = op
-        e[i][i] = e[j][j] = 0
-        e[i][j] = e[j][i] = 1
-    elif kind == "neg":
-        _, i = op
-        e[i][i] = -1
-    elif kind == "add":
-        _, i, j, m = op
-        e[i][j] = m
-    else:
-        raise ValueError(f"unknown elementary op {op!r}")
-    return Matrix.from_rows(e)
-
-
 def _invert_op(op: ElementaryOp) -> ElementaryOp:
     if op[0] == "add":
         _, i, j, m = op
         return ("add", i, j, -m)
     return op
-
-
-def _apply_op_row(vec: list, op: ElementaryOp) -> None:
-    """vec <- mat(op) @ vec, for vec a column stored as a list."""
-    kind = op[0]
-    if kind == "swap":
-        _, i, j = op
-        vec[i], vec[j] = vec[j], vec[i]
-    elif kind == "neg":
-        _, i = op
-        vec[i] = -vec[i]
-    else:
-        _, i, j, m = op
-        vec[i] = vec[i] + m * vec[j]
 
 
 def _apply_op_col(vec: list, op: ElementaryOp) -> None:
@@ -430,17 +381,20 @@ def _apply_op_col(vec: list, op: ElementaryOp) -> None:
     elif kind == "neg":
         _, i = op
         vec[i] = -vec[i]
-    else:
+    elif kind == "add":
         _, i, j, m = op
         vec[j] = vec[j] + m * vec[i]
+    else:
+        raise ValueError(f"unknown elementary op {op!r}")
 
 
 @dataclass(frozen=True)
 class UnimodularTransform:
     """An element of GL(k,Z) carried together with its elementary factorization.
 
-    Replaying the factorization (multiplying the elementary matrices in
-    order) reproduces ``matrix`` exactly; |det| = 1 by construction.
+    ``matrix`` replays the factorization as column operations on the
+    identity, which is the product of the elementary matrices in order;
+    |det| = 1 by construction.
     """
 
     size: int
@@ -448,10 +402,11 @@ class UnimodularTransform:
 
     @property
     def matrix(self) -> Matrix:
-        m = Matrix.identity(self.size)
+        rows = Matrix.identity(self.size).to_rows()
         for op in self.ops:
-            m = m * _op_matrix(self.size, op)
-        return m
+            for row in rows:
+                _apply_op_col(row, op)
+        return Matrix.from_rows(rows)
 
     def inverse(self) -> "UnimodularTransform":
         return UnimodularTransform(

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (DimensionMismatch, NonSquare, NotIntegerEigenvalue,
-                     NotNonnegative, NotPrimitive, SizeMismatch)
+from .errors import (DimensionMismatch, InvariantViolated, NonSquare,
+                     NotIntegerEigenvalue, NotNonnegative, NotPrimitive,
+                     SizeMismatch)
 from .exact import Matrix, right_kernel_basis
 
 
@@ -132,7 +133,7 @@ def check_equal_sums_criterion(a: Matrix) -> EqualSumsReport:
     cols = a.column_sums()
     sums_equal = len(set(rows)) == 1 and len(set(cols)) == 1
     if inner == data.size and not sums_equal:
-        raise AssertionError(
+        raise InvariantViolated(
             "equal-sums criterion violated: VW == size but sums differ "
             f"(rows {rows}, cols {cols})")
     return EqualSumsReport(inner, data.size, sums_equal)

@@ -154,7 +154,7 @@ def nearly_split_witness(seq: RealizationSeq) -> NearlySplitReport:
         [list(m.row(i)) for m in shifted for i in range(s)])
     right_basis = right_kernel_basis(stacked)
     stacked_t = Matrix.from_rows(
-        [list(m.transpose().row(i)) for m in shifted for i in range(s)])
+        [list(m.col(j)) for m in shifted for j in range(s)])
     left_basis = right_kernel_basis(stacked_t)
     has_right = bool(right_basis)
     has_left = bool(left_basis)

@@ -151,7 +151,7 @@ def structural_report(seq: RealizationSeq) -> VerificationResult:
         verified = derived.get(flag, False)
         claim_checks[flag] = verified
         if claimed and not verified:
-            culprit = _first_failing_stage(flag, stages, ers_report)
+            culprit = _first_failing_stage(flag, stages)
             failures.append({"stage": culprit, "check": flag})
 
     kernel = _telescoped_kernel_ranks(seq)
@@ -173,15 +173,14 @@ def structural_report(seq: RealizationSeq) -> VerificationResult:
         "trace": trace,
         "constant_row_good": goodness,
         "nearly_split": witness,
-        "marker_chain_ok": seq.marker_chain_ok(),
+        "marker_chain_ok": ers_report.marker_chain_ok,
         "failures": failures,
         "ok": not failures,
     }
     return VerificationResult(not failures, report)
 
 
-def _first_failing_stage(flag: str, stages: list[dict],
-                         ers_report) -> int | None:
+def _first_failing_stage(flag: str, stages: list[dict]) -> int | None:
     if flag in ("ecs", "ecrs"):
         for st in stages:
             if (st["primitive"] is not True or not st["columns_equal"]

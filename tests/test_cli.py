@@ -229,3 +229,21 @@ def test_verification_error_exits_4_with_payload(tmp_path, monkeypatch,
         "error": "NotPrimitive", "message": "stage 1: not primitive",
         "stage": 1}
     assert not out.exists()
+
+
+def test_broken_invariant_exits_3_with_payload(tmp_path, monkeypatch, capsys):
+    # Without the normalizer the stages keep rho (1, 2), so the check that
+    # every stage came out normalized fails at stage 1.
+    from dimgroup import ecrs
+    from dimgroup.exact import UnimodularTransform
+    monkeypatch.setattr(ecrs, "normalize_to_ones",
+                        lambda prob: UnimodularTransform(prob.k + 1, ()))
+    inp = write(tmp_path, "in.json",
+                {"k": 2, "lambda": 3, "rho": [1, 2], "p_seq": [7, 13]})
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ecrs", "-i", inp, "-o", str(out)]) \
+        == cli.EXIT_CONSTRUCTION
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "InvariantViolated"
+    assert payload["stage"] == 1
+    assert not out.exists()

@@ -231,6 +231,24 @@ def test_ecrs_pipeline_p_divisible_needs_room():
     assert all(m.rows == 12 for m in seq.matrices)
 
 
+@pytest.mark.parametrize("case,prob", [
+    ("direct", EcrsProblem(2, 3, (1, 2), FactorSequence((7, 13)))),
+    ("embroidered", EcrsProblem(2, 7, (1, 1), FactorSequence((29, 43)))),
+    ("p-divisible", EcrsProblem(2, 3, (1, 1), FactorSequence((19, 31)), q=4)),
+])
+def test_finisher_makes_no_rational_inverse(monkeypatch, case, prob):
+    # The conjugators are unimodular transforms, inverted by replaying
+    # their ops backwards; no rational elimination is needed.
+    def fail(self):
+        raise AssertionError("Matrix.inverse called")
+    monkeypatch.setattr(Matrix, "inverse", fail)
+    seq = ecrs_pipeline(prob)
+    assert seq.provenance["case"] == case
+    for m, p in zip(seq.matrices, seq.stage_values):
+        assert m.is_nonnegative()
+        assert set(m.row_sums()) == {p} and set(m.column_sums()) == {p}
+
+
 def test_ecrs_output_lambda_matches_size():
     from dimgroup.traces import trace_report
     prob = EcrsProblem(2, 3, (1, 1), FactorSequence((7, 13)))

@@ -151,6 +151,44 @@ def test_transform_replay_and_inverse():
         assert m * u.inverse().matrix == Matrix.identity(k)
 
 
+def _elementary(size, op):
+    """Dense elementary matrix of one op, the reference for the replay."""
+    e = [[int(i == j) for j in range(size)] for i in range(size)]
+    if op[0] == "swap":
+        _, i, j = op
+        e[i][i] = e[j][j] = 0
+        e[i][j] = e[j][i] = 1
+    elif op[0] == "neg":
+        e[op[1]][op[1]] = -1
+    else:
+        _, i, j, m = op
+        e[i][j] = m
+    return Matrix.from_rows(e)
+
+
+def test_transform_matrix_is_product_of_elementary_matrices():
+    rng = random.Random(45)
+    for _ in range(200):
+        k = rng.randint(2, 5)
+        ops = []
+        for _ in range(rng.randint(0, 12)):
+            i, j = rng.sample(range(k), 2)
+            ops.append(rng.choice([("swap", i, j), ("neg", i),
+                                   ("add", i, j, rng.randint(-4, 4))]))
+        expected = Matrix.identity(k)
+        for op in ops:
+            expected = expected * _elementary(k, op)
+        assert UnimodularTransform(k, tuple(ops)).matrix == expected
+    # one order-sensitive case spelled out
+    u = UnimodularTransform(2, (("add", 0, 1, 1), ("swap", 0, 1)))
+    assert u.matrix.to_rows() == [[1, 1], [1, 0]]
+
+
+def test_transform_matrix_rejects_unknown_op():
+    with pytest.raises(ValueError):
+        UnimodularTransform(2, (("scale", 0, 2),)).matrix
+
+
 def test_matrix_shape_errors():
     with pytest.raises(DimensionMismatch):
         Matrix(2, 2, [1, 2, 3])

@@ -7,14 +7,23 @@ from pathlib import Path
 import dimgroup
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements():
     """Every invariant check must survive ``python -O``, which strips
-    ``assert``; raise explicitly instead."""
+    ``assert``, and must raise the typed ``InvariantViolated`` that the CLI
+    maps to an exit code, not a bare ``AssertionError``."""
     found = []
     for path in sorted(Path(dimgroup.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if isinstance(node, ast.Assert)
+                  or _raises_assertion_error(node)]
     assert found == []
 
 
