@@ -20,7 +20,7 @@ from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
 from .exact import (Matrix, UnimodularTransform, content, map_content1_row,
                     _euclid_to_first)
 from .perron import is_primitive
-from .realization import RealizationSeq
+from .realization import RealizationSeq, json_int
 from .supernatural import FactorSequence
 
 
@@ -51,13 +51,14 @@ class EcrsProblem:
     @classmethod
     def from_json(cls, obj: dict) -> "EcrsProblem":
         try:
-            k = int(obj["k"])
-            lam = int(obj["lambda"])
-            rho = tuple(int(x) for x in obj["rho"])
-            p_seq = FactorSequence(tuple(int(p) for p in obj["p_seq"]))
-            q = int(obj["q"]) if obj.get("q") is not None else None
+            k = json_int(obj["k"])
+            lam = json_int(obj["lambda"])
+            rho = tuple(json_int(x) for x in obj["rho"])
+            p_seq = FactorSequence(tuple(json_int(p) for p in obj["p_seq"]))
+            q = json_int(obj["q"]) if obj.get("q") is not None else None
             seed = obj.get("seed_matrix")
-            seed_m = (Matrix.from_rows([[int(x) for x in row] for row in seed])
+            seed_m = (Matrix.from_rows([[json_int(x) for x in row]
+                                        for row in seed])
                       if seed is not None else None)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed ECRS problem: {exc}") from None

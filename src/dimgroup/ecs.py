@@ -23,7 +23,7 @@ from .errors import (BadCutPoints, DimensionMismatch, HorizonExhausted,
                      SchemaError)
 from .exact import (Matrix, UnimodularTransform, vec_add, vec_scale, vec_sub)
 from .perron import is_primitive
-from .realization import RealizationSeq
+from .realization import RealizationSeq, json_int
 
 DEFAULT_EPSILON = Fraction(1, 100)
 
@@ -72,11 +72,12 @@ class ExtensionData:
     @classmethod
     def from_json(cls, obj: dict) -> "ExtensionData":
         try:
-            k = int(obj["k"])
+            k = json_int(obj["k"])
             stages = tuple(
-                Stage(int(st["p"]),
-                      tuple(int(x) for x in st["v"]),
-                      Matrix.from_rows([[int(x) for x in row] for row in st["B"]]))
+                Stage(json_int(st["p"]),
+                      tuple(json_int(x) for x in st["v"]),
+                      Matrix.from_rows([[json_int(x) for x in row]
+                                        for row in st["B"]]))
                 for st in obj["stages"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed extension data: {exc}") from None

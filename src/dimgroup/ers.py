@@ -16,7 +16,7 @@ from .errors import (DimensionMismatch, Infeasible, InvariantViolated,
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
 from .ecs import choose_a_params, general_ecs_matrix, kernel_vector
 from .perron import is_primitive
-from .realization import RealizationSeq
+from .realization import RealizationSeq, json_int
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,15 @@ class ErsStageData:
     @classmethod
     def from_json(cls, obj: dict) -> "ErsStageData":
         try:
-            k = int(obj["k"])
+            k = json_int(obj["k"])
             stages = tuple(
-                ErsStage(int(st["p"]),
-                         tuple(int(x) for x in st["u"]),
-                         Matrix.from_rows([[int(x) for x in row]
+                ErsStage(json_int(st["p"]),
+                         tuple(json_int(x) for x in st["u"]),
+                         Matrix.from_rows([[json_int(x) for x in row]
                                            for row in st["B"]]))
                 for st in obj["stages"])
-            rho = tuple(Fraction(int(n), int(d)) for n, d in obj["trace_row"])
+            rho = tuple(Fraction(json_int(n), json_int(d))
+                        for n, d in obj["trace_row"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed ERS stage data: {exc}") from None
         return cls(k, stages, rho)

@@ -71,7 +71,7 @@ class Matrix:
         return self._data[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[Number, ...]:
-        return tuple(self._data[i * self.cols + j] for i in range(self.rows))
+        return self._data[j::self.cols]
 
     def to_rows(self) -> list[list[Number]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -136,7 +136,7 @@ class Matrix:
     def mul_vector(self, v: Sequence[Number]) -> tuple[Number, ...]:
         if len(v) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(sum(self[i, j] * v[j] for j in range(self.cols))
+        return tuple(sum(x * y for x, y in zip(self.row(i), v))
                      for i in range(self.rows))
 
     def vector_mul(self, v: Sequence[Number]) -> tuple[Number, ...]:
@@ -148,7 +148,7 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+                      [x for j in range(self.cols) for x in self.col(j)])
 
     def pow(self, e: int) -> "Matrix":
         if not self.is_square:
@@ -353,6 +353,19 @@ def right_kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
         g = content(v) if lead > 0 else -content(v)
         basis.append(tuple(x // g for x in v))
     return basis
+
+
+def rank_factorization(m: Matrix) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns p and integer rows R, one per unit of rank, with
+    d * m = m[:, p] * R for a nonzero integer d.
+
+    R is d times the nonzero part of the reduced row echelon form, which row
+    scaling leaves unchanged; the left factor must therefore be taken from
+    the columns of m itself, never from a row-scaled copy.
+    """
+    rows, _ = _integer_rows(m.to_rows())
+    pivots, _, _ = _eliminate(rows)
+    return pivots, rows[:len(pivots)]
 
 
 # -- unimodular transforms ------------------------------------------------------

@@ -23,7 +23,7 @@ def is_primitive(a: Matrix) -> bool:
         raise NotNonnegative("primitivity test requires nonnegative entries")
     s = a.rows
     full = (1 << s) - 1
-    base = [sum(1 << j for j in range(s) if a[i, j] != 0) for i in range(s)]
+    base = [sum(1 << j for j, x in enumerate(a.row(i)) if x) for i in range(s)]
     power = base
     bound = (s - 1) ** 2 + 1
     for _ in range(bound):
@@ -95,24 +95,28 @@ def _shifted(chi: Sequence[int], t: int) -> list[int]:
 
 def integer_perron(a: Matrix) -> PerronData:
     """Integer Perron data of a primitive matrix, certified by the sum
-    sandwich or one charpoly bisection (perron_root), then by exact kernels:
-    ker(a - rI) and ker(a^T - rI) must be one-dimensional with strictly
-    positive content-1 vectors.  NotIntegerEigenvalue signals input outside
-    this library's constructions."""
+    sandwich or one charpoly bisection (perron_root).  By Perron-Frobenius
+    ker(a - rI) and ker(a^T - rI) are spanned by strictly positive vectors;
+    constant row (column) sums make the all-ones vector the right (left) one,
+    and only otherwise is the kernel solved.  NotIntegerEigenvalue signals
+    input outside this library's constructions."""
     if not is_primitive(a):
         raise NotPrimitive("integer_perron requires a primitive matrix")
     root = perron_root(a)
-    shifted = a - Matrix.identity(a.rows).scale(root)
-    right = right_kernel_basis(shifted)
-    left = right_kernel_basis(shifted.transpose())
-    if len(right) != 1 or len(left) != 1:
-        raise NotIntegerEigenvalue(
-            f"eigenvalue {root} is not geometrically simple")
-    rvec, lvec = right[0], left[0]
-    if not all(x > 0 for x in rvec) or not all(x > 0 for x in lvec):
-        raise NotIntegerEigenvalue(
-            f"eigenvalue {root} has no strictly positive eigenvector")
-    return PerronData(root, lvec, rvec, a.rows)
+    return PerronData(root, _perron_vector(a.transpose(), root),
+                      _perron_vector(a, root), a.rows)
+
+
+def _perron_vector(a: Matrix, root: int) -> tuple[int, ...]:
+    """Content-1 vector spanning ker(a - root I), for primitive a."""
+    if len(set(a.row_sums())) == 1:
+        return (1,) * a.rows
+    basis = right_kernel_basis(a - Matrix.identity(a.rows).scale(root))
+    if len(basis) != 1 or not all(x > 0 for x in basis[0]):
+        raise InvariantViolated(
+            f"Perron root {root} of a primitive matrix has no simple, "
+            "strictly positive eigenvector")
+    return basis[0]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ overflow fixed-width consumers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,6 +22,19 @@ from .errors import BadCutPoints, DimensionMismatch, SchemaError
 from .exact import Matrix
 
 FILE_VERSION = "1"
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def json_int(x) -> int:
+    """A JSON integer, or a string of decimal digits with an optional minus
+    sign, as an int.  Floats, booleans and any other value are a
+    SchemaError rather than being truncated or coerced."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
+        return int(x)
+    raise SchemaError(f"not an integer: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -124,15 +138,20 @@ class RealizationSeq:
             raise SchemaError(f"unsupported file version {obj.get('version')!r}")
         try:
             stages = obj["stages"]
-            mats = tuple(Matrix.from_rows([[int(x) for x in row]
+            mats = tuple(Matrix.from_rows([[json_int(x) for x in row]
                                            for row in st["matrix"]])
                          for st in stages)
-            values = tuple(int(st["p"]) for st in stages)
+            values = tuple(json_int(st["p"]) for st in stages)
             markers = obj.get("markers")
             if markers is not None:
-                markers = tuple(tuple(int(x) for x in h) for h in markers)
-            props = {k: bool(v) for k, v in obj.get("properties", {}).items()}
-            return cls(mats, values, markers, props, obj.get("provenance", {}))
+                markers = tuple(tuple(json_int(x) for x in h) for h in markers)
+            props = obj.get("properties", {})
+            provenance = obj.get("provenance", {})
+            if not (isinstance(props, dict) and isinstance(provenance, dict)
+                    and all(isinstance(v, bool) for v in props.values())):
+                raise SchemaError("properties must map flags to booleans "
+                                  "and provenance must be an object")
+            return cls(mats, values, markers, props, provenance)
         except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
             raise SchemaError(f"malformed realization file: {exc}") from None
 

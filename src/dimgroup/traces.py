@@ -147,18 +147,47 @@ def nearly_split_witness(seq: RealizationSeq) -> NearlySplitReport:
     sizes = set(seq.level_sizes())
     if len(sizes) != 1:
         return NearlySplitReport(False, False, False)
-    s = sizes.pop()
-    shifted = [m - Matrix.identity(s).scale(p)
-               for m, p in zip(seq.matrices, seq.stage_values)]
-    stacked = Matrix.from_rows(
-        [list(m.row(i)) for m in shifted for i in range(s)])
-    right_basis = right_kernel_basis(stacked)
-    stacked_t = Matrix.from_rows(
-        [list(m.col(j)) for m in shifted for j in range(s)])
-    left_basis = right_kernel_basis(stacked_t)
+    values = seq.stage_values
+    right_basis = _common_eigenvectors(seq.matrices, values)
+    left_basis = _common_eigenvectors(
+        [m.transpose() for m in seq.matrices], values)
     has_right = bool(right_basis)
     has_left = bool(left_basis)
     pairing = any(sum(l * r for l, r in zip(w, v)) != 0
                   for w in left_basis for v in right_basis)
     return NearlySplitReport(has_right, has_left,
                              has_right and has_left and pairing)
+
+
+def _common_eigenvectors(mats: Sequence[Matrix],
+                         values: Sequence[int]) -> list[tuple[int, ...]]:
+    """Integer basis of {v : A v = p v for every stage (A, p)}.
+
+    The stage kernels are intersected one at a time, so at most s vectors
+    are live.  A positive stage with A 1 = p 1 has ker(A - pI) spanned by
+    the all-ones vector (Perron's theorem), which then seeds the basis
+    without a solve; once the basis is one vector, each stage costs one
+    matrix-vector product.
+    """
+    s = mats[0].cols
+    if any(m.row_sums() == (p,) * s
+           and all(x > 0 for i in range(s) for x in m.row(i))
+           for m, p in zip(mats, values)):
+        basis = [(1,) * s]
+    else:
+        basis = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+    for m, p in zip(mats, values):
+        if len(basis) == 1:
+            v = basis[0]
+            basis = [v] if m.mul_vector(v) == tuple(p * x for x in v) else []
+        else:
+            images = [[y - p * x for x, y in zip(v, m.mul_vector(v))]
+                      for v in basis]
+            coords = right_kernel_basis(Matrix.from_rows(list(zip(*images))))
+            combos = [[sum(c * v[i] for c, v in zip(cs, basis))
+                       for i in range(s)] for cs in coords]
+            basis = [tuple(x // g for x in w)
+                     for w, g in zip(combos, map(content, combos))]
+        if not basis:
+            break
+    return basis

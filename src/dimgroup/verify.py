@@ -6,10 +6,20 @@ products, the trace value group, the index of the marker subgroup, goodness
 of the constant row, and the nearly-split witness.  Every flag requires
 every stage to be primitive.
 
-The kernel ranks of the n(n+1)/2 telescoped products are certified rather
-than eliminated one by one: the exact rank of each stage bounds them from
-above, the rank modulo a prime of each suffix product from below, and only
-where the two bounds differ is the product built and eliminated exactly.
+Certificates come first, so a file the library built needs no square
+elimination beyond one rank factorization per stage:
+
+- Perron data: primitivity is tested once per stage, inside
+  integer_perron; constant row (column) sums make the all-ones vector the
+  right (left) Perron vector, and only other stages solve a kernel.
+- Nearly-split witness: stage kernels are intersected one at a time; a
+  positive stage whose sums equal its designed value seeds the common
+  eigenvector, and each further stage is one matrix-vector product.
+- Kernel ranks of the n(n+1)/2 telescoped products: each stage is factored
+  once as A = C R, so each rank is that of a product of small cores
+  R_{i+1} C_i.  The stage ranks bound it from above, the rank modulo a prime
+  of each core suffix from below, and only where the two bounds differ is
+  the core product built and eliminated exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DimgroupError
-from .exact import Matrix
-from .perron import integer_perron, is_primitive
+from .errors import NotIntegerEigenvalue, NotPrimitive
+from .exact import Matrix, rank_factorization
+from .perron import integer_perron
 from .realization import RealizationSeq
 from .traces import is_good_row, nearly_split_witness, trace_report
 from .ers import verify_ers
@@ -41,15 +51,18 @@ def _stage_report(idx: int, m: Matrix, designed: int) -> dict:
         "perron": None,
     }
     if m.is_square and m.is_nonnegative():
-        rep["primitive"] = is_primitive(m)
-        if rep["primitive"]:
-            try:
-                pd = integer_perron(m)
-                rep["perron"] = {"value": str(pd.eigenvalue),
-                                 "left": [str(x) for x in pd.left],
-                                 "right": [str(x) for x in pd.right]}
-            except DimgroupError as exc:
-                rep["perron"] = {"error": str(exc)}
+        try:
+            pd = integer_perron(m)
+        except NotPrimitive:
+            rep["primitive"] = False
+        except NotIntegerEigenvalue as exc:
+            rep["primitive"] = True
+            rep["perron"] = {"error": str(exc)}
+        else:
+            rep["primitive"] = True
+            rep["perron"] = {"value": str(pd.eigenvalue),
+                             "left": [str(x) for x in pd.left],
+                             "right": [str(x) for x in pd.right]}
     return rep
 
 
@@ -61,7 +74,7 @@ _PRIME = 2**61 - 1
 def _rank_mod_prime(rows: list[list[int]]) -> int:
     """Rank over GF(_PRIME) of integer rows, by elimination in place."""
     rank = 0
-    for c in range(len(rows[0])):
+    for c in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
@@ -79,41 +92,54 @@ def _rank_mod_prime(rows: list[list[int]]) -> int:
 def _telescoped_kernel_ranks(seq: RealizationSeq) -> list[dict]:
     """Right-kernel rank of every contiguous product A_m ... A_n.
 
-    The rank of A_end ... A_start is certified between two bounds.  From
-    above: the exact ranks of its stages, and of any shorter product from the
-    same start.  From below: the rank modulo a prime of the whole suffix
-    A_last ... A_start, which is a left multiple of every such product.
-    Where the bounds differ the product is built and eliminated exactly.
+    Each stage is factored once as A_i = C_i R_i (up to a nonzero scalar),
+    C_i its pivot columns and R_i of full row rank, so A_end ... A_start has
+    the rank of the product of the small cores R_{i+1} C_i between them.
+    That rank is certified between two bounds.  From above: the ranks of its
+    stages, and of any shorter product from the same start.  From below: the
+    rank modulo a prime of the whole core suffix from that start, a left
+    multiple of every such product.  Where the bounds differ the core
+    product is built and eliminated exactly.
     """
     mats = seq.matrices
     n = len(mats)
-    stage_ranks = [m.rank() for m in mats]
+    factors = [rank_factorization(m) for m in mats]
+    ranks = [len(pivots) for pivots, _ in factors]
+    cores = []
+    for m, (pivots, _), (_, r_next) in zip(mats, factors, factors[1:]):
+        cols = [m.col(j) for j in pivots]
+        cores.append([[sum(x * y for x, y in zip(row, col)) for col in cols]
+                      for row in r_next])
+
     lower = [0] * n
-    suffix = None
+    suffix = [[int(i == j) for j in range(ranks[-1])]
+              for i in range(ranks[-1])]
     for start in reversed(range(n)):
-        # A nonzero multiple of a stage clears its denominators and keeps
-        # the rank of every product through it.
-        rows = mats[start].to_rows()
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        stage = Matrix.from_rows([[int(x * den) % _PRIME for x in row]
-                                  for row in rows])
-        prod = stage if suffix is None else suffix * stage
-        suffix = Matrix.from_rows([[x % _PRIME for x in row]
-                                   for row in prod.to_rows()])
-        lower[start] = _rank_mod_prime(suffix.to_rows())
+        if start < n - 1:
+            # A nonzero multiple of a core clears its denominators and keeps
+            # the rank of every product through it.
+            core = cores[start]
+            den = math.lcm(*(x.denominator for row in core for x in row))
+            core = [[int(x * den) % _PRIME for x in row] for row in core]
+            suffix = [[sum(x * y for x, y in zip(row, col)) % _PRIME
+                       for col in zip(*core)] for row in suffix]
+        lower[start] = _rank_mod_prime(list(suffix))
+        if not lower[start]:
+            break       # every longer suffix has rank 0 as well
 
     out = []
     for start in range(n):
-        prod = mats[start]
-        rank = stage_ranks[start]
+        rank = ranks[start]
+        prod = None
         for end in range(start, n):
             if end > start:
-                rank = min(rank, stage_ranks[end])
+                rank = min(rank, ranks[end])
                 if rank > lower[start]:
-                    prod = mats[end] * prod
+                    core = Matrix.from_rows(cores[end - 1])
+                    prod = core if prod is None else core * prod
                     rank = prod.rank()
             out.append({"from": start + 1, "to": end + 1,
-                        "kernel_rank": prod.cols - rank})
+                        "kernel_rank": mats[start].cols - rank})
     return out
 
 

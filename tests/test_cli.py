@@ -247,3 +247,53 @@ def test_broken_invariant_exits_3_with_payload(tmp_path, monkeypatch, capsys):
     assert payload["error"] == "InvariantViolated"
     assert payload["stage"] == 1
     assert not out.exists()
+
+
+STRICT_BASE = {"version": "1", "kind": "realization",
+               "properties": {"ecs": True, "ers": True, "ecrs": True},
+               "stages": [{"matrix": [["2"]], "p": "2"}], "markers": None}
+
+
+@pytest.mark.parametrize("command", ["verify", "telescope"])
+@pytest.mark.parametrize("change", [
+    {},
+    {"stages": [{"matrix": [[2.5]], "p": "2"}]},
+    {"stages": [{"matrix": [[True]], "p": "1"}]},
+    {"stages": [{"matrix": [["2"]], "p": 2.0}]},
+    {"stages": [{"matrix": [["2"]], "p": "2.0"}]},
+    {"markers": [[1.5], ["1"]]},
+    {"properties": [1]},
+    {"properties": {"ecs": "no"}},
+    {"provenance": [1]},
+], ids=["valid", "float-entry", "bool-entry", "float-p", "decimal-string-p",
+        "float-marker", "properties-list", "string-flag", "provenance-list"])
+def test_file_values_are_parsed_strictly(tmp_path, capsys, command, change):
+    path = write(tmp_path, "seq.json", {**STRICT_BASE, **change})
+    extra = (["--cuts", "1", "-o", str(tmp_path / "t.json")]
+             if command == "telescope" else [])
+    code = cli.main([command, "-i", path, *extra])
+    payload = json.loads(capsys.readouterr().out)
+    if not change:
+        assert code == cli.EXIT_OK
+        return
+    assert code == cli.EXIT_SCHEMA
+    assert payload["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("ecs", {**ECS_INPUT, "k": 1.0}),
+    ("ecs", {"k": 1, "stages": [{"p": 5.5, "v": [0], "B": [[1]]}]}),
+    ("ers", {**ERS_INPUT, "trace_row": [[1, True]]}),
+    ("ers", {"k": 1, "stages": [{"p": 25, "u": [8.9], "B": [[1]]}],
+             "trace_row": [[1, 3]]}),
+    ("ecrs", {**ECRS_INPUT, "lambda": 3.0}),
+    ("ecrs", {**ECRS_INPUT, "p_seq": [7, 13.0, 19]}),
+], ids=["ecs-k", "ecs-p", "ers-trace-row", "ers-u", "ecrs-lambda",
+        "ecrs-p-seq"])
+def test_build_input_is_parsed_strictly(tmp_path, capsys, kind, payload):
+    inp = write(tmp_path, "in.json", payload)
+    out = tmp_path / "out.json"
+    assert cli.main(["build", kind, "-i", inp, "-o", str(out)]) \
+        == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
+    assert not out.exists()

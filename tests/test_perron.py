@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from dimgroup.errors import (DimensionMismatch, NotIntegerEigenvalue,
                              NotNonnegative, NotPrimitive)
-from dimgroup.exact import Matrix
+from dimgroup.exact import Matrix, right_kernel_basis
 from dimgroup.perron import (ShiftEquivalence, check_equal_sums_criterion,
                              check_shift_equivalence, integer_perron,
                              is_primitive, perron_root,
@@ -125,6 +127,48 @@ def test_integer_perron_one_charpoly_for_huge_sum_range(monkeypatch):
     pd = integer_perron(Matrix.from_rows([[0, r * (r - 1)], [1, 1]]))
     assert (pd.eigenvalue, pd.left, pd.right) == (r, (1, r), (r - 1, 1))
     assert len(calls) == 1
+
+
+@st.composite
+def _perron_matrices(draw):
+    """Nonnegative matrices with an integer Perron root and constant row and
+    column sums, constant row sums only, constant column sums only, or
+    neither.  Row i of T gets its diagonal raised until T v = m v; then
+    A = T L / v (columnwise, L = lcm v) has A v = L m v."""
+    s = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["both", "rows", "columns", "neither"]))
+    entries = st.integers(0, 4)
+    if kind == "both":
+        perms = draw(st.lists(st.permutations(range(s)), min_size=1,
+                              max_size=4))
+        c = draw(entries)
+        return Matrix.from_rows([[c + sum(p[i] == j for p in perms)
+                                  for j in range(s)] for i in range(s)])
+    v = (draw(st.lists(st.integers(1, 4), min_size=s, max_size=s))
+         if kind == "neither" else [1] * s)
+    t = [draw(st.lists(entries, min_size=s, max_size=s)) for _ in range(s)]
+    m = max(-(-sum(row) // vi) for row, vi in zip(t, v))
+    for i, (row, vi) in enumerate(zip(t, v)):
+        row[i] += m * vi - sum(row)
+    lcm = math.lcm(*v)
+    a = Matrix.from_rows([[x * lcm // vj for x, vj in zip(row, v)]
+                          for row in t])
+    return a.transpose() if kind == "columns" else a
+
+
+@settings(deadline=None, max_examples=300)
+@given(_perron_matrices())
+def test_integer_perron_matches_the_kernels(m):
+    """The constant-sum shortcut and the kernel path both give the one
+    content-1 basis vector of ker(A - rho I) and of its transpose."""
+    assume(is_primitive(m))
+    event(f"constant row sums: {len(set(m.row_sums())) == 1}, "
+          f"constant column sums: {len(set(m.column_sums())) == 1}")
+    pd = integer_perron(m)
+    shifted = m - Matrix.identity(m.rows).scale(perron_root(m))
+    assert right_kernel_basis(shifted) == [pd.right]
+    assert right_kernel_basis(shifted.transpose()) == [pd.left]
+    assert pd.verify(m)
 
 
 def test_check_equal_sums_examples():

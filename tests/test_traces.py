@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dimgroup.errors import NotECS, OutOfRange, ZeroRow
-from dimgroup.exact import Matrix
+from dimgroup.exact import Matrix, right_kernel_basis
 from dimgroup.realization import RealizationSeq
-from dimgroup.traces import (is_good_row, nearly_split_witness, rebalance,
+from dimgroup.traces import (NearlySplitReport, is_good_row,
+                             nearly_split_witness, rebalance,
                              split_to_equal_trace, trace_of_realization,
                              trace_report)
 
@@ -124,3 +125,102 @@ def test_nearly_split_witness_cases():
     assert rep.has_common_left_evec          # the all-ones row
     assert not rep.has_common_right_evec
     assert not rep.nearly_split_implied
+
+
+def stacked_witness(seq):
+    """The witness from one elimination of each stacked system: the rows of
+    every A_i - p_i I for the right vectors, their columns for the left."""
+    sizes = set(seq.level_sizes())
+    if len(sizes) != 1:
+        return NearlySplitReport(False, False, False)
+    s = sizes.pop()
+    shifted = [m - Matrix.identity(s).scale(p)
+               for m, p in zip(seq.matrices, seq.stage_values)]
+    right = right_kernel_basis(Matrix.from_rows(
+        [list(m.row(i)) for m in shifted for i in range(s)]))
+    left = right_kernel_basis(Matrix.from_rows(
+        [list(m.col(j)) for m in shifted for j in range(s)]))
+    pairing = any(sum(l * r for l, r in zip(w, v)) != 0
+                  for w in left for v in right)
+    return NearlySplitReport(bool(right), bool(left),
+                             bool(right) and bool(left) and pairing)
+
+
+WITNESS_KINDS = ("ones", "rows", "columns", "diagonal", "permutation",
+                 "jordan", "random")
+
+
+def _witness_stage(rng, s, kind):
+    """One stage and designed value.  a J + b I has the all-ones vector at
+    a s + b and every zero-sum vector at b, the non-Perron eigenvalue for
+    a > 0 (b < 0 makes entries negative, a half-integer a makes Fraction
+    entries); positive stages with constant row or column sums seed the
+    witness when p is their sum; diagonal, permutation and Jordan stages
+    are not primitive, and a Jordan block's left and right eigenvectors
+    pair to zero; random stages have negative entries."""
+    ones = Matrix.from_rows([[1] * s for _ in range(s)])
+    if kind == "ones":
+        a = Fraction(rng.randint(0, 3), rng.choice([1, 1, 2]))
+        b = rng.randint(-2, 3)
+        m = ones.scale(a) + Matrix.identity(s).scale(b)
+        top = a * s + b
+        return m, rng.choice([b, b, int(top) if top.denominator == 1 else b,
+                              rng.randint(-2, 6)])
+    if kind in ("rows", "columns"):
+        t = [[rng.randint(1, 4) for _ in range(s)] for _ in range(s)]
+        c = max(map(sum, t))
+        for i, row in enumerate(t):
+            row[i] += c - sum(row)
+        m = Matrix.from_rows(t)
+        return (m if kind == "rows" else m.transpose(),
+                rng.choice([c, c, c + 1]))
+    if kind == "diagonal":
+        d = [rng.randint(0, 3) for _ in range(s)]
+        return (Matrix.from_rows([[d[i] if i == j else 0 for j in range(s)]
+                                  for i in range(s)]), rng.choice(d))
+    if kind == "jordan":
+        b = rng.randint(0, 3)
+        return (Matrix.from_rows([[b if i == j else int(j == i + 1)
+                                   for j in range(s)] for i in range(s)]), b)
+    if kind == "permutation":
+        perm = rng.sample(range(s), s)
+        return (Matrix.from_rows([[int(perm[i] == j) for j in range(s)]
+                                  for i in range(s)]), rng.choice([1, -1, 0]))
+    return (Matrix.from_rows([[rng.randint(-2, 3) for _ in range(s)]
+                              for _ in range(s)]), rng.randint(-2, 6))
+
+
+def test_nearly_split_witness_matches_stacked_kernels():
+    rng = random.Random(1307)
+    seen = {}
+    for _ in range(1500):
+        s = rng.randint(1, 4)
+        # Most stages of a sequence share one kind, so that common
+        # eigenvectors exist often.
+        family = rng.choice(WITNESS_KINDS)
+        stages = [_witness_stage(rng, s, family if rng.random() < 0.7
+                                 else rng.choice(WITNESS_KINDS))
+                  for _ in range(rng.randint(1, 4))]
+        seq = RealizationSeq(tuple(m for m, _ in stages),
+                             tuple(p for _, p in stages))
+        expected = stacked_witness(seq)
+        assert nearly_split_witness(seq) == expected, stages
+        key = (expected.has_common_right_evec, expected.has_common_left_evec,
+               expected.nearly_split_implied)
+        seen[key] = seen.get(key, 0) + 1
+    # Every combination of the three answers the witness can give occurs.
+    assert len(seen) == 5 and min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("p,expected", [(3, (True, True, True)),
+                                        (1, (True, True, True)),
+                                        (2, (False, False, False))])
+def test_nearly_split_witness_at_a_non_perron_eigenvalue(p, expected):
+    # [[2, 1], [1, 2]] has the Perron vector (1, 1) at 3 and (1, -1) at 1.
+    m = Matrix.from_rows([[2, 1], [1, 2]])
+    # The second stage is the same matrix with Fraction entries.
+    seq = RealizationSeq((m, m.scale(Fraction(1, 1))), (p, p))
+    rep = nearly_split_witness(seq)
+    assert rep == stacked_witness(seq)
+    assert (rep.has_common_right_evec, rep.has_common_left_evec,
+            rep.nearly_split_implied) == expected

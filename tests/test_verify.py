@@ -2,13 +2,17 @@
 elimination of every product."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dimgroup import exact, perron
+from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
 from dimgroup.ecs import ExtensionData, ecs_pipeline
 from dimgroup.exact import Matrix
 from dimgroup.realization import RealizationSeq
+from dimgroup.supernatural import FactorSequence
 from dimgroup.verify import structural_report
 
 P = 2**61 - 1
@@ -59,6 +63,9 @@ def seq_of(mats):
 
 
 class RankCalls:
+    """Counts Matrix.rank calls: the exact fallback, on products of stage
+    cores, is the only caller in the verifier."""
+
     def __init__(self, monkeypatch):
         self.count = 0
         original = Matrix.rank
@@ -79,7 +86,7 @@ def test_kernel_ranks_match_exact_products(monkeypatch):
         calls.count = 0
         report = structural_report(seq_of(mats)).report
         assert report["telescoped_kernel_ranks"] == expected, mats
-        fell_back += calls.count > len(mats)
+        fell_back += calls.count > 0
     # The chains are built to make the two bounds disagree.
     assert fell_back >= 20
 
@@ -90,7 +97,7 @@ def test_rank_lost_modulo_the_prime_falls_back_to_exact(monkeypatch):
             Matrix.from_rows([[1, 1], [1, 2]])]
     calls = RankCalls(monkeypatch)
     report = structural_report(seq_of(mats)).report
-    assert calls.count > len(mats)
+    assert calls.count > 0
     assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
     assert all(r["kernel_rank"] == 0
                for r in report["telescoped_kernel_ranks"])
@@ -118,17 +125,41 @@ def test_rational_stages_are_certified():
         assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
 
 
+def test_core_takes_the_columns_of_the_rational_stage():
+    # A2 A1 = [[0]].  Row-scaling A1 to [[1], [1]] before taking its pivot
+    # column would give the core [[-1]] and kernel rank 0.
+    mats = [Matrix.from_rows([[1], [Fraction(1, 2)]]),
+            Matrix.from_rows([[1, -2]])]
+    report = structural_report(seq_of(mats)).report
+    assert report["telescoped_kernel_ranks"] == [
+        {"from": 1, "to": 1, "kernel_rank": 0},
+        {"from": 1, "to": 2, "kernel_rank": 1},
+        {"from": 2, "to": 2, "kernel_rank": 1}]
+
+
+@pytest.mark.parametrize("zero_at", [0, 1, 2])
+def test_zero_rank_stage_in_a_chain(zero_at):
+    mats = [Matrix.from_rows([[1, 2], [3, 4]]),
+            Matrix.from_rows([[1, 1], [1, 1]]),
+            Matrix.from_rows([[2, 0], [0, 3]])]
+    mats[zero_at] = Matrix.zeros(2, 2)
+    report = structural_report(seq_of(mats)).report
+    assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
+    assert all(r["kernel_rank"] == 2 for r in report["telescoped_kernel_ranks"]
+               if r["from"] <= zero_at + 1 <= r["to"])
+
+
 def test_fallback_stops_where_a_stage_rank_meets_the_lower_bound(
         monkeypatch):
     # Every suffix from stage 1 has rank 1, but the products of the first
     # two and three stages have rank 2 and are eliminated exactly.  The last
     # stage's own rank then certifies the whole product from stage 1, and
-    # no later start needs a product at all past its second stage.
+    # only the second start needs its two-stage product eliminated.
     ones = Matrix.from_rows([[1, 1], [1, 1]])
     mats = [Matrix.identity(2)] * 3 + [ones]
     calls = RankCalls(monkeypatch)
     report = structural_report(seq_of(mats)).report
-    assert calls.count == len(mats) + 3
+    assert calls.count == 3
     assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
 
 
@@ -145,4 +176,41 @@ def test_built_ecs_file_needs_one_rank_per_stage(tmp_path, monkeypatch, b):
     assert result.ok
     assert len(result.report["telescoped_kernel_ranks"]) == \
         len(seq) * (len(seq) + 1) // 2
-    assert calls.count <= len(seq)
+    assert calls.count == 0
+
+
+def replace_everywhere(monkeypatch, function, replacement):
+    """Replace a function in every dimgroup module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dimgroup":
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_built_ecrs_file_verifies_without_kernel_solves(tmp_path, monkeypatch):
+    """Built ECRS stages have positive entries and constant row and column
+    sums equal to their designed values.  Those certify the Perron vectors
+    and seed the nearly-split witness, so no kernel is solved, and
+    primitivity is tested once per verified stage."""
+    prob = EcrsProblem(3, 16, (5, -10, 4),
+                       FactorSequence((1153, 1201, 1217, 1249)))
+    path = str(tmp_path / "ecrs.json")
+    ecrs_pipeline(prob).save(path)
+    seq = RealizationSeq.load(path)
+
+    def no_solve(m):
+        raise AssertionError(f"kernel solved for a {m.rows}x{m.cols} matrix")
+
+    tested = []
+    original = perron.is_primitive
+    replace_everywhere(monkeypatch, exact.right_kernel_basis, no_solve)
+    replace_everywhere(monkeypatch, original,
+                       lambda m: tested.append(m) or original(m))
+    result = structural_report(seq)
+    assert result.ok
+    assert result.report["derived"] == {"ecs": True, "ers": True,
+                                        "ecrs": True}
+    assert all(result.report["nearly_split"].values())
+    assert all(m.rows == 16 for m in seq.matrices)
+    assert tested == list(seq.matrices)
