@@ -8,6 +8,8 @@
 
 Exit codes: 0 ok, 2 schema error, 3 construction infeasible (including a
 pipeline's own InvariantViolated), 4 verification failure, 5 I/O error.
+Malformed input is exit 2 wherever it is found, even a non-UTF-8 file or
+over-deep JSON; every failure after argument parsing prints one JSON object.
 Set DIMGROUP_LOG=DEBUG|INFO|... for logging.
 """
 
@@ -18,13 +20,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import errors
 from .ecrs import EcrsProblem, ecrs_pipeline
 from .ecs import DEFAULT_EPSILON, ExtensionData, ecs_pipeline
 from .ers import ErsStageData, ers_pipeline
-from .realization import RealizationSeq
+from .realization import RealizationSeq, load_json
 from .supernatural import INFINITE, SupernaturalNumber, decide_ecrs
 from .verify import structural_report
 
@@ -33,8 +36,6 @@ EXIT_SCHEMA = 2
 EXIT_CONSTRUCTION = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
-
-log = logging.getLogger("dimgroup")
 
 
 def _setup_logging() -> None:
@@ -56,14 +57,6 @@ def _error_payload(exc: Exception) -> dict:
     return payload
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise errors.SchemaError(f"not valid JSON: {exc}") from None
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -72,58 +65,26 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        raw = _load_json(args.input)
-    except OSError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_IO
-    except errors.SchemaError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_SCHEMA
-
-    try:
-        if args.kind == "ecs":
-            data = ExtensionData.from_json(raw)
-            seq = ecs_pipeline(data, _parse_fraction(args.epsilon)
-                               if args.epsilon else DEFAULT_EPSILON)
-        elif args.kind == "ers":
-            data = ErsStageData.from_json(raw)
-            horizon = args.horizon if args.horizon else len(data.stages)
-            seq = ers_pipeline(data, horizon, strict=args.strict_bounds)
-        else:
-            prob = EcrsProblem.from_json(raw)
-            seq = ecrs_pipeline(prob)
-    except errors.SchemaError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_SCHEMA
-    except errors.DimgroupError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_CONSTRUCTION
-
-    try:
-        seq.save(args.output)
-    except OSError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_IO
+    raw = load_json(args.input)
+    if args.kind == "ecs":
+        data = ExtensionData.from_json(raw)
+        seq = ecs_pipeline(data, _parse_fraction(args.epsilon)
+                           if args.epsilon else DEFAULT_EPSILON)
+    elif args.kind == "ers":
+        data = ErsStageData.from_json(raw)
+        horizon = (len(data.stages) if args.horizon is None
+                   else args.horizon)
+        seq = ers_pipeline(data, horizon, strict=args.strict_bounds)
+    else:
+        seq = ecrs_pipeline(EcrsProblem.from_json(raw))
+    seq.save(args.output)
     _emit({"ok": True, "output": args.output,
            "stages": len(seq), "properties": seq.properties})
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        seq = RealizationSeq.load(args.input)
-    except OSError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_IO
-    except errors.SchemaError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_SCHEMA
-    try:
-        result = structural_report(seq)
-    except errors.DimgroupError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_VERIFY
+    result = structural_report(RealizationSeq.load(args.input))
     _emit(result.report)
     return EXIT_OK if result.ok else EXIT_VERIFY
 
@@ -132,63 +93,36 @@ def _parse_count_or_inf(text: str):
     if text.strip().lower() in ("inf", "infinite", "oo"):
         return INFINITE
     try:
-        return int(text)
+        count = int(text)
+        if count >= 1:
+            return count
     except ValueError:
-        raise errors.SchemaError(f"not a count: {text!r}") from None
+        pass
+    raise errors.SchemaError(f"not a positive count: {text!r}")
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    try:
-        group = SupernaturalNumber.from_json(_load_json(args.group))
-        rank = _parse_count_or_inf(args.rank)
-        lam = _parse_count_or_inf(args.lam)
-        decision = decide_ecrs(rank, group, lam)
-    except OSError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_IO
-    except (errors.SchemaError, ValueError) as exc:
-        _emit(_error_payload(exc))
-        return EXIT_SCHEMA
+    group = SupernaturalNumber.from_json(load_json(args.group))
+    decision = decide_ecrs(_parse_count_or_inf(args.rank), group,
+                           _parse_count_or_inf(args.lam))
     _emit(decision.to_json())
     return EXIT_OK
 
 
 def cmd_telescope(args: argparse.Namespace) -> int:
-    try:
-        seq = RealizationSeq.load(args.input)
-    except OSError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_IO
-    except errors.SchemaError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_SCHEMA
+    seq = RealizationSeq.load(args.input)
     try:
         cuts = [int(c) - 1 for c in args.cuts.split(",") if c.strip()]
-        composed = seq.telescope(cuts)
     except ValueError:
-        _emit({"error": "SchemaError", "message": f"bad cuts {args.cuts!r}"})
-        return EXIT_SCHEMA
-    except errors.BadCutPoints as exc:
-        _emit(_error_payload(exc))
-        return EXIT_CONSTRUCTION
-
-    try:
-        result = structural_report(composed)
-    except errors.DimgroupError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_VERIFY
-    lost = [flag for flag, claimed in composed.properties.items()
-            if claimed and not result.report["derived"].get(flag, False)]
-    kept = {flag: (claimed and result.report["derived"].get(flag, False))
+        raise errors.SchemaError(f"bad cuts {args.cuts!r}") from None
+    composed = seq.telescope(cuts)
+    derived = structural_report(composed).report["derived"]
+    kept = {flag: claimed and derived.get(flag, False)
             for flag, claimed in composed.properties.items()}
-    out_seq = RealizationSeq(composed.matrices, composed.stage_values,
-                             composed.markers, kept, composed.provenance)
-    try:
-        out_seq.save(args.output)
-    except OSError as exc:
-        _emit(_error_payload(exc))
-        return EXIT_IO
-    _emit({"ok": True, "output": args.output, "stages": len(out_seq),
+    lost = [flag for flag, claimed in composed.properties.items()
+            if claimed and not kept[flag]]
+    replace(composed, properties=kept).save(args.output)
+    _emit({"ok": True, "output": args.output, "stages": len(composed),
            "properties": kept, "lost_flags": lost})
     return EXIT_OK
 
@@ -233,11 +167,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The first matching class gives the exit code.  Any other library error
+# is a failed construction under ``build`` and a failed verification under
+# ``verify`` and ``telescope``.
+_EXIT_CODES = ((OSError, EXIT_IO), (errors.SchemaError, EXIT_SCHEMA),
+               (errors.BadCutPoints, EXIT_CONSTRUCTION))
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, errors.DimgroupError) as exc:
+        _emit(_error_payload(exc))
+        for kind, code in _EXIT_CODES:
+            if isinstance(exc, kind):
+                return code
+        return EXIT_CONSTRUCTION if args.command == "build" else EXIT_VERIFY
 
 
 if __name__ == "__main__":

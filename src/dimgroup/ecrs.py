@@ -20,7 +20,7 @@ from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
 from .exact import (Matrix, UnimodularTransform, content, map_content1_row,
                     _euclid_to_first)
 from .perron import is_primitive
-from .realization import RealizationSeq, json_int
+from .realization import RealizationSeq, json_int, parsing
 from .supernatural import FactorSequence
 
 
@@ -47,10 +47,12 @@ class EcrsProblem:
             raise SchemaError("lambda must be >= 1")
         if len(self.rho) != self.k:
             raise DimensionMismatch("rho must have length k")
+        if not self.p_seq:
+            raise SchemaError("need at least one factor")
 
     @classmethod
     def from_json(cls, obj: dict) -> "EcrsProblem":
-        try:
+        with parsing("ECRS problem"):
             k = json_int(obj["k"])
             lam = json_int(obj["lambda"])
             rho = tuple(json_int(x) for x in obj["rho"])
@@ -60,9 +62,7 @@ class EcrsProblem:
             seed_m = (Matrix.from_rows([[json_int(x) for x in row]
                                         for row in seed])
                       if seed is not None else None)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed ECRS problem: {exc}") from None
-        return cls(k, lam, rho, p_seq, q, seed_m)
+            return cls(k, lam, rho, p_seq, q, seed_m)
 
     def to_json(self) -> dict:
         out = {"k": self.k, "lambda": self.lam, "rho": list(self.rho),

@@ -23,7 +23,7 @@ from .errors import (BadCutPoints, DimensionMismatch, HorizonExhausted,
                      SchemaError)
 from .exact import (Matrix, UnimodularTransform, vec_add, vec_scale, vec_sub)
 from .perron import is_primitive
-from .realization import RealizationSeq, json_int
+from .realization import RealizationSeq, json_int, parsing
 
 DEFAULT_EPSILON = Fraction(1, 100)
 
@@ -71,7 +71,7 @@ class ExtensionData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtensionData":
-        try:
+        with parsing("extension data"):
             k = json_int(obj["k"])
             stages = tuple(
                 Stage(json_int(st["p"]),
@@ -79,9 +79,7 @@ class ExtensionData:
                       Matrix.from_rows([[json_int(x) for x in row]
                                         for row in st["B"]]))
                 for st in obj["stages"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed extension data: {exc}") from None
-        return cls(k, stages)
+            return cls(k, stages)
 
     def to_json(self) -> dict:
         return {"k": self.k,

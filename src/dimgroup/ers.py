@@ -16,7 +16,7 @@ from .errors import (DimensionMismatch, Infeasible, InvariantViolated,
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
 from .ecs import choose_a_params, general_ecs_matrix, kernel_vector
 from .perron import is_primitive
-from .realization import RealizationSeq, json_int
+from .realization import RealizationSeq, json_int, parsing
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class ErsStageData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ErsStageData":
-        try:
+        with parsing("ERS stage data"):
             k = json_int(obj["k"])
             stages = tuple(
                 ErsStage(json_int(st["p"]),
@@ -77,9 +77,7 @@ class ErsStageData:
                 for st in obj["stages"])
             rho = tuple(Fraction(json_int(n), json_int(d))
                         for n, d in obj["trace_row"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"malformed ERS stage data: {exc}") from None
-        return cls(k, stages, rho)
+            return cls(k, stages, rho)
 
     def to_json(self) -> dict:
         return {"k": self.k,
@@ -182,6 +180,8 @@ def reduce_mod_rowlattice(z: Sequence[int], b: Matrix) -> tuple[int, ...]:
 
 
 def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> list[ErsStage]:
+    if horizon < 1:
+        raise SchemaError(f"horizon must be at least 1, got {horizon}")
     stages = list(data.stages[:min(horizon, len(data.stages))])
     s = data.k + 1
     prev_p = 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,6 +36,28 @@ def json_int(x) -> int:
     if isinstance(x, str) and _DECIMAL.fullmatch(x):
         return int(x)
     raise SchemaError(f"not an integer: {x!r}")
+
+
+def load_json(path: str):
+    """The JSON value in the file at ``path``.  A file that is not UTF-8,
+    not JSON, or nested deeper than the recursion limit is a SchemaError;
+    an OSError passes through."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(f"not valid JSON: {exc}") from None
+
+
+@contextmanager
+def parsing(what: str):
+    """Inside this block, the errors that a wrong JSON shape or value
+    raises while a parser reads and builds a ``what`` become SchemaError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            DimensionMismatch) as exc:
+        raise SchemaError(f"malformed {what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -136,7 +159,7 @@ class RealizationSeq:
             raise SchemaError("realization file must be a JSON object")
         if obj.get("version") != FILE_VERSION:
             raise SchemaError(f"unsupported file version {obj.get('version')!r}")
-        try:
+        with parsing("realization file"):
             stages = obj["stages"]
             mats = tuple(Matrix.from_rows([[json_int(x) for x in row]
                                            for row in st["matrix"]])
@@ -152,8 +175,6 @@ class RealizationSeq:
                 raise SchemaError("properties must map flags to booleans "
                                   "and provenance must be an object")
             return cls(mats, values, markers, props, provenance)
-        except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
-            raise SchemaError(f"malformed realization file: {exc}") from None
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -162,9 +183,4 @@ class RealizationSeq:
 
     @classmethod
     def load(cls, path: str) -> "RealizationSeq":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"not valid JSON: {exc}") from None
-        return cls.from_json(obj)
+        return cls.from_json(load_json(path))

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SchemaError
+from .realization import json_int, parsing
 
 INFINITE = "infinite"  # sentinel for infinite rank / index values
 
@@ -47,6 +48,9 @@ class SupernaturalNumber:
         overlap = set(self.finite_part) & self.infinite_primes
         if overlap:
             raise SchemaError(f"primes {sorted(overlap)} both finite and infinite")
+        small = [p for p in (*self.finite_part, *self.infinite_primes) if p < 2]
+        if small:
+            raise SchemaError(f"primes must be at least 2, got {sorted(small)}")
         for p, e in self.finite_part.items():
             if e <= 0:
                 raise SchemaError(f"multiplicity of {p} must be positive, got {e}")
@@ -73,12 +77,11 @@ class SupernaturalNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SupernaturalNumber":
-        try:
-            finite = {int(p): int(e) for p, e in obj.get("finite", {}).items()}
-            infinite = frozenset(int(p) for p in obj.get("infinite", []))
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise SchemaError(f"bad supernatural number: {exc}") from None
-        return cls(finite, infinite)
+        with parsing("supernatural number"):
+            # dict.get and dict.items raise TypeError on anything but an object
+            finite = dict.items(dict.get(obj, "finite", {}))
+            return cls({json_int(p): json_int(e) for p, e in finite},
+                       [json_int(p) for p in dict.get(obj, "infinite", [])])
 
 
 @dataclass(frozen=True)

@@ -297,3 +297,74 @@ def test_build_input_is_parsed_strictly(tmp_path, capsys, kind, payload):
         == cli.EXIT_SCHEMA
     assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("ecs", {"k": 1, "stages": [{"p": 5, "v": [0], "B": []}]}),
+    ("ecs", {"k": 1, "stages": [{"p": 5, "v": [0, 1], "B": [[1]]}]}),
+    ("ecs", {"k": 1, "stages": [{"p": 5, "v": [0], "B": [[1, 2]]}]}),
+    ("ers", {**ERS_INPUT, "trace_row": [[1, 3], [1, 2]]}),
+    ("ecrs", {**ECRS_INPUT, "seed_matrix": [[]]}),
+    ("ecrs", {**ECRS_INPUT, "rho": [1]}),
+    ("ecrs", {"k": 1, "lambda": 2, "rho": [1], "p_seq": []}),
+], ids=["ecs-empty-B", "ecs-long-v", "ecs-non-square-B", "ers-long-trace-row",
+        "ecrs-empty-seed", "ecrs-short-rho", "ecrs-no-factors"])
+def test_misshapen_build_input_is_schema_error(tmp_path, capsys, kind,
+                                               payload):
+    inp = write(tmp_path, "in.json", payload)
+    out = tmp_path / "out.json"
+    assert cli.main(["build", kind, "-i", inp, "-o", str(out)]) \
+        == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    b'{"version": "1\xff"}',
+    b"[" * 100000 + b"]" * 100000,
+], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("command", ["verify", "build", "telescope",
+                                     "decide"])
+def test_unreadable_json_is_schema_error(tmp_path, capsys, command, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    out = str(tmp_path / "out.json")
+    argv = {"verify": ["verify", "-i", str(path)],
+            "build": ["build", "ers", "-i", str(path), "-o", out],
+            "telescope": ["telescope", "-i", str(path), "--cuts", "1",
+                          "-o", out],
+            "decide": ["decide", "--rank", "1", "--lambda", "2",
+                       "--group", str(path)]}[command]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_ers_horizon_below_one_is_schema_error(tmp_path, capsys, horizon):
+    inp = write(tmp_path, "in.json", ERS_INPUT)
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ers", "-i", inp, "-o", str(out),
+                     "--horizon", horizon]) == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("group,rank,lam", [
+    ({"finite": {"2": 1.5}}, "1", "2"),
+    ({"finite": {"2": True}}, "1", "2"),
+    ({"infinite": [1]}, "1", "2"),
+    ({"infinite": [0]}, "1", "2"),
+    ({"infinite": [-2]}, "1", "2"),
+    ({"finite": {"1": 2}}, "1", "2"),
+    ({"finite": {"2": 1}}, "0", "2"),
+    ({"finite": {"2": 1}}, "1", "0"),
+    ({"finite": {"2": 1}}, "1", "-3"),
+], ids=["float-multiplicity", "bool-multiplicity", "infinite-1",
+        "infinite-0", "infinite-negative", "finite-1", "rank-0", "lambda-0",
+        "lambda-negative"])
+def test_decide_rejects_non_primes_and_counts_below_one(tmp_path, capsys,
+                                                        group, rank, lam):
+    path = write(tmp_path, "g.json", group)
+    assert cli.main(["decide", "--rank", rank, "--group", path,
+                     "--lambda", lam]) == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"

@@ -47,6 +47,11 @@ def test_index_stage_errors():
         build_index_stages(EcrsProblem(1, 4, (2,), FactorSequence((5,))))
 
 
+def test_ecrs_problem_needs_a_factor():
+    with pytest.raises(SchemaError, match="at least one factor"):
+        EcrsProblem(1, 2, (1,), FactorSequence(()))
+
+
 def test_normalize_to_ones_conjugates():
     prob = EcrsProblem(2, 3, (1, 1), FactorSequence((7, 13)))
     conj = normalize_to_ones(prob)

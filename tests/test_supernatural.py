@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dimgroup.errors import SchemaError
 from dimgroup.supernatural import (INFINITE, FactorSequence,
                                    SupernaturalNumber, decide_ecrs,
                                    from_factors, is_p_divisible,
@@ -120,3 +121,27 @@ def test_json_round_trip():
     u = SupernaturalNumber({2: 3, 5: 1}, frozenset([7]))
     assert SupernaturalNumber.from_json(u.to_json()) == u
     assert u.to_json() == {"finite": {"2": 3, "5": 1}, "infinite": [7]}
+
+
+@pytest.mark.parametrize("finite,infinite", [
+    ({1: 2}, ()), ({0: 1}, ()), ({}, (1,)), ({}, (-2,)), ({2: 1}, (0, 3)),
+])
+def test_supernatural_number_keys_are_at_least_two(finite, infinite):
+    with pytest.raises(SchemaError, match="at least 2"):
+        SupernaturalNumber(finite, frozenset(infinite))
+
+
+@pytest.mark.parametrize("obj", [
+    {"finite": {"2": 1.5}}, {"finite": {"2": True}}, {"finite": {"2.0": 1}},
+    {"infinite": [2.0]}, {"finite": [["2", 1]]}, {"infinite": 2}, [2],
+])
+def test_supernatural_number_json_is_parsed_strictly(obj):
+    with pytest.raises(SchemaError):
+        SupernaturalNumber.from_json(obj)
+
+
+def test_supernatural_number_json_round_trip():
+    u = SupernaturalNumber({2: 3, 5: 1}, frozenset([7]))
+    assert SupernaturalNumber.from_json(u.to_json()) == u
+    assert SupernaturalNumber.from_json({"finite": {"3": "2"}}) \
+        == SupernaturalNumber({3: 2})

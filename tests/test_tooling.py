@@ -43,3 +43,25 @@ def test_src_imports_only_stdlib():
                       if name.split(".")[0] not in sys.stdlib_module_names
                       and name.split(".")[0] != "dimgroup"]
     assert found == []
+
+
+def _calls(node, name: str) -> list:
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == name]
+
+
+def test_cli_maps_errors_to_exit_codes_only_in_main():
+    """``main`` holds the one table from error to exit code.  A ``cmd_*``
+    function that catches an error to print it, or an error payload built
+    outside ``main``, would bring back a per-command copy of that table."""
+    path = Path(dimgroup.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    emitting = [f"{name}:{handler.lineno}"
+                for name, func in funcs.items() if name.startswith("cmd_")
+                for handler in ast.walk(func)
+                if isinstance(handler, ast.ExceptHandler)
+                and _calls(handler, "_emit")]
+    assert emitting == []
+    assert len(_calls(tree, "_error_payload")) \
+        == len(_calls(funcs["main"], "_error_payload")) == 1
