@@ -20,7 +20,7 @@ from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
 from .exact import (Matrix, UnimodularTransform, content, map_content1_row,
                     _euclid_to_first)
 from .perron import is_primitive
-from .realization import RealizationSeq, json_int, parsing
+from .realization import RealizationSeq, json_int, json_list, parsing
 from .supernatural import FactorSequence
 
 
@@ -55,12 +55,13 @@ class EcrsProblem:
         with parsing("ECRS problem"):
             k = json_int(obj["k"])
             lam = json_int(obj["lambda"])
-            rho = tuple(json_int(x) for x in obj["rho"])
-            p_seq = FactorSequence(tuple(json_int(p) for p in obj["p_seq"]))
+            rho = tuple(json_int(x) for x in json_list(obj["rho"]))
+            p_seq = FactorSequence(tuple(json_int(p)
+                                         for p in json_list(obj["p_seq"])))
             q = json_int(obj["q"]) if obj.get("q") is not None else None
             seed = obj.get("seed_matrix")
-            seed_m = (Matrix.from_rows([[json_int(x) for x in row]
-                                        for row in seed])
+            seed_m = (Matrix.from_rows([[json_int(x) for x in json_list(row)]
+                                        for row in json_list(seed)])
                       if seed is not None else None)
             return cls(k, lam, rho, p_seq, q, seed_m)
 

@@ -23,7 +23,7 @@ from .errors import (BadCutPoints, DimensionMismatch, HorizonExhausted,
                      SchemaError)
 from .exact import (Matrix, UnimodularTransform, vec_add, vec_scale, vec_sub)
 from .perron import is_primitive
-from .realization import RealizationSeq, json_int, parsing
+from .realization import RealizationSeq, json_int, json_list, parsing
 
 DEFAULT_EPSILON = Fraction(1, 100)
 
@@ -75,10 +75,10 @@ class ExtensionData:
             k = json_int(obj["k"])
             stages = tuple(
                 Stage(json_int(st["p"]),
-                      tuple(json_int(x) for x in st["v"]),
-                      Matrix.from_rows([[json_int(x) for x in row]
-                                        for row in st["B"]]))
-                for st in obj["stages"])
+                      tuple(json_int(x) for x in json_list(st["v"])),
+                      Matrix.from_rows([[json_int(x) for x in json_list(row)]
+                                        for row in json_list(st["B"])]))
+                for st in json_list(obj["stages"]))
             return cls(k, stages)
 
     def to_json(self) -> dict:

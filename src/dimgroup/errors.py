@@ -24,6 +24,10 @@ class InvariantViolated(DimgroupError):
     """A property that a construction guarantees by design failed to hold."""
 
 
+class NumberTooLarge(DimgroupError):
+    """A computed number has more digits than a JSON reader accepts."""
+
+
 # -- exact_core ------------------------------------------------------------
 
 class NonSquare(DimgroupError):

@@ -16,7 +16,7 @@ from .errors import (DimensionMismatch, Infeasible, InvariantViolated,
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
 from .ecs import choose_a_params, general_ecs_matrix, kernel_vector
 from .perron import is_primitive
-from .realization import RealizationSeq, json_int, parsing
+from .realization import RealizationSeq, json_int, json_list, json_str, parsing
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,12 @@ class ErsStageData:
             k = json_int(obj["k"])
             stages = tuple(
                 ErsStage(json_int(st["p"]),
-                         tuple(json_int(x) for x in st["u"]),
-                         Matrix.from_rows([[json_int(x) for x in row]
-                                           for row in st["B"]]))
-                for st in obj["stages"])
+                         tuple(json_int(x) for x in json_list(st["u"])),
+                         Matrix.from_rows([[json_int(x) for x in json_list(row)]
+                                           for row in json_list(st["B"])]))
+                for st in json_list(obj["stages"]))
             rho = tuple(Fraction(json_int(n), json_int(d))
-                        for n, d in obj["trace_row"])
+                        for n, d in map(json_list, json_list(obj["trace_row"])))
             return cls(k, stages, rho)
 
     def to_json(self) -> dict:
@@ -395,4 +395,4 @@ def ers_pipeline(data: ErsStageData, horizon: int,
     return RealizationSeq(tuple(out_mats), tuple(values), markers,
                           {"ers": True},
                           {"pipeline": "ers", "k": k, "horizon": horizon,
-                           "trace_gap_bound": str(wseq.error_bound)})
+                           "trace_gap_bound": json_str(wseq.error_bound)})

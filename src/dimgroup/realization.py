@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import BadCutPoints, DimensionMismatch, SchemaError
+from .errors import BadCutPoints, DimensionMismatch, NumberTooLarge, SchemaError
 from .exact import Matrix
 
 FILE_VERSION = "1"
@@ -36,6 +37,27 @@ def json_int(x) -> int:
     if isinstance(x, str) and _DECIMAL.fullmatch(x):
         return int(x)
     raise SchemaError(f"not an integer: {x!r}")
+
+
+def json_list(x) -> list:
+    """A JSON array.  Anything else, a string above all, is a SchemaError
+    rather than being iterated in its place."""
+    if isinstance(x, list):
+        return x
+    raise SchemaError(f"not an array: {x!r}")
+
+
+def json_str(x) -> str:
+    """The decimal string of a computed int or Fraction, as files and
+    reports carry it.  A number with more digits than json_int and
+    json.load accept (the interpreter's int-string conversion limit) is a
+    NumberTooLarge, so nothing is written that could not be read back."""
+    try:
+        return str(x)
+    except ValueError:
+        raise NumberTooLarge(
+            f"a computed number has more than {sys.get_int_max_str_digits()} "
+            "digits, more than a JSON reader accepts") from None
 
 
 def load_json(path: str):
@@ -143,12 +165,13 @@ class RealizationSeq:
             "kind": "realization",
             "properties": {k: bool(v) for k, v in self.properties.items()},
             "stages": [
-                {"matrix": [[str(x) for x in m.row(i)] for i in range(m.rows)],
-                 "p": str(p)}
+                {"matrix": [[json_str(x) for x in m.row(i)]
+                            for i in range(m.rows)],
+                 "p": json_str(p)}
                 for m, p in zip(self.matrices, self.stage_values)
             ],
             "markers": (None if self.markers is None
-                        else [[str(x) for x in h] for h in self.markers]),
+                        else [[json_str(x) for x in h] for h in self.markers]),
             "provenance": self.provenance,
         }
         return out
@@ -160,14 +183,15 @@ class RealizationSeq:
         if obj.get("version") != FILE_VERSION:
             raise SchemaError(f"unsupported file version {obj.get('version')!r}")
         with parsing("realization file"):
-            stages = obj["stages"]
-            mats = tuple(Matrix.from_rows([[json_int(x) for x in row]
-                                           for row in st["matrix"]])
+            stages = json_list(obj["stages"])
+            mats = tuple(Matrix.from_rows([[json_int(x) for x in json_list(row)]
+                                           for row in json_list(st["matrix"])])
                          for st in stages)
             values = tuple(json_int(st["p"]) for st in stages)
             markers = obj.get("markers")
             if markers is not None:
-                markers = tuple(tuple(json_int(x) for x in h) for h in markers)
+                markers = tuple(tuple(json_int(x) for x in json_list(h))
+                                for h in json_list(markers))
             props = obj.get("properties", {})
             provenance = obj.get("provenance", {})
             if not (isinstance(props, dict) and isinstance(provenance, dict)

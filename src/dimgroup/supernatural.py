@@ -14,9 +14,37 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SchemaError
-from .realization import json_int, parsing
+from .realization import json_int, json_list, parsing
 
 INFINITE = "infinite"  # sentinel for infinite rank / index values
+
+# Miller-Rabin with the primes up to 41 as bases has no strong pseudoprime
+# below 3,317,044,064,679,887,385,961,981 (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin primality: exact for n below 3.3 * 10^24, a strong
+    probable-prime test to the same bases above."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -51,6 +79,10 @@ class SupernaturalNumber:
         small = [p for p in (*self.finite_part, *self.infinite_primes) if p < 2]
         if small:
             raise SchemaError(f"primes must be at least 2, got {sorted(small)}")
+        composite = [p for p in (*self.finite_part, *self.infinite_primes)
+                     if not is_prime(p)]
+        if composite:
+            raise SchemaError(f"keys must be prime, got {sorted(composite)}")
         for p, e in self.finite_part.items():
             if e <= 0:
                 raise SchemaError(f"multiplicity of {p} must be positive, got {e}")
@@ -81,7 +113,8 @@ class SupernaturalNumber:
             # dict.get and dict.items raise TypeError on anything but an object
             finite = dict.items(dict.get(obj, "finite", {}))
             return cls({json_int(p): json_int(e) for p, e in finite},
-                       [json_int(p) for p in dict.get(obj, "infinite", [])])
+                       [json_int(p)
+                        for p in json_list(dict.get(obj, "infinite", []))])
 
 
 @dataclass(frozen=True)

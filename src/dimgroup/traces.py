@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NotECS, NotNonnegative, OutOfRange, ZeroRow
 from .exact import Matrix, content, right_kernel_basis
-from .realization import RealizationSeq
+from .realization import RealizationSeq, json_str
 from .supernatural import SupernaturalNumber, from_factors, quotient_order
 
 
@@ -52,7 +52,7 @@ class TraceReport:
 
     def to_json(self) -> dict:
         return {
-            "level_unit_values": [str(v) for v in self.level_unit_values],
+            "level_unit_values": [json_str(v) for v in self.level_unit_values],
             "value_group": self.value_group.to_json(),
             "faithful": self.faithful_claim,
             "lambda": self.lam,

@@ -265,8 +265,13 @@ STRICT_BASE = {"version": "1", "kind": "realization",
     {"properties": [1]},
     {"properties": {"ecs": "no"}},
     {"provenance": [1]},
+    {"stages": [{"matrix": ["2"], "p": "2"}]},
+    {"stages": [{"matrix": "2", "p": "2"}]},
+    {"stages": [{"matrix": [["1", "2"], ["2", "1"]], "p": "3"}],
+     "markers": ["11", "11"]},
 ], ids=["valid", "float-entry", "bool-entry", "float-p", "decimal-string-p",
-        "float-marker", "properties-list", "string-flag", "provenance-list"])
+        "float-marker", "properties-list", "string-flag", "provenance-list",
+        "string-row", "string-matrix", "string-markers"])
 def test_file_values_are_parsed_strictly(tmp_path, capsys, command, change):
     path = write(tmp_path, "seq.json", {**STRICT_BASE, **change})
     extra = (["--cuts", "1", "-o", str(tmp_path / "t.json")]
@@ -288,8 +293,17 @@ def test_file_values_are_parsed_strictly(tmp_path, capsys, command, change):
              "trace_row": [[1, 3]]}),
     ("ecrs", {**ECRS_INPUT, "lambda": 3.0}),
     ("ecrs", {**ECRS_INPUT, "p_seq": [7, 13.0, 19]}),
+    ("ecs", {"k": 1, "stages": [{"p": 5, "v": "0", "B": [[1]]}]}),
+    ("ecs", {"k": 1, "stages": [{"p": 5, "v": [0], "B": ["1"]}]}),
+    ("ers", {**ERS_INPUT, "trace_row": ["13"]}),
+    ("ecrs", {**ECRS_INPUT, "rho": "11"}),
+    ("ecrs", {**ECRS_INPUT, "p_seq": "7"}),
+    ("ecrs", {"k": 1, "lambda": 1, "rho": [1], "p_seq": [2],
+              "seed_matrix": ["11", "11"]}),
 ], ids=["ecs-k", "ecs-p", "ers-trace-row", "ers-u", "ecrs-lambda",
-        "ecrs-p-seq"])
+        "ecrs-p-seq", "ecs-string-v", "ecs-string-row", "ers-string-pair",
+        "ecrs-string-rho", "ecrs-string-p-seq",
+        "ecrs-string-seed-rows"])
 def test_build_input_is_parsed_strictly(tmp_path, capsys, kind, payload):
     inp = write(tmp_path, "in.json", payload)
     out = tmp_path / "out.json"
@@ -359,12 +373,43 @@ def test_ers_horizon_below_one_is_schema_error(tmp_path, capsys, horizon):
     ({"finite": {"2": 1}}, "0", "2"),
     ({"finite": {"2": 1}}, "1", "0"),
     ({"finite": {"2": 1}}, "1", "-3"),
+    ({"finite": {"4": 1}}, "2", "3"),
+    ({"infinite": [91]}, "2", "3"),
+    ({"finite": {"2047": 1}}, "2", "3"),
+    ({"infinite": "23"}, "2", "3"),
+    ({"infinite": {"2": 1}}, "2", "3"),
 ], ids=["float-multiplicity", "bool-multiplicity", "infinite-1",
         "infinite-0", "infinite-negative", "finite-1", "rank-0", "lambda-0",
-        "lambda-negative"])
+        "lambda-negative", "finite-composite", "infinite-composite",
+        "strong-pseudoprime-to-base-2", "infinite-string", "infinite-object"])
 def test_decide_rejects_non_primes_and_counts_below_one(tmp_path, capsys,
                                                         group, rank, lam):
     path = write(tmp_path, "g.json", group)
     assert cli.main(["decide", "--rank", rank, "--group", path,
                      "--lambda", lam]) == cli.EXIT_SCHEMA
     assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
+
+
+# 6 * 10^4299 has the most digits (4,300) that a JSON reader accepts.
+BIG = "6" + "0" * 4299
+
+
+@pytest.mark.parametrize("command,stages", [
+    ("verify", [{"matrix": [[BIG, BIG], [BIG, BIG]], "p": "2"}]),
+    ("telescope", [{"matrix": [[BIG]], "p": BIG},
+                   {"matrix": [[BIG]], "p": BIG}]),
+], ids=["verify-column-sums", "telescope-product"])
+def test_number_past_the_digit_limit_is_refused_not_written(
+        tmp_path, command, stages):
+    path = write(tmp_path, "big.json", {"version": "1", "kind": "realization",
+                                        "properties": {"ecs": True},
+                                        "stages": stages, "markers": None})
+    out = tmp_path / "t.json"
+    extra = (["--cuts", "1", "-o", str(out)] if command == "telescope"
+             else [])
+    proc = subprocess.run(EXE + [command, "-i", path, *extra],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout)["error"] == "NumberTooLarge"
+    assert not out.exists()

@@ -2,7 +2,8 @@
 
 Every run of ``cli.main`` on a mutated realization file, build input or
 group file must end in a documented exit code (0, 2, 3, 4 or 5) and print
-exactly one JSON object on stdout, never a traceback.
+exactly one JSON object on stdout, never a traceback.  A string in place of
+any array is a schema error (exit 2), even one that iterates like the array.
 """
 
 import contextlib
@@ -49,7 +50,7 @@ VERSIONS = st.sampled_from(["2", 1, None, ""])
 # Value mutations come up most often: they are what reaches the pipelines
 # and the verifier rather than the parser.
 KINDS = ["entry"] * 4 + ["drop", "empty", "ragged", "wrong-type", "version",
-                         "deep"]
+                         "deep", "string-array"]
 DAMAGE = [None] * 6 + ["truncate", "non-utf8"]
 DEEP = "@deep@"
 DEPTH = 100_000                 # far past any recursion limit in use
@@ -74,7 +75,7 @@ def _mutate(draw, obj, kind):
         obj["version"] = draw(VERSIONS)
         return
     slots = _slots(obj, [])
-    if kind == "ragged":
+    if kind in ("ragged", "string-array"):
         slots = [s for s in slots if isinstance(s[0][s[1]], list)]
     elif kind == "entry":
         slots = [s for s in slots if not isinstance(s[0][s[1]], (dict, list))]
@@ -91,10 +92,21 @@ def _mutate(draw, obj, kind):
     elif kind == "entry":
         value = draw(ENTRIES)
         container[key] = str(value) if draw(st.booleans()) else value
+    elif kind == "string-array":
+        container[key] = draw(strings_for(container[key]))
     elif kind == "wrong-type":
         container[key] = copy.deepcopy(draw(WRONG_TYPES))
     else:                                   # nesting past the recursion limit
         container[key] = DEEP
+
+
+def strings_for(array):
+    """Strings to put in place of ``array``: its items run together, so
+    that iterating the string gives them back when each is one character,
+    its JSON text, and the empty string."""
+    joined = "".join(x if isinstance(x, str) else json.dumps(x)
+                     for x in array)
+    return st.sampled_from([joined, json.dumps(array), ""])
 
 
 @st.composite
@@ -121,9 +133,8 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(deadline=None, max_examples=500)
-@given(case=mutated_files())
-def test_every_input_keeps_the_exit_code_contract(workdir, case):
+def run_main(workdir, case):
+    """Exit code and parsed stdout of ``cli.main`` on one generated file."""
     argv, data = case
     path = workdir / "in.json"
     path.write_bytes(data)
@@ -131,5 +142,27 @@ def test_every_input_keeps_the_exit_code_contract(workdir, case):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main([paths.get(arg, arg) for arg in argv])
+    return code, json.loads(out.getvalue())
+
+
+@settings(deadline=None, max_examples=500)
+@given(case=mutated_files())
+def test_every_input_keeps_the_exit_code_contract(workdir, case):
+    code, payload = run_main(workdir, case)
     assert code in (0, 2, 3, 4, 5)
-    assert isinstance(json.loads(out.getvalue()), dict)
+    assert isinstance(payload, dict)
+
+
+@st.composite
+def arrays_as_strings(draw):
+    argv, base = draw(st.sampled_from(TARGETS))
+    obj = copy.deepcopy(base)
+    _mutate(draw, obj, "string-array")
+    return argv, json.dumps(obj).encode()
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=arrays_as_strings())
+def test_a_string_in_place_of_an_array_is_a_schema_error(workdir, case):
+    code, payload = run_main(workdir, case)
+    assert (code, payload["error"]) == (2, "SchemaError"), case

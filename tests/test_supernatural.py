@@ -7,7 +7,7 @@ import pytest
 from dimgroup.errors import SchemaError
 from dimgroup.supernatural import (INFINITE, FactorSequence,
                                    SupernaturalNumber, decide_ecrs,
-                                   from_factors, is_p_divisible,
+                                   from_factors, is_p_divisible, is_prime,
                                    quotient_order)
 
 
@@ -131,9 +131,40 @@ def test_supernatural_number_keys_are_at_least_two(finite, infinite):
         SupernaturalNumber(finite, frozenset(infinite))
 
 
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20000) if is_prime(n)] == \
+        [n for n in range(-3, 20000) if _is_prime(n)]
+
+
+@pytest.mark.parametrize("n", [
+    # the least strong pseudoprimes to the first 1, 2, ..., 12 prime bases
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    # Carmichael numbers and products of two large primes
+    561, 41041, 825265, (2**61 - 1) * (2**89 - 1), (2**127 - 1) ** 2,
+])
+def test_is_prime_rejects_composites_that_fool_weaker_tests(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3, 2**127 - 1,
+                               2**521 - 1])
+def test_is_prime_accepts_large_primes(p):
+    assert is_prime(p)
+
+
+@pytest.mark.parametrize("finite,infinite", [
+    ({4: 1}, ()), ({}, (91,)), ({2: 1}, (2047,)), ({561: 1}, (3,)),
+])
+def test_supernatural_number_keys_are_prime(finite, infinite):
+    with pytest.raises(SchemaError, match="prime"):
+        SupernaturalNumber(finite, frozenset(infinite))
+
+
 @pytest.mark.parametrize("obj", [
     {"finite": {"2": 1.5}}, {"finite": {"2": True}}, {"finite": {"2.0": 1}},
     {"infinite": [2.0]}, {"finite": [["2", 1]]}, {"infinite": 2}, [2],
+    {"infinite": "23"}, {"infinite": {"2": 1}},
 ])
 def test_supernatural_number_json_is_parsed_strictly(obj):
     with pytest.raises(SchemaError):

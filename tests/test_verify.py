@@ -1,5 +1,5 @@
 """The certified kernel ranks of telescoped products, against direct
-elimination of every product."""
+elimination of every product, and the change-point runs that carry them."""
 
 import random
 import sys
@@ -29,6 +29,20 @@ def oracle_kernel_ranks(mats):
                 prod = mats[end] * prod
             out.append({"from": start + 1, "to": end + 1,
                         "kernel_rank": prod.cols - prod.rank()})
+    return out
+
+
+def expand(report):
+    """The report's runs written out as one entry per product, in the order
+    of oracle_kernel_ranks."""
+    entries = report["telescoped_kernel_ranks"]
+    out = []
+    for entry in entries:
+        runs = entry["runs"]
+        ends = [to for to, _ in runs[1:]] + [len(entries) + 1]
+        for (to, rank), stop in zip(runs, ends):
+            out.extend({"from": entry["from"], "to": end, "kernel_rank": rank}
+                       for end in range(to, stop))
     return out
 
 
@@ -85,7 +99,7 @@ def test_kernel_ranks_match_exact_products(monkeypatch):
         expected = oracle_kernel_ranks(mats)
         calls.count = 0
         report = structural_report(seq_of(mats)).report
-        assert report["telescoped_kernel_ranks"] == expected, mats
+        assert expand(report) == expected, mats
         fell_back += calls.count > 0
     # The chains are built to make the two bounds disagree.
     assert fell_back >= 20
@@ -98,9 +112,8 @@ def test_rank_lost_modulo_the_prime_falls_back_to_exact(monkeypatch):
     calls = RankCalls(monkeypatch)
     report = structural_report(seq_of(mats)).report
     assert calls.count > 0
-    assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
-    assert all(r["kernel_rank"] == 0
-               for r in report["telescoped_kernel_ranks"])
+    assert expand(report) == oracle_kernel_ranks(mats)
+    assert all(r["kernel_rank"] == 0 for r in expand(report))
 
 
 def test_rational_stages_are_certified():
@@ -109,8 +122,7 @@ def test_rational_stages_are_certified():
     mats = [Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, -2, 0]]),
             Matrix.from_rows([[1, 0, 0], [0, 1, Fraction(1, 2)], [0, 2, 1]])]
     report = structural_report(seq_of(mats)).report
-    assert report["telescoped_kernel_ranks"][1] == {
-        "from": 1, "to": 2, "kernel_rank": 2}
+    assert expand(report)[1] == {"from": 1, "to": 2, "kernel_rank": 2}
     rng = random.Random(7)
     for _ in range(100):
         mats = []
@@ -122,7 +134,7 @@ def test_rational_stages_are_certified():
                 [[Fraction(x, d * rng.choice([1, 1, 1, 1, 2, 5]))
                   for x in m.row(i)] for i in range(m.rows)]))
         report = structural_report(seq_of(mats)).report
-        assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
+        assert expand(report) == oracle_kernel_ranks(mats)
 
 
 def test_core_takes_the_columns_of_the_rational_stage():
@@ -132,9 +144,9 @@ def test_core_takes_the_columns_of_the_rational_stage():
             Matrix.from_rows([[1, -2]])]
     report = structural_report(seq_of(mats)).report
     assert report["telescoped_kernel_ranks"] == [
-        {"from": 1, "to": 1, "kernel_rank": 0},
-        {"from": 1, "to": 2, "kernel_rank": 1},
-        {"from": 2, "to": 2, "kernel_rank": 1}]
+        {"from": 1, "runs": [[1, 0], [2, 1]]},
+        {"from": 2, "runs": [[2, 1]]}]
+    assert expand(report) == oracle_kernel_ranks(mats)
 
 
 @pytest.mark.parametrize("zero_at", [0, 1, 2])
@@ -144,8 +156,8 @@ def test_zero_rank_stage_in_a_chain(zero_at):
             Matrix.from_rows([[2, 0], [0, 3]])]
     mats[zero_at] = Matrix.zeros(2, 2)
     report = structural_report(seq_of(mats)).report
-    assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
-    assert all(r["kernel_rank"] == 2 for r in report["telescoped_kernel_ranks"]
+    assert expand(report) == oracle_kernel_ranks(mats)
+    assert all(r["kernel_rank"] == 2 for r in expand(report)
                if r["from"] <= zero_at + 1 <= r["to"])
 
 
@@ -160,7 +172,7 @@ def test_fallback_stops_where_a_stage_rank_meets_the_lower_bound(
     calls = RankCalls(monkeypatch)
     report = structural_report(seq_of(mats)).report
     assert calls.count == 3
-    assert report["telescoped_kernel_ranks"] == oracle_kernel_ranks(mats)
+    assert expand(report) == oracle_kernel_ranks(mats)
 
 
 @pytest.mark.parametrize("b", [[[1, 0], [0, 1]], [[1, 0], [0, 2]]])
@@ -174,9 +186,44 @@ def test_built_ecs_file_needs_one_rank_per_stage(tmp_path, monkeypatch, b):
     calls = RankCalls(monkeypatch)
     result = structural_report(seq)
     assert result.ok
-    assert len(result.report["telescoped_kernel_ranks"]) == \
-        len(seq) * (len(seq) + 1) // 2
+    assert len(result.report["telescoped_kernel_ranks"]) == len(seq)
+    assert len(expand(result.report)) == len(seq) * (len(seq) + 1) // 2
     assert calls.count == 0
+
+
+def test_runs_are_change_points():
+    """Each start opens with a run at itself; the ends rise strictly and
+    stay within the chain, and the kernel rank rises strictly from run to
+    run, so no run repeats its predecessor's rank."""
+    rng = random.Random(80)
+    for _ in range(300):
+        mats = random_chain(rng)
+        entries = structural_report(seq_of(mats)).report[
+            "telescoped_kernel_ranks"]
+        assert [e["from"] for e in entries] == list(range(1, len(mats) + 1))
+        for entry in entries:
+            ends = [to for to, _ in entry["runs"]]
+            ranks = [rank for _, rank in entry["runs"]]
+            assert ends[0] == entry["from"]
+            assert ends == sorted(set(ends)) and ends[-1] <= len(mats)
+            assert ranks == sorted(set(ranks)), entry
+
+
+def test_long_built_ecs_file_reports_one_run_per_start(tmp_path):
+    """A built ECS file keeps kernel rank 1 on every telescoped product, so
+    its report holds one single-run entry per stage, not one per product."""
+    data = ExtensionData.from_json(
+        {"k": 2, "stages": [{"p": 101 + 2 * i, "v": [1, 2],
+                             "B": [[1, 0], [0, 1]]} for i in range(256)]})
+    path = str(tmp_path / "ecs.json")
+    ecs_pipeline(data).save(path)
+    seq = RealizationSeq.load(path)
+    assert len(seq) == 256
+    result = structural_report(seq)
+    assert result.ok
+    assert result.report["report_version"] == "2"
+    assert result.report["telescoped_kernel_ranks"] == [
+        {"from": i, "runs": [[i, 1]]} for i in range(1, 257)]
 
 
 def replace_everywhere(monkeypatch, function, replacement):
