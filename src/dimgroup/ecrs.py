@@ -9,6 +9,7 @@ commuting-family route seeded by an equal-sums primitive matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,7 +21,8 @@ from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
 from .exact import (Matrix, UnimodularTransform, content, map_content1_row,
                     _euclid_to_first)
 from .perron import is_primitive
-from .realization import RealizationSeq, json_int, json_list, parsing
+from .realization import (RealizationSeq, echo, json_int, json_list,
+                          json_matrix, parsing)
 from .supernatural import FactorSequence
 
 
@@ -60,9 +62,7 @@ class EcrsProblem:
                                          for p in json_list(obj["p_seq"])))
             q = json_int(obj["q"]) if obj.get("q") is not None else None
             seed = obj.get("seed_matrix")
-            seed_m = (Matrix.from_rows([[json_int(x) for x in json_list(row)]
-                                        for row in json_list(seed)])
-                      if seed is not None else None)
+            seed_m = json_matrix(seed) if seed is not None else None
             return cls(k, lam, rho, p_seq, q, seed_m)
 
     def to_json(self) -> dict:
@@ -172,7 +172,6 @@ def embroider_rows(m: Matrix, x: Matrix | None) -> Matrix:
     if x.cols != m.cols:
         raise DimensionMismatch("X must have as many columns as M")
     s, extra = m.rows, x.rows
-    size = s + extra
     rows = [list(m.row(i)) + [0] * extra for i in range(s)]
     rows += [list(x.row(i)) + [0] * extra for i in range(extra)]
     return Matrix.from_rows(rows)
@@ -214,7 +213,7 @@ def embroidery_block(k: int, lam: int) -> Matrix | None:
     if extra <= 0:
         return None
     rows = []
-    for r, target in enumerate(_cyclic_targets(k, extra)):
+    for target in _cyclic_targets(k, extra):
         row = [0] * (k + 1)
         row[target] = 1
         rows.append(row)
@@ -301,12 +300,8 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
     # row 0 to every other row.
     lower = UnimodularTransform(size, tuple(
         ("add", i, 0, 1) for i in range(1, size)))
-    conj = lower.compose(shift.inverse())
-    t, t_inv = conj.matrix, conj.inverse().matrix
-    out = []
-    values = []
-    for idx, m in enumerate(mats, start=1):
-        g = t * m * t_inv
+    out = lower.compose(shift.inverse()).conjugate(mats)
+    for idx, (m, g) in enumerate(zip(mats, out), start=1):
         if not g.is_integral():
             raise InvariantViolated("conjugation left the integers", stage=idx)
         bad = next(((i, j) for i in range(size) for j in range(size)
@@ -316,14 +311,11 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
                 f"entry {bad} = {g[bad[0], bad[1]]} negative", stage=idx)
         if not is_primitive(g):
             raise NotPrimitive("finished stage not primitive", stage=idx)
-        p = m[0, 0]
-        if set(g.row_sums()) != {p} or set(g.column_sums()) != {p}:
+        if set(g.row_sums()) | set(g.column_sums()) != {m[0, 0]}:
             raise InvariantViolated("finisher failed to equalize sums",
                                     stage=idx)
-        out.append(g)
-        values.append(p)
     markers = tuple([tuple([1] * size)] * (len(out) + 1))
-    return RealizationSeq(tuple(out), tuple(values), markers,
+    return RealizationSeq(tuple(out), tuple(m[0, 0] for m in mats), markers,
                           {"ecs": True, "ers": True, "ecrs": True},
                           {"pipeline": "ecrs", "case": case, "k": k,
                            "lambda": lam, "q": q})
@@ -421,7 +413,7 @@ def commuting_family(a: Matrix, p_seq: Sequence[int]) -> RealizationSeq:
     if not is_primitive(a):
         raise NotPrimitive("seed must be primitive")
     q = rows.pop()
-    factors = list(p_seq.factors if isinstance(p_seq, FactorSequence) else p_seq)
+    factors = list(p_seq)
     if not factors or any(p < 1 for p in factors):
         raise SchemaError("stage factors must be positive")
     size = a.rows
@@ -484,18 +476,12 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
 
 def _apply_normalizer(stages: Sequence[Matrix], conj: UnimodularTransform,
                       prob: EcrsProblem) -> list[Matrix]:
-    t = conj.matrix
-    t_inv = conj.inverse().matrix
-    out = []
-    for idx, m in enumerate(stages, start=1):
-        g = t * m * t_inv
+    out = conj.conjugate(stages)
+    for idx, (m, g) in enumerate(zip(stages, out), start=1):
         p = m[0, 0]
-        c = (p - 1) // prob.lam
-        expected = _stage_matrix(p, tuple([c] * prob.k))
-        if g != expected:
+        if g != _stage_matrix(p, tuple([(p - 1) // prob.lam] * prob.k)):
             raise InvariantViolated(
                 f"normalization failed: got {g.to_rows()}", stage=idx)
-        out.append(g)
     return out
 
 
@@ -506,6 +492,9 @@ def _p_divisible_route(prob: EcrsProblem) -> RealizationSeq:
     if (q - 1) % lam != 0:
         raise CongruenceViolated(f"q = {q} is not 1 mod lambda = {lam}")
     size = lam * q
+    if size > sys.maxsize:
+        raise SchemaError(f"lambda q = {echo(lam)} * {echo(q)} exceeds the "
+                          f"largest matrix size {sys.maxsize}")
     if size < k + 2:
         raise NoValidT(
             f"lambda q = {size} leaves no room to border a (k+1)-block, k={k}")

@@ -13,17 +13,17 @@ vector z = (k+1, -1, ..., -1)^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (BadCutPoints, DimensionMismatch, HorizonExhausted,
-                     Infeasible, InvariantViolated, NotNonnegative,
-                     NotPrimitive, ParameterExtractionFailed, PTooSmall,
-                     SchemaError)
+from .errors import (DimensionMismatch, HorizonExhausted, Infeasible,
+                     InvariantViolated, NotNonnegative, NotPrimitive,
+                     ParameterExtractionFailed, PTooSmall, SchemaError)
 from .exact import (Matrix, UnimodularTransform, vec_add, vec_scale, vec_sub)
 from .perron import is_primitive
-from .realization import RealizationSeq, json_int, json_list, parsing
+from .realization import (RealizationSeq, groups, json_int, json_list,
+                          json_matrix, parsing)
 
 DEFAULT_EPSILON = Fraction(1, 100)
 
@@ -76,8 +76,7 @@ class ExtensionData:
             stages = tuple(
                 Stage(json_int(st["p"]),
                       tuple(json_int(x) for x in json_list(st["v"])),
-                      Matrix.from_rows([[json_int(x) for x in json_list(row)]
-                                        for row in json_list(st["B"])]))
+                      json_matrix(st["B"]))
                 for st in json_list(obj["stages"]))
             return cls(k, stages)
 
@@ -195,6 +194,26 @@ def choose_a_params(p: int, v: Sequence[int], b: Matrix) -> AParams:
     return a
 
 
+def bordered_stage(idx: int, p: int, v: Sequence[int], b: Matrix) -> Matrix:
+    """The bordered matrix of stage ``idx`` for stage data (p, v, B) with the
+    smallest uniform free parameters, checked to have every column sum p,
+    to annihilate the kernel vector and to be primitive; each failure names
+    the stage."""
+    try:
+        a = choose_a_params(p, v, b)
+    except Infeasible as exc:
+        raise Infeasible(str(exc), stage=idx) from None
+    m = general_ecs_matrix(p, v, b, a)
+    if set(m.column_sums()) != {p}:
+        raise InvariantViolated("column sums broke ECS by-construction",
+                                stage=idx)
+    if m.mul_vector(kernel_vector(len(v))) != tuple([0] * (len(v) + 2)):
+        raise InvariantViolated("kernel vector not annihilated", stage=idx)
+    if not is_primitive(m):
+        raise NotPrimitive("stage matrix not primitive", stage=idx)
+    return m
+
+
 # -- GL(k,Z) reduction of the ratio vector -----------------------------------------
 
 
@@ -272,14 +291,8 @@ def telescope_extension(data: ExtensionData,
     """Group consecutive stages: each new stage is the exact block product of
     its group (later stages on the left), so new p is the product of the p's,
     new B the product of the B's, and new v the composed column."""
-    n = len(data.stages)
-    cuts = list(cut_points)
-    if (not cuts or cuts[0] < 0 or cuts[-1] >= n
-            or any(b <= a for a, b in zip(cuts, cuts[1:]))):
-        raise BadCutPoints(f"bad cut points {cuts} for {n} stages")
-    bounds = cuts + [n]
     stages = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in groups(cut_points, len(data.stages)):
         st = data.stages[lo]
         p, v, b = st.p, st.v, st.b
         for i in range(lo + 1, hi):
@@ -317,15 +330,17 @@ def _candidate_cuts(n: int):
 def _convergent_cuts(data: ExtensionData, epsilon: Fraction):
     """Candidate cuts, finest first, after which consecutive telescoped
     ratios v/q differ by less than epsilon in max norm (exactly equal ratios
-    always pass).  Raises HorizonExhausted if no candidate converges."""
+    always pass), each with the telescoped data.  Raises HorizonExhausted if
+    no candidate converges."""
     found = False
     for cuts in _candidate_cuts(len(data.stages)):
-        ratios = [_ratio(st) for st in telescope_extension(data, cuts).stages]
+        tele = telescope_extension(data, cuts)
+        ratios = [_ratio(st) for st in tele.stages]
         diffs = (max(abs(a - b) for a, b in zip(r1, r2))
                  for r1, r2 in zip(ratios, ratios[1:]))
         if all(diff == 0 or diff < epsilon for diff in diffs):
             found = True
-            yield cuts
+            yield cuts, tele
     if not found:
         raise HorizonExhausted(
             f"no grouping of {len(data.stages)} stages meets epsilon={epsilon}")
@@ -340,7 +355,7 @@ def select_convergent_prefix(data: ExtensionData,
     for st in data.stages:
         if any(x < 0 or x >= st.p for x in st.v):
             raise SchemaError("select_convergent_prefix needs normalized data")
-    return next(_convergent_cuts(data, epsilon))
+    return next(_convergent_cuts(data, epsilon))[0]
 
 
 # -- the pipeline --------------------------------------------------------------
@@ -351,36 +366,19 @@ def _build_from_telescoped(tele: ExtensionData) -> RealizationSeq:
     # Renormalize: telescoping can push v outside [0, p) when B has negative
     # entries, and the reduction step needs a nonnegative terminal ratio.
     tele, _ = normalize_extension(tele)
-    term = _ratio(tele.stages[-1])
-    e, w = reduce_vector(term)
+    e, w = reduce_vector(_ratio(tele.stages[-1]))
     em = e.matrix
-    einv = e.inverse().matrix
-    z = kernel_vector(k)
+    bs = e.conjugate([st.b for st in tele.stages])
     mats = []
-    values = []
-    for idx, st in enumerate(tele.stages, start=1):
-        b_new = em * st.b * einv
+    for idx, (st, b_new) in enumerate(zip(tele.stages, bs), start=1):
         v_new = vec_add(vec_add(vec_scale(st.p, w), em.mul_vector(st.v)),
                         tuple(-x for x in b_new.mul_vector(w)))
-        try:
-            a = choose_a_params(st.p, v_new, b_new)
-        except Infeasible as exc:
-            raise Infeasible(str(exc), stage=idx) from None
-        m = general_ecs_matrix(st.p, v_new, b_new, a)
-        if set(m.column_sums()) != {st.p}:
-            raise InvariantViolated("column sums broke ECS by-construction",
-                                    stage=idx)
-        if m.mul_vector(z) != tuple([0] * (k + 2)):
-            raise InvariantViolated("kernel vector not annihilated",
-                                    stage=idx)
+        m = bordered_stage(idx, st.p, v_new, b_new)
         if m.rank() != k + 1:
             raise InvariantViolated(f"rank {m.rank()} != k+1", stage=idx)
-        if not is_primitive(m):
-            raise NotPrimitive("stage matrix not primitive", stage=idx)
         mats.append(m)
-        values.append(st.p)
-    return RealizationSeq(tuple(mats), tuple(values), None, {"ecs": True},
-                          {"pipeline": "ecs", "k": k})
+    return RealizationSeq(tuple(mats), tuple(st.p for st in tele.stages),
+                          None, {"ecs": True}, {"pipeline": "ecs", "k": k})
 
 
 def ecs_pipeline(data: ExtensionData,
@@ -400,17 +398,14 @@ def ecs_pipeline(data: ExtensionData,
     # retry only over groupings that still meet the convergence criterion:
     # coarser telescoping raises the stage values, which is what cures
     # positivity and primitivity failures
-    for cuts in _convergent_cuts(norm, epsilon):
+    for cuts, tele in _convergent_cuts(norm, epsilon):
         try:
-            seq = _build_from_telescoped(telescope_extension(norm, cuts))
+            seq = _build_from_telescoped(tele)
         except (Infeasible, NotPrimitive) as exc:
             last_error = exc
             continue
-        prov = dict(seq.provenance)
-        prov["cuts"] = cuts
-        prov["epsilon"] = str(epsilon)
-        return RealizationSeq(seq.matrices, seq.stage_values, seq.markers,
-                              seq.properties, prov)
+        return replace(seq, provenance={**seq.provenance, "cuts": cuts,
+                                        "epsilon": str(epsilon)})
     raise last_error    # set: _convergent_cuts raised if nothing converged
 
 

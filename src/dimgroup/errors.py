@@ -46,10 +46,6 @@ class ContentMismatch(DimgroupError):
     pass
 
 
-class Unsolvable(DimgroupError):
-    pass
-
-
 # -- perron ----------------------------------------------------------------
 
 class NotNonnegative(DimgroupError):

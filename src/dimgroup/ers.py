@@ -10,13 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (DimensionMismatch, Infeasible, InvariantViolated,
-                     KernelMismatch, NotPrimitive, RegimeViolation,
-                     SchemaError, SingularB)
+from .errors import (DimensionMismatch, InvariantViolated, KernelMismatch,
+                     RegimeViolation, SchemaError, SingularB)
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
-from .ecs import choose_a_params, general_ecs_matrix, kernel_vector
-from .perron import is_primitive
-from .realization import RealizationSeq, json_int, json_list, json_str, parsing
+from .ecs import bordered_stage, kernel_vector
+from .realization import (RealizationSeq, json_int, json_list, json_matrix,
+                          json_str, parsing)
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,7 @@ class ErsStageData:
             stages = tuple(
                 ErsStage(json_int(st["p"]),
                          tuple(json_int(x) for x in json_list(st["u"])),
-                         Matrix.from_rows([[json_int(x) for x in json_list(row)]
-                                           for row in json_list(st["B"])]))
+                         json_matrix(st["B"]))
                 for st in json_list(obj["stages"]))
             rho = tuple(Fraction(json_int(n), json_int(d))
                         for n, d in map(json_list, json_list(obj["trace_row"])))
@@ -98,16 +96,6 @@ class ErsVerifyReport:
     marker_chain_ok: bool
     some_p_exceeds_one: bool
     failures: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "stage_row_sums": [[str(x) for x in sums] for sums in self.stage_row_sums],
-            "stage_values": [None if p is None else str(p) for p in self.stage_values],
-            "marker_chain_ok": self.marker_chain_ok,
-            "some_p_exceeds_one": self.some_p_exceeds_one,
-            "failures": list(self.failures),
-        }
 
 
 def verify_ers(seq: RealizationSeq) -> ErsVerifyReport:
@@ -337,39 +325,17 @@ def restrict_to_kernel_complement(matrices: Sequence[Matrix]) -> list[Matrix]:
 
 def ers_pipeline(data: ErsStageData, horizon: int,
                  strict: bool = False) -> RealizationSeq:
-    """Match the target trace row with a w-sequence, assemble bordered ECS
-    matrices from (p, w^T, B^T), transpose every stage, and verify: row sums
-    equal the stage p, all-ones marker chain, primitivity, and the
-    reconstructed trace row of the restricted blocks within the bound."""
+    """Match the target trace row with a w-sequence, build the checked
+    bordered ECS matrix of (p, w^T, B^T) for every stage and transpose it,
+    and check the reconstructed trace row of the restricted blocks against
+    the bound.  Transposing makes the checked column sums the row sums and
+    keeps primitivity; the restricted blocks, with determinant p det B,
+    certify rank k+1."""
     wseq = build_w_sequence(data, horizon, strict)
     stages = list(data.stages[:min(horizon, len(data.stages))])
     k = data.k
-    z = kernel_vector(k)
-    ecs_mats = []
-    out_mats = []
-    values = []
-    for idx, (st, w) in enumerate(zip(stages, wseq.ws), start=1):
-        bt = st.b.transpose()
-        try:
-            a = choose_a_params(st.p, w, bt)
-        except Infeasible as exc:
-            raise Infeasible(str(exc), stage=idx) from None
-        ecs_m = general_ecs_matrix(st.p, w, bt, a)
-        if set(ecs_m.column_sums()) != {st.p}:
-            raise InvariantViolated("column sums broke ECS by-construction",
-                                    stage=idx)
-        if ecs_m.mul_vector(z) != tuple([0] * (k + 2)):
-            raise InvariantViolated("kernel vector not annihilated",
-                                    stage=idx)
-        out = ecs_m.transpose()
-        if not is_primitive(out):
-            raise NotPrimitive("stage matrix not primitive", stage=idx)
-        if set(out.row_sums()) != {st.p}:
-            raise InvariantViolated("row sums broke ERS by-construction",
-                                    stage=idx)
-        ecs_mats.append(ecs_m)
-        out_mats.append(out)
-        values.append(st.p)
+    ecs_mats = [bordered_stage(idx, st.p, w, st.b.transpose())
+                for idx, (st, w) in enumerate(zip(stages, wseq.ws), start=1)]
 
     # Reconstruct the trace row from the output itself and compare.
     blocks = restrict_to_kernel_complement(ecs_mats)
@@ -389,10 +355,10 @@ def ers_pipeline(data: ErsStageData, horizon: int,
         raise InvariantViolated(
             f"trace row gap {gap} exceeds reported bound {wseq.error_bound}")
 
-    size = k + 2
-    ones = tuple([1] * size)
-    markers = tuple([ones] * (len(out_mats) + 1))
-    return RealizationSeq(tuple(out_mats), tuple(values), markers,
+    ones = tuple([1] * (k + 2))
+    markers = tuple([ones] * (len(stages) + 1))
+    return RealizationSeq(tuple(m.transpose() for m in ecs_mats),
+                          tuple(st.p for st in stages), markers,
                           {"ers": True},
                           {"pipeline": "ers", "k": k, "horizon": horizon,
                            "trace_gap_bound": json_str(wseq.error_bound)})

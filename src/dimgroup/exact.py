@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ContentMismatch, DimensionMismatch, NonSquare, Unsolvable
+from .errors import ContentMismatch, DimensionMismatch, NonSquare
 
 Number = int | Fraction
 
@@ -444,6 +444,11 @@ class UnimodularTransform:
                 shifted.append(("neg", op[1] + offset))
         return UnimodularTransform(size, tuple(shifted))
 
+    def conjugate(self, mats: Sequence[Matrix]) -> list[Matrix]:
+        """T m T^{-1} for each m, with T this transform's matrix."""
+        t, t_inv = self.matrix, self.inverse().matrix
+        return [t * m * t_inv for m in mats]
+
     def compose(self, other: "UnimodularTransform") -> "UnimodularTransform":
         """Transform whose matrix is self.matrix @ other.matrix."""
         if self.size != other.size:
@@ -489,12 +494,7 @@ def map_content1_row(r: Sequence[int], target: Sequence[int]) -> UnimodularTrans
         raise ContentMismatch(
             f"contents differ: {content(r)} vs {content(target)}")
     k = len(r)
-    ops1, g1 = _euclid_to_first(r)
-    ops2, g2 = _euclid_to_first(target)
-    if g1 != g2:
-        raise Unsolvable(f"reductions disagree: {g1} vs {g2}")
-    u1 = UnimodularTransform(k, tuple(ops1))
-    u2 = UnimodularTransform(k, tuple(ops2))
+    u1 = UnimodularTransform(k, tuple(_euclid_to_first(r)[0]))
+    u2 = UnimodularTransform(k, tuple(_euclid_to_first(target)[0]))
     # r @ U1 = g e0 = target @ U2, hence r @ (U1 U2^{-1}) = target; E^{-1} = U1 U2^{-1}.
-    e = u2.compose(u1.inverse())
-    return e
+    return u2.compose(u1.inverse())

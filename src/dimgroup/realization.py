@@ -27,6 +27,9 @@ FILE_VERSION = "1"
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
+# The most characters of a rejected value that an error message repeats.
+_ECHO = 80
+
 
 def json_int(x) -> int:
     """A JSON integer, or a string of decimal digits with an optional minus
@@ -36,7 +39,7 @@ def json_int(x) -> int:
         return x
     if isinstance(x, str) and _DECIMAL.fullmatch(x):
         return int(x)
-    raise SchemaError(f"not an integer: {x!r}")
+    raise SchemaError(f"not an integer: {echo(x)}")
 
 
 def json_list(x) -> list:
@@ -44,7 +47,22 @@ def json_list(x) -> list:
     rather than being iterated in its place."""
     if isinstance(x, list):
         return x
-    raise SchemaError(f"not an array: {x!r}")
+    raise SchemaError(f"not an array: {echo(x)}")
+
+
+def json_matrix(x) -> Matrix:
+    """A JSON array of integer rows as a Matrix."""
+    return Matrix.from_rows([[json_int(v) for v in json_list(row)]
+                             for row in json_list(x)])
+
+
+def echo(x) -> str:
+    """repr(x) for an error message, cut to its first _ECHO characters and
+    its length when longer, so a huge rejected value makes a short error."""
+    text = repr(x)
+    if len(text) <= _ECHO:
+        return text
+    return f"{text[:_ECHO]}... ({len(text)} characters)"
 
 
 def json_str(x) -> str:
@@ -80,6 +98,18 @@ def parsing(what: str):
     except (KeyError, TypeError, ValueError, ZeroDivisionError,
             DimensionMismatch) as exc:
         raise SchemaError(f"malformed {what}: {exc}") from None
+
+
+def groups(cuts: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """The [lo, hi) stage ranges that cut points give n stages.  ``cuts``
+    are strictly increasing 0-based stage indices; group i runs from
+    cuts[i] up to cuts[i+1], the last group to the end, and stages before
+    cuts[0] are dropped.  Any other cut points are BadCutPoints."""
+    cuts = list(cuts)
+    if (not cuts or cuts[0] < 0 or cuts[-1] >= n
+            or any(b <= a for a, b in zip(cuts, cuts[1:]))):
+        raise BadCutPoints(f"bad cut points {cuts} for {n} stages")
+    return list(zip(cuts, cuts[1:] + [n]))
 
 
 @dataclass(frozen=True)
@@ -128,21 +158,13 @@ class RealizationSeq:
     # -- telescoping ---------------------------------------------------------
 
     def telescope(self, cuts: Sequence[int]) -> "RealizationSeq":
-        """Compose consecutive stages into groups.
-
-        ``cuts`` are strictly increasing stage indices (0-based); group i is
-        [cuts[i], cuts[i+1]) and the last group runs to the end.  Stages
-        before cuts[0] are dropped.
-        """
-        n = len(self.matrices)
-        cuts = list(cuts)
-        if (not cuts or any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:]))
-                or cuts[0] < 0 or cuts[-1] >= n):
-            raise BadCutPoints(f"bad cut points {cuts} for {n} stages")
-        bounds = cuts + [n]
+        """Compose each group of consecutive stages that ``groups`` makes of
+        the cut points into one stage."""
+        ranges = groups(cuts, len(self.matrices))
+        cuts = [lo for lo, _ in ranges]
         mats = []
         values = []
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in ranges:
             prod = self.matrices[lo]
             val = self.stage_values[lo]
             for i in range(lo + 1, hi):
@@ -152,7 +174,7 @@ class RealizationSeq:
             values.append(val)
         markers = None
         if self.markers is not None:
-            markers = tuple(self.markers[i] for i in bounds)
+            markers = tuple(self.markers[i] for i in cuts + [len(self)])
         return RealizationSeq(tuple(mats), tuple(values), markers,
                               dict(self.properties),
                               {**self.provenance, "telescoped": cuts})
@@ -181,12 +203,11 @@ class RealizationSeq:
         if not isinstance(obj, dict):
             raise SchemaError("realization file must be a JSON object")
         if obj.get("version") != FILE_VERSION:
-            raise SchemaError(f"unsupported file version {obj.get('version')!r}")
+            raise SchemaError(
+                f"unsupported file version {echo(obj.get('version'))}")
         with parsing("realization file"):
             stages = json_list(obj["stages"])
-            mats = tuple(Matrix.from_rows([[json_int(x) for x in json_list(row)]
-                                           for row in json_list(st["matrix"])])
-                         for st in stages)
+            mats = tuple(json_matrix(st["matrix"]) for st in stages)
             values = tuple(json_int(st["p"]) for st in stages)
             markers = obj.get("markers")
             if markers is not None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SchemaError
-from .realization import json_int, json_list, parsing
+from .realization import echo, json_int, json_list, parsing
 
 INFINITE = "infinite"  # sentinel for infinite rank / index values
 
@@ -75,14 +75,17 @@ class SupernaturalNumber:
         object.__setattr__(self, "infinite_primes", frozenset(self.infinite_primes))
         overlap = set(self.finite_part) & self.infinite_primes
         if overlap:
-            raise SchemaError(f"primes {sorted(overlap)} both finite and infinite")
+            raise SchemaError(
+                f"primes {echo(sorted(overlap))} both finite and infinite")
         small = [p for p in (*self.finite_part, *self.infinite_primes) if p < 2]
         if small:
-            raise SchemaError(f"primes must be at least 2, got {sorted(small)}")
+            raise SchemaError(
+                f"primes must be at least 2, got {echo(sorted(small))}")
         composite = [p for p in (*self.finite_part, *self.infinite_primes)
                      if not is_prime(p)]
         if composite:
-            raise SchemaError(f"keys must be prime, got {sorted(composite)}")
+            raise SchemaError(
+                f"keys must be prime, got {echo(sorted(composite))}")
         for p, e in self.finite_part.items():
             if e <= 0:
                 raise SchemaError(f"multiplicity of {p} must be positive, got {e}")
@@ -137,7 +140,7 @@ class FactorSequence:
 
 def from_factors(seq: FactorSequence | Sequence[int]) -> SupernaturalNumber:
     """Supernatural number of the product of a finite factor prefix."""
-    factors = list(seq.factors if isinstance(seq, FactorSequence) else seq)
+    factors = list(seq)
     if not factors:
         raise SchemaError("empty factor sequence")
     acc: dict[int, int] = {}

@@ -115,7 +115,6 @@ def split_to_equal_trace(a: Sequence[int]) -> Matrix:
     basis vectors get equal per-unit trace value."""
     if not a or any(x < 1 for x in a):
         raise OutOfRange("all weights must be >= 1")
-    total = sum(a)
     rows = []
     for j, count in enumerate(a):
         for _ in range(count):

@@ -173,30 +173,31 @@ def structural_report(seq: RealizationSeq) -> VerificationResult:
         if not st["nonnegative"]:
             failures.append({"stage": st["index"], "check": "nonnegative"})
 
-    # Simple dimension groups need primitive (hence nonnegative) stages, so
-    # every flag does.
-    primitive = all(st["primitive"] is True for st in stages)
-    ecs_ok = primitive and all(st["columns_equal"]
-                               and st["column_sums"][0] == st["designed_value"]
-                               for st in stages)
-    ers_report = verify_ers(seq)
-    ers_ok = (primitive and ers_report.ok
-              and ers_report.stage_values == seq.stage_values)
-    ecrs_ok = ecs_ok and ers_ok
+    # The first stage that breaks each flag.  Simple dimension groups need
+    # primitive (hence nonnegative) stages, so every flag does.
+    def first(breaks) -> int | None:
+        return next((st["index"] for st, bad in zip(stages, breaks) if bad),
+                    None)
 
-    derived = {"ecs": ecs_ok, "ers": ers_ok, "ecrs": ecrs_ok}
-    claims = {k: bool(v) for k, v in seq.properties.items() if v}
-    claim_checks = {}
-    for flag, claimed in claims.items():
-        verified = derived.get(flag, False)
-        claim_checks[flag] = verified
-        if claimed and not verified:
-            culprit = _first_failing_stage(flag, stages)
-            failures.append({"stage": culprit, "check": flag})
+    ers_report = verify_ers(seq)
+    ecs_at = first(st["primitive"] is not True or not st["columns_equal"]
+                   or st["column_sums"][0] != st["designed_value"]
+                   for st in stages)
+    ers_at = first(st["primitive"] is not True or value != designed
+                   for st, value, designed in zip(
+                       stages, ers_report.stage_values, seq.stage_values))
+    culprit = {"ecs": ecs_at, "ers": ers_at,
+               "ecrs": ers_at if ecs_at is None else ecs_at}
+    derived = {"ecs": ecs_at is None, "ers": ers_at is None and ers_report.ok}
+    derived["ecrs"] = derived["ecs"] and derived["ers"]
+    claim_checks = {flag: derived.get(flag, False)
+                    for flag, claimed in seq.properties.items() if claimed}
+    failures += [{"stage": culprit.get(flag), "check": flag}
+                 for flag, verified in claim_checks.items() if not verified]
 
     kernel = _telescoped_kernel_ranks(seq)
     trace = None
-    if ecs_ok:
+    if derived["ecs"]:
         trace = trace_report(seq).to_json()
     sizes = seq.level_sizes()
     goodness = None
@@ -219,17 +220,3 @@ def structural_report(seq: RealizationSeq) -> VerificationResult:
         "ok": not failures,
     }
     return VerificationResult(not failures, report)
-
-
-def _first_failing_stage(flag: str, stages: list[dict]) -> int | None:
-    if flag in ("ecs", "ecrs"):
-        for st in stages:
-            if (st["primitive"] is not True or not st["columns_equal"]
-                    or st["column_sums"][0] != st["designed_value"]):
-                return st["index"]
-    if flag in ("ers", "ecrs"):
-        for st in stages:
-            if (st["primitive"] is not True or not st["rows_equal"]
-                    or st["row_sums"][0] != st["designed_value"]):
-                return st["index"]
-    return None

@@ -413,3 +413,35 @@ def test_number_past_the_digit_limit_is_refused_not_written(
     assert proc.returncode == 4
     assert json.loads(proc.stdout)["error"] == "NumberTooLarge"
     assert not out.exists()
+
+
+def test_ecrs_size_past_any_matrix_is_schema_error(tmp_path):
+    """lambda q = 3 * 10^40 stage rows cannot be allocated; the input is
+    refused before anything is built."""
+    inp = write(tmp_path, "in.json", {**ECRS_INPUT, "q": 10 ** 40})
+    out = tmp_path / "out.json"
+    proc = subprocess.run(EXE + ["build", "ecrs", "-i", inp, "-o", str(out)],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "SchemaError"
+    assert "lambda q" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("verify", {"version": "1", "kind": "realization",
+                "stages": [{"matrix": "1" * 100000, "p": "2"}]}),
+    ("decide", {"finite": {"2" + "0" * 4299: 1}}),
+], ids=["string-matrix", "composite-key"])
+def test_error_echoes_a_bounded_part_of_a_huge_value(tmp_path, capsys,
+                                                     command, obj):
+    path = write(tmp_path, "in.json", obj)
+    argv = (["verify", "-i", path] if command == "verify" else
+            ["decide", "--rank", "1", "--lambda", "2", "--group", path])
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    out = capsys.readouterr().out
+    assert json.loads(out)["error"] == "SchemaError"
+    assert "characters)" in out
+    assert len(out) < 1024

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dimgroup import ecs
 from dimgroup.errors import (BadCutPoints, HorizonExhausted, Infeasible,
                              ParameterExtractionFailed, PTooSmall, SchemaError)
 from dimgroup.exact import Matrix, is_unimodular
@@ -274,6 +275,22 @@ def test_ecs_pipeline_outputs_have_designed_perron():
     seq = ecs_pipeline(data)
     for m, p in zip(seq.matrices, seq.stage_values):
         assert integer_perron(m).eigenvalue == p
+
+
+def test_ecs_pipeline_telescopes_an_accepted_grouping_once(monkeypatch):
+    """The grouping search hands the pipeline the data it telescoped for
+    the ratio test; the pipeline does not telescope the same cuts again."""
+    calls = []
+    original = ecs.telescope_extension
+
+    def counted(data, cuts):
+        calls.append(list(cuts))
+        return original(data, cuts)
+    monkeypatch.setattr(ecs, "telescope_extension", counted)
+    data = ExtensionData(1, tuple(Stage(p, (0,), Matrix.identity(1))
+                                  for p in (5, 7, 11)))
+    assert ecs_pipeline(data).provenance["cuts"] == [0, 1, 2]
+    assert calls == [[0, 1, 2]]
 
 
 def test_ecs_pipeline_infeasible_small_p():

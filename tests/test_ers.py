@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dimgroup.errors import KernelMismatch, RegimeViolation, SingularB
+from dimgroup.errors import (Infeasible, KernelMismatch, RegimeViolation,
+                             SingularB)
 from dimgroup.exact import Matrix, colsum_norm, sup_norm, vec_sub
 from dimgroup.ecs import AParams, general_ecs_matrix
 from dimgroup.ers import (ErsStage, ErsStageData, build_w_sequence,
@@ -237,3 +238,14 @@ def test_strict_bounds_mode():
     build_w_sequence(big, 2, strict=True)
     seq = ers_pipeline(big, 2, strict=True)
     assert seq.stage_values == (65537, 131101)
+
+
+def test_infeasible_stage_is_named():
+    """No uniform free parameter makes the bordered matrix of the second
+    stage nonnegative; the error says which stage."""
+    data = ErsStageData(1, (ErsStage(10, (-4,), Matrix.from_rows([[1]])),
+                            ErsStage(12, (-8,), Matrix.from_rows([[2]]))),
+                        (Fraction(0),))
+    with pytest.raises(Infeasible) as info:
+        ers_pipeline(data, 2)
+    assert info.value.stage == 2

@@ -1,6 +1,7 @@
 import pytest
 
 from dimgroup.errors import BadCutPoints, DimensionMismatch, SchemaError
+from dimgroup.ecs import ExtensionData, Stage, telescope_extension
 from dimgroup.exact import Matrix
 from dimgroup.realization import RealizationSeq
 
@@ -56,6 +57,23 @@ def test_telescope():
         seq.telescope([])
     with pytest.raises(BadCutPoints):
         seq.telescope([0, 2])
+
+
+THREE_STAGES = {
+    "realization": lambda cuts: RealizationSeq(
+        (Matrix.from_rows([[1, 2], [2, 1]]),) * 3, (3, 3, 3)).telescope(cuts),
+    "extension": lambda cuts: telescope_extension(
+        ExtensionData(1, (Stage(5, (1,), Matrix.identity(1)),) * 3), cuts),
+}
+
+
+@pytest.mark.parametrize("cuts", [[], [-1], [3], [1, 1], [2, 1]],
+                         ids=["empty", "negative", "past-the-end", "repeated",
+                              "decreasing"])
+@pytest.mark.parametrize("telescope", sorted(THREE_STAGES))
+def test_both_telescopes_reject_bad_cut_points(telescope, cuts):
+    with pytest.raises(BadCutPoints):
+        THREE_STAGES[telescope](cuts)
 
 
 def test_schema_errors():

@@ -65,3 +65,25 @@ def test_cli_maps_errors_to_exit_codes_only_in_main():
     assert emitting == []
     assert len(_calls(tree, "_error_payload")) \
         == len(_calls(funcs["main"], "_error_payload")) == 1
+
+
+def test_no_unused_locals():
+    """A name bound inside a function and never read there (its nested
+    functions included) is dead code.  Names that start with ``_`` are
+    deliberately unused and exempt."""
+    found = []
+    for path in sorted(Path(dimgroup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node for node in ast.walk(func)
+                     if isinstance(node, ast.Name)]
+            read = {node.id for node in names
+                    if not isinstance(node.ctx, ast.Store)}
+            found += sorted({f"{path.name}:{func.name} {node.id}"
+                             for node in names
+                             if isinstance(node.ctx, ast.Store)
+                             and not node.id.startswith("_")
+                             and node.id not in read})
+    assert found == []

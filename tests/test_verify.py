@@ -72,6 +72,19 @@ def random_chain(rng):
     return [random_stage(rng, sizes[i + 1], sizes[i]) for i in range(n)]
 
 
+def test_each_failed_claim_names_its_first_breaking_stage():
+    """Stage 1 has equal column sums and stage 2 equal row sums, all 3; an
+    ecrs claim names the first ECS-breaking stage before any ERS one."""
+    seq = RealizationSeq((Matrix.from_rows([[1, 1], [2, 2]]),
+                          Matrix.from_rows([[1, 2], [1, 2]])), (3, 3), None,
+                         {"ecs": True, "ers": True, "ecrs": True})
+    report = structural_report(seq).report
+    assert report["derived"] == {"ecs": False, "ers": False, "ecrs": False}
+    assert report["failures"] == [{"stage": 2, "check": "ecs"},
+                                  {"stage": 1, "check": "ers"},
+                                  {"stage": 2, "check": "ecrs"}]
+
+
 def seq_of(mats):
     return RealizationSeq(tuple(mats), tuple([1] * len(mats)))
 
