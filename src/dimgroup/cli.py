@@ -16,7 +16,6 @@ Set DIMGROUP_LOG=DEBUG|INFO|... for logging.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -27,7 +26,7 @@ from . import errors
 from .ecrs import EcrsProblem, ecrs_pipeline
 from .ecs import DEFAULT_EPSILON, ExtensionData, ecs_pipeline
 from .ers import ErsStageData, ers_pipeline
-from .realization import RealizationSeq, load_json
+from .realization import RealizationSeq, dump_json, load_json
 from .supernatural import INFINITE, SupernaturalNumber, decide_ecrs
 from .verify import structural_report
 
@@ -45,8 +44,7 @@ def _setup_logging() -> None:
 
 
 def _emit(obj: dict) -> None:
-    json.dump(obj, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    dump_json(obj, sys.stdout)
 
 
 def _error_payload(exc: Exception) -> dict:

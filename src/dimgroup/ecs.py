@@ -257,7 +257,8 @@ def normalize_extension(data: ExtensionData) -> tuple[ExtensionData, list[tuple[
     """Equivalent data with 0 <= v < p entrywise, plus the correction
     vectors u^m; equivalence is witnessed by the commuting squares
     F_{m+1} M_m = M'_m F_m with F_m = [[1, 0], [d_m, I]], d_1 = 0 and
-    d_{m+1} = -u^m."""
+    d_{m+1} = -u^m.  A stage whose v is already normalized is kept as it
+    is."""
     k = data.k
     d = tuple([0] * k)
     stages = []
@@ -266,7 +267,7 @@ def normalize_extension(data: ExtensionData) -> tuple[ExtensionData, list[tuple[
         v_eff = vec_sub(st.v, st.b.mul_vector(d))
         u = tuple(x // st.p for x in v_eff)
         v_new = vec_sub(v_eff, vec_scale(st.p, u))
-        stages.append(Stage(st.p, v_new, st.b))
+        stages.append(st if v_new == st.v else Stage(st.p, v_new, st.b))
         us.append(u)
         d = tuple(-x for x in u)
     return ExtensionData(k, tuple(stages)), us
@@ -290,10 +291,14 @@ def telescope_extension(data: ExtensionData,
                         cut_points: Sequence[int]) -> ExtensionData:
     """Group consecutive stages: each new stage is the exact block product of
     its group (later stages on the left), so new p is the product of the p's,
-    new B the product of the B's, and new v the composed column."""
+    new B the product of the B's, and new v the composed column.  A group
+    of one stage keeps that stage as it is."""
     stages = []
     for lo, hi in groups(cut_points, len(data.stages)):
         st = data.stages[lo]
+        if hi - lo == 1:
+            stages.append(st)
+            continue
         p, v, b = st.p, st.v, st.b
         for i in range(lo + 1, hi):
             nxt = data.stages[i]

@@ -31,6 +31,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Number]):
+        self._store(rows, cols, tuple(map(_as_exact, data)))
+
+    def _store(self, rows: int, cols: int, data: tuple) -> None:
         if rows <= 0 or cols <= 0:
             raise DimensionMismatch(f"dimensions must be positive, got {rows}x{cols}")
         if len(data) != rows * cols:
@@ -38,7 +41,16 @@ class Matrix:
                 f"entry storage {len(data)} != {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self._data = tuple(_as_exact(x) for x in data)
+        self._data = data
+
+    @classmethod
+    def _exact(cls, rows: int, cols: int, data: Iterable[Number]) -> "Matrix":
+        """A matrix of entries already known to be ints or Fractions, stored
+        without the per-entry check: the results of exact arithmetic on
+        checked matrices, whose sums, differences and products stay exact."""
+        m = cls.__new__(cls)
+        m._store(rows, cols, tuple(data))
+        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -55,11 +67,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._exact(n, n, [1 if i == j else 0
+                                 for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._exact(rows, cols, [0] * (rows * cols))
 
     # -- access --------------------------------------------------------------
 
@@ -98,19 +111,20 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self._data, other._data)])
+        return Matrix._exact(self.rows, self.cols,
+                             [a + b for a, b in zip(self._data, other._data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self._data, other._data)])
+        return Matrix._exact(self.rows, self.cols,
+                             [a - b for a, b in zip(self._data, other._data)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._data])
+        return Matrix._exact(self.rows, self.cols, [-a for a in self._data])
 
     def scale(self, c: Number) -> "Matrix":
-        return Matrix(self.rows, self.cols, [c * a for a in self._data])
+        c = _as_exact(c)
+        return Matrix._exact(self.rows, self.cols, [c * a for a in self._data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -131,7 +145,7 @@ class Matrix:
                 base = i * p
                 for j in range(p):
                     out[base + j] += aik * brow[j]
-        return Matrix(n, p, out)
+        return Matrix._exact(n, p, out)
 
     def mul_vector(self, v: Sequence[Number]) -> tuple[Number, ...]:
         if len(v) != self.cols:
@@ -147,8 +161,8 @@ class Matrix:
                      for j in range(self.cols))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [x for j in range(self.cols) for x in self.col(j)])
+        return Matrix._exact(self.cols, self.rows,
+                             [x for j in range(self.cols) for x in self.col(j)])
 
     def pow(self, e: int) -> "Matrix":
         if not self.is_square:
@@ -184,7 +198,7 @@ class Matrix:
         """Exact determinant, by fraction-free elimination."""
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
-        rows, scale = _integer_rows(self.to_rows())
+        rows, scale = _integer_rows(map(self.row, range(self.rows)))
         pivots, d, sign = _eliminate(rows)
         if len(pivots) < self.rows:
             return 0
@@ -192,7 +206,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Rank over the rationals, by fraction-free elimination."""
-        rows, _ = _integer_rows(self.to_rows())
+        rows, _ = _integer_rows(map(self.row, range(self.rows)))
         return len(_eliminate(rows)[0])
 
     def charpoly(self) -> tuple[int | Fraction, ...]:
@@ -242,24 +256,28 @@ class Matrix:
         pivots, d, _ = _eliminate(rows)
         if pivots != list(range(n)):
             raise ZeroDivisionError("singular matrix")
-        return Matrix(n, n, [x // d if x % d == 0 else Fraction(x, d)
-                             for row in rows for x in row[n:]])
+        return Matrix._exact(n, n, [x // d if x % d == 0 else Fraction(x, d)
+                                    for row in rows for x in row[n:]])
 
 
-def _integer_rows(rows: Iterable[Sequence[Number]]) -> tuple[list[list[int]], int]:
+def _integer_rows(rows: Iterable[Sequence[Number]]) -> tuple[list[Sequence[int]], int]:
     """Each row times the lcm of its denominators, as ints, and the product
     of those scales.  Row scaling leaves rank and kernel unchanged and
-    multiplies the determinant by the returned product."""
+    multiplies the determinant by the returned product.  A row of ints is
+    passed through as it is: _eliminate replaces rows, never edits them."""
     out = []
     scale = 1
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(row)
+            continue
         den = math.lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
         scale *= den
     return out, scale
 
 
-def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
+def _eliminate(rows: list[Sequence[int]]) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place
     (Bareiss 1968, extended to the rows above each pivot).
 
@@ -339,7 +357,7 @@ def right_kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
 
     Vectors are sign-normalized so their first nonzero entry is positive.
     """
-    rows, _ = _integer_rows(m.to_rows())
+    rows, _ = _integer_rows(map(m.row, range(m.rows)))
     pivots, d, _ = _eliminate(rows)
     basis = []
     for fc in range(m.cols):
@@ -355,7 +373,7 @@ def right_kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
     return basis
 
 
-def rank_factorization(m: Matrix) -> tuple[list[int], list[list[int]]]:
+def rank_factorization(m: Matrix) -> tuple[list[int], list[Sequence[int]]]:
     """Pivot columns p and integer rows R, one per unit of rank, with
     d * m = m[:, p] * R for a nonzero integer d.
 
@@ -363,7 +381,7 @@ def rank_factorization(m: Matrix) -> tuple[list[int], list[list[int]]]:
     scaling leaves unchanged; the left factor must therefore be taken from
     the columns of m itself, never from a row-scaled copy.
     """
-    rows, _ = _integer_rows(m.to_rows())
+    rows, _ = _integer_rows(map(m.row, range(m.rows)))
     pivots, _, _ = _eliminate(rows)
     return pivots, rows[:len(pivots)]
 

@@ -57,9 +57,13 @@ def json_matrix(x) -> Matrix:
 
 
 def echo(x) -> str:
-    """repr(x) for an error message, cut to its first _ECHO characters and
-    its length when longer, so a huge rejected value makes a short error."""
-    text = repr(x)
+    """repr(x) for an error message, cut by _clip."""
+    return _clip(repr(x))
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to its first _ECHO characters and its length when
+    longer, so a huge rejected value makes a short error."""
     if len(text) <= _ECHO:
         return text
     return f"{text[:_ECHO]}... ({len(text)} characters)"
@@ -89,6 +93,21 @@ def load_json(path: str):
             raise SchemaError(f"not valid JSON: {exc}") from None
 
 
+def dump_json(obj: dict, fh) -> None:
+    """Write ``obj`` to ``fh`` as JSON, one top-level key to a line and each
+    element of a non-empty list value on a line of its own.  Every value and
+    element is encoded without indent, which keeps json.dumps on its C
+    encoder; the text is built whole and written once."""
+    lines = []
+    for key, value in obj.items():
+        if isinstance(value, list) and value:
+            text = "[\n  " + ",\n  ".join(map(json.dumps, value)) + "\n ]"
+        else:
+            text = json.dumps(value)
+        lines.append(f"\n {json.dumps(key)}: {text}")
+    fh.write("{" + ",".join(lines) + "\n}\n")
+
+
 @contextmanager
 def parsing(what: str):
     """Inside this block, the errors that a wrong JSON shape or value
@@ -97,7 +116,7 @@ def parsing(what: str):
         yield
     except (KeyError, TypeError, ValueError, ZeroDivisionError,
             DimensionMismatch) as exc:
-        raise SchemaError(f"malformed {what}: {exc}") from None
+        raise SchemaError(f"malformed {what}: {_clip(str(exc))}") from None
 
 
 def groups(cuts: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -223,8 +242,7 @@ class RealizationSeq:
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+            dump_json(self.to_json(), fh)
 
     @classmethod
     def load(cls, path: str) -> "RealizationSeq":

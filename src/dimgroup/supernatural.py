@@ -9,6 +9,8 @@ supports with finite multiplicities are approximated by prefixes.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -47,20 +49,87 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Trial division runs through the divisors below this bound; is_prime,
+# perfect-power roots and Pollard-Brent rho take what it leaves.
+_TRIAL_BOUND = 1 << 10
+_TRIAL_DIVISORS = (2, *range(3, _TRIAL_BOUND, 2))
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs here are modest)."""
+    """Prime factorization, at a cost polynomial in the digits of n in
+    practice rather than in n: trial division below _TRIAL_BOUND, then
+    is_prime and _split on the cofactor."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    for d in _TRIAL_DIVISORS:
+        if d * d > n:
+            if n > 1:
+                out[n] = out.get(n, 0) + 1
+            return out
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
+    if is_prime(n):
         out[n] = out.get(n, 0) + 1
+    else:
+        for f in _split(n):
+            for p, e in factorize(f).items():
+                out[p] = out.get(p, 0) + e
     return out
+
+
+def _split(n: int) -> list[int]:
+    """Factors of a composite n with no prime factor below _TRIAL_BOUND,
+    each above 1, multiplying to n: the root r, k times, when n = r^k, and
+    otherwise a divisor that Pollard-Brent rho finds and its cofactor.  Rho
+    alone would take about sqrt(r) steps on a square r^2."""
+    # every prime factor exceeds _TRIAL_BOUND = 2^10, so r^k has over 10k bits
+    for k in range(2, n.bit_length() // 10 + 1):
+        r = _iroot(n, k)
+        if r ** k == n:
+            return [r] * k
+    f = _rho_divisor(n)
+    return [f, n // f]
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of
+    Pollard's rho (Brent 1980): iterate x -> x^2 + c mod n, batching the
+    differences into one gcd every 128 steps, and move to the next c on
+    the rare run whose cycle closes mod n itself."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:      # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -445,3 +446,33 @@ def test_error_echoes_a_bounded_part_of_a_huge_value(tmp_path, capsys,
     assert json.loads(out)["error"] == "SchemaError"
     assert "characters)" in out
     assert len(out) < 1024
+
+
+def test_converted_error_repeats_a_bounded_part_of_its_text(tmp_path,
+                                                            capsys):
+    """A trace row with a zero denominator fails inside Fraction, whose
+    error text repeats the 4,300-digit numerator; the schema error made of
+    it stays short."""
+    path = write(tmp_path, "in.json",
+                 {**ERS_INPUT, "stages": ERS_INPUT["stages"][:1],
+                  "trace_row": [["7" + "0" * 4299, 0]]})
+    argv = ["build", "ers", "-i", path, "-o", str(tmp_path / "out.json")]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    out = capsys.readouterr().out
+    assert json.loads(out)["error"] == "SchemaError"
+    assert "characters)" in out
+    assert len(out.encode()) < 1024
+
+
+def test_verify_of_an_18_digit_prime_stage_is_fast(tmp_path, capsys):
+    """Factoring the column sum 10^18 + 3 takes trial division to a fixed
+    bound and one primality test, not trial division to its square root."""
+    p = str(10 ** 18 + 3)
+    path = write(tmp_path, "big.json", {
+        "version": "1", "kind": "realization", "properties": {"ecs": True},
+        "stages": [{"matrix": [[p]], "p": p}], "markers": None})
+    start = time.perf_counter()
+    assert cli.main(["verify", "-i", path]) == cli.EXIT_OK
+    assert time.perf_counter() - start < 0.1
+    value_group = json.loads(capsys.readouterr().out)["trace"]["value_group"]
+    assert value_group == {"finite": {p: 1}, "infinite": []}

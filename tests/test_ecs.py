@@ -293,6 +293,24 @@ def test_ecs_pipeline_telescopes_an_accepted_grouping_once(monkeypatch):
     assert calls == [[0, 1, 2]]
 
 
+def test_ecs_pipeline_takes_no_determinant_of_settled_stages(monkeypatch):
+    """On normalized data whose finest grouping converges, normalizing and
+    telescoping keep every Stage checked when the data was made, so its
+    determinant is not taken again."""
+    b = Matrix.from_rows([[2, 1], [1, 1]])
+    data = ExtensionData(2, tuple(Stage(p, (0, 0), b)
+                                  for p in (50, 70, 110, 130)))
+    calls = []
+    original = Matrix.det
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+    monkeypatch.setattr(Matrix, "det", counted)
+    assert ecs_pipeline(data).provenance["cuts"] == [0, 1, 2, 3]
+    assert calls == []
+
+
 def test_ecs_pipeline_infeasible_small_p():
     data = ExtensionData(2, tuple(Stage(2, (0, 0), Matrix.identity(2))
                                   for _ in range(2)))

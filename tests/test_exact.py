@@ -23,6 +23,15 @@ def test_content_scale_invariant(v, c):
     assert content([c * x for x in v]) == c * content(v)
 
 
+def test_no_float_enters_a_matrix():
+    """Entries are checked where they come in, and a scalar where it
+    scales; exact arithmetic on checked entries stays exact."""
+    with pytest.raises(TypeError):
+        Matrix.identity(2).scale(0.5)
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[1.5]])
+
+
 def test_rank_examples():
     assert Matrix.identity(3).rank() == 3
     assert Matrix.zeros(2, 2).rank() == 0

@@ -1,9 +1,18 @@
+import io
+import json
+
 import pytest
 
-from dimgroup.errors import BadCutPoints, DimensionMismatch, SchemaError
-from dimgroup.ecs import ExtensionData, Stage, telescope_extension
+from dimgroup import cli
+from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
+from dimgroup.ecs import (ExtensionData, Stage, ecs_pipeline,
+                          telescope_extension)
+from dimgroup.errors import (BadCutPoints, DimensionMismatch,
+                             InvariantViolated, SchemaError)
+from dimgroup.ers import ErsStageData, ers_pipeline
 from dimgroup.exact import Matrix
-from dimgroup.realization import RealizationSeq
+from dimgroup.realization import RealizationSeq, dump_json
+from dimgroup.verify import structural_report
 
 
 def _seq():
@@ -81,3 +90,49 @@ def test_schema_errors():
         RealizationSeq.from_json({"version": "0"})
     with pytest.raises(SchemaError):
         RealizationSeq.from_json({"version": "1", "stages": [{"matrix": "x"}]})
+
+
+def _built():
+    ecs_in = {"k": 1, "stages": [{"p": 5, "v": [0], "B": [[1]]},
+                                 {"p": 7, "v": [0], "B": [[1]]},
+                                 {"p": 11, "v": [0], "B": [[1]]}]}
+    ers_in = {"k": 1, "stages": [{"p": 25, "u": [8], "B": [[1]]},
+                                 {"p": 125, "u": [5], "B": [[1]]}],
+              "trace_row": [[1, 3]]}
+    ecrs_in = {"k": 2, "lambda": 3, "rho": [1, 1], "p_seq": [7, 13, 19]}
+    return [ecs_pipeline(ExtensionData.from_json(ecs_in)),
+            ers_pipeline(ErsStageData.from_json(ers_in), 2),
+            ecrs_pipeline(EcrsProblem.from_json(ecrs_in))]
+
+
+def _written(obj) -> str:
+    out = io.StringIO()
+    dump_json(obj, out)
+    return out.getvalue()
+
+
+def test_dump_json_writes_the_same_values():
+    """Built files, their verify reports and an error payload read back as
+    the objects written, whatever the line layout."""
+    objs = [obj for seq in _built()
+            for obj in (seq.to_json(), structural_report(seq).report)]
+    objs.append(cli._error_payload(InvariantViolated("broken", stage=2)))
+    for obj in objs:
+        text = _written(obj)
+        assert text.endswith("}\n")
+        assert json.loads(text) == obj
+
+
+def test_dump_json_layout():
+    text = _written({"a": [1, {"b": [2, 3]}], "c": [], "d": {"e": None}})
+    assert text.splitlines() == ['{', ' "a": [', '  1,', '  {"b": [2, 3]}',
+                                 ' ],', ' "c": [],', ' "d": {"e": null}',
+                                 '}']
+    assert _written({}) == "{\n}\n"
+
+
+def test_saved_file_loads_as_the_sequence_saved(tmp_path):
+    for idx, seq in enumerate(_built()):
+        path = str(tmp_path / f"seq{idx}.json")
+        seq.save(path)
+        assert RealizationSeq.load(path) == seq

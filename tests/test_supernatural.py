@@ -7,8 +7,8 @@ import pytest
 from dimgroup.errors import SchemaError
 from dimgroup.supernatural import (INFINITE, FactorSequence,
                                    SupernaturalNumber, decide_ecrs,
-                                   from_factors, is_p_divisible, is_prime,
-                                   quotient_order)
+                                   factorize, from_factors, is_p_divisible,
+                                   is_prime, quotient_order)
 
 
 def test_from_factors_examples():
@@ -176,3 +176,47 @@ def test_supernatural_number_json_round_trip():
     assert SupernaturalNumber.from_json(u.to_json()) == u
     assert SupernaturalNumber.from_json({"finite": {"3": "2"}}) \
         == SupernaturalNumber({3: 2})
+
+
+def _random_prime(rng, bits):
+    while True:
+        n = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+        if is_prime(n):
+            return n
+
+
+def _check_factorization(n, factors):
+    """Prime keys and a product of n: by unique factorization, the one
+    right answer."""
+    assert math.prod(p ** e for p, e in factors.items()) == n
+    assert all(is_prime(p) and e >= 1 for p, e in factors.items())
+
+
+def test_factorize_small_numbers():
+    for n in range(1, 5000):
+        _check_factorization(n, factorize(n))
+
+
+def test_factorize_splits_products_of_two_30_bit_primes():
+    rng = random.Random(30)
+    for _ in range(8):
+        p, q = _random_prime(rng, 30), _random_prime(rng, 30)
+        factors = factorize(p * q)
+        _check_factorization(p * q, factors)
+        assert set(factors) == {p, q}
+
+
+@pytest.mark.parametrize("p,e", [
+    (2, 40), (1031, 2), (1031, 7), (2**31 - 1, 3), (10**18 + 3, 2),
+    (2**61 - 1, 4),
+])
+def test_factorize_prime_powers(p, e):
+    assert factorize(p ** e) == {p: e}
+
+
+def test_factorize_mixed_products():
+    rng = random.Random(31)
+    for _ in range(8):
+        parts = [_random_prime(rng, rng.randint(2, 28)) for _ in range(4)]
+        n = math.prod(parts) * parts[0]
+        _check_factorization(n, factorize(n))

@@ -87,3 +87,23 @@ def test_no_unused_locals():
                              and not node.id.startswith("_")
                              and node.id not in read})
     assert found == []
+
+
+def test_json_is_written_only_through_the_c_encoder():
+    """``json.dump`` and any ``indent=`` make the json module fall back to
+    its pure-Python encoder; ``realization.dump_json`` lays out its text
+    around ``json.dumps`` calls without indent instead."""
+    found = []
+    for path in sorted(Path(dimgroup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            if (isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "dump"
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "json"):
+                found.append(f"{path.name}:{call.lineno} json.dump")
+            found += [f"{path.name}:{call.lineno} indent="
+                      for kw in call.keywords if kw.arg == "indent"]
+    assert found == []
