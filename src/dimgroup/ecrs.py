@@ -174,7 +174,7 @@ def embroider_rows(m: Matrix, x: Matrix | None) -> Matrix:
     s, extra = m.rows, x.rows
     rows = [list(m.row(i)) + [0] * extra for i in range(s)]
     rows += [list(x.row(i)) + [0] * extra for i in range(extra)]
-    return Matrix.from_rows(rows)
+    return Matrix._exact_rows(rows)
 
 
 def embroider_cols(m: Matrix, y: Matrix | None, z: Matrix | None) -> Matrix:
@@ -197,7 +197,7 @@ def embroider_cols(m: Matrix, y: Matrix | None, z: Matrix | None) -> Matrix:
     border_rows = [row for b in blocks for row in b.to_rows()]
     rows = [list(m.row(i)) + list(border_rows[i]) for i in range(s)]
     rows += [[0] * size for _ in range(extra)]
-    return Matrix.from_rows(rows)
+    return Matrix._exact_rows(rows)
 
 
 def _cyclic_targets(k: int, count: int) -> list[int]:
@@ -304,9 +304,9 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
     for idx, (m, g) in enumerate(zip(mats, out), start=1):
         if not g.is_integral():
             raise InvariantViolated("conjugation left the integers", stage=idx)
-        bad = next(((i, j) for i in range(size) for j in range(size)
-                    if g[i, j] < 0), None)
-        if bad is not None:
+        if not g.is_nonnegative():
+            bad = next((i, j) for i in range(size) for j in range(size)
+                       if g[i, j] < 0)
             raise PositivityFailed(
                 f"entry {bad} = {g[bad[0], bad[1]]} negative", stage=idx)
         if not is_primitive(g):

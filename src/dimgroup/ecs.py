@@ -107,15 +107,6 @@ class AParams:
         return cls(tuple([a] * (k + 2)))
 
 
-def eps_basis(k: int) -> tuple[tuple[int, ...], ...]:
-    """The epsilon convention: eps_0 = 0, eps_i standard for 1 <= i <= k,
-    eps_{k+1} = -(eps_1 + ... + eps_k); their sum over 1..k+1 vanishes."""
-    zero = tuple([0] * k)
-    std = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-    last = tuple([-1] * k)
-    return tuple([zero] + std + [last])
-
-
 def kernel_vector(k: int) -> tuple[int, ...]:
     """z = (k+1, -1, ..., -1)^T, the common right kernel of all the bordered
     matrices; independent of the stage."""
@@ -271,20 +262,6 @@ def normalize_extension(data: ExtensionData) -> tuple[ExtensionData, list[tuple[
         us.append(u)
         d = tuple(-x for x in u)
     return ExtensionData(k, tuple(stages)), us
-
-
-def normalization_witnesses(us: Sequence[tuple[int, ...]], k: int) -> list[Matrix]:
-    """The change-of-basis matrices F_1, ..., F_{n+1} for the u-vectors."""
-    def f_matrix(d: tuple[int, ...]) -> Matrix:
-        rows = [[1] + [0] * k]
-        for i in range(k):
-            rows.append([d[i]] + [1 if j == i else 0 for j in range(k)])
-        return Matrix.from_rows(rows)
-
-    mats = [f_matrix(tuple([0] * k))]
-    for u in us:
-        mats.append(f_matrix(tuple(-x for x in u)))
-    return mats
 
 
 def telescope_extension(data: ExtensionData,

@@ -3,13 +3,15 @@
 Everything here is exact: matrices hold Python ints or ``fractions.Fraction``
 entries; determinants, ranks, inverses and kernel bases all come from one
 fraction-free (Bareiss) elimination on integer rows; and unimodular transforms
-are retained as replayable lists of elementary operations so whole matrix
-sequences can be conjugated simultaneously.  No floating point anywhere.
+are retained as replayable lists of elementary operations, so whole matrix
+sequences are conjugated simultaneously by replaying the operations, at
+O(len(ops) * size) per matrix.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -56,6 +58,12 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Number]]) -> "Matrix":
+        m = cls._exact_rows(rows)
+        return cls(m.rows, m.cols, m._data)
+
+    @classmethod
+    def _exact_rows(cls, rows: Sequence[Sequence[Number]]) -> "Matrix":
+        """from_rows for entries already known to be ints or Fractions."""
         r = len(rows)
         if r == 0:
             raise DimensionMismatch("no rows")
@@ -63,7 +71,7 @@ class Matrix:
         for row in rows:
             if len(row) != c:
                 raise DimensionMismatch("ragged rows")
-        return cls(r, c, [x for row in rows for x in row])
+        return cls._exact(r, c, [x for row in rows for x in row])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -94,10 +102,10 @@ class Matrix:
         return self.rows == self.cols
 
     def is_integral(self) -> bool:
-        return all(isinstance(x, int) or x.denominator == 1 for x in self._data)
+        return max(map(operator.attrgetter("denominator"), self._data)) == 1
 
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for x in self._data)
+        return min(self._data) >= 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -150,14 +158,14 @@ class Matrix:
     def mul_vector(self, v: Sequence[Number]) -> tuple[Number, ...]:
         if len(v) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(sum(x * y for x, y in zip(self.row(i), v))
+        return tuple(sum(map(operator.mul, self.row(i), v))
                      for i in range(self.rows))
 
     def vector_mul(self, v: Sequence[Number]) -> tuple[Number, ...]:
         """Row vector times matrix: v @ self."""
         if len(v) != self.rows:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(sum(v[i] * self[i, j] for i in range(self.rows))
+        return tuple(sum(map(operator.mul, v, self.col(j)))
                      for j in range(self.cols))
 
     def transpose(self) -> "Matrix":
@@ -403,18 +411,18 @@ def _invert_op(op: ElementaryOp) -> ElementaryOp:
     return op
 
 
-def _apply_op_col(vec: list, op: ElementaryOp) -> None:
-    """vec <- vec @ mat(op), for vec a row stored as a list."""
+def _apply_op_row(rows: list, op: ElementaryOp) -> None:
+    """rows <- mat(op) @ rows, for a matrix stored as a list of rows."""
     kind = op[0]
     if kind == "swap":
         _, i, j = op
-        vec[i], vec[j] = vec[j], vec[i]
+        rows[i], rows[j] = rows[j], rows[i]
     elif kind == "neg":
         _, i = op
-        vec[i] = -vec[i]
+        rows[i] = [-x for x in rows[i]]
     elif kind == "add":
         _, i, j, m = op
-        vec[j] = vec[j] + m * vec[i]
+        rows[i] = [x + m * y for x, y in zip(rows[i], rows[j])]
     else:
         raise ValueError(f"unknown elementary op {op!r}")
 
@@ -423,9 +431,10 @@ def _apply_op_col(vec: list, op: ElementaryOp) -> None:
 class UnimodularTransform:
     """An element of GL(k,Z) carried together with its elementary factorization.
 
-    ``matrix`` replays the factorization as column operations on the
-    identity, which is the product of the elementary matrices in order;
-    |det| = 1 by construction.
+    ``matrix`` replays the factorization as row operations on the
+    identity, last op first, which is the product of the elementary
+    matrices in order; |det| = 1 by construction.  ``conjugate`` replays it
+    on each matrix instead of multiplying, at O(len(ops) * size) per matrix.
     """
 
     size: int
@@ -434,9 +443,8 @@ class UnimodularTransform:
     @property
     def matrix(self) -> Matrix:
         rows = Matrix.identity(self.size).to_rows()
-        for op in self.ops:
-            for row in rows:
-                _apply_op_col(row, op)
+        for op in reversed(self.ops):
+            _apply_op_row(rows, op)
         return Matrix.from_rows(rows)
 
     def inverse(self) -> "UnimodularTransform":
@@ -452,20 +460,34 @@ class UnimodularTransform:
 
     def embed(self, size: int, offset: int) -> "UnimodularTransform":
         """The same transform acting on coordinates [offset, offset+k) of Z^size."""
-        shifted = []
-        for op in self.ops:
-            if op[0] == "add":
-                shifted.append(("add", op[1] + offset, op[2] + offset, op[3]))
-            elif op[0] == "swap":
-                shifted.append(("swap", op[1] + offset, op[2] + offset))
-            else:
-                shifted.append(("neg", op[1] + offset))
-        return UnimodularTransform(size, tuple(shifted))
+        # An op's coordinates are op[1:3]; an add's multiplier follows them.
+        return UnimodularTransform(size, tuple(
+            (op[0], *(i + offset for i in op[1:3]), *op[3:]) for op in self.ops))
 
     def conjugate(self, mats: Sequence[Matrix]) -> list[Matrix]:
-        """T m T^{-1} for each m, with T this transform's matrix."""
-        t, t_inv = self.matrix, self.inverse().matrix
-        return [t * m * t_inv for m in mats]
+        """T m T^{-1} for each m, with T this transform's matrix.
+
+        Replaying the ops last first as row operations gives T m; then
+        (T m T^{-1})^T = T^{-T} (T m)^T replays their inverses, transposed,
+        as row operations on the columns.  Each op costs one pass over one
+        row."""
+        n = self.size
+        ops = self.ops[::-1]
+        inv_t = [("add", op[2], op[1], op[3]) if op[0] == "add" else op
+                 for op in map(_invert_op, ops)]
+        out = []
+        for m in mats:
+            if m.rows != n or m.cols != n:
+                raise DimensionMismatch(
+                    f"cannot conjugate {m.rows}x{m.cols} by a size-{n} transform")
+            rows = m.to_rows()
+            for op in ops:
+                _apply_op_row(rows, op)
+            cols = [list(c) for c in zip(*rows)]
+            for op in inv_t:
+                _apply_op_row(cols, op)
+            out.append(Matrix._exact(n, n, [x for r in zip(*cols) for x in r]))
+        return out
 
     def compose(self, other: "UnimodularTransform") -> "UnimodularTransform":
         """Transform whose matrix is self.matrix @ other.matrix."""
@@ -481,22 +503,19 @@ def _euclid_to_first(row: Sequence[int]) -> tuple[list[ElementaryOp], int]:
     """
     work = list(row)
     ops: list[ElementaryOp] = []
-
-    def apply(op: ElementaryOp) -> None:
-        _apply_op_col(work, op)
-        ops.append(op)
-
     for j in range(1, len(work)):
         # Euclid on positions (0, j) until position j clears; each pass
         # strictly shrinks |work[j]| after the swap, so it terminates.
         while work[j] != 0:
-            if work[0] != 0:
-                q = work[0] // work[j]
-                if q != 0:
-                    apply(("add", j, 0, -q))  # entry 0 -= q * entry j
-            apply(("swap", 0, j))
+            q = work[0] // work[j]
+            if q != 0:
+                ops.append(("add", j, 0, -q))       # entry 0 -= q * entry j
+                work[0] -= q * work[j]
+            ops.append(("swap", 0, j))
+            work[0], work[j] = work[j], work[0]
     if work[0] < 0:
-        apply(("neg", 0))
+        ops.append(("neg", 0))
+        work[0] = -work[0]
     return ops, work[0]
 
 

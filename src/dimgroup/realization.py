@@ -51,9 +51,10 @@ def json_list(x) -> list:
 
 
 def json_matrix(x) -> Matrix:
-    """A JSON array of integer rows as a Matrix."""
-    return Matrix.from_rows([[json_int(v) for v in json_list(row)]
-                             for row in json_list(x)])
+    """A JSON array of integer rows as a Matrix, each entry checked once,
+    by json_int."""
+    return Matrix._exact_rows([[json_int(v) for v in json_list(row)]
+                               for row in json_list(x)])
 
 
 def echo(x) -> str:

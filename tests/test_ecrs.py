@@ -271,3 +271,21 @@ def test_simultaneous_conjugation_preserves_pairing():
         ones = tuple([1] * 5)
         assert m.vector_mul(ones) == tuple(p * x for x in ones)
         assert sum(o * o for o in ones) == 5
+
+
+@pytest.mark.parametrize("prob", [
+    EcrsProblem(3, 32, (16, -14, -19), FactorSequence((2273, 2593, 2657, 2689))),
+    EcrsProblem(2, 3, (1, 1), FactorSequence((19, 31)), q=4),
+])
+def test_conjugations_form_no_matrix_product(monkeypatch, prob):
+    # The normalizer and the finishing T = L S^{-1} are applied by replaying
+    # their elementary ops, at O(ops * size) per stage; a dense T m T^{-1}
+    # would cost two size^3 products per stage.
+    def fail(self, other):
+        raise AssertionError("Matrix.__mul__ called")
+    monkeypatch.setattr(Matrix, "__mul__", fail)
+    seq = ecrs_pipeline(prob)
+    size = prob.lam * (prob.q or 1)
+    for m, p in zip(seq.matrices, seq.stage_values):
+        assert m.rows == size and m.is_nonnegative()
+        assert set(m.row_sums()) == {p} and set(m.column_sums()) == {p}

@@ -9,11 +9,34 @@ from dimgroup.errors import (BadCutPoints, HorizonExhausted, Infeasible,
 from dimgroup.exact import Matrix, is_unimodular
 from dimgroup.ecs import (AParams, BParams, ExtensionData, Stage, b_compose,
                           b_extract, b_matrix, choose_a_params, ecs_pipeline,
-                          eps_basis, general_ecs_matrix, kernel_vector,
-                          normalization_witnesses, normalize_extension,
-                          reduce_vector, select_convergent_prefix,
-                          split_ecs_matrix, telescope_extension)
+                          general_ecs_matrix, kernel_vector,
+                          normalize_extension, reduce_vector,
+                          select_convergent_prefix, split_ecs_matrix,
+                          telescope_extension)
 from dimgroup.perron import is_primitive
+
+
+def eps_basis(k):
+    """The epsilon convention: eps_0 = 0, eps_i standard for 1 <= i <= k,
+    eps_{k+1} = -(eps_1 + ... + eps_k); their sum over 1..k+1 vanishes."""
+    zero = tuple([0] * k)
+    std = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
+    last = tuple([-1] * k)
+    return tuple([zero] + std + [last])
+
+
+def normalization_witnesses(us, k):
+    """The change-of-basis matrices F_1, ..., F_{n+1} for the u-vectors."""
+    def f_matrix(d):
+        rows = [[1] + [0] * k]
+        for i in range(k):
+            rows.append([d[i]] + [1 if j == i else 0 for j in range(k)])
+        return Matrix.from_rows(rows)
+
+    mats = [f_matrix(tuple([0] * k))]
+    for u in us:
+        mats.append(f_matrix(tuple(-x for x in u)))
+    return mats
 
 
 def _poly_mul(a, b):

@@ -198,6 +198,49 @@ def test_transform_matrix_rejects_unknown_op():
         UnimodularTransform(2, (("scale", 0, 2),)).matrix
 
 
+def _random_ops(rng, k, count):
+    ops = []
+    for _ in range(count):
+        if k == 1:
+            ops.append(("neg", 0))
+            continue
+        i, j = rng.sample(range(k), 2)
+        ops.append(rng.choice([("swap", i, j), ("neg", i),
+                               ("add", i, j, rng.randint(-4, 4))]))
+    return tuple(ops)
+
+
+def test_conjugate_matches_dense_oracle():
+    """Replaying the ops gives T m T^{-1}, with T and T^{-1} built densely
+    here, for int and Fraction entries and for the empty op list."""
+    rng = random.Random(46)
+    for trial in range(150):
+        k = rng.randint(1, 8)
+        ops = () if trial % 10 == 0 else _random_ops(rng, k, rng.randint(1, 16))
+        u = UnimodularTransform(k, ops)
+        mats = [Matrix.from_rows([[rng.randint(-9, 9) for _ in range(k)]
+                                  for _ in range(k)]),
+                Matrix.from_rows([[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                   for _ in range(k)] for _ in range(k)])]
+        t, t_inv = u.matrix, u.inverse().matrix
+        assert u.conjugate(mats) == [t * m * t_inv for m in mats]
+    assert UnimodularTransform(3, ()).conjugate([]) == []
+
+
+def test_conjugate_rejects_wrong_size():
+    u = UnimodularTransform(3, (("add", 0, 1, 2),))
+    with pytest.raises(DimensionMismatch):
+        u.conjugate([Matrix.identity(3), Matrix.identity(2)])
+    with pytest.raises(DimensionMismatch):
+        u.conjugate([Matrix.zeros(3, 2)])
+
+
+def test_conjugate_rejects_unknown_op():
+    u = UnimodularTransform(2, (("add", 0, 1, 1), ("scale", 0, 2)))
+    with pytest.raises(ValueError):
+        u.conjugate([Matrix.identity(2)])
+
+
 def test_matrix_shape_errors():
     with pytest.raises(DimensionMismatch):
         Matrix(2, 2, [1, 2, 3])
