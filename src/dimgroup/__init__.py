@@ -5,21 +5,17 @@ from .exact import (Matrix, UnimodularTransform, colsum_norm, content,
                     is_unimodular, map_content1_row, right_kernel_basis,
                     sup_norm)
 from .supernatural import (FactorSequence, SupernaturalNumber, decide_ecrs,
-                           from_factors, is_p_divisible, quotient_order)
-from .perron import (PerronData, ShiftEquivalence, check_equal_sums_criterion,
-                     check_shift_equivalence, integer_perron, is_primitive,
-                     unique_trace_diagnostic)
-from .traces import (is_good_row, nearly_split_witness, rebalance,
-                     split_to_equal_trace, trace_of_realization, trace_report)
+                           from_factors, quotient_order)
+from .perron import (PerronData, check_equal_sums_criterion, integer_perron,
+                     is_primitive, unique_trace_diagnostic)
+from .traces import is_good_row, nearly_split_witness, trace_report
 from .realization import RealizationSeq
 from .ecs import (AParams, BParams, ExtensionData, Stage, b_compose, b_matrix,
                   choose_a_params, ecs_pipeline, general_ecs_matrix,
                   kernel_vector, normalize_extension, reduce_vector,
-                  select_convergent_prefix, split_ecs_matrix,
-                  telescope_extension)
+                  split_ecs_matrix, telescope_extension)
 from .ers import (ErsStage, ErsStageData, build_w_sequence, ers_pipeline,
-                  reduce_mod_rowlattice, restrict_to_kernel_complement,
-                  verify_ers)
+                  restrict_to_kernel_complement, verify_ers)
 from .ecrs import (EcrsProblem, PolyNat, commuting_family, ecrs_finisher,
                    ecrs_pipeline, embroider_cols, embroider_rows,
                    build_index_stages, normalize_to_ones, poly_for)

@@ -328,18 +328,6 @@ def _convergent_cuts(data: ExtensionData, epsilon: Fraction):
             f"no grouping of {len(data.stages)} stages meets epsilon={epsilon}")
 
 
-def select_convergent_prefix(data: ExtensionData,
-                             epsilon: Fraction) -> list[int]:
-    """Cut points after which consecutive telescoped ratios v/q differ by
-    less than epsilon in max norm (exactly equal ratios always pass); the
-    finite stand-in for extracting a convergent subsequence."""
-    epsilon = Fraction(epsilon)
-    for st in data.stages:
-        if any(x < 0 or x >= st.p for x in st.v):
-            raise SchemaError("select_convergent_prefix needs normalized data")
-    return next(_convergent_cuts(data, epsilon))[0]
-
-
 # -- the pipeline --------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (DimensionMismatch, InvariantViolated, KernelMismatch,
-                     RegimeViolation, SchemaError, SingularB)
+                     RegimeViolation, SchemaError)
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
 from .ecs import bordered_stage, kernel_vector
 from .realization import (RealizationSeq, json_int, json_list, json_matrix,
@@ -138,33 +138,6 @@ def nearest_int(x: Fraction) -> int:
     if frac < Fraction(1, 2):
         return floor
     return floor if x > 0 else floor + 1
-
-
-def reduce_mod_rowlattice(z: Sequence[int], b: Matrix) -> tuple[int, ...]:
-    """y with ||z - yB||_inf < |det B|, via exact rational arithmetic.
-
-    Nearest-integer rounding of z B^{-1} is tried first; when the rounded
-    remainder is not below |det B| (possible once the column sums of B beat
-    its determinant), the witness falls back to reducing z entrywise mod
-    |det B| through the adjugate, which meets the bound unconditionally
-    because |det B| Z^{1 x k} lies inside the row lattice of B."""
-    det = b.det()
-    if det == 0:
-        raise SingularB("row-lattice reduction needs det B != 0")
-    if len(z) != b.rows:
-        raise DimensionMismatch("row length mismatch")
-    d = abs(det)
-    b_inv = b.inverse()
-    exact = b_inv.vector_mul(tuple(Fraction(x) for x in z))
-    y = tuple(nearest_int(x) for x in exact)
-    if sup_norm(vec_sub(z, b.vector_mul(y))) < d:
-        return y
-    floors = tuple(x // d for x in z)                       # z - d*floors in [0, d)
-    scaled_inv = b_inv.scale(d)                             # +-adjugate, integral
-    y = tuple(int(x) for x in scaled_inv.vector_mul(floors))
-    if sup_norm(vec_sub(z, b.vector_mul(y))) >= d:
-        raise InvariantViolated("row-lattice remainder not below |det B|")
-    return y
 
 
 def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> list[ErsStage]:

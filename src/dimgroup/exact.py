@@ -28,9 +28,10 @@ def _as_exact(x) -> Number:
 
 
 class Matrix:
-    """Immutable exact matrix (entries: int or Fraction), row-major."""
+    """Immutable exact matrix (entries: int or Fraction), row-major.  Its
+    row and column sums are computed once, on first use."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_row_sums", "_col_sums")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Number]):
         self._store(rows, cols, tuple(map(_as_exact, data)))
@@ -44,6 +45,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._data = data
+        self._row_sums = self._col_sums = None
 
     @classmethod
     def _exact(cls, rows: int, cols: int, data: Iterable[Number]) -> "Matrix":
@@ -169,8 +171,10 @@ class Matrix:
                      for j in range(self.cols))
 
     def transpose(self) -> "Matrix":
-        return Matrix._exact(self.cols, self.rows,
-                             [x for j in range(self.cols) for x in self.col(j)])
+        t = Matrix._exact(self.cols, self.rows,
+                          [x for j in range(self.cols) for x in self.col(j)])
+        t._row_sums, t._col_sums = self._col_sums, self._row_sums
+        return t
 
     def pow(self, e: int) -> "Matrix":
         if not self.is_square:
@@ -188,10 +192,14 @@ class Matrix:
     # -- sums and norms --------------------------------------------------------
 
     def column_sums(self) -> tuple[Number, ...]:
-        return tuple(sum(self.col(j)) for j in range(self.cols))
+        if self._col_sums is None:
+            self._col_sums = tuple(sum(self.col(j)) for j in range(self.cols))
+        return self._col_sums
 
     def row_sums(self) -> tuple[Number, ...]:
-        return tuple(sum(self.row(i)) for i in range(self.rows))
+        if self._row_sums is None:
+            self._row_sums = tuple(sum(self.row(i)) for i in range(self.rows))
+        return self._row_sums
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:

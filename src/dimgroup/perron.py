@@ -1,5 +1,5 @@
 """Primitivity, integer Perron data certified by the sum sandwich or one
-charpoly bisection, equal sums, unique-trace diagnostic, shift equivalence."""
+charpoly bisection, equal sums, and the unique-trace diagnostic."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (DimensionMismatch, InvariantViolated, NonSquare,
-                     NotIntegerEigenvalue, NotNonnegative, NotPrimitive,
-                     SizeMismatch)
+from .errors import (InvariantViolated, NonSquare, NotIntegerEigenvalue,
+                     NotNonnegative, NotPrimitive, SizeMismatch)
 from .exact import Matrix, right_kernel_basis
 
 
@@ -103,15 +102,22 @@ def integer_perron(a: Matrix) -> PerronData:
     if not is_primitive(a):
         raise NotPrimitive("integer_perron requires a primitive matrix")
     root = perron_root(a)
-    return PerronData(root, _perron_vector(a.transpose(), root),
+    return PerronData(root, _perron_vector(a, root, left=True),
                       _perron_vector(a, root), a.rows)
 
 
-def _perron_vector(a: Matrix, root: int) -> tuple[int, ...]:
-    """Content-1 vector spanning ker(a - root I), for primitive a."""
-    if len(set(a.row_sums())) == 1:
+def _perron_vector(a: Matrix, root: int,
+                   left: bool = False) -> tuple[int, ...]:
+    """Content-1 vector spanning ker(a - root I), or with ``left`` the row
+    vectors w with w a = root w, for primitive a.  Constant row (column)
+    sums give the all-ones vector; only a kernel solve reads a^T."""
+    if len(set(a.column_sums() if left else a.row_sums())) == 1:
         return (1,) * a.rows
-    basis = right_kernel_basis(a - Matrix.identity(a.rows).scale(root))
+    if left:
+        a = a.transpose()
+    basis = right_kernel_basis(Matrix._exact_rows(
+        [[x - root if i == j else x for j, x in enumerate(a.row(i))]
+         for i in range(a.rows)]))
     if len(basis) != 1 or not all(x > 0 for x in basis[0]):
         raise InvariantViolated(
             f"Perron root {root} of a primitive matrix has no simple, "
@@ -210,29 +216,3 @@ def _rank_at_tolerance(m: Matrix, tol: Fraction) -> int:
         if r == m.rows:
             break
     return rank
-
-
-@dataclass(frozen=True)
-class ShiftEquivalence:
-    """Witness (X, Y, lag) for a shift equivalence between matrices A and M:
-    XM = AX, MY = YA, XY = A^lag, YX = M^lag."""
-
-    x: Matrix
-    y: Matrix
-    lag: int
-
-
-def check_shift_equivalence(a: Matrix, m: Matrix, se: ShiftEquivalence) -> bool:
-    """All four defining identities, by exact multiplication."""
-    if not a.is_square or not m.is_square:
-        raise NonSquare("shift equivalence needs square matrices")
-    ya, sm = a.rows, m.rows
-    if se.x.rows != ya or se.x.cols != sm or se.y.rows != sm or se.y.cols != ya:
-        raise DimensionMismatch(
-            f"X must be {ya}x{sm} and Y {sm}x{ya} for A of size {ya}, M of size {sm}")
-    if se.lag < 1:
-        raise DimensionMismatch("lag must be a positive integer")
-    return (se.x * m == a * se.x
-            and m * se.y == se.y * a
-            and se.x * se.y == a.pow(se.lag)
-            and se.y * se.x == m.pow(se.lag))

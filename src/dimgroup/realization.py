@@ -51,10 +51,19 @@ def json_list(x) -> list:
 
 
 def json_matrix(x) -> Matrix:
-    """A JSON array of integer rows as a Matrix, each entry checked once,
-    by json_int."""
-    return Matrix._exact_rows([[json_int(v) for v in json_list(row)]
-                               for row in json_list(x)])
+    """A JSON array of integer rows as a Matrix, each entry checked once.
+    A row of decimal strings is matched and converted by one C-level pass
+    each; any other row goes through json_int entry by entry, which gives
+    the error for a bad entry."""
+    rows = []
+    for row in map(json_list, json_list(x)):
+        try:
+            decimal = all(map(_DECIMAL.fullmatch, row))
+        except TypeError:       # an entry that is not a string
+            decimal = False
+        rows.append(list(map(int, row)) if decimal
+                    else [json_int(v) for v in row])
+    return Matrix._exact_rows(rows)
 
 
 def echo(x) -> str:
@@ -81,6 +90,18 @@ def json_str(x) -> str:
         raise NumberTooLarge(
             f"a computed number has more than {sys.get_int_max_str_digits()} "
             "digits, more than a JSON reader accepts") from None
+
+
+def json_strs(xs: Sequence) -> list[str]:
+    """[json_str(x) for x in xs], with one guard around the whole pass
+    rather than one call per entry; a number too long to write falls back
+    to the per-entry pass, which raises NumberTooLarge.  (``str(x)`` in a
+    comprehension is faster here than ``map(str, xs)``, which calls the
+    type generically.)"""
+    try:
+        return [str(x) for x in xs]
+    except ValueError:
+        return [json_str(x) for x in xs]
 
 
 def load_json(path: str):
@@ -207,13 +228,12 @@ class RealizationSeq:
             "kind": "realization",
             "properties": {k: bool(v) for k, v in self.properties.items()},
             "stages": [
-                {"matrix": [[json_str(x) for x in m.row(i)]
-                            for i in range(m.rows)],
+                {"matrix": [json_strs(m.row(i)) for i in range(m.rows)],
                  "p": json_str(p)}
                 for m, p in zip(self.matrices, self.stage_values)
             ],
             "markers": (None if self.markers is None
-                        else [[json_str(x) for x in h] for h in self.markers]),
+                        else [json_strs(h) for h in self.markers]),
             "provenance": self.provenance,
         }
         return out

@@ -219,10 +219,6 @@ def from_factors(seq: FactorSequence | Sequence[int]) -> SupernaturalNumber:
     return SupernaturalNumber(acc)
 
 
-def is_p_divisible(u: SupernaturalNumber, p: int) -> bool:
-    return p in u.infinite_primes
-
-
 def quotient_order(u: SupernaturalNumber, l: int) -> int:
     """|U/lU|: primes of l with finite multiplicity in U contribute fully,
     infinite-multiplicity primes contribute 1 (multiplication by them is an

@@ -1,5 +1,5 @@
 """Traces induced by ECS realizations, goodness of simplicial rows, and the
-equal-trace splitting step."""
+nearly-split witness."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, NotECS, NotNonnegative, OutOfRange, ZeroRow
+from .errors import NotECS, NotNonnegative, ZeroRow
 from .exact import Matrix, content, right_kernel_basis
 from .realization import RealizationSeq, json_str
 from .supernatural import SupernaturalNumber, from_factors, quotient_order
@@ -21,24 +21,6 @@ def _stage_column_sums(seq: RealizationSeq) -> list[int]:
             raise NotECS(f"unequal column sums {sorted(cs)}", stage=idx)
         sums.append(cs.pop())
     return sums
-
-
-def trace_of_realization(seq: RealizationSeq,
-                         elem: tuple[Sequence[int], int]) -> Fraction:
-    """Value of the canonical ECS trace on [w, level]: coordinate sum of w
-    divided by the product of the column sums of the earlier stages."""
-    w, level = elem
-    sums = _stage_column_sums(seq)
-    sizes = seq.level_sizes()
-    if not 1 <= level <= len(sizes):
-        raise DimensionMismatch(f"level {level} out of range")
-    if len(w) != sizes[level - 1]:
-        raise DimensionMismatch(
-            f"vector length {len(w)} != level size {sizes[level - 1]}")
-    denom = 1
-    for c in sums[:level - 1]:
-        denom *= c
-    return Fraction(sum(w), denom)
 
 
 @dataclass(frozen=True)
@@ -88,42 +70,6 @@ def is_good_row(w: Sequence[int]) -> bool:
     return all(x == 0 or x == g for x in w)
 
 
-def rebalance(b: Sequence[int], m: int) -> tuple[int, ...]:
-    """Some 0 <= c <= b with coordinate sum m, by unit transfers.
-
-    The choice is the greedy one; any vector meeting the postcondition is
-    acceptable to callers."""
-    if any(x < 0 for x in b):
-        raise NotNonnegative("b must be nonnegative")
-    total = sum(b)
-    if m < 0 or m > total:
-        raise OutOfRange(f"m={m} outside [0, {total}]")
-    c = []
-    left = m
-    for x in b:
-        take = min(x, left)
-        c.append(take)
-        left -= take
-    return tuple(c)
-
-
-def split_to_equal_trace(a: Sequence[int]) -> Matrix:
-    """The 0/1 simplicial splitting matrix for positive weights a.
-
-    Shape (sum a) x len(a): column j carries exactly a_j ones, every row
-    exactly one; composing with the all-ones row recovers a, and all image
-    basis vectors get equal per-unit trace value."""
-    if not a or any(x < 1 for x in a):
-        raise OutOfRange("all weights must be >= 1")
-    rows = []
-    for j, count in enumerate(a):
-        for _ in range(count):
-            row = [0] * len(a)
-            row[j] = 1
-            rows.append(row)
-    return Matrix.from_rows(rows)
-
-
 @dataclass(frozen=True)
 class NearlySplitReport:
     has_common_right_evec: bool
@@ -148,8 +94,7 @@ def nearly_split_witness(seq: RealizationSeq) -> NearlySplitReport:
         return NearlySplitReport(False, False, False)
     values = seq.stage_values
     right_basis = _common_eigenvectors(seq.matrices, values)
-    left_basis = _common_eigenvectors(
-        [m.transpose() for m in seq.matrices], values)
+    left_basis = _common_eigenvectors(seq.matrices, values, left=True)
     has_right = bool(right_basis)
     has_left = bool(left_basis)
     pairing = any(sum(l * r for l, r in zip(w, v)) != 0
@@ -158,29 +103,31 @@ def nearly_split_witness(seq: RealizationSeq) -> NearlySplitReport:
                              has_right and has_left and pairing)
 
 
-def _common_eigenvectors(mats: Sequence[Matrix],
-                         values: Sequence[int]) -> list[tuple[int, ...]]:
-    """Integer basis of {v : A v = p v for every stage (A, p)}.
+def _common_eigenvectors(mats: Sequence[Matrix], values: Sequence[int],
+                         left: bool = False) -> list[tuple[int, ...]]:
+    """Integer basis of {v : A v = p v for every stage (A, p)}, or with
+    ``left`` of the rows {w : w A = p w}, for square stages of one size.
 
     The stage kernels are intersected one at a time, so at most s vectors
-    are live.  A positive stage with A 1 = p 1 has ker(A - pI) spanned by
-    the all-ones vector (Perron's theorem), which then seeds the basis
-    without a solve; once the basis is one vector, each stage costs one
-    matrix-vector product.
+    are live.  A positive stage with A 1 = p 1 (1 A = p 1) has its kernel
+    spanned by the all-ones vector (Perron's theorem), which then seeds the
+    basis without a solve; once the basis is one vector, each stage costs
+    one vector product.
     """
     s = mats[0].cols
-    if any(m.row_sums() == (p,) * s
+    if any((m.column_sums() if left else m.row_sums()) == (p,) * s
            and all(x > 0 for i in range(s) for x in m.row(i))
            for m, p in zip(mats, values)):
         basis = [(1,) * s]
     else:
         basis = [tuple(int(i == j) for j in range(s)) for i in range(s)]
     for m, p in zip(mats, values):
+        image = m.vector_mul if left else m.mul_vector
         if len(basis) == 1:
             v = basis[0]
-            basis = [v] if m.mul_vector(v) == tuple(p * x for x in v) else []
+            basis = [v] if image(v) == tuple(p * x for x in v) else []
         else:
-            images = [[y - p * x for x, y in zip(v, m.mul_vector(v))]
+            images = [[y - p * x for x, y in zip(v, image(v))]
                       for v in basis]
             coords = right_kernel_basis(Matrix.from_rows(list(zip(*images))))
             combos = [[sum(c * v[i] for c, v in zip(cs, basis))

@@ -9,19 +9,27 @@ every stage to be primitive.
 Certificates come first, so a file the library built needs no square
 elimination beyond one rank factorization per stage:
 
+- Sums: each stage's row and column sums are computed once and cached on
+  its matrix; the stage report, the Perron root, the ERS pass, the trace
+  and the nearly-split witness all read the same tuples.
 - Perron data: primitivity is tested once per stage, inside
   integer_perron; constant row (column) sums make the all-ones vector the
   right (left) Perron vector, and only other stages solve a kernel.
+  Left-hand data is read from the columns, so no stage is transposed
+  unless a left kernel must be solved.
 - Nearly-split witness: stage kernels are intersected one at a time; a
   positive stage whose sums equal its designed value seeds the common
-  eigenvector, and each further stage is one matrix-vector product.
+  eigenvector, and each further stage is one vector product, on the left
+  or on the right.
 - Kernel ranks of the n(n+1)/2 telescoped products: each stage is factored
   once as A = C R, so each rank is that of a product of small cores
-  R_{i+1} C_i.  The stage ranks bound it from above, the rank modulo a prime
-  of each core suffix from below, and only where the two bounds differ is
-  the core product built and eliminated exactly.  The report lists, per
-  start, only the ends where the kernel rank changes, so it grows with n
-  times the stage size rather than with n squared.
+  R_{i+1} C_i.  The stage ranks bound it from above and the rank modulo a
+  prime of each core suffix from below.  One whole-chain rank modulo the
+  prime bounds every suffix from below, so a start's own suffix is
+  eliminated only where that bound is below its stage rank; only where the
+  two bounds differ is the core product built and eliminated exactly.  The
+  report lists, per start, only the ends where the kernel rank changes, so
+  it grows with n times the stage size rather than with n squared.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 from .errors import NotIntegerEigenvalue, NotPrimitive
 from .exact import Matrix, rank_factorization
 from .perron import integer_perron
-from .realization import RealizationSeq, json_str
+from .realization import RealizationSeq, json_str, json_strs
 from .traces import is_good_row, nearly_split_witness, trace_report
 from .ers import verify_ers
 
@@ -47,8 +55,8 @@ def _stage_report(idx: int, m: Matrix, designed: int) -> dict:
         "index": idx,
         "size": [m.rows, m.cols],
         "nonnegative": m.is_nonnegative(),
-        "column_sums": [json_str(x) for x in cols],
-        "row_sums": [json_str(x) for x in rows],
+        "column_sums": json_strs(cols),
+        "row_sums": json_strs(rows),
         "columns_equal": len(set(cols)) == 1,
         "rows_equal": len(set(rows)) == 1,
         "designed_value": json_str(designed),
@@ -66,8 +74,8 @@ def _stage_report(idx: int, m: Matrix, designed: int) -> dict:
         else:
             rep["primitive"] = True
             rep["perron"] = {"value": json_str(pd.eigenvalue),
-                             "left": [json_str(x) for x in pd.left],
-                             "right": [json_str(x) for x in pd.right]}
+                             "left": json_strs(pd.left),
+                             "right": json_strs(pd.right)}
     return rep
 
 
@@ -122,7 +130,9 @@ def _telescoped_kernel_ranks(seq: RealizationSeq) -> list[dict]:
         cores.append([[sum(x * y for x, y in zip(row, col)) for col in cols]
                       for row in r_next])
 
-    lower = [0] * n
+    # S(start) = core_{n-2} ... core_start modulo _PRIME, built right to left
+    # down to the first zero one; every longer suffix is zero as well.
+    suffixes = [None] * n
     suffix = [[int(i == j) for j in range(ranks[-1])]
               for i in range(ranks[-1])]
     for start in reversed(range(n)):
@@ -134,9 +144,16 @@ def _telescoped_kernel_ranks(seq: RealizationSeq) -> list[dict]:
             core = [[int(x * den) % _PRIME for x in row] for row in core]
             suffix = [[sum(x * y for x, y in zip(row, col)) % _PRIME
                        for col in zip(*core)] for row in suffix]
-        lower[start] = _rank_mod_prime(list(suffix))
-        if not lower[start]:
-            break       # every longer suffix has rank 0 as well
+        suffixes[start] = suffix
+        if not any(map(any, suffix)):
+            break
+    # S(start - 1) = S(start) core_{start - 1}, so the rank of S(start) never
+    # falls as start grows: the whole chain's rank bounds every start from
+    # below, and settles each start whose stage rank it reaches.
+    whole = _rank_mod_prime(list(suffixes[0])) if suffixes[0] else 0
+    lower = [whole if suffix is None or whole == rank
+             else _rank_mod_prime(list(suffix))
+             for rank, suffix in zip(ranks, suffixes)]
 
     out = []
     for start in range(n):

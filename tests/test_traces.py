@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dimgroup.errors import NotECS, OutOfRange, ZeroRow
+from dimgroup.errors import (DimensionMismatch, NotECS, NotNonnegative,
+                             OutOfRange, ZeroRow)
 from dimgroup.exact import Matrix, right_kernel_basis
 from dimgroup.realization import RealizationSeq
-from dimgroup.traces import (NearlySplitReport, is_good_row,
-                             nearly_split_witness, rebalance,
-                             split_to_equal_trace, trace_of_realization,
-                             trace_report)
+from dimgroup.traces import (NearlySplitReport, _common_eigenvectors,
+                             _stage_column_sums, is_good_row,
+                             nearly_split_witness, trace_report)
 
 
 def _ecs_seq():
@@ -19,6 +20,63 @@ def _ecs_seq():
     data = ExtensionData(1, (Stage(5, (0,), Matrix.identity(1)),
                              Stage(7, (0,), Matrix.identity(1))))
     return ecs_pipeline(data)
+
+
+# The trace of one element, the greedy rebalance and the equal-trace
+# splitting matrix are reached by no command; they stay here as checked
+# definitions.
+def trace_of_realization(seq: RealizationSeq,
+                         elem: tuple[Sequence[int], int]) -> Fraction:
+    """Value of the canonical ECS trace on [w, level]: coordinate sum of w
+    divided by the product of the column sums of the earlier stages."""
+    w, level = elem
+    sums = _stage_column_sums(seq)
+    sizes = seq.level_sizes()
+    if not 1 <= level <= len(sizes):
+        raise DimensionMismatch(f"level {level} out of range")
+    if len(w) != sizes[level - 1]:
+        raise DimensionMismatch(
+            f"vector length {len(w)} != level size {sizes[level - 1]}")
+    denom = 1
+    for c in sums[:level - 1]:
+        denom *= c
+    return Fraction(sum(w), denom)
+
+
+def rebalance(b: Sequence[int], m: int) -> tuple[int, ...]:
+    """Some 0 <= c <= b with coordinate sum m, by unit transfers.
+
+    The choice is the greedy one; any vector meeting the postcondition is
+    acceptable to callers."""
+    if any(x < 0 for x in b):
+        raise NotNonnegative("b must be nonnegative")
+    total = sum(b)
+    if m < 0 or m > total:
+        raise OutOfRange(f"m={m} outside [0, {total}]")
+    c = []
+    left = m
+    for x in b:
+        take = min(x, left)
+        c.append(take)
+        left -= take
+    return tuple(c)
+
+
+def split_to_equal_trace(a: Sequence[int]) -> Matrix:
+    """The 0/1 simplicial splitting matrix for positive weights a.
+
+    Shape (sum a) x len(a): column j carries exactly a_j ones, every row
+    exactly one; composing with the all-ones row recovers a, and all image
+    basis vectors get equal per-unit trace value."""
+    if not a or any(x < 1 for x in a):
+        raise OutOfRange("all weights must be >= 1")
+    rows = []
+    for j, count in enumerate(a):
+        for _ in range(count):
+            row = [0] * len(a)
+            row[j] = 1
+            rows.append(row)
+    return Matrix.from_rows(rows)
 
 
 def test_trace_examples():
@@ -210,6 +268,24 @@ def test_nearly_split_witness_matches_stacked_kernels():
         seen[key] = seen.get(key, 0) + 1
     # Every combination of the three answers the witness can give occurs.
     assert len(seen) == 5 and min(seen.values()) >= 10, seen
+
+
+def test_left_common_eigenvectors_equal_the_transposed_computation():
+    """The left pass reads each stage's columns in place; it gives the
+    basis that the right pass gives on the transposed stages."""
+    rng = random.Random(2718)
+    for _ in range(600):
+        s = rng.randint(1, 4)
+        family = rng.choice(WITNESS_KINDS)
+        stages = [_witness_stage(rng, s, family if rng.random() < 0.7
+                                 else rng.choice(WITNESS_KINDS))
+                  for _ in range(rng.randint(1, 4))]
+        mats = [m for m, _ in stages]
+        values = [p for _, p in stages]
+        transposed = [Matrix.from_rows([list(m.col(j)) for j in range(s)])
+                      for m in mats]
+        assert (_common_eigenvectors(mats, values, left=True)
+                == _common_eigenvectors(transposed, values)), stages
 
 
 @pytest.mark.parametrize("p,expected", [(3, (True, True, True)),

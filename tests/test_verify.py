@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimgroup import exact, perron
+from dimgroup import exact, perron, verify
 from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
 from dimgroup.ecs import ExtensionData, ecs_pipeline
 from dimgroup.exact import Matrix
@@ -202,6 +202,54 @@ def test_built_ecs_file_needs_one_rank_per_stage(tmp_path, monkeypatch, b):
     assert len(result.report["telescoped_kernel_ranks"]) == len(seq)
     assert len(expand(result.report)) == len(seq) * (len(seq) + 1) // 2
     assert calls.count == 0
+
+
+def _built_file(tmp_path, kind):
+    if kind == "ecs":
+        seq = ecs_pipeline(ExtensionData.from_json(
+            {"k": 2, "stages": [{"p": 101 + 2 * i, "v": [1, 2],
+                                 "B": [[1, 0], [0, 2]]} for i in range(16)]}))
+    else:
+        seq = ecrs_pipeline(EcrsProblem(3, 8, (5, -10, 4),
+                                        FactorSequence((17, 41, 73, 89))))
+    path = str(tmp_path / f"{kind}.json")
+    seq.save(path)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["ecs", "ecrs"])
+def test_built_file_verifies_without_a_transpose(tmp_path, monkeypatch,
+                                                 kind):
+    """Built stages have constant column sums, so their left Perron vectors
+    and the left nearly-split pass are read from the columns in place."""
+    path = _built_file(tmp_path, kind)
+
+    def no_transpose(m):
+        raise AssertionError(f"transposed a {m.rows}x{m.cols} matrix")
+    monkeypatch.setattr(Matrix, "transpose", no_transpose)
+    seq = RealizationSeq.load(path)
+    result = structural_report(seq)
+    assert result.ok
+    assert len(seq) == (16 if kind == "ecs" else 4)
+    assert all(st["perron"]["left"] == ["1"] * st["size"][0]
+               for st in result.report["stages"])
+
+
+def test_full_rank_built_ecs_chain_makes_one_modular_rank(tmp_path,
+                                                          monkeypatch):
+    """Every stage of a built ECS chain has rank k+1, which the whole
+    chain's rank modulo the prime reaches, so that one elimination settles
+    the lower bound of every start."""
+    seq = RealizationSeq.load(_built_file(tmp_path, "ecs"))
+    calls = []
+    original = verify._rank_mod_prime
+    monkeypatch.setattr(verify, "_rank_mod_prime",
+                        lambda rows: calls.append(len(rows)) or original(rows))
+    result = structural_report(seq)
+    assert result.ok
+    assert calls == [3]
+    assert result.report["telescoped_kernel_ranks"] == [
+        {"from": i, "runs": [[i, 1]]} for i in range(1, 17)]
 
 
 def test_runs_are_change_points():
