@@ -4,8 +4,7 @@ equal-row-sum (ERS), and simultaneous (ECRS) dimension group realizations."""
 from .exact import (Matrix, UnimodularTransform, colsum_norm, content,
                     is_unimodular, map_content1_row, right_kernel_basis,
                     sup_norm)
-from .supernatural import (FactorSequence, SupernaturalNumber, decide_ecrs,
-                           from_factors, quotient_order)
+from .supernatural import FactorSequence, SupernaturalNumber, decide_ecrs
 from .perron import (PerronData, check_equal_sums_criterion, integer_perron,
                      is_primitive, unique_trace_diagnostic)
 from .traces import is_good_row, nearly_split_witness, trace_report

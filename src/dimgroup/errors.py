@@ -70,10 +70,6 @@ class ZeroRow(DimgroupError):
     pass
 
 
-class OutOfRange(DimgroupError):
-    pass
-
-
 # -- ecs_builder -----------------------------------------------------------
 
 class PTooSmall(DimgroupError):
@@ -97,10 +93,6 @@ class ParameterExtractionFailed(DimgroupError):
 
 
 # -- ers_builder -----------------------------------------------------------
-
-class SingularB(DimgroupError):
-    pass
-
 
 class RegimeViolation(DimgroupError):
     pass

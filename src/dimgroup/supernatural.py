@@ -9,10 +9,8 @@ supports with finite multiplicities are approximated by prefixes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import SchemaError
@@ -49,87 +47,55 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Trial division runs through the divisors below this bound; is_prime,
-# perfect-power roots and Pollard-Brent rho take what it leaves.
+# Trial division runs through the divisors below this bound; gcd
+# refinement takes the cofactors it leaves.
 _TRIAL_BOUND = 1 << 10
 _TRIAL_DIVISORS = (2, *range(3, _TRIAL_BOUND, 2))
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization, at a cost polynomial in the digits of n in
-    practice rather than in n: trial division below _TRIAL_BOUND, then
-    is_prime and _split on the cofactor."""
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    out: dict[int, int] = {}
-    for d in _TRIAL_DIVISORS:
-        if d * d > n:
-            if n > 1:
-                out[n] = out.get(n, 0) + 1
-            return out
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-    else:
-        for f in _split(n):
-            for p, e in factorize(f).items():
-                out[p] = out.get(p, 0) + e
-    return out
+def factorize(xs: Sequence[int]) -> list[tuple[int, int, bool]]:
+    """A factorization of prod(xs) into pairwise-coprime factors above 1:
+    (factor, exponent, is_prime(factor)) triples sorted by factor.
 
-
-def _split(n: int) -> list[int]:
-    """Factors of a composite n with no prime factor below _TRIAL_BOUND,
-    each above 1, multiplying to n: the root r, k times, when n = r^k, and
-    otherwise a divisor that Pollard-Brent rho finds and its cofactor.  Rho
-    alone would take about sqrt(r) steps on a square r^2."""
-    # every prime factor exceeds _TRIAL_BOUND = 2^10, so r^k has over 10k bits
-    for k in range(2, n.bit_length() // 10 + 1):
-        r = _iroot(n, k)
-        if r ** k == n:
-            return [r] * k
-    f = _rho_divisor(n)
-    return [f, n // f]
-
-
-def _iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)) by Newton's method from above."""
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _rho_divisor(n: int) -> int:
-    """A proper divisor of the odd composite n, by Brent's variant of
-    Pollard's rho (Brent 1980): iterate x -> x^2 + c mod n, batching the
-    differences into one gcd every 128 steps, and move to the next c on
-    the rare run whose cycle closes mod n itself."""
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:      # the batch overshot: redo it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
+    Trial division below _TRIAL_BOUND takes out the small primes.  The
+    cofactors it leaves are refined by gcds alone (Bernstein, "Factoring
+    into coprimes in essentially linear time", J. Algorithms 54, 2005, in
+    its naive quadratic form): two factors a, b with g = gcd(a, b) > 1
+    become g, a/g and b/g until the factors are pairwise coprime.  So the
+    cost is polynomial in the digits, not in the prime factors.  A factor
+    above _TRIAL_BOUND^2 that no other input splits may be composite; an x
+    below that bound is split into primes."""
+    small: dict[int, int] = {}
+    todo: list[tuple[int, int]] = []
+    for n in xs:
+        if n < 1:
+            raise ValueError(f"cannot factor {n}")
+        for d in _TRIAL_DIVISORS:
+            if d * d > n:
+                break
+            while n % d == 0:
+                small[d] = small.get(d, 0) + 1
+                n //= d
+        # n is 1, a prime below _TRIAL_BOUND, or free of such primes
+        if n >= _TRIAL_BOUND:
+            todo.append((n, 1))
+        elif n > 1:
+            small[n] = small.get(n, 0) + 1
+    # Each split lowers the product of the values held, so this stops.
+    coprime: dict[int, int] = {}
+    while todo:
+        a, e = todo.pop()
+        for b in coprime:
+            g = math.gcd(a, b)
+            if g > 1:
+                f = coprime.pop(b)
+                todo += [(x, k) for x, k in ((g, e + f), (a // g, e),
+                                             (b // g, f)) if x > 1]
+                break
+        else:
+            coprime[a] = e
+    return [(x, e, is_prime(x))
+            for x, e in sorted({**small, **coprime}.items())]
 
 
 @dataclass(frozen=True)
@@ -158,20 +124,6 @@ class SupernaturalNumber:
         for p, e in self.finite_part.items():
             if e <= 0:
                 raise SchemaError(f"multiplicity of {p} must be positive, got {e}")
-
-    def multiplicity(self, p: int):
-        if p in self.infinite_primes:
-            return INFINITE
-        return self.finite_part.get(p, 0)
-
-    def divides(self, x: Fraction) -> bool:
-        """Whether x lies in the subgroup of Q with this supernatural number,
-        i.e. the denominator of x fits under the multiplicities."""
-        for p, e in factorize(x.denominator).items():
-            m = self.multiplicity(p)
-            if m != INFINITE and e > m:
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -205,31 +157,6 @@ class FactorSequence:
 
     def __len__(self):
         return len(self.factors)
-
-
-def from_factors(seq: FactorSequence | Sequence[int]) -> SupernaturalNumber:
-    """Supernatural number of the product of a finite factor prefix."""
-    factors = list(seq)
-    if not factors:
-        raise SchemaError("empty factor sequence")
-    acc: dict[int, int] = {}
-    for p in factors:
-        for q, e in factorize(p).items():
-            acc[q] = acc.get(q, 0) + e
-    return SupernaturalNumber(acc)
-
-
-def quotient_order(u: SupernaturalNumber, l: int) -> int:
-    """|U/lU|: primes of l with finite multiplicity in U contribute fully,
-    infinite-multiplicity primes contribute 1 (multiplication by them is an
-    automorphism of U)."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    out = 1
-    for p, e in factorize(l).items():
-        if p not in u.infinite_primes:
-            out *= p ** e
-    return out
 
 
 def _ge(a, b) -> bool:

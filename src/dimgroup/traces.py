@@ -4,13 +4,12 @@ nearly-split witness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import NotECS, NotNonnegative, ZeroRow
 from .exact import Matrix, content, right_kernel_basis
 from .realization import RealizationSeq, json_str
-from .supernatural import SupernaturalNumber, from_factors, quotient_order
+from .supernatural import factorize
 
 
 def _stage_column_sums(seq: RealizationSeq) -> list[int]:
@@ -25,36 +24,33 @@ def _stage_column_sums(seq: RealizationSeq) -> list[int]:
 
 @dataclass(frozen=True)
 class TraceReport:
-    """Canonical trace data of an ECS realization."""
+    """Canonical trace data of an ECS realization.  The trace of a basis
+    vector at level i is 1/(c_1 ... c_{i-1}), c_j the column sum of stage
+    j, so the value group of the prefix is (1/prod c_j) Z."""
 
-    level_unit_values: tuple[Fraction, ...]   # trace of a basis vector per level
-    value_group: SupernaturalNumber           # union of (1/prod c_i) Z, prefix
+    value_group: list[tuple[int, int, bool]]  # factorize(column sums)
     faithful_claim: bool                      # by construction for ECS
     lam: int | None                           # |tau(G)/tau(H)| for an all-ones marker
 
     def to_json(self) -> dict:
         return {
-            "level_unit_values": [json_str(v) for v in self.level_unit_values],
-            "value_group": self.value_group.to_json(),
+            "value_group": [[json_str(x), e, prime]
+                            for x, e, prime in self.value_group],
             "faithful": self.faithful_claim,
             "lambda": self.lam,
         }
 
 
 def trace_report(seq: RealizationSeq) -> TraceReport:
-    sums = _stage_column_sums(seq)
-    units = [Fraction(1)]
-    for c in sums:
-        units.append(units[-1] / c)
-    nontrivial = [c for c in sums if c > 1]
-    group = from_factors(nontrivial) if nontrivial else SupernaturalNumber()
+    group = factorize(_stage_column_sums(seq))
     lam = None
     sizes = seq.level_sizes()
     if (seq.markers is not None and len(set(sizes)) == 1
             and all(all(x == 1 for x in h) for h in seq.markers)):
-        # tau(H) = s * tau(G), so the index is |U/sU| on the prefix.
-        lam = quotient_order(group, sizes[0])
-    return TraceReport(tuple(units), group, True, lam)
+        # tau(H) = s * tau(G), so the index is |U/sU| for U = (1/prod c_j) Z;
+        # the prefix makes U cyclic, and U/sU then has order s.
+        lam = sizes[0]
+    return TraceReport(group, True, lam)
 
 
 def is_good_row(w: Sequence[int]) -> bool:

@@ -30,6 +30,11 @@ elimination beyond one rank factorization per stage:
   two bounds differ is the core product built and eliminated exactly.  The
   report lists, per start, only the ends where the kernel rank changes, so
   it grows with n times the stage size rather than with n squared.
+- Trace: the value group is written as a factorization of the product of
+  the column sums into pairwise-coprime factors, found by trial division to
+  a fixed bound and gcds, so no large number is factored into primes; the
+  index of the marker subgroup is the stage size.  The report carries no
+  per-level values, which follow from the stages' column sums.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ from .realization import RealizationSeq, json_str, json_strs
 from .traces import is_good_row, nearly_split_witness, trace_report
 from .ers import verify_ers
 
-# The format of the report; "2" writes telescoped kernel ranks as runs.
-REPORT_VERSION = "2"
+# The format of the report; "2" writes telescoped kernel ranks as runs,
+# "3" the trace value group as a coprime factorization.
+REPORT_VERSION = "3"
 
 
 def _stage_report(idx: int, m: Matrix, designed: int) -> dict:

@@ -500,4 +500,36 @@ def test_verify_of_an_18_digit_prime_stage_is_fast(tmp_path, capsys):
     assert cli.main(["verify", "-i", path]) == cli.EXIT_OK
     assert time.perf_counter() - start < 0.1
     value_group = json.loads(capsys.readouterr().out)["trace"]["value_group"]
-    assert value_group == {"finite": {p: 1}, "infinite": []}
+    assert value_group == [[p, 1, True]]
+
+
+def test_verify_of_a_64_bit_semiprime_stage_is_fast(tmp_path, capsys):
+    """A column sum with two 64-bit prime factors is written as one coprime
+    factor, which gcds cannot split further, rather than factored into
+    primes, whose cost grows with the square root of the smaller one."""
+    n = str((2**64 - 59) * (2**64 - 83))
+    path = write(tmp_path, "semiprime.json", {
+        "version": "1", "kind": "realization", "properties": {"ecs": True},
+        "stages": [{"matrix": [[n]], "p": n}], "markers": None})
+    start = time.perf_counter()
+    assert cli.main(["verify", "-i", path]) == cli.EXIT_OK
+    assert time.perf_counter() - start < 0.1
+    value_group = json.loads(capsys.readouterr().out)["trace"]["value_group"]
+    assert value_group == [[n, 1, False]]
+
+
+def test_long_ecs_verify_report_is_linear_in_the_stage_count(tmp_path,
+                                                             capsys):
+    """A 512-stage ECS file (p_i = 101 + 2i, B = I) verifies to a report of
+    at most 300 KB: per-level trace values, quadratic in the stage count,
+    are not written."""
+    stages = [{"p": 101 + 2 * i, "v": [1, 2], "B": [[1, 0], [0, 1]]}
+              for i in range(512)]
+    path = write(tmp_path, "in.json", {"k": 2, "stages": stages})
+    out = str(tmp_path / "ecs.json")
+    assert cli.main(["build", "ecs", "-i", path, "-o", out]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["verify", "-i", out]) == cli.EXIT_OK
+    report = capsys.readouterr().out
+    assert len(json.loads(report)["stages"]) == 512
+    assert len(report.encode()) <= 300_000

@@ -4,8 +4,9 @@ from typing import Sequence
 
 import pytest
 
-from dimgroup.errors import (DimensionMismatch, Infeasible, InvariantViolated,
-                             KernelMismatch, RegimeViolation, SingularB)
+from dimgroup.errors import (DimensionMismatch, DimgroupError, Infeasible,
+                             InvariantViolated, KernelMismatch,
+                             RegimeViolation)
 from dimgroup.exact import Matrix, colsum_norm, sup_norm, vec_sub
 from dimgroup.ecs import AParams, general_ecs_matrix
 from dimgroup.ers import (ErsStage, ErsStageData, build_w_sequence,
@@ -70,6 +71,10 @@ def test_nearest_int_ties_toward_zero():
     assert nearest_int(Fraction(-5, 3)) == -2
     assert nearest_int(Fraction(1, 2)) == 0
     assert nearest_int(Fraction(-1, 2)) == 0
+
+
+class SingularB(DimgroupError):
+    pass
 
 
 # Row-lattice reduction is reached by no command (ers_pipeline rounds with

@@ -1,20 +1,13 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dimgroup.errors import SchemaError
 from dimgroup.supernatural import (INFINITE, FactorSequence,
                                    SupernaturalNumber, decide_ecrs,
-                                   factorize, from_factors, is_prime,
-                                   quotient_order)
-
-
-def test_from_factors_examples():
-    assert from_factors(FactorSequence((2, 2, 2))).finite_part == {2: 3}
-    assert from_factors(FactorSequence((6, 10))).finite_part == {2: 2, 3: 1, 5: 1}
-    assert from_factors(FactorSequence((7,))).finite_part == {7: 1}
+                                   factorize, is_prime)
 
 
 # Reached by no command; kept here as a checked definition.
@@ -29,68 +22,8 @@ def test_is_p_divisible():
     assert not is_p_divisible(SupernaturalNumber({7: 4}), 7)
 
 
-def test_quotient_order_examples():
-    no_inf = SupernaturalNumber({2: 5, 3: 5, 5: 2})
-    assert quotient_order(no_inf, 6) == 6          # U/lU = Z/lZ
-    assert quotient_order(SupernaturalNumber({}, frozenset([2])), 2) == 1
-    u = SupernaturalNumber({3: 5}, frozenset([2]))
-    assert quotient_order(u, 12) == 3
-
-
-def quotient_order_bruteforce(u: SupernaturalNumber, l: int) -> int:
-    """Independent oracle for |U/lU|.
-
-    U/lU is cyclic, generated by the class of a deep-level generator
-    g = 1/(finite part * infinite-prime-prefix); once the prefix depth
-    exceeds every p-adic valuation of l the quotient stabilizes, and the
-    order of [g] is the least n > 0 with n*g in lU.  Membership in lU is
-    decided purely from the definition: x in lU iff x/l has denominator
-    dividing the supernatural number.
-    """
-    fin = 1
-    for p, e in u.finite_part.items():
-        fin *= p ** e
-    inf = 1
-    for p in u.infinite_primes:
-        inf *= p
-    depth = l.bit_length() + 2   # deeper than any v_p(l)
-    g = Fraction(1, fin * inf ** depth)
-    for n in range(1, l + 1):
-        if u.divides(n * g / l):
-            return n
-    return l
-
-
-def test_quotient_order_against_bruteforce_and_properties():
-    rng = random.Random(17)
-    primes = [2, 3, 5, 7, 11, 13, 17]
-    for _ in range(40):
-        chosen = rng.sample(primes, rng.randint(1, 4))
-        fin = {p: rng.randint(1, 4) for p in chosen[:-1]}
-        inf = frozenset(chosen[-1:]) if rng.random() < 0.7 else frozenset()
-        u = SupernaturalNumber(fin, inf - set(fin))
-        for l in range(1, 31):
-            q = quotient_order(u, l)
-            assert q == quotient_order_bruteforce(u, l)
-            assert l % q == 0
-            full = all(p not in u.infinite_primes
-                       for p in range(2, l + 1) if l % p == 0 and _is_prime(p))
-            assert (q == l) == full
-            for m in range(1, 31):
-                if math.gcd(l, m) == 1:
-                    assert quotient_order(u, l * m) == q * quotient_order(u, m)
-
-
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
-def test_divides_membership():
-    u = SupernaturalNumber({3: 2}, frozenset([2]))
-    assert u.divides(Fraction(1, 9))
-    assert u.divides(Fraction(1, 2 ** 30))
-    assert not u.divides(Fraction(1, 27))
-    assert not u.divides(Fraction(1, 5))
 
 
 def test_decide_ecrs_examples():
@@ -118,8 +51,6 @@ def test_decide_ecrs_infinite_cases():
 def test_factor_sequence_validation():
     with pytest.raises(Exception):
         FactorSequence((1, 2))
-    with pytest.raises(Exception):
-        from_factors(FactorSequence(()))
 
 
 def test_json_round_trip():
@@ -190,25 +121,64 @@ def _random_prime(rng, bits):
             return n
 
 
-def _check_factorization(n, factors):
-    """Prime keys and a product of n: by unique factorization, the one
-    right answer."""
-    assert math.prod(p ** e for p, e in factors.items()) == n
-    assert all(is_prime(p) and e >= 1 for p, e in factors.items())
+def _trial_division(n):
+    """Prime factorization by trial division to the square root."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _check_factorization(xs, factors):
+    """Pairwise-coprime factors above 1, flagged by is_prime, in order,
+    whose powers multiply to the product of xs."""
+    assert [x for x, _, _ in factors] == sorted({x for x, _, _ in factors})
+    assert all(x > 1 and e >= 1 and prime == is_prime(x)
+               for x, e, prime in factors)
+    assert all(math.gcd(a, b) == 1
+               for i, (a, _, _) in enumerate(factors)
+               for b, _, _ in factors[i + 1:])
+    assert math.prod(x ** e for x, e, _ in factors) == math.prod(xs)
+
+
+def _primes_of(xs):
+    """The prime factorization of prod(xs), as factorize writes it."""
+    out = {}
+    for n in xs:
+        for p, e in _trial_division(n).items():
+            out[p] = out.get(p, 0) + e
+    return [(p, e, True) for p, e in sorted(out.items())]
+
+
+@given(st.lists(st.one_of(st.integers(1, 2**20 - 1),
+                          st.integers(1, 2**80)), max_size=8))
+def test_factorize_is_a_coprime_factorization(xs):
+    factors = factorize(xs)
+    _check_factorization(xs, factors)
+    if all(x < 2**20 for x in xs):
+        assert factors == _primes_of(xs)
 
 
 def test_factorize_small_numbers():
     for n in range(1, 5000):
-        _check_factorization(n, factorize(n))
+        assert factorize([n]) == _primes_of([n])
 
 
 def test_factorize_splits_products_of_two_30_bit_primes():
+    """A product of two large primes is split by a gcd with another input
+    that shares one of them."""
     rng = random.Random(30)
     for _ in range(8):
-        p, q = _random_prime(rng, 30), _random_prime(rng, 30)
-        factors = factorize(p * q)
-        _check_factorization(p * q, factors)
-        assert set(factors) == {p, q}
+        p, q, r = (_random_prime(rng, 30) for _ in range(3))
+        assert factorize([p * q]) == [(p * q, 1, False)]
+        factors = factorize([p * q, p * r])
+        _check_factorization([p * q, p * r], factors)
+        assert factors == sorted([(p, 2, True), (q, 1, True), (r, 1, True)])
 
 
 @pytest.mark.parametrize("p,e", [
@@ -216,12 +186,31 @@ def test_factorize_splits_products_of_two_30_bit_primes():
     (2**61 - 1, 4),
 ])
 def test_factorize_prime_powers(p, e):
-    assert factorize(p ** e) == {p: e}
+    """A power of a large prime stays whole; next to its base it splits."""
+    assert factorize([p ** e, p]) == [(p, e + 1, True)]
+    assert factorize([p ** e]) == ([(p, e, True)] if p < 2**10
+                                   else [(p ** e, 1, False)])
 
 
 def test_factorize_mixed_products():
+    """Each prime of the product is itself an input, so the coprime
+    factors are the primes."""
     rng = random.Random(31)
     for _ in range(8):
         parts = [_random_prime(rng, rng.randint(2, 28)) for _ in range(4)]
-        n = math.prod(parts) * parts[0]
-        _check_factorization(n, factorize(n))
+        xs = [math.prod(parts) * parts[0], *parts]
+        assert factorize(xs) == _primes_of(xs)
+
+
+def test_factorize_two_64_bit_primes():
+    """Products of 64-bit primes are refined by gcds, never factored."""
+    q, p = 2**64 - 83, 2**64 - 59
+    assert is_prime(q) and is_prime(p)
+    assert factorize([p * q]) == [(p * q, 1, False)]
+    assert factorize([p * q, 3 * p * p * q]) == \
+        [(3, 1, True), (q, 2, True), (p, 3, True)]
+
+
+def test_factorize_rejects_nonpositive_numbers():
+    with pytest.raises(ValueError):
+        factorize([5, 0])

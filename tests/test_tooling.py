@@ -139,3 +139,30 @@ def test_every_export_is_used_in_the_package_or_allowed():
         (Path(__file__).parent / "test_acceptance.py").read_text())
     assert ACCEPTANCE_EXPORTS <= {node.id for node in ast.walk(acceptance)
                                   if isinstance(node, ast.Name)}
+
+
+def test_every_error_class_is_raised_in_the_package():
+    """An error class in ``errors.py`` is raised by name in another module
+    of the package, or is a base of one that is.  A class that only the
+    tests raise belongs in the test module that raises it."""
+    pkg = Path(dimgroup.__file__).parent
+    tree = ast.parse((pkg / "errors.py").read_text())
+    bases = {node.name: [base.id for base in node.bases]
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    needed = raised & set(bases)
+    todo = list(needed)
+    while todo:
+        for base in bases[todo.pop()]:
+            if base in bases and base not in needed:
+                needed.add(base)
+                todo.append(base)
+    assert sorted(set(bases) - needed) == []

@@ -6,8 +6,8 @@ from typing import Sequence
 import pytest
 from hypothesis import given, strategies as st
 
-from dimgroup.errors import (DimensionMismatch, NotECS, NotNonnegative,
-                             OutOfRange, ZeroRow)
+from dimgroup.errors import (DimensionMismatch, DimgroupError, NotECS,
+                             NotNonnegative, ZeroRow)
 from dimgroup.exact import Matrix, right_kernel_basis
 from dimgroup.realization import RealizationSeq
 from dimgroup.traces import (NearlySplitReport, _common_eigenvectors,
@@ -20,6 +20,10 @@ def _ecs_seq():
     data = ExtensionData(1, (Stage(5, (0,), Matrix.identity(1)),
                              Stage(7, (0,), Matrix.identity(1))))
     return ecs_pipeline(data)
+
+
+class OutOfRange(DimgroupError):
+    pass
 
 
 # The trace of one element, the greedy rebalance and the equal-trace
@@ -107,8 +111,8 @@ def test_trace_requires_ecs():
 def test_trace_report_value_group():
     seq = _ecs_seq()
     rep = trace_report(seq)
-    assert rep.level_unit_values == (Fraction(1), Fraction(1, 5), Fraction(1, 35))
-    assert rep.value_group.finite_part == {5: 1, 7: 1}
+    assert rep.value_group == [(5, 1, True), (7, 1, True)]
+    assert rep.to_json()["value_group"] == [["5", 1, True], ["7", 1, True]]
     assert rep.faithful_claim
 
 

@@ -282,7 +282,7 @@ def test_long_built_ecs_file_reports_one_run_per_start(tmp_path):
     assert len(seq) == 256
     result = structural_report(seq)
     assert result.ok
-    assert result.report["report_version"] == "2"
+    assert result.report["report_version"] == "3"
     assert result.report["telescoped_kernel_ranks"] == [
         {"from": i, "runs": [[i, 1]]} for i in range(1, 257)]
 
