@@ -13,6 +13,7 @@ vector z = (k+1, -1, ..., -1)^T.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -26,6 +27,8 @@ from .realization import (RealizationSeq, groups, json_int, json_list,
                           json_matrix, parsing)
 
 DEFAULT_EPSILON = Fraction(1, 100)
+
+_log = logging.getLogger(__name__)
 
 
 # -- data model -----------------------------------------------------------------
@@ -165,9 +168,12 @@ def general_ecs_matrix(p: int, v: Sequence[int], b: Matrix,
 def choose_a_params(p: int, v: Sequence[int], b: Matrix) -> AParams:
     """Smallest uniform a >= 1 making the bordered matrix nonnegative.
 
-    All non-top entries increase with a and the top row decreases, so the
-    minimal feasible a is forced; if even it fails the top row, p is too
-    small relative to (v, B) and the caller should telescope further.
+    The bound loop makes every entry below the top row nonnegative, and
+    they all increase with a, so the minimal a is forced.  The top row is
+    p minus the lower column sums: sum(v) + (k+1) a for column 0, plus
+    colsum_j(B) for middle column j and -sum(B) for the last.  If the
+    largest exceeds p, p is too small relative to (v, B) and the caller
+    should telescope further.  No matrix is built.
     """
     k = len(v)
     lower = 1
@@ -177,24 +183,29 @@ def choose_a_params(p: int, v: Sequence[int], b: Matrix) -> AParams:
         lower = max(lower, brow_sums[i] - v[i])        # column k+1
         for j in range(k):
             lower = max(lower, -(b[i, j] + v[i]))      # middle block
-    a = AParams.uniform(k, lower)
-    m = general_ecs_matrix(p, v, b, a)
-    if not m.is_nonnegative():
+    # Column 0 is never the widest alone: if every colsum_j(B) < 0, then
+    # -sum(B) > 0.
+    widest = max(max(b.column_sums()), -sum(brow_sums))
+    if sum(v) + (k + 1) * lower + widest > p:
         raise Infeasible(
             f"no uniform a makes the bordered matrix nonnegative at p={p}")
-    return a
+    return AParams.uniform(k, lower)
 
 
 def bordered_stage(idx: int, p: int, v: Sequence[int], b: Matrix) -> Matrix:
     """The bordered matrix of stage ``idx`` for stage data (p, v, B) with the
-    smallest uniform free parameters, checked to have every column sum p,
-    to annihilate the kernel vector and to be primitive; each failure names
-    the stage."""
+    smallest uniform free parameters (choose_a_params), built once and
+    checked to be nonnegative, to have every column sum p, to annihilate
+    the kernel vector z (so its rank is at most k+1) and to be primitive;
+    each failure names the stage."""
     try:
         a = choose_a_params(p, v, b)
     except Infeasible as exc:
         raise Infeasible(str(exc), stage=idx) from None
     m = general_ecs_matrix(p, v, b, a)
+    if not m.is_nonnegative():
+        raise InvariantViolated("negative entry despite the chosen a",
+                                stage=idx)
     if set(m.column_sums()) != {p}:
         raise InvariantViolated("column sums broke ECS by-construction",
                                 stage=idx)
@@ -248,14 +259,14 @@ def normalize_extension(data: ExtensionData) -> tuple[ExtensionData, list[tuple[
     """Equivalent data with 0 <= v < p entrywise, plus the correction
     vectors u^m; equivalence is witnessed by the commuting squares
     F_{m+1} M_m = M'_m F_m with F_m = [[1, 0], [d_m, I]], d_1 = 0 and
-    d_{m+1} = -u^m.  A stage whose v is already normalized is kept as it
-    is."""
+    d_{m+1} = -u^m.  B d is taken only where d is nonzero, and a stage whose
+    v is already normalized is kept as it is."""
     k = data.k
     d = tuple([0] * k)
     stages = []
     us = []
     for st in data.stages:
-        v_eff = vec_sub(st.v, st.b.mul_vector(d))
+        v_eff = vec_sub(st.v, st.b.mul_vector(d)) if any(d) else st.v
         u = tuple(x // st.p for x in v_eff)
         v_new = vec_sub(v_eff, vec_scale(st.p, u))
         stages.append(st if v_new == st.v else Stage(st.p, v_new, st.b))
@@ -309,6 +320,15 @@ def _candidate_cuts(n: int):
             yield list(range(drop, n, block))
 
 
+def _within(st: Stage, nxt: Stage, epsilon: Fraction) -> bool:
+    """The ratios v/p of two stages are equal or differ by less than epsilon
+    in max norm, tested in integers: the gap max |v_i p' - v'_i p| over
+    p p' is below num/den iff gap * den < num * p p'."""
+    gap = max(abs(x * nxt.p - y * st.p) for x, y in zip(st.v, nxt.v))
+    return (gap == 0
+            or gap * epsilon.denominator < epsilon.numerator * st.p * nxt.p)
+
+
 def _convergent_cuts(data: ExtensionData, epsilon: Fraction):
     """Candidate cuts, finest first, after which consecutive telescoped
     ratios v/q differ by less than epsilon in max norm (exactly equal ratios
@@ -317,10 +337,8 @@ def _convergent_cuts(data: ExtensionData, epsilon: Fraction):
     found = False
     for cuts in _candidate_cuts(len(data.stages)):
         tele = telescope_extension(data, cuts)
-        ratios = [_ratio(st) for st in tele.stages]
-        diffs = (max(abs(a - b) for a, b in zip(r1, r2))
-                 for r1, r2 in zip(ratios, ratios[1:]))
-        if all(diff == 0 or diff < epsilon for diff in diffs):
+        if all(_within(st, nxt, epsilon)
+               for st, nxt in zip(tele.stages, tele.stages[1:])):
             found = True
             yield cuts, tele
     if not found:
@@ -344,8 +362,14 @@ def _build_from_telescoped(tele: ExtensionData) -> RealizationSeq:
         v_new = vec_add(vec_add(vec_scale(st.p, w), em.mul_vector(st.v)),
                         tuple(-x for x in b_new.mul_vector(w)))
         m = bordered_stage(idx, st.p, v_new, b_new)
-        if m.rank() != k + 1:
-            raise InvariantViolated(f"rank {m.rank()} != k+1", stage=idx)
+        # M z = 0 caps the rank at k+1.  The k+1 rows below the top reach
+        # it whenever a >= 1 and det B != 0: less the bottom row, then less
+        # column 0, they are [[v, B, -B 1], [a, 0, ..., 0]].
+        lower = Matrix._exact_rows([m.row(i) for i in range(1, k + 2)])
+        rank = lower.rank()
+        if rank != k + 1:
+            raise InvariantViolated(
+                f"rank {rank} != k+1 for the rows below the top", stage=idx)
         mats.append(m)
     return RealizationSeq(tuple(mats), tuple(st.p for st in tele.stages),
                           None, {"ecs": True}, {"pipeline": "ecs", "k": k})
@@ -372,6 +396,8 @@ def ecs_pipeline(data: ExtensionData,
         try:
             seq = _build_from_telescoped(tele)
         except (Infeasible, NotPrimitive) as exc:
+            _log.info("grouping %s rejected: %s at stage %s", cuts,
+                      type(exc).__name__, exc.stage)
             last_error = exc
             continue
         return replace(seq, provenance={**seq.provenance, "cuts": cuts,

@@ -14,13 +14,17 @@ from .exact import Matrix, right_kernel_basis
 
 def is_primitive(a: Matrix) -> bool:
     """True iff some power of the nonnegative square matrix a is entrywise
-    positive; powers of the zero pattern are tested up to the Wielandt bound
+    positive.  A positive cross, an index j whose row j and column j are
+    both positive, certifies it at once: (a^2)_il >= a_ij a_jl > 0.  Without
+    one, powers of the zero pattern are tested up to the Wielandt bound
     (s-1)^2 + 1, so entries never blow up."""
     if not a.is_square:
         raise NonSquare("primitivity needs a square matrix")
     if not a.is_nonnegative():
         raise NotNonnegative("primitivity test requires nonnegative entries")
     s = a.rows
+    if any(min(a.row(j)) > 0 and min(a.col(j)) > 0 for j in range(s)):
+        return True
     full = (1 << s) - 1
     base = [sum(1 << j for j, x in enumerate(a.row(i)) if x) for i in range(s)]
     power = base
@@ -110,14 +114,18 @@ def _perron_vector(a: Matrix, root: int,
                    left: bool = False) -> tuple[int, ...]:
     """Content-1 vector spanning ker(a - root I), or with ``left`` the row
     vectors w with w a = root w, for primitive a.  Constant row (column)
-    sums give the all-ones vector; only a kernel solve reads a^T."""
+    sums give the all-ones vector; only a kernel solve reads a^T.  Where
+    every column of the solved matrix sums to root, the rows of a - root I
+    sum to zero, so the last one is left out of the solve."""
     if len(set(a.column_sums() if left else a.row_sums())) == 1:
         return (1,) * a.rows
     if left:
         a = a.transpose()
-    basis = right_kernel_basis(Matrix._exact_rows(
-        [[x - root if i == j else x for j, x in enumerate(a.row(i))]
-         for i in range(a.rows)]))
+    shifted = [[x - root if i == j else x for j, x in enumerate(a.row(i))]
+               for i in range(a.rows)]
+    if set(a.column_sums()) == {root}:
+        shifted.pop()
+    basis = right_kernel_basis(Matrix._exact_rows(shifted))
     if len(basis) != 1 or not all(x > 0 for x in basis[0]):
         raise InvariantViolated(
             f"Perron root {root} of a primitive matrix has no simple, "

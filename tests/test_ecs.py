@@ -1,9 +1,11 @@
+import json
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
-from dimgroup import ecs
+from dimgroup import cli, ecs
 from dimgroup.errors import (BadCutPoints, HorizonExhausted, Infeasible,
                              ParameterExtractionFailed, PTooSmall, SchemaError)
 from dimgroup.exact import Matrix, is_unimodular
@@ -128,6 +130,62 @@ def test_choose_a_params():
     assert choose_a_params(100, (-3, 1), Matrix.identity(2)).values == (4,) * 4
     with pytest.raises(Infeasible):
         choose_a_params(3, (5, 5), Matrix.identity(2))
+
+
+def _smallest_uniform_a(p, v, b):
+    """Reference for choose_a_params: the least a >= 1 for which every
+    entry below the top row of the built uniform matrix is nonnegative,
+    found by trying a = 1, 2, ...; then that matrix, or Infeasible when its
+    top row has a negative entry."""
+    k = len(v)
+    a = 1
+    while True:
+        m = general_ecs_matrix(p, v, b, AParams.uniform(k, a))
+        if all(min(m.row(i)) >= 0 for i in range(1, k + 2)):
+            break
+        a += 1
+    if not m.is_nonnegative():
+        raise Infeasible("top row negative")
+    return a
+
+
+def test_choose_a_params_matches_building_the_matrix():
+    rng = random.Random(61)
+    outcomes = {"feasible": 0, "infeasible": 0}
+    for _ in range(600):
+        k = rng.randint(1, 3)
+        b = Matrix.from_rows([[rng.randint(-4, 4) for _ in range(k)]
+                              for _ in range(k)])
+        v = tuple(rng.randint(-12, 12) for _ in range(k))
+        p = rng.randint(2, 120)
+        try:
+            expected = _smallest_uniform_a(p, v, b)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                choose_a_params(p, v, b)
+            outcomes["infeasible"] += 1
+        else:
+            assert choose_a_params(p, v, b) == AParams.uniform(k, expected)
+            outcomes["feasible"] += 1
+    assert min(outcomes.values()) >= 100
+
+
+def test_choose_a_params_feasibility_edge():
+    """At the least p whose built top row is nonnegative, the top row is 0
+    in the widest lower column alone (a middle one, then the last one), and
+    one less p is Infeasible."""
+    cases = [((1, 2), Matrix.from_rows([[3, 0], [1, 2]]), 1),
+             ((9, 9), Matrix.from_rows([[-3, -1], [0, -2]]), 3)]
+    big = 10 ** 6
+    for v, b, widest in cases:
+        a = AParams.uniform(2, _smallest_uniform_a(big, v, b))
+        p = big - min(general_ecs_matrix(big, v, b, a).row(0))
+        assert choose_a_params(p, v, b) == a
+        top = general_ecs_matrix(p, v, b, a).row(0)
+        assert min(top) == 0 and [j for j, x in enumerate(top) if x == 0] \
+            == [widest]
+        with pytest.raises(Infeasible):
+            choose_a_params(p - 1, v, b)
 
 
 def test_reduce_vector_examples():
@@ -267,6 +325,50 @@ def test_select_convergent_prefix():
         select_convergent_prefix(nonstationary, Fraction(0))
 
 
+def _ratio_gap(st, nxt):
+    return max(abs(Fraction(x, st.p) - Fraction(y, nxt.p))
+               for x, y in zip(st.v, nxt.v))
+
+
+def _within_by_fractions(st, nxt, epsilon):
+    """Reference for ecs._within: the max-norm gap of the ratios v/p as a
+    Fraction, passing when it is 0 or below epsilon."""
+    gap = _ratio_gap(st, nxt)
+    return gap == 0 or gap < epsilon
+
+
+def test_integer_convergence_test_matches_fractions():
+    one = Matrix.identity(1)
+    # equal ratios pass at every epsilon, 0 included
+    for eps in (Fraction(0), Fraction(1, 100), Fraction(-1, 3)):
+        assert ecs._within(Stage(4, (1,), one), Stage(12, (3,), one), eps)
+    # a gap of exactly epsilon fails; just below it passes
+    st, nxt = Stage(10, (1,), one), Stage(10, (2,), one)
+    assert not ecs._within(st, nxt, Fraction(1, 10))
+    assert ecs._within(st, nxt, Fraction(101, 1000))
+    assert not ecs._within(st, nxt, Fraction(0))
+    rng = random.Random(67)
+    epsilons = [Fraction(0), Fraction(1, 100), Fraction(1, 10),
+                Fraction(1, 2), Fraction(3, 7)]
+    passed = 0
+    for _ in range(3000):
+        k = rng.randint(1, 3)
+        b = Matrix.identity(k)
+        st = Stage(rng.randint(2, 30), tuple(rng.randint(-9, 30)
+                                             for _ in range(k)), b)
+        if rng.random() < 0.2:      # equal or scaled ratios
+            c = rng.randint(1, 4)
+            nxt = Stage(st.p * c, tuple(c * x for x in st.v), b)
+        else:
+            nxt = Stage(rng.randint(2, 30), tuple(rng.randint(-9, 30)
+                                                  for _ in range(k)), b)
+        eps = rng.choice(epsilons + [_ratio_gap(st, nxt)])
+        got = ecs._within(st, nxt, eps)
+        assert got == _within_by_fractions(st, nxt, eps)
+        passed += got
+    assert 300 < passed < 2700
+
+
 def test_ecs_pipeline_split_data():
     data = ExtensionData(1, (Stage(5, (0,), Matrix.identity(1)),
                              Stage(7, (0,), Matrix.identity(1)),
@@ -346,6 +448,54 @@ def test_ecs_pipeline_takes_no_determinant_of_settled_stages(monkeypatch):
     monkeypatch.setattr(Matrix, "det", counted)
     assert ecs_pipeline(data).provenance["cuts"] == [0, 1, 2, 3]
     assert calls == []
+
+
+def test_build_ecs_makes_one_matrix_and_no_square_rank_per_stage(
+        tmp_path, monkeypatch):
+    """An n-stage build forms each bordered matrix once and proves its rank
+    on the k+1 rows below the top, never on the (k+2)-square matrix."""
+    n, k = 5, 2
+    payload = {"k": k, "stages": [{"p": 101 + 2 * i, "v": [0, 0],
+                                   "B": [[1, 0], [0, 2]]} for i in range(n)]}
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    built, ranked = [], []
+    general, rank = ecs.general_ecs_matrix, Matrix.rank
+
+    def counted_general(*args):
+        built.append(args)
+        return general(*args)
+
+    def counted_rank(m):
+        ranked.append((m.rows, m.cols))
+        return rank(m)
+    monkeypatch.setattr(ecs, "general_ecs_matrix", counted_general)
+    monkeypatch.setattr(Matrix, "rank", counted_rank)
+    assert cli.main(["build", "ecs", "-i", str(inp),
+                     "-o", str(tmp_path / "out.json")]) == 0
+    assert len(built) == n
+    assert ranked == [(k + 1, k + 2)] * n
+
+
+def test_rejected_groupings_are_logged(tmp_path, caplog, capsys):
+    """The stream p_i = 101 + 2i, v = (3 + i mod 5, 7), B = diag(1, 2) at
+    n = 8 has one convergent grouping, and it is infeasible at stage 1."""
+    stages = [{"p": 101 + 2 * i, "v": [(3 + i) % 5, 7],
+               "B": [[1, 0], [0, 2]]} for i in range(8)]
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"k": 2, "stages": stages}))
+    caplog.set_level(logging.INFO, logger="dimgroup.ecs")
+    assert cli.main(["build", "ecs", "-i", str(inp),
+                     "-o", str(tmp_path / "out.json")]) == 3
+    records = [r for r in caplog.records if r.name == "dimgroup.ecs"]
+    assert [r.getMessage() for r in records] \
+        == ["grouping [0, 4] rejected: Infeasible at stage 1"]
+    assert records[0].levelno == logging.INFO
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "Infeasible",
+        "message": "stage 1: no uniform a makes the bordered matrix "
+                   "nonnegative at p=116877705",
+        "stage": 1}
 
 
 def test_ecs_pipeline_infeasible_small_p():

@@ -10,6 +10,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 from dimgroup.errors import (DimensionMismatch, NonSquare,
                              NotIntegerEigenvalue, NotNonnegative,
                              NotPrimitive)
+from dimgroup import perron
 from dimgroup.exact import Matrix, right_kernel_basis
 from dimgroup.perron import (_perron_vector, check_equal_sums_criterion,
                              integer_perron, is_primitive, perron_root,
@@ -23,6 +24,41 @@ def test_is_primitive_examples():
     assert not is_primitive(Matrix.from_rows([[0]]))
     with pytest.raises(NotNonnegative):
         is_primitive(Matrix.from_rows([[1, -1], [1, 1]]))
+
+
+def _wielandt_primitive(a: Matrix) -> bool:
+    """Reference for is_primitive: boolean powers of the zero pattern up to
+    the Wielandt bound (s-1)^2 + 1, with no positive-cross shortcut."""
+    s = a.rows
+    pattern = [[x > 0 for x in a.row(i)] for i in range(s)]
+    power = pattern
+    for _ in range((s - 1) ** 2 + 1):
+        if all(all(row) for row in power):
+            return True
+        power = [[any(power[i][m] and pattern[m][j] for m in range(s))
+                  for j in range(s)] for i in range(s)]
+    return all(all(row) for row in power)
+
+
+def test_is_primitive_matches_the_wielandt_loop():
+    """The positive cross needs row j and column j of one index j: a
+    positive row 0 and a positive column 1 do not make [[1,1],[0,1]]
+    primitive."""
+    for rows, expected in (([[1, 1], [0, 1]], False), ([[0]], False),
+                           ([[1]], True)):
+        m = Matrix.from_rows(rows)
+        assert is_primitive(m) == _wielandt_primitive(m) == expected
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        s = rng.randint(1, 7)
+        density = rng.choice([0.2, 0.35, 0.5, 0.8])
+        m = Matrix.from_rows([[int(rng.random() < density)
+                               for _ in range(s)] for _ in range(s)])
+        expected = _wielandt_primitive(m)
+        assert is_primitive(m) == expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 300
 
 
 def test_is_primitive_transpose_symmetry():
@@ -131,13 +167,13 @@ def test_integer_perron_one_charpoly_for_huge_sum_range(monkeypatch):
 
 
 @st.composite
-def _perron_matrices(draw):
+def _perron_matrices(draw, kinds=("both", "rows", "columns", "neither")):
     """Nonnegative matrices with an integer Perron root and constant row and
     column sums, constant row sums only, constant column sums only, or
     neither.  Row i of T gets its diagonal raised until T v = m v; then
     A = T L / v (columnwise, L = lcm v) has A v = L m v."""
     s = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["both", "rows", "columns", "neither"]))
+    kind = draw(st.sampled_from(kinds))
     entries = st.integers(0, 4)
     if kind == "both":
         perms = draw(st.lists(st.permutations(range(s)), min_size=1,
@@ -171,6 +207,29 @@ def test_integer_perron_matches_the_kernels(m):
     assert right_kernel_basis(shifted.transpose()) == [pd.left]
     assert pd.verify(m)
 
+
+
+@settings(deadline=None, max_examples=200)
+@given(_perron_matrices(kinds=("rows", "columns")))
+def test_perron_vector_solves_without_the_redundant_row(m):
+    """Constant column sums and unequal row sums (or, for the left vector,
+    the reverse) make the rows of the solved A - rho I sum to zero, so the
+    kernel solve sees one row fewer and returns the vector of the full
+    kernel."""
+    left = len(set(m.column_sums())) > 1
+    assume(is_primitive(m) and (left or len(set(m.row_sums())) > 1))
+    root = perron_root(m)
+    shifted = m - Matrix.identity(m.rows).scale(root)
+    full = right_kernel_basis(shifted.transpose() if left else shifted)
+    solved = []
+
+    def counted(a):
+        solved.append((a.rows, a.cols))
+        return right_kernel_basis(a)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perron, "right_kernel_basis", counted)
+        assert [_perron_vector(m, root, left=left)] == full
+    assert solved == [(m.rows - 1, m.rows)]
 
 
 @settings(deadline=None, max_examples=200)

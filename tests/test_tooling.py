@@ -109,6 +109,50 @@ def test_json_is_written_only_through_the_c_encoder():
     assert found == []
 
 
+_LOG_METHODS = {"debug", "info", "warning", "warn", "error", "exception",
+                "critical", "log"}
+
+
+def _logging_calls(tree) -> list:
+    """Calls of a logging method on ``logging`` or on a module-level name
+    bound to ``logging.getLogger(...)``."""
+    loggers = {"logging"}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "getLogger"):
+            loggers |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return [call for call in ast.walk(tree) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in _LOG_METHODS
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id in loggers]
+
+
+def test_log_messages_are_constant_format_strings():
+    """A log message is a string constant with lazy ``%`` arguments, so a
+    record that no handler takes costs no formatting; an f-string, a
+    ``%``-formatted or concatenated message would be built on every call."""
+    found = []
+    for path in sorted(Path(dimgroup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for call in _logging_calls(tree):
+            args = call.args[1:] if call.func.attr == "log" else call.args
+            if not (args and isinstance(args[0], ast.Constant)
+                    and isinstance(args[0].value, str)):
+                found.append(f"{path.name}:{call.lineno}")
+    assert found == []
+
+
+def test_logging_call_finder_sees_the_package_loggers():
+    tree = ast.parse('import logging\n_log = logging.getLogger(__name__)\n'
+                     '_log.info(f"{x}")\nlogging.log(10, "%s", x)\n'
+                     'other.info(x)\n')
+    assert [call.lineno for call in _logging_calls(tree)] == [3, 4]
+    ecs = Path(dimgroup.__file__).parent / "ecs.py"
+    assert _logging_calls(ast.parse(ecs.read_text()))
+
+
 # Exports that no other code in the package calls, each kept because an
 # acceptance criterion reproduces a result of the paper with it.
 ACCEPTANCE_EXPORTS = {"split_ecs_matrix", "b_compose", "is_unimodular",
