@@ -21,7 +21,8 @@ from typing import Sequence
 from .errors import (DimensionMismatch, HorizonExhausted, Infeasible,
                      InvariantViolated, NotNonnegative, NotPrimitive,
                      ParameterExtractionFailed, PTooSmall, SchemaError)
-from .exact import (Matrix, UnimodularTransform, vec_add, vec_scale, vec_sub)
+from .exact import (Matrix, UnimodularTransform, _as_exact, vec_add, vec_scale,
+                    vec_sub)
 from .perron import is_primitive
 from .realization import (RealizationSeq, groups, json_int, json_list,
                           json_matrix, parsing)
@@ -145,12 +146,15 @@ def general_ecs_matrix(p: int, v: Sequence[int], b: Matrix,
     cols 1..k = B + v 1^T + 1 (a_1..a_k), col k+1 = v - B 1 + a_{k+1} 1.  The
     top row is always computed as p minus the lower column sums, which makes
     the output ECS by construction; nonnegativity is checked by callers, not
-    forced here.
+    forced here.  p, v and a are checked to be exact once; every entry is
+    then exact arithmetic on them and on the checked B.
     """
     k = len(v)
     if not b.is_square or b.rows != k or len(a.values) != k + 2:
         raise DimensionMismatch("inconsistent dimensions for bordered matrix")
     avals = a.values
+    for x in (p, *v, *avals):
+        _as_exact(x)
     brow_sums = b.row_sums()
     middle = []
     for i in range(k):
@@ -162,7 +166,7 @@ def general_ecs_matrix(p: int, v: Sequence[int], b: Matrix,
     bottom = list(avals)
     top = [p - sum(middle[i][j] for i in range(k)) - bottom[j]
            for j in range(k + 2)]
-    return Matrix.from_rows([top] + middle + [bottom])
+    return Matrix._exact_rows([top] + middle + [bottom])
 
 
 def choose_a_params(p: int, v: Sequence[int], b: Matrix) -> AParams:

@@ -2,7 +2,9 @@
 
 Everything here is exact: matrices hold Python ints or ``fractions.Fraction``
 entries; determinants, ranks, inverses and kernel bases all come from one
-fraction-free (Bareiss) elimination on integer rows; and unimodular transforms
+fraction-free (Bareiss) elimination on integer rows, each distinct nonzero
+row of the matrix taken once, so a matrix of many repeated and zero rows is
+eliminated on its few distinct ones; and unimodular transforms
 are retained as replayable lists of elementary operations, so whole matrix
 sequences are conjugated simultaneously by replaying the operations, at
 O(len(ops) * size) per matrix.  No floating point anywhere.
@@ -276,14 +278,20 @@ class Matrix:
                                     for row in rows for x in row[n:]])
 
 
-def _integer_rows(rows: Iterable[Sequence[Number]]) -> tuple[list[Sequence[int]], int]:
-    """Each row times the lcm of its denominators, as ints, and the product
-    of those scales.  Row scaling leaves rank and kernel unchanged and
-    multiplies the determinant by the returned product.  A row of ints is
-    passed through as it is: _eliminate replaces rows, never edits them."""
+def _integer_rows(rows: Iterable[tuple[Number, ...]]) -> tuple[list[Sequence[int]], int]:
+    """Each distinct nonzero row, once and in first-seen order, times the
+    lcm of its denominators, as ints; and the product of those scales.
+
+    A repeated or zero row adds no pivot and no kernel constraint, so rank,
+    pivot columns, the row space and kernel are those of the whole matrix,
+    and a square matrix that loses a row here is singular.  Row scaling
+    leaves rank and kernel unchanged and multiplies the determinant by the
+    returned product.  The final pivot d of _eliminate is that of the
+    distinct rows.  A row of ints is passed through as it is: _eliminate
+    replaces rows, never edits them."""
     out = []
     scale = 1
-    for row in rows:
+    for row in filter(any, dict.fromkeys(rows)):
         if all(type(x) is int for x in row):
             out.append(row)
             continue
@@ -308,7 +316,7 @@ def _eliminate(rows: list[Sequence[int]]) -> tuple[list[int], int, int]:
     nrows = len(rows)
     pivots: list[int] = []
     prev = sign = 1
-    for c in range(len(rows[0])):
+    for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         if r == nrows:
             break
@@ -395,7 +403,9 @@ def rank_factorization(m: Matrix) -> tuple[list[int], list[Sequence[int]]]:
 
     R is d times the nonzero part of the reduced row echelon form, which row
     scaling leaves unchanged; the left factor must therefore be taken from
-    the columns of m itself, never from a row-scaled copy.
+    the columns of m itself, never from a row-scaled copy.  d is the final
+    pivot of the elimination of m's distinct nonzero rows, so it depends on
+    which rows repeat, while p and d^-1 R do not.
     """
     rows, _ = _integer_rows(map(m.row, range(m.rows)))
     pivots, _, _ = _eliminate(rows)

@@ -26,6 +26,8 @@ from .exact import Matrix
 FILE_VERSION = "1"
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+# A row of decimal strings joined by commas.
+_DECIMAL_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 # The most characters of a rejected value that an error message repeats.
 _ECHO = 80
@@ -52,15 +54,19 @@ def json_list(x) -> list:
 
 def json_matrix(x) -> Matrix:
     """A JSON array of integer rows as a Matrix, each entry checked once.
-    A row of decimal strings is matched and converted by one C-level pass
-    each; any other row goes through json_int entry by entry, which gives
-    the error for a bad entry."""
+    A row of decimal strings is checked whole: joined by commas, it holds
+    one comma fewer than it has entries (so no entry holds a comma) and
+    fullmatches _DECIMAL_ROW (so each entry fullmatches _DECIMAL), and is
+    converted by one C-level pass.  Any other row goes through json_int
+    entry by entry, which gives the error for a bad entry."""
     rows = []
     for row in map(json_list, json_list(x)):
         try:
-            decimal = all(map(_DECIMAL.fullmatch, row))
+            text = ",".join(row)
         except TypeError:       # an entry that is not a string
-            decimal = False
+            text = ""
+        decimal = (text.count(",") == len(row) - 1
+                   and _DECIMAL_ROW.fullmatch(text))
         rows.append(list(map(int, row)) if decimal
                     else [json_int(v) for v in row])
     return Matrix._exact_rows(rows)

@@ -23,7 +23,10 @@ elimination beyond one rank factorization per stage:
   or on the right.
 - Kernel ranks of the n(n+1)/2 telescoped products: each stage is factored
   once as A = C R, so each rank is that of a product of small cores
-  R_{i+1} C_i.  The stage ranks bound it from above and the rank modulo a
+  R_{i+1} C_i.  The factorization eliminates only a stage's distinct
+  nonzero rows: an ECRS stage of size lambda repeats a few distinct rows
+  (7 at k = 3), so it is eliminated on those, not on lambda rows.
+  The stage ranks bound it from above and the rank modulo a
   prime of each core suffix from below.  One whole-chain rank modulo the
   prime bounds every suffix from below, so a start's own suffix is
   eliminated only where that bound is below its stage rank; only where the

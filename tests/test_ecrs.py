@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from dimgroup import cli
 from dimgroup.errors import (CongruenceViolated, GcdViolated,
                              K1Unnormalizable, LambdaTooSmall, NotEqualSums,
                              PositivityFailed, SchemaError)
@@ -289,3 +291,18 @@ def test_conjugations_form_no_matrix_product(monkeypatch, prob):
     for m, p in zip(seq.matrices, seq.stage_values):
         assert m.rows == size and m.is_nonnegative()
         assert set(m.row_sums()) == {p} and set(m.column_sums()) == {p}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 5: build ecrs exits 3 with PositivityFailed at stage 1 "
+    "on data for which the paper constructs a realization"))
+@pytest.mark.parametrize("problem", [
+    {"k": 2, "lambda": 3, "rho": [1, 1], "p_seq": [193, 577, 769], "q": 64},
+    {"k": 1, "lambda": 4, "rho": [1], "p_seq": [5, 13]},
+], ids=["p-divisible-q64", "two-smallest-primes"])
+def test_ecrs_builds_where_a_realization_exists(tmp_path, capsys, problem):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(problem))
+    code = cli.main(["build", "ecrs", "-i", str(inp),
+                     "-o", str(tmp_path / "out.json")])
+    assert code == 0, capsys.readouterr().out

@@ -92,6 +92,20 @@ def test_general_matrix_worked_example():
     assert set(m.column_sums()) == {7}
 
 
+@pytest.mark.parametrize("p,v,a", [
+    (7.0, (1,), AParams.uniform(1, 1)),
+    (7, (1.0,), AParams.uniform(1, 1)),
+    (7, ("1",), AParams.uniform(1, 1)),
+    (7, (1,), AParams((1.0, 1, 1))),
+    ("7", (1,), AParams.uniform(1, 1)),
+], ids=["float-p", "float-v", "str-v", "float-a", "str-p"])
+def test_general_matrix_rejects_inexact_stage_data(p, v, a):
+    """p, v and a are checked once, so an inexact value from a caller is a
+    TypeError rather than an inexact entry of the matrix."""
+    with pytest.raises(TypeError):
+        general_ecs_matrix(p, v, Matrix.from_rows([[1]]), a)
+
+
 def test_general_matrix_kernel_and_eigenrow():
     rng = random.Random(3)
     for _ in range(50):

@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dimgroup import exact
+from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
 from dimgroup.errors import ContentMismatch, DimensionMismatch
 from dimgroup.exact import (Matrix, UnimodularTransform, colsum_norm, content,
                             is_unimodular, map_content1_row,
-                            right_kernel_basis)
+                            rank_factorization, right_kernel_basis)
+from dimgroup.supernatural import FactorSequence
 
 
 def test_content_examples():
@@ -370,3 +373,103 @@ def test_elimination_matches_sympy(rows):
             x = inv[i, j]
             assert x == exact(expected[i, j])
             assert (type(x) is int) == (expected[i, j].q == 1)
+
+
+@st.composite
+def _blown_up_matrices(draw):
+    """Matrices whose rows repeat rows of a random int / Fraction base, in
+    any order, with zero rows mixed in; square half the time."""
+    base = draw(_exact_matrices())
+    c = len(base[0])
+    r = draw(st.one_of(st.just(c), st.integers(1, 9)))
+    picks = st.one_of(st.sampled_from(range(len(base))), st.none())
+    return [[0] * c if i is None else base[i]
+            for i in draw(st.lists(picks, min_size=r, max_size=r))]
+
+
+def _eliminate_every_row(rows):
+    """Reference: the elimination of every row, repeats and zeros kept.
+    Returns the pivot columns, the final pivot, the nonzero eliminated rows
+    and the normalized right kernel basis they give."""
+    ints = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        ints.append([int(x * den) for x in row])
+    pivots, d, _ = exact._eliminate(ints)
+    cols = len(rows[0])
+    basis = []
+    for fc in range(cols):
+        if fc not in pivots:
+            v = [0] * cols
+            v[fc] = d
+            for row, pc in zip(ints, pivots):
+                v[pc] = -row[fc]
+            basis.append(_normalized(v))
+    return pivots, d, ints[:len(pivots)], basis
+
+
+@settings(deadline=None)
+@given(_blown_up_matrices())
+@example([[1, 2], [1, 2]])
+@example([[0, 0], [0, 0], [0, 0]])
+@example([[Fraction(1, 2), 1], [0, 0], [Fraction(1, 2), 1], [3, 4]])
+def test_repeated_and_zero_rows_change_no_elimination_result(rows):
+    """Eliminating each distinct nonzero row once gives the rank, kernel,
+    determinant and singularity of the whole matrix, and a rank
+    factorization d m = m[:, p] R whose R / d is the reduced echelon form
+    that eliminating every row gives."""
+    sympy = pytest.importorskip("sympy")
+
+    def exact_value(x):
+        return Fraction(int(x.p), int(x.q))
+
+    m = Matrix.from_rows(rows)
+    ref = sympy.Matrix([[sympy.Rational(str(x)) for x in row]
+                        for row in rows])
+    full_pivots, full_d, full_r, full_basis = _eliminate_every_row(rows)
+    assert m.rank() == ref.rank() == len(full_pivots)
+    basis = right_kernel_basis(m)
+    assert basis == full_basis == [_normalized(list(map(exact_value, v)))
+                                   for v in ref.nullspace()]
+    pivots, r = rank_factorization(m)
+    assert pivots == full_pivots
+    if pivots:
+        d = r[0][pivots[0]]
+        assert all(row[pc] == (d if i == j else 0)
+                   for i, row in enumerate(r) for j, pc in enumerate(pivots))
+        assert [[Fraction(x, d) for x in row] for row in r] \
+            == [[Fraction(x, full_d) for x in row] for row in full_r]
+        left = Matrix.from_rows([[m[i, j] for j in pivots]
+                                 for i in range(m.rows)])
+        assert m.scale(d) == left * Matrix.from_rows(r)
+    else:
+        assert r == []
+    if not m.is_square:
+        return
+    assert m.det() == exact_value(ref.det())
+    if ref.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+    else:
+        assert m * m.inverse() == Matrix.identity(m.rows)
+
+
+def test_elimination_sees_only_the_distinct_rows_of_an_ecrs_stage(
+        monkeypatch):
+    """A built ECRS stage of size 16 repeats 7 distinct rows; each
+    elimination of it receives exactly those, once each, in order."""
+    seen = []
+    eliminate = exact._eliminate
+
+    def recording(rows):
+        seen.append([tuple(row) for row in rows])
+        return eliminate(rows)
+
+    prob = EcrsProblem(3, 16, (1, 2, 3), FactorSequence((881, 929, 977, 1009)))
+    m = ecrs_pipeline(prob).matrices[0]
+    distinct = [row for row in dict.fromkeys(map(m.row, range(m.rows)))
+                if any(row)]
+    assert len(distinct) == 7
+    monkeypatch.setattr(exact, "_eliminate", recording)
+    m.rank(), m.det(), right_kernel_basis(m), rank_factorization(m)
+    assert seen == [distinct] * 4

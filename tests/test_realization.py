@@ -2,6 +2,7 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dimgroup import cli
 from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
@@ -11,7 +12,8 @@ from dimgroup.errors import (BadCutPoints, DimensionMismatch,
                              InvariantViolated, SchemaError)
 from dimgroup.ers import ErsStageData, ers_pipeline
 from dimgroup.exact import Matrix
-from dimgroup.realization import RealizationSeq, dump_json
+from dimgroup.realization import (RealizationSeq, dump_json, json_int,
+                                  json_list, json_matrix)
 from dimgroup.verify import structural_report
 
 
@@ -136,3 +138,62 @@ def test_saved_file_loads_as_the_sequence_saved(tmp_path):
         path = str(tmp_path / f"seq{idx}.json")
         seq.save(path)
         assert RealizationSeq.load(path) == seq
+
+
+def _json_matrix_by_entries(x):
+    """Reference for json_matrix: every entry through json_int."""
+    return Matrix.from_rows([[json_int(v) for v in json_list(row)]
+                             for row in json_list(x)])
+
+
+def _outcome(parse, x):
+    try:
+        return parse(x)
+    except (SchemaError, DimensionMismatch, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Strings that int() reads but a file may not hold, strings that neither
+# reads, and values that are not strings.
+_ODD_ENTRIES = ["+5", " 5", "5 ", "5\n", "5_0", "\u0663", "1,2", "1,", ",1",
+                "", "-", "--1", "05", "-0", 7, True, 1.5, None, ["1"]]
+
+
+@st.composite
+def _json_rows(draw):
+    """Rows of one width of decimal strings.  Half the time one row is
+    changed: one of its entries, anywhere in it, becomes another value, or
+    the row is replaced by one of any width and entries."""
+    width = draw(st.integers(0, 4))
+    decimal = st.from_regex(r"-?[0-9]{1,30}", fullmatch=True)
+    rows = draw(st.lists(st.lists(decimal, min_size=width, max_size=width),
+                         max_size=4))
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        other = st.sampled_from(_ODD_ENTRIES) | st.integers(-10**30, 10**30) \
+            | st.floats() | st.text(alphabet="-0123456789, _+", max_size=6)
+        if width and draw(st.booleans()):
+            rows[i][draw(st.integers(0, width - 1))] = draw(other)
+        else:
+            rows[i] = draw(st.lists(decimal | other, max_size=5))
+    return rows
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("entry", _ODD_ENTRIES)
+def test_json_matrix_names_an_odd_entry_as_the_entries_would(entry, at):
+    rows = [["1", "2", "3"], ["4", "5", "6"]]
+    rows[1][at] = entry
+    assert _outcome(json_matrix, rows) \
+        == _outcome(_json_matrix_by_entries, rows)
+
+
+@given(_json_rows())
+@example([["1", "2"], ["3", "4"]])
+@example([["1,2"], ["3"]])
+@example([[]])
+def test_json_matrix_checks_rows_as_the_entries_would(rows):
+    """A row checked whole gives the matrix, or the error text, that
+    checking its entries one by one gives."""
+    assert _outcome(json_matrix, rows) \
+        == _outcome(_json_matrix_by_entries, rows)

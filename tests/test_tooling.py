@@ -153,6 +153,88 @@ def test_logging_call_finder_sees_the_package_loggers():
     assert _logging_calls(ast.parse(ecs.read_text()))
 
 
+def _is_call_to(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+
+
+def _own_nodes(func) -> list:
+    """The nodes of a function's body, those of nested functions left out."""
+    nodes, todo = [], list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+def _eliminations(tree) -> list[tuple[int, bool]]:
+    """(line, whether its rows come from _integer_rows) for each call of
+    _eliminate.  They do when the call's one argument is a local name that
+    its function binds only as the first target of
+    ``rows, ... = _integer_rows(...)``."""
+    checked = {}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = _own_nodes(func)
+        from_integer_rows = {
+            id(node.targets[0].elts[0]) for node in nodes
+            if isinstance(node, ast.Assign)
+            and _is_call_to(node.value, "_integer_rows")
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Tuple)}
+        params = {arg.arg for arg in ast.walk(func.args)
+                  if isinstance(arg, ast.arg)}
+        for call in filter(lambda n: _is_call_to(n, "_eliminate"), nodes):
+            arg = call.args[0] if len(call.args) == 1 else None
+            ok = (isinstance(arg, ast.Name) and not call.keywords
+                  and arg.id not in params)
+            if ok:
+                stores = [node for node in nodes
+                          if isinstance(node, ast.Name) and node.id == arg.id
+                          and isinstance(node.ctx, ast.Store)]
+                ok = bool(stores) and all(id(node) in from_integer_rows
+                                          for node in stores)
+            checked[id(call)] = ok
+    # A call outside every function takes rows that nothing checked.
+    return sorted((call.lineno, checked.get(id(call), False))
+                  for call in ast.walk(tree) if _is_call_to(call, "_eliminate"))
+
+
+def test_every_elimination_takes_rows_from_integer_rows():
+    """``_integer_rows`` keeps each distinct nonzero row once, which is what
+    makes a stage of repeated rows cheap to eliminate; every call of
+    ``_eliminate`` takes its rows from it."""
+    found = []
+    for path in sorted(Path(dimgroup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, ok) for _, ok in _eliminations(tree)]
+    assert found == [("exact.py", True)] * 5
+
+
+def test_elimination_finder_flags_other_rows():
+    tree = ast.parse(
+        "def f(m):\n"
+        "    rows, _ = _integer_rows(m)\n"
+        "    return _eliminate(rows)\n"
+        "def g(m):\n"
+        "    rows = [list(r) for r in m]\n"
+        "    return exact._eliminate(rows)\n"
+        "def h(rows):\n"
+        "    return _eliminate(rows)\n"
+        "def i(m):\n"
+        "    rows, _ = _integer_rows(m)\n"
+        "    rows = rows + [[0]]\n"
+        "    return _eliminate(rows)\n"
+        "_eliminate([[1]])\n")
+    assert _eliminations(tree) == [(3, True), (6, False), (8, False),
+                                   (12, False), (13, False)]
+
+
 # Exports that no other code in the package calls, each kept because an
 # acceptance criterion reproduces a result of the paper with it.
 ACCEPTANCE_EXPORTS = {"split_ecs_matrix", "b_compose", "is_unimodular",
