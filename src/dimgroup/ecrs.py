@@ -21,7 +21,7 @@ from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
 from .exact import (Matrix, UnimodularTransform, content, map_content1_row,
                     _euclid_to_first)
 from .perron import is_primitive
-from .realization import (RealizationSeq, echo, json_int, json_list,
+from .realization import (RealizationSeq, echo, json_int, json_ints,
                           json_matrix, parsing)
 from .supernatural import FactorSequence
 
@@ -57,22 +57,12 @@ class EcrsProblem:
         with parsing("ECRS problem"):
             k = json_int(obj["k"])
             lam = json_int(obj["lambda"])
-            rho = tuple(json_int(x) for x in json_list(obj["rho"]))
-            p_seq = FactorSequence(tuple(json_int(p)
-                                         for p in json_list(obj["p_seq"])))
+            rho = tuple(json_ints(obj["rho"]))
+            p_seq = FactorSequence(tuple(json_ints(obj["p_seq"])))
             q = json_int(obj["q"]) if obj.get("q") is not None else None
             seed = obj.get("seed_matrix")
             seed_m = json_matrix(seed) if seed is not None else None
             return cls(k, lam, rho, p_seq, q, seed_m)
-
-    def to_json(self) -> dict:
-        out = {"k": self.k, "lambda": self.lam, "rho": list(self.rho),
-               "p_seq": list(self.p_seq.factors)}
-        if self.q is not None:
-            out["q"] = self.q
-        if self.seed_matrix is not None:
-            out["seed_matrix"] = self.seed_matrix.to_rows()
-        return out
 
 
 # -- stage construction -----------------------------------------------------------
@@ -246,11 +236,12 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
     """Simultaneous conjugation turning the bordered stage matrices into
     primitive matrices with all row sums and all column sums equal.
 
-    Cases: "direct" (lambda = k+1, nothing but the final add-first-row /
-    subtract-columns step), "embroidered" (finite route, interior columns
-    first copied onto the border), "p-divisible" (the border carries the
-    small prime blocks; the content-one tail of the common left eigenvector
-    is mapped to all ones, guarded by the t = sk window).
+    Cases: "embroidered" (finite route, interior columns first copied onto
+    the border), named "direct" at lambda = k+1, where the border is empty
+    and only the final add-first-row / subtract-columns step acts;
+    "p-divisible" (the border carries the small prime blocks; the
+    content-one tail of the common left eigenvector is mapped to all ones,
+    guarded by the t = sk window).
 
     Precondition: the matrices share the case's left eigenvector V and the
     right eigenvector e_0 with V e_0 = size."""
@@ -258,10 +249,7 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
         raise DimensionMismatch("no stage matrices")
     size = mats[0].rows
     ones = tuple([1] * k)
-    if case == "direct":
-        v_evec = (lam,) + ones
-        shift = UnimodularTransform(size, ())
-    elif case == "embroidered":
+    if case in ("direct", "embroidered"):
         v_evec = (lam,) + ones + tuple([0] * (lam - k - 1))
         # Copy each interior column onto the border column it feeds.
         shift = UnimodularTransform(size, tuple(
@@ -467,11 +455,10 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
     stages, _, _ = build_index_stages(prob)
     conj = normalize_to_ones(prob)
     normalized = _apply_normalizer(stages, conj, prob)
-    if prob.lam == prob.k + 1:
-        return ecrs_finisher(normalized, "direct", k=prob.k, lam=prob.lam)
     x = embroidery_block(prob.k, prob.lam)
     bordered = [embroider_rows(m, x) for m in normalized]
-    return ecrs_finisher(bordered, "embroidered", k=prob.k, lam=prob.lam)
+    return ecrs_finisher(bordered, "direct" if x is None else "embroidered",
+                         k=prob.k, lam=prob.lam)
 
 
 def _apply_normalizer(stages: Sequence[Matrix], conj: UnimodularTransform,

@@ -24,8 +24,8 @@ from .errors import (DimensionMismatch, HorizonExhausted, Infeasible,
 from .exact import (Matrix, UnimodularTransform, _as_exact, vec_add, vec_scale,
                     vec_sub)
 from .perron import is_primitive
-from .realization import (RealizationSeq, groups, json_int, json_list,
-                          json_matrix, parsing)
+from .realization import (RealizationSeq, groups, json_int, json_ints,
+                          json_list, json_matrix, parsing)
 
 DEFAULT_EPSILON = Fraction(1, 100)
 
@@ -48,13 +48,6 @@ class Stage:
             raise DimensionMismatch("stage B must be k x k with v of length k")
         if self.b.det() == 0:
             raise SchemaError("stage B must have nonzero determinant")
-
-    def block_matrix(self) -> Matrix:
-        k = len(self.v)
-        rows = [[self.p] + [0] * k]
-        for i in range(k):
-            rows.append([self.v[i]] + list(self.b.row(i)))
-        return Matrix.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -79,15 +72,10 @@ class ExtensionData:
             k = json_int(obj["k"])
             stages = tuple(
                 Stage(json_int(st["p"]),
-                      tuple(json_int(x) for x in json_list(st["v"])),
+                      tuple(json_ints(st["v"])),
                       json_matrix(st["B"]))
                 for st in json_list(obj["stages"]))
             return cls(k, stages)
-
-    def to_json(self) -> dict:
-        return {"k": self.k,
-                "stages": [{"p": st.p, "v": list(st.v), "B": st.b.to_rows()}
-                           for st in self.stages]}
 
 
 @dataclass(frozen=True)

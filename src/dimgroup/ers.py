@@ -14,8 +14,8 @@ from .errors import (DimensionMismatch, InvariantViolated, KernelMismatch,
                      RegimeViolation, SchemaError)
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
 from .ecs import bordered_stage, kernel_vector
-from .realization import (RealizationSeq, json_int, json_list, json_matrix,
-                          json_str, parsing)
+from .realization import (RealizationSeq, json_int, json_ints, json_list,
+                          json_matrix, json_str, parsing)
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,6 @@ class ErsStage:
             raise DimensionMismatch("stage B must be k x k with u of length k")
         if self.b.det() == 0:
             raise SchemaError("stage B must have nonzero determinant")
-
-    def block_matrix(self) -> Matrix:
-        """Upper-triangular form [[p, u], [0, B]]."""
-        k = len(self.u)
-        rows = [[self.p] + list(self.u)]
-        for i in range(k):
-            rows.append([0] + list(self.b.row(i)))
-        return Matrix.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -70,19 +62,12 @@ class ErsStageData:
             k = json_int(obj["k"])
             stages = tuple(
                 ErsStage(json_int(st["p"]),
-                         tuple(json_int(x) for x in json_list(st["u"])),
+                         tuple(json_ints(st["u"])),
                          json_matrix(st["B"]))
                 for st in json_list(obj["stages"]))
             rho = tuple(Fraction(json_int(n), json_int(d))
                         for n, d in map(json_list, json_list(obj["trace_row"])))
             return cls(k, stages, rho)
-
-    def to_json(self) -> dict:
-        return {"k": self.k,
-                "stages": [{"p": st.p, "u": list(st.u), "B": st.b.to_rows()}
-                           for st in self.stages],
-                "trace_row": [[x.numerator, x.denominator]
-                              for x in self.trace_row]}
 
 
 # -- verification ---------------------------------------------------------------

@@ -126,14 +126,6 @@ class Matrix:
         return Matrix._exact(self.rows, self.cols,
                              [a + b for a, b in zip(self._data, other._data)])
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix._exact(self.rows, self.cols,
-                             [a - b for a, b in zip(self._data, other._data)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._exact(self.rows, self.cols, [-a for a in self._data])
-
     def scale(self, c: Number) -> "Matrix":
         c = _as_exact(c)
         return Matrix._exact(self.rows, self.cols, [c * a for a in self._data])
@@ -177,19 +169,6 @@ class Matrix:
                           [x for j in range(self.cols) for x in self.col(j)])
         t._row_sums, t._col_sums = self._col_sums, self._row_sums
         return t
-
-    def pow(self, e: int) -> "Matrix":
-        if not self.is_square:
-            raise NonSquare("matrix power needs a square matrix")
-        result = Matrix.identity(self.rows)
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     # -- sums and norms --------------------------------------------------------
 
@@ -468,13 +447,6 @@ class UnimodularTransform:
     def inverse(self) -> "UnimodularTransform":
         return UnimodularTransform(
             self.size, tuple(_invert_op(op) for op in reversed(self.ops)))
-
-    def det(self) -> int:
-        d = 1
-        for op in self.ops:
-            if op[0] in ("swap", "neg"):
-                d = -d
-        return d
 
     def embed(self, size: int, offset: int) -> "UnimodularTransform":
         """The same transform acting on coordinates [offset, offset+k) of Z^size."""

@@ -58,12 +58,6 @@ class PerronData:
     right: tuple[int, ...]
     size: int
 
-    def verify(self, a: Matrix) -> bool:
-        lam = self.eigenvalue
-        left_ok = a.vector_mul(self.left) == tuple(lam * x for x in self.left)
-        right_ok = a.mul_vector(self.right) == tuple(lam * x for x in self.right)
-        return left_ok and right_ok
-
 
 def perron_root(a: Matrix) -> int:
     """Integer spectral radius rho of a nonnegative square matrix, else

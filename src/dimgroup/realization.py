@@ -52,24 +52,26 @@ def json_list(x) -> list:
     raise SchemaError(f"not an array: {echo(x)}")
 
 
+def json_ints(x) -> list[int]:
+    """A JSON array of integers as a list of ints, each entry checked once.
+    An array of decimal strings is checked whole: joined by commas, it
+    holds one comma fewer than it has entries (so no entry holds a comma)
+    and fullmatches _DECIMAL_ROW (so each entry fullmatches _DECIMAL), and
+    is converted by one C-level pass.  Any other array goes through
+    json_int entry by entry, which gives the error for a bad entry."""
+    row = json_list(x)
+    try:
+        text = ",".join(row)
+    except TypeError:           # an entry that is not a string
+        text = ""
+    if text.count(",") == len(row) - 1 and _DECIMAL_ROW.fullmatch(text):
+        return list(map(int, row))
+    return [json_int(v) for v in row]
+
+
 def json_matrix(x) -> Matrix:
-    """A JSON array of integer rows as a Matrix, each entry checked once.
-    A row of decimal strings is checked whole: joined by commas, it holds
-    one comma fewer than it has entries (so no entry holds a comma) and
-    fullmatches _DECIMAL_ROW (so each entry fullmatches _DECIMAL), and is
-    converted by one C-level pass.  Any other row goes through json_int
-    entry by entry, which gives the error for a bad entry."""
-    rows = []
-    for row in map(json_list, json_list(x)):
-        try:
-            text = ",".join(row)
-        except TypeError:       # an entry that is not a string
-            text = ""
-        decimal = (text.count(",") == len(row) - 1
-                   and _DECIMAL_ROW.fullmatch(text))
-        rows.append(list(map(int, row)) if decimal
-                    else [json_int(v) for v in row])
-    return Matrix._exact_rows(rows)
+    """A JSON array of integer rows, each read by json_ints, as a Matrix."""
+    return Matrix._exact_rows(list(map(json_ints, json_list(x))))
 
 
 def echo(x) -> str:
@@ -257,7 +259,7 @@ class RealizationSeq:
             values = tuple(json_int(st["p"]) for st in stages)
             markers = obj.get("markers")
             if markers is not None:
-                markers = tuple(tuple(json_int(x) for x in json_list(h))
+                markers = tuple(tuple(json_ints(h))
                                 for h in json_list(markers))
             props = obj.get("properties", {})
             provenance = obj.get("provenance", {})

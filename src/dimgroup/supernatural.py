@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import SchemaError
-from .realization import echo, json_int, json_list, parsing
+from .realization import echo, json_int, json_ints, parsing
 
 INFINITE = "infinite"  # sentinel for infinite rank / index values
 
@@ -137,8 +137,7 @@ class SupernaturalNumber:
             # dict.get and dict.items raise TypeError on anything but an object
             finite = dict.items(dict.get(obj, "finite", {}))
             return cls({json_int(p): json_int(e) for p, e in finite},
-                       [json_int(p)
-                        for p in json_list(dict.get(obj, "infinite", []))])
+                       json_ints(dict.get(obj, "infinite", [])))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,12 @@ def eps_basis(k):
     return tuple([zero] + std + [last])
 
 
+def block_matrix(st):
+    """The lower-triangular block form [[p, 0], [v, B]] of an ECS stage."""
+    return Matrix.from_rows([[st.p] + [0] * len(st.v)]
+                            + [[x, *st.b.row(i)] for i, x in enumerate(st.v)])
+
+
 def normalization_witnesses(us, k):
     """The change-of-basis matrices F_1, ..., F_{n+1} for the u-vectors."""
     def f_matrix(d):
@@ -264,7 +270,7 @@ def test_normalize_commuting_squares():
         fs = normalization_witnesses(us, k)
         for i, (orig, new) in enumerate(zip(data.stages, norm.stages)):
             assert all(0 <= x < orig.p for x in new.v)
-            assert fs[i + 1] * orig.block_matrix() == new.block_matrix() * fs[i]
+            assert fs[i + 1] * block_matrix(orig) == block_matrix(new) * fs[i]
 
 
 def test_telescope_examples():
@@ -274,8 +280,8 @@ def test_telescope_examples():
     assert same == data
     merged = telescope_extension(data, [0])
     # oracle: the exact block-matrix product of the two stages
-    prod = data.stages[1].block_matrix() * data.stages[0].block_matrix()
-    assert merged.stages[0].block_matrix() == prod
+    prod = block_matrix(data.stages[1]) * block_matrix(data.stages[0])
+    assert block_matrix(merged.stages[0]) == prod
     assert merged.stages[0].p == 35 and merged.stages[0].v == (11,)
     with pytest.raises(BadCutPoints):
         telescope_extension(data, [0, 0])
@@ -300,9 +306,9 @@ def test_telescope_associativity():
         all_at_once = telescope_extension(data, [0])
         two_step = telescope_extension(telescope_extension(data, [0, 2]), [0])
         assert all_at_once == two_step
-        oracle = (stages[2].block_matrix() * stages[1].block_matrix()
-                  * stages[0].block_matrix())
-        assert all_at_once.stages[0].block_matrix() == oracle
+        oracle = (block_matrix(stages[2]) * block_matrix(stages[1])
+                  * block_matrix(stages[0]))
+        assert block_matrix(all_at_once.stages[0]) == oracle
 
 
 # Reached by no command (ecs_pipeline walks _convergent_cuts itself); kept

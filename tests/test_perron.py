@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -86,7 +87,9 @@ def test_integer_perron_verifies():
     assert pd.eigenvalue == 4
     assert pd.left == (2, 1)
     assert pd.right == (1, 1)
-    assert pd.verify(Matrix.from_rows([[3, 1], [2, 2]]))
+    m = Matrix.from_rows([[3, 1], [2, 2]])
+    assert m.vector_mul(pd.left) == tuple(4 * x for x in pd.left)
+    assert m.mul_vector(pd.right) == tuple(4 * x for x in pd.right)
 
 
 def _perron_cases(rng, count):
@@ -202,10 +205,12 @@ def test_integer_perron_matches_the_kernels(m):
     event(f"constant row sums: {len(set(m.row_sums())) == 1}, "
           f"constant column sums: {len(set(m.column_sums())) == 1}")
     pd = integer_perron(m)
-    shifted = m - Matrix.identity(m.rows).scale(perron_root(m))
+    shifted = m + Matrix.identity(m.rows).scale(-perron_root(m))
     assert right_kernel_basis(shifted) == [pd.right]
     assert right_kernel_basis(shifted.transpose()) == [pd.left]
-    assert pd.verify(m)
+    lam = pd.eigenvalue
+    assert m.vector_mul(pd.left) == tuple(lam * x for x in pd.left)
+    assert m.mul_vector(pd.right) == tuple(lam * x for x in pd.right)
 
 
 
@@ -219,7 +224,7 @@ def test_perron_vector_solves_without_the_redundant_row(m):
     left = len(set(m.column_sums())) > 1
     assume(is_primitive(m) and (left or len(set(m.row_sums())) > 1))
     root = perron_root(m)
-    shifted = m - Matrix.identity(m.rows).scale(root)
+    shifted = m + Matrix.identity(m.rows).scale(-root)
     full = right_kernel_basis(shifted.transpose() if left else shifted)
     solved = []
 
@@ -408,8 +413,8 @@ def check_shift_equivalence(a: Matrix, m: Matrix, se: ShiftEquivalence) -> bool:
         raise DimensionMismatch("lag must be a positive integer")
     return (se.x * m == a * se.x
             and m * se.y == se.y * a
-            and se.x * se.y == a.pow(se.lag)
-            and se.y * se.x == m.pow(se.lag))
+            and se.x * se.y == functools.reduce(Matrix.__mul__, [a] * se.lag)
+            and se.y * se.x == functools.reduce(Matrix.__mul__, [m] * se.lag))
 
 
 def test_shift_equivalence():

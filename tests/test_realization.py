@@ -13,7 +13,7 @@ from dimgroup.errors import (BadCutPoints, DimensionMismatch,
 from dimgroup.ers import ErsStageData, ers_pipeline
 from dimgroup.exact import Matrix
 from dimgroup.realization import (RealizationSeq, dump_json, json_int,
-                                  json_list, json_matrix)
+                                  json_ints, json_list, json_matrix)
 from dimgroup.verify import structural_report
 
 
@@ -140,10 +140,14 @@ def test_saved_file_loads_as_the_sequence_saved(tmp_path):
         assert RealizationSeq.load(path) == seq
 
 
+def _json_ints_by_entries(x):
+    """Reference for json_ints: every entry through json_int."""
+    return [json_int(v) for v in json_list(x)]
+
+
 def _json_matrix_by_entries(x):
     """Reference for json_matrix: every entry through json_int."""
-    return Matrix.from_rows([[json_int(v) for v in json_list(row)]
-                             for row in json_list(x)])
+    return Matrix.from_rows(list(map(_json_ints_by_entries, json_list(x))))
 
 
 def _outcome(parse, x):
@@ -186,6 +190,8 @@ def test_json_matrix_names_an_odd_entry_as_the_entries_would(entry, at):
     rows[1][at] = entry
     assert _outcome(json_matrix, rows) \
         == _outcome(_json_matrix_by_entries, rows)
+    assert [_outcome(json_ints, row) for row in rows] \
+        == [_outcome(_json_ints_by_entries, row) for row in rows]
 
 
 @given(_json_rows())
@@ -193,7 +199,9 @@ def test_json_matrix_names_an_odd_entry_as_the_entries_would(entry, at):
 @example([["1,2"], ["3"]])
 @example([[]])
 def test_json_matrix_checks_rows_as_the_entries_would(rows):
-    """A row checked whole gives the matrix, or the error text, that
-    checking its entries one by one gives."""
+    """A row checked whole gives the matrix, or the list, or the error
+    text, that checking its entries one by one gives."""
     assert _outcome(json_matrix, rows) \
         == _outcome(_json_matrix_by_entries, rows)
+    assert [_outcome(json_ints, row) for row in rows] \
+        == [_outcome(_json_ints_by_entries, row) for row in rows]

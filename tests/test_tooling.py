@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import dimgroup
@@ -292,3 +293,88 @@ def test_every_error_class_is_raised_in_the_package():
                 needed.add(base)
                 todo.append(base)
     assert sorted(set(bases) - needed) == []
+
+
+
+# Methods that no code in the package calls, each with its reason.
+UNCALLED_ALLOWED = {
+    # perfbench/tracer.py wraps it to count Perron root candidates; it goes
+    # together with that tracer entry.
+    "charpoly_at",
+}
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _uncalled_definitions(trees: dict, allowed=frozenset()) -> list[str]:
+    """``module:name`` or ``module:Class.name`` for each module function or
+    method of a module class in ``trees`` (module name to parsed source)
+    that no code there uses outside the definition's own body.  A function
+    is used where its name appears as a name or an attribute; a method only
+    where it appears as an attribute (``x.name``), so a builtin of the same
+    name, as in ``pow(a, b)``, does not count.  Dunders, which Python calls
+    itself, and names in ``allowed`` are left out.
+
+    Methods are matched on their name alone: a method whose name another
+    class's used method shares (``to_json``, ``det``) passes unseen.  A
+    definition used only by an uncalled one passes too."""
+    defs = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, _FUNCS):
+                defs.append((f"{module}:{top.name}", top, False))
+            elif isinstance(top, ast.ClassDef):
+                defs += [(f"{module}:{top.name}.{f.name}", f, True)
+                         for f in top.body if isinstance(f, _FUNCS)]
+    attrs, names = defaultdict(set), defaultdict(set)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs[node.attr].add(id(node))
+            elif isinstance(node, ast.Name):
+                names[node.id].add(id(node))
+    found = []
+    for label, func, is_method in defs:
+        if (func.name.startswith("__") and func.name.endswith("__")
+                or func.name in allowed):
+            continue
+        used = attrs[func.name] if is_method \
+            else attrs[func.name] | names[func.name]
+        if not used - {id(node) for node in ast.walk(func)}:
+            found.append(label)
+    return found
+
+
+def test_every_function_and_method_is_used_in_the_package():
+    """A function or method that only the tests reach is a test oracle in
+    ``src/``; it belongs in the test module that uses it."""
+    pkg = Path(dimgroup.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(pkg.glob("*.py"))}
+    assert _uncalled_definitions(
+        trees, ACCEPTANCE_EXPORTS | UNCALLED_ALLOWED) == []
+
+
+def test_uncalled_definition_finder():
+    tree = ast.parse(
+        "class M:\n"
+        "    def __add__(self, o):\n"
+        "        return self.used(o)\n"
+        "    def used(self, o):\n"
+        "        return o\n"
+        "    def unused(self):\n"
+        "        return 0\n"
+        "    def pow(self, e):\n"
+        "        return e\n"
+        "    def allowed(self):\n"
+        "        return 1\n"
+        "def f(n):\n"
+        "    return f(n - 1) + pow(2, n)\n"
+        "def g(n):\n"
+        "    return h(n)\n"
+        "def h(n):\n"
+        "    return n\n")
+    assert _uncalled_definitions({"m": tree}, {"allowed"}) \
+        == ["m:M.unused", "m:M.pow", "m:f", "m:g"]
+    assert _uncalled_definitions({"m": tree}) \
+        == ["m:M.unused", "m:M.pow", "m:M.allowed", "m:f", "m:g"]

@@ -196,7 +196,7 @@ def stacked_witness(seq):
     if len(sizes) != 1:
         return NearlySplitReport(False, False, False)
     s = sizes.pop()
-    shifted = [m - Matrix.identity(s).scale(p)
+    shifted = [m + Matrix.identity(s).scale(-p)
                for m, p in zip(seq.matrices, seq.stage_values)]
     right = right_kernel_basis(Matrix.from_rows(
         [list(m.row(i)) for m in shifted for i in range(s)]))
