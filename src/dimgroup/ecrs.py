@@ -1,7 +1,10 @@
 """Construction of simultaneous equal-row-and-column-sum realizations.
 
-The staged construction for a target index lambda, eigenvector normalization
-to the all-ones row, embroidery with zero rows or columns, the finishing
+The staged construction for a target index lambda, whose stages are the
+rank-one updates I + ((p-1)/lambda) e_0 (lambda, rho) of the identity,
+normalized to the all-ones row by one conjugator that a single certificate,
+(lambda, 1, ..., 1) T = (lambda, rho) with T e_0 = e_0, proves right for
+every stage; embroidery with zero rows or columns, the finishing
 simultaneous conjugations, the digit-moving polynomial algorithm, and the
 commuting-family route seeded by an equal-sums primitive matrix.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
@@ -76,17 +78,16 @@ def _stage_matrix(p: int, v: Sequence[int]) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def build_index_stages(prob: EcrsProblem, scale: int = 1
-                      ) -> tuple[list[Matrix], list[tuple[int, ...]],
-                                 list[tuple[Fraction, ...]]]:
-    """Stage matrices [[p, v_n], [0, I]] with v_n = rho (p - 1) / lambda,
-    the correction rows y_n = rho (q_n - 1) / lambda, and the trace rows
-    (lambda / q_n, rho) of the diagonal presentation.
+def _normalized_stages(prob: EcrsProblem, scale: int = 1) -> list[Matrix]:
+    """The stages [[p, c u], [0, I]], c = (p - 1)/lambda and u the all-ones
+    row, for each p = scale * factor: the index stages
+    [[p, c rho], [0, I]] conjugated by the normalizer T of normalize_to_ones.
 
-    The congruence p = 1 (mod lambda) makes every v_n and y_n integral, and
-    (lambda, rho) is a common left eigenvector of every stage matrix.  The
-    optional scale multiplies each stage factor (the p-divisible route uses
-    scale = q)."""
+    An index stage is I + c e_0 l with l = (lambda, rho), its left
+    eigenvector, and T sends it to I + c (T e_0)(l T^{-1}).  So
+    T e_0 = e_0 and (lambda, u) T = l certify, once for every stage, that
+    T normalizes it; no index stage is built or conjugated.  The
+    congruence p = 1 (mod lambda) makes every c integral."""
     lam, rho = prob.lam, prob.rho
     if math.gcd(content(rho), lam) != 1:
         raise GcdViolated(
@@ -96,18 +97,15 @@ def build_index_stages(prob: EcrsProblem, scale: int = 1
         if (p - 1) % lam != 0:
             raise CongruenceViolated(
                 f"stage factor {p} is not 1 mod lambda={lam}", stage=idx)
-    mats = []
-    for p in values:
-        v = tuple(r * (p - 1) // lam for r in rho)
-        mats.append(_stage_matrix(p, v))
-    ys = [tuple([0] * prob.k)]
-    q = 1
-    trace_rows = [tuple([Fraction(lam)] + [Fraction(r) for r in rho])]
-    for p in values:
-        q *= p
-        ys.append(tuple(r * (q - 1) // lam for r in rho))
-        trace_rows.append(tuple([Fraction(lam, q)] + [Fraction(r) for r in rho]))
-    return mats, ys, trace_rows
+    t = normalize_to_ones(prob).matrix
+    if t.col(0) != (1,) + (0,) * prob.k:
+        raise InvariantViolated(
+            f"normalization failed: T e_0 = {t.col(0)}", stage=1)
+    row = t.vector_mul((lam,) + (1,) * prob.k)
+    if row != (lam, *rho):
+        raise InvariantViolated(
+            f"normalization failed: (lambda, 1, ..., 1) T = {row}", stage=1)
+    return [_stage_matrix(p, ((p - 1) // lam,) * prob.k) for p in values]
 
 
 def normalize_to_ones(prob: EcrsProblem) -> UnimodularTransform:
@@ -436,7 +434,7 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
     """Dispatch on the problem data.
 
     Without an infinite prime: lambda >= k+1 is necessary and sufficient;
-    the stages are built, normalized to the all-ones row, embroidered when
+    the stages are built normalized to the all-ones row, embroidered when
     lambda exceeds k+1, and finished; output size is exactly lambda.  With a
     seed matrix (split case, lambda = 1): the commuting-family route.  With
     a prime power q: the p-divisible embroidery of size lambda q."""
@@ -452,24 +450,11 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
         raise LambdaTooSmall(
             f"lambda = {prob.lam} below rank G = {prob.k + 1}: no ECRS "
             "realization exists when the value group has no infinite prime")
-    stages, _, _ = build_index_stages(prob)
-    conj = normalize_to_ones(prob)
-    normalized = _apply_normalizer(stages, conj, prob)
+    normalized = _normalized_stages(prob)
     x = embroidery_block(prob.k, prob.lam)
     bordered = [embroider_rows(m, x) for m in normalized]
     return ecrs_finisher(bordered, "direct" if x is None else "embroidered",
                          k=prob.k, lam=prob.lam)
-
-
-def _apply_normalizer(stages: Sequence[Matrix], conj: UnimodularTransform,
-                      prob: EcrsProblem) -> list[Matrix]:
-    out = conj.conjugate(stages)
-    for idx, (m, g) in enumerate(zip(stages, out), start=1):
-        p = m[0, 0]
-        if g != _stage_matrix(p, tuple([(p - 1) // prob.lam] * prob.k)):
-            raise InvariantViolated(
-                f"normalization failed: got {g.to_rows()}", stage=idx)
-    return out
 
 
 def _p_divisible_route(prob: EcrsProblem) -> RealizationSeq:
@@ -485,9 +470,7 @@ def _p_divisible_route(prob: EcrsProblem) -> RealizationSeq:
     if size < k + 2:
         raise NoValidT(
             f"lambda q = {size} leaves no room to border a (k+1)-block, k={k}")
-    stages, _, _ = build_index_stages(prob, scale=q)
-    conj = normalize_to_ones(prob)
-    normalized = _apply_normalizer(stages, conj, prob)
+    normalized = _normalized_stages(prob, scale=q)
     extra = size - k - 1
     bordered = []
     for m, p in zip(normalized, prob.p_seq.factors):

@@ -193,12 +193,7 @@ def build_w_sequence(data: ErsStageData, horizon: int,
         q.append(q[-1] * st.p)
         bprod.append(st.b * bprod[-1])
 
-    z_inf = tuple(Fraction(0) for _ in range(k))
-    for i, st in enumerate(stages, start=1):
-        term = bprod[i - 1].vector_mul(tuple(Fraction(x) for x in st.u))
-        z_inf = vec_add(z_inf, vec_scale(Fraction(1, q[i]), term))
-
-    target = vec_sub(rho, z_inf)
+    target = vec_sub(rho, partial_sum([st.u for st in stages], stages))
     ys: list[tuple[int, ...]] = [tuple([0] * k)]
     for n in range(1, n_stages + 1):
         exact = bprod[n].inverse().vector_mul(vec_scale(q[n], target))
@@ -297,17 +292,16 @@ def ers_pipeline(data: ErsStageData, horizon: int,
 
     # Reconstruct the trace row from the output itself and compare.
     blocks = restrict_to_kernel_complement(ecs_mats)
-    rec_stages = []
+    w_rows = []
     for idx, (blk, st) in enumerate(zip(blocks, stages), start=1):
-        p = blk[0, 0]
-        w_rec = tuple(blk[0, 1 + j] for j in range(k))
         b_rec = Matrix.from_rows([[blk[1 + i, 1 + j] for j in range(k)]
                                   for i in range(k)]).transpose()
-        if p != st.p or b_rec != st.b:
+        if blk[0, 0] != st.p or b_rec != st.b:
             raise InvariantViolated("restricted block lost the stage data",
                                     stage=idx)
-        rec_stages.append(ErsStage(p, w_rec, st.b))
-    reconstructed = partial_sum([st.u for st in rec_stages], rec_stages)
+        w_rows.append(tuple(blk[0, 1 + j] for j in range(k)))
+    # The rows sit on the checked stage data, so the stages' p and B serve.
+    reconstructed = partial_sum(w_rows, stages)
     gap = sup_norm(vec_sub(reconstructed, data.trace_row))
     if gap > wseq.error_bound:
         raise InvariantViolated(

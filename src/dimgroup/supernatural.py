@@ -125,12 +125,6 @@ class SupernaturalNumber:
             if e <= 0:
                 raise SchemaError(f"multiplicity of {p} must be positive, got {e}")
 
-    def to_json(self) -> dict:
-        return {
-            "finite": {str(p): e for p, e in sorted(self.finite_part.items())},
-            "infinite": sorted(self.infinite_primes),
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "SupernaturalNumber":
         with parsing("supernatural number"):
@@ -147,7 +141,12 @@ class FactorSequence:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(p) for p in self.factors))
+        object.__setattr__(self, "factors", tuple(self.factors))
+        odd = [p for p in self.factors
+               if not isinstance(p, int) or isinstance(p, bool)]
+        if odd:
+            raise SchemaError(
+                f"every factor must be an integer, got {echo(odd[0])}")
         if any(p <= 1 for p in self.factors):
             raise SchemaError("every factor must exceed 1")
 

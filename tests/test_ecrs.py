@@ -1,19 +1,58 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dimgroup import cli
-from dimgroup.errors import (CongruenceViolated, GcdViolated,
-                             K1Unnormalizable, LambdaTooSmall, NotEqualSums,
-                             PositivityFailed, SchemaError)
-from dimgroup.exact import Matrix
-from dimgroup.ecrs import (EcrsProblem, PolyNat, commuting_family,
-                           ecrs_pipeline, embroider_cols, embroider_rows,
-                           build_index_stages, embroidery_block,
+from dimgroup import cli, ecrs
+from dimgroup.errors import (CongruenceViolated, DimgroupError, GcdViolated,
+                             InvariantViolated, K1Unnormalizable,
+                             LambdaTooSmall, NotEqualSums, PositivityFailed,
+                             SchemaError)
+from dimgroup.exact import Matrix, UnimodularTransform, content
+from dimgroup.ecrs import (EcrsProblem, PolyNat, _normalized_stages,
+                           _stage_matrix, commuting_family, ecrs_pipeline,
+                           embroider_cols, embroider_rows, embroidery_block,
                            normalize_to_ones, poly_for)
 from dimgroup.perron import check_equal_sums_criterion, integer_perron
 from dimgroup.supernatural import FactorSequence
+
+
+# The index stages and their diagonal presentation, read only by the tests;
+# the package builds the normalized stages directly.
+def build_index_stages(prob: EcrsProblem, scale: int = 1
+                      ) -> tuple[list[Matrix], list[tuple[int, ...]],
+                                 list[tuple[Fraction, ...]]]:
+    """Stage matrices [[p, v_n], [0, I]] with v_n = rho (p - 1) / lambda,
+    the correction rows y_n = rho (q_n - 1) / lambda, and the trace rows
+    (lambda / q_n, rho) of the diagonal presentation.
+
+    The congruence p = 1 (mod lambda) makes every v_n and y_n integral, and
+    (lambda, rho) is a common left eigenvector of every stage matrix.  The
+    optional scale multiplies each stage factor (the p-divisible route uses
+    scale = q)."""
+    lam, rho = prob.lam, prob.rho
+    if math.gcd(content(rho), lam) != 1:
+        raise GcdViolated(
+            f"gcd(content(rho), lambda) = {math.gcd(content(rho), lam)} != 1")
+    values = [scale * p for p in prob.p_seq.factors]
+    for idx, p in enumerate(values, start=1):
+        if (p - 1) % lam != 0:
+            raise CongruenceViolated(
+                f"stage factor {p} is not 1 mod lambda={lam}", stage=idx)
+    mats = []
+    for p in values:
+        v = tuple(r * (p - 1) // lam for r in rho)
+        mats.append(_stage_matrix(p, v))
+    ys = [tuple([0] * prob.k)]
+    q = 1
+    trace_rows = [tuple([Fraction(lam)] + [Fraction(r) for r in rho])]
+    for p in values:
+        q *= p
+        ys.append(tuple(r * (q - 1) // lam for r in rho))
+        trace_rows.append(tuple([Fraction(lam, q)] + [Fraction(r) for r in rho]))
+    return mats, ys, trace_rows
 
 
 def test_index_stage_examples():
@@ -88,6 +127,88 @@ def test_normalize_to_ones_k1():
     assert t * mats[0] * t_inv == Matrix.from_rows([[11, 2], [0, 1]])
     with pytest.raises(K1Unnormalizable):
         normalize_to_ones(EcrsProblem(1, 5, (2,), FactorSequence((11,))))
+
+
+def _outcome(build, prob, scale):
+    """The stages ``build`` returns, or the type and text of its error."""
+    try:
+        return build(prob, scale)
+    except DimgroupError as exc:
+        return type(exc), str(exc)
+
+
+def _conjugated_index_stages(prob, scale):
+    mats, _, _ = build_index_stages(prob, scale)
+    conj = normalize_to_ones(prob)
+    t, t_inv = conj.matrix, conj.inverse().matrix
+    return [t * m * t_inv for m in mats]
+
+
+@st.composite
+def _index_problems(draw):
+    k = draw(st.integers(1, 4))
+    lam = draw(st.integers(1, 32))
+    rho = tuple(draw(st.lists(st.integers(-40, 40), min_size=k, max_size=k)))
+    # Mostly p = 1 (mod lambda), now and then any factor above 1.
+    factor = st.one_of(st.integers(1, 40).map(lambda m: 1 + lam * m),
+                       st.integers(2, 200))
+    ps = tuple(draw(st.lists(factor, min_size=1, max_size=4)))
+    scale = draw(st.one_of(st.just(1),
+                           st.integers(1, 8).map(lambda j: 1 + lam * j),
+                           st.integers(2, 50)))
+    return EcrsProblem(k, lam, rho, FactorSequence(ps)), scale
+
+
+@settings(deadline=None, max_examples=300)
+@given(_index_problems())
+def test_normalized_stages_match_conjugated_index_stages(case):
+    prob, scale = case
+    got = _outcome(_normalized_stages, prob, scale)
+    assert got == _outcome(_conjugated_index_stages, prob, scale)
+    if isinstance(got, list):
+        for m, p in zip(got, prob.p_seq.factors):
+            c = (scale * p - 1) // prob.lam
+            assert m == _stage_matrix(scale * p, (c,) * prob.k)
+
+
+@pytest.mark.parametrize("rho", [-3, 0, 2])
+@pytest.mark.parametrize("scale", [1, 4])
+def test_normalizer_must_fix_e0(monkeypatch, rho, scale):
+    # T = [[0, -1], [1, rho + 1]] is unimodular and (1, 1) T = (1, rho), but
+    # T e_0 = e_1, so T does not normalize the stages: it sends
+    # [[p, c rho], [0, 1]] to [[1, 0], [c, 1 + c]].
+    t = UnimodularTransform(2, (("add", 1, 0, -(rho + 1)), ("neg", 0),
+                                ("swap", 0, 1)))
+    assert t.matrix == Matrix.from_rows([[0, -1], [1, rho + 1]])
+    assert t.matrix.vector_mul((1, 1)) == (1, rho)
+    prob = EcrsProblem(1, 1, (rho,), FactorSequence((5, 7)))
+    mats, _, _ = build_index_stages(prob, scale)
+    for m, p in zip(mats, (5 * scale, 7 * scale)):
+        assert t.matrix * m * t.inverse().matrix \
+            == Matrix.from_rows([[1, 0], [p - 1, p]])
+    monkeypatch.setattr(ecrs, "normalize_to_ones", lambda prob: t)
+    with pytest.raises(InvariantViolated, match="T e_0") as err:
+        _normalized_stages(prob, scale)
+    assert err.value.stage == 1
+
+
+@pytest.mark.parametrize("prob", [
+    EcrsProblem(2, 3, (1, 2), FactorSequence((7, 13))),
+    EcrsProblem(3, 32, (16, -14, -19), FactorSequence((2273, 2593, 2657, 2689))),
+    EcrsProblem(2, 3, (1, 1), FactorSequence((19, 31)), q=4),
+])
+def test_ecrs_build_conjugates_once(monkeypatch, prob):
+    # The normalizer is certified, not applied: the finisher's conjugation
+    # is the only one.
+    calls = []
+    conjugate = UnimodularTransform.conjugate
+
+    def counted(self, mats):
+        calls.append(len(mats))
+        return conjugate(self, mats)
+    monkeypatch.setattr(UnimodularTransform, "conjugate", counted)
+    seq = ecrs_pipeline(prob)
+    assert calls == [len(seq.matrices)]
 
 
 def test_embroider_rows():

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,14 @@ from dimgroup.supernatural import (INFINITE, FactorSequence,
 # Reached by no command; kept here as a checked definition.
 def is_p_divisible(u: SupernaturalNumber, p: int) -> bool:
     return p in u.infinite_primes
+
+
+# The JSON form that SupernaturalNumber.from_json reads; no command writes it.
+def to_json(u: SupernaturalNumber) -> dict:
+    return {
+        "finite": {str(p): e for p, e in sorted(u.finite_part.items())},
+        "infinite": sorted(u.infinite_primes),
+    }
 
 
 def test_is_p_divisible():
@@ -53,10 +62,24 @@ def test_factor_sequence_validation():
         FactorSequence((1, 2))
 
 
+@pytest.mark.parametrize("odd", [7.9, 7.0, "13", True, Fraction(7), None])
+def test_factor_sequence_rejects_non_integers(odd):
+    # int() would truncate 7.9 to 7 and build a realization for p = 7.
+    with pytest.raises(SchemaError, match="every factor must be an integer"):
+        FactorSequence((odd, 13))
+    with pytest.raises(SchemaError, match="every factor must be an integer"):
+        FactorSequence((13, odd))
+
+
+def test_factor_sequence_keeps_integers():
+    assert FactorSequence([7, 13]).factors == (7, 13)
+    assert list(FactorSequence((7, 2 ** 80 + 1))) == [7, 2 ** 80 + 1]
+
+
 def test_json_round_trip():
     u = SupernaturalNumber({2: 3, 5: 1}, frozenset([7]))
-    assert SupernaturalNumber.from_json(u.to_json()) == u
-    assert u.to_json() == {"finite": {"2": 3, "5": 1}, "infinite": [7]}
+    assert SupernaturalNumber.from_json(to_json(u)) == u
+    assert to_json(u) == {"finite": {"2": 3, "5": 1}, "infinite": [7]}
 
 
 @pytest.mark.parametrize("finite,infinite", [
@@ -109,7 +132,7 @@ def test_supernatural_number_json_is_parsed_strictly(obj):
 
 def test_supernatural_number_json_round_trip():
     u = SupernaturalNumber({2: 3, 5: 1}, frozenset([7]))
-    assert SupernaturalNumber.from_json(u.to_json()) == u
+    assert SupernaturalNumber.from_json(to_json(u)) == u
     assert SupernaturalNumber.from_json({"finite": {"3": "2"}}) \
         == SupernaturalNumber({3: 2})
 
