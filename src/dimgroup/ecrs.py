@@ -1,11 +1,12 @@
 """Construction of simultaneous equal-row-and-column-sum realizations.
 
 The staged construction for a target index lambda, whose stages are the
-rank-one updates I + ((p-1)/lambda) e_0 (lambda, rho) of the identity,
+rank-one updates I + c e_0 (lambda, rho) of the identity, c = (p-1)/lambda,
 normalized to the all-ones row by one conjugator that a single certificate,
 (lambda, 1, ..., 1) T = (lambda, rho) with T e_0 = e_0, proves right for
-every stage; embroidery with zero rows or columns, the finishing
-simultaneous conjugations, the digit-moving polynomial algorithm, and the
+every stage; embroidery with zero rows or columns; the finisher, which
+conjugates one bordered base stage G_0 and makes every stage G_0 + c J,
+J the all-ones matrix; the digit-moving polynomial algorithm; and the
 commuting-family route seeded by an equal-sums primitive matrix.
 """
 
@@ -78,10 +79,11 @@ def _stage_matrix(p: int, v: Sequence[int]) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def _normalized_stages(prob: EcrsProblem, scale: int = 1) -> list[Matrix]:
-    """The stages [[p, c u], [0, I]], c = (p - 1)/lambda and u the all-ones
-    row, for each p = scale * factor: the index stages
-    [[p, c rho], [0, I]] conjugated by the normalizer T of normalize_to_ones.
+def _certified_factors(prob: EcrsProblem, scale: int = 1) -> tuple[int, ...]:
+    """The factors, once every stage [[p, c u], [0, I]], c = (p - 1)/lambda
+    and u the all-ones row, is proved to be the index stage
+    [[p, c rho], [0, I]] conjugated by the normalizer T of normalize_to_ones,
+    for each p = scale * factor.
 
     An index stage is I + c e_0 l with l = (lambda, rho), its left
     eigenvector, and T sends it to I + c (T e_0)(l T^{-1}).  So
@@ -92,11 +94,11 @@ def _normalized_stages(prob: EcrsProblem, scale: int = 1) -> list[Matrix]:
     if math.gcd(content(rho), lam) != 1:
         raise GcdViolated(
             f"gcd(content(rho), lambda) = {math.gcd(content(rho), lam)} != 1")
-    values = [scale * p for p in prob.p_seq.factors]
-    for idx, p in enumerate(values, start=1):
-        if (p - 1) % lam != 0:
+    for idx, p in enumerate(prob.p_seq.factors, start=1):
+        if (scale * p - 1) % lam != 0:
             raise CongruenceViolated(
-                f"stage factor {p} is not 1 mod lambda={lam}", stage=idx)
+                f"stage factor {scale * p} is not 1 mod lambda={lam}",
+                stage=idx)
     t = normalize_to_ones(prob).matrix
     if t.col(0) != (1,) + (0,) * prob.k:
         raise InvariantViolated(
@@ -105,7 +107,7 @@ def _normalized_stages(prob: EcrsProblem, scale: int = 1) -> list[Matrix]:
     if row != (lam, *rho):
         raise InvariantViolated(
             f"normalization failed: (lambda, 1, ..., 1) T = {row}", stage=1)
-    return [_stage_matrix(p, ((p - 1) // lam,) * prob.k) for p in values]
+    return prob.p_seq.factors
 
 
 def normalize_to_ones(prob: EcrsProblem) -> UnimodularTransform:
@@ -229,10 +231,11 @@ def _p_divisible_shift(size: int, k: int, lam: int, q: int) -> UnimodularTransfo
     return UnimodularTransform(size, tuple(ops))
 
 
-def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
-                  q: int = 1) -> RealizationSeq:
-    """Simultaneous conjugation turning the bordered stage matrices into
-    primitive matrices with all row sums and all column sums equal.
+def ecrs_finisher(base: Matrix, factors: Sequence[int], case: str, *, k: int,
+                  lam: int, q: int = 1) -> RealizationSeq:
+    """Primitive stages with all row sums and all column sums equal, one
+    for each factor p, finished from ``base``, the bordered stage of
+    factor 1.
 
     Cases: "embroidered" (finite route, interior columns first copied onto
     the border), named "direct" at lambda = k+1, where the border is empty
@@ -241,11 +244,15 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
     content-one tail of the common left eigenvector is mapped to all ones,
     guarded by the t = sk window).
 
-    Precondition: the matrices share the case's left eigenvector V and the
-    right eigenvector e_0 with V e_0 = size."""
-    if not mats:
-        raise DimensionMismatch("no stage matrices")
-    size = mats[0].rows
+    Precondition: the bordered stage of factor p is base + c e_0 V with
+    c = (p-1)/lambda and V the case's common left eigenvector.  The
+    finishing T sends e_0 to the all-ones column and V to the all-ones row,
+    so T (e_0 V) T^{-1} = J, the all-ones matrix, and every finished stage
+    is G_0 + c J with G_0 = T base T^{-1}.  One conjugation of base and
+    e_0 V, with J and the sums q of G_0 checked, finishes every stage: the
+    stage of p has sums q + c size = q p, and is nonnegative exactly when
+    c >= -min(G_0)."""
+    size = base.rows
     ones = tuple([1] * k)
     if case in ("direct", "embroidered"):
         v_evec = (lam,) + ones + tuple([0] * (lam - k - 1))
@@ -258,7 +265,7 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
             + tuple([lam] * (size - k - 1))
         # Guard: the finishing window q/lam <= t/k <= (q p_min - 1)/lam must
         # contain a multiple t = sk.
-        p_min = min(m[0, 0] // q for m in mats)
+        p_min = min(factors)
         s_lo = -(-q // lam)
         s_hi = (q * p_min - 1) // lam
         if s_lo > s_hi:
@@ -268,40 +275,30 @@ def ecrs_finisher(mats: Sequence[Matrix], case: str, *, k: int, lam: int,
     else:
         raise SchemaError(f"unknown finisher case {case!r}")
 
-    e0 = tuple([1] + [0] * (size - 1))
-    if sum(a * b for a, b in zip(v_evec, e0)) != size:
-        raise SchemaError("eigenvector inner product must equal the size")
-    for idx, m in enumerate(mats, start=1):
-        if m.rows != size or m.cols != size:
-            raise DimensionMismatch("sizes must agree", stage=idx)
-        p = m[0, 0]
-        if m.vector_mul(v_evec) != tuple(p * x for x in v_evec):
-            raise SchemaError("stage lost the common left eigenvector",
-                              stage=idx)
-        if m.mul_vector(e0) != tuple(p * x for x in e0):
-            raise SchemaError("stage lost the right eigenvector e_0",
-                              stage=idx)
-
-    # Every stage becomes T m T^{-1} with T = L S^{-1}, where L m adds
-    # row 0 to every other row.
+    # T = L S^{-1}, where L m adds row 0 to every other row.
     lower = UnimodularTransform(size, tuple(
         ("add", i, 0, 1) for i in range(1, size)))
-    out = lower.compose(shift.inverse()).conjugate(mats)
-    for idx, (m, g) in enumerate(zip(mats, out), start=1):
-        if not g.is_integral():
-            raise InvariantViolated("conjugation left the integers", stage=idx)
-        if not g.is_nonnegative():
+    e0_v = Matrix._exact(size, size, v_evec + (0,) * (size * (size - 1)))
+    g0, all_ones = lower.compose(shift.inverse()).conjugate([base, e0_v])
+    if all_ones != Matrix._exact(size, size, [1] * (size * size)):
+        raise InvariantViolated("finisher failed to send e_0 V to all ones")
+    if set(g0.row_sums()) | set(g0.column_sums()) != {q}:
+        raise InvariantViolated("finisher failed to equalize sums")
+    threshold = -min(map(min, g0.to_rows()))
+    out = []
+    for idx, p in enumerate(factors, start=1):
+        c = (p - 1) // lam
+        if c < threshold:
             bad = next((i, j) for i in range(size) for j in range(size)
-                       if g[i, j] < 0)
+                       if g0[i, j] + c < 0)
             raise PositivityFailed(
-                f"entry {bad} = {g[bad[0], bad[1]]} negative", stage=idx)
+                f"entry {bad} = {g0[bad[0], bad[1]] + c} negative", stage=idx)
+        g = g0 + all_ones.scale(c)
         if not is_primitive(g):
             raise NotPrimitive("finished stage not primitive", stage=idx)
-        if set(g.row_sums()) | set(g.column_sums()) != {m[0, 0]}:
-            raise InvariantViolated("finisher failed to equalize sums",
-                                    stage=idx)
+        out.append(g)
     markers = tuple([tuple([1] * size)] * (len(out) + 1))
-    return RealizationSeq(tuple(out), tuple(m[0, 0] for m in mats), markers,
+    return RealizationSeq(tuple(out), tuple(q * p for p in factors), markers,
                           {"ecs": True, "ers": True, "ecrs": True},
                           {"pipeline": "ecrs", "case": case, "k": k,
                            "lambda": lam, "q": q})
@@ -434,10 +431,12 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
     """Dispatch on the problem data.
 
     Without an infinite prime: lambda >= k+1 is necessary and sufficient;
-    the stages are built normalized to the all-ones row, embroidered when
-    lambda exceeds k+1, and finished; output size is exactly lambda.  With a
-    seed matrix (split case, lambda = 1): the commuting-family route.  With
-    a prime power q: the p-divisible embroidery of size lambda q."""
+    the stage of factor 1, normalized to the all-ones row, is embroidered
+    when lambda exceeds k+1 and finished to G_0, and the stage of p is
+    G_0 + ((p-1)/lambda) J; output size is exactly lambda.  With a seed
+    matrix (split case, lambda = 1): the commuting-family route.  With a
+    prime power q: the p-divisible embroidery of size lambda q, finished
+    from one base stage the same way."""
     if prob.seed_matrix is not None:
         if prob.lam != 1:
             raise SchemaError("the seed-matrix route is the split case lambda=1")
@@ -450,10 +449,11 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
         raise LambdaTooSmall(
             f"lambda = {prob.lam} below rank G = {prob.k + 1}: no ECRS "
             "realization exists when the value group has no infinite prime")
-    normalized = _normalized_stages(prob)
+    factors = _certified_factors(prob)
     x = embroidery_block(prob.k, prob.lam)
-    bordered = [embroider_rows(m, x) for m in normalized]
-    return ecrs_finisher(bordered, "direct" if x is None else "embroidered",
+    base = embroider_rows(Matrix.identity(prob.k + 1), x)   # factor 1: c = 0
+    return ecrs_finisher(base, factors,
+                         "direct" if x is None else "embroidered",
                          k=prob.k, lam=prob.lam)
 
 
@@ -470,11 +470,10 @@ def _p_divisible_route(prob: EcrsProblem) -> RealizationSeq:
     if size < k + 2:
         raise NoValidT(
             f"lambda q = {size} leaves no room to border a (k+1)-block, k={k}")
-    normalized = _normalized_stages(prob, scale=q)
+    factors = _certified_factors(prob, scale=q)
     extra = size - k - 1
-    bordered = []
-    for m, p in zip(normalized, prob.p_seq.factors):
-        z = Matrix.from_rows([[p] * extra])        # top border p * ones
-        y = Matrix.zeros(k, extra) if k else None
-        bordered.append(embroider_cols(m, y, z))
-    return ecrs_finisher(bordered, "p-divisible", k=k, lam=lam, q=q)
+    # The stage of factor 1: c = (q-1)/lambda and the top border 1 * ones.
+    base = embroider_cols(_stage_matrix(q, ((q - 1) // lam,) * k),
+                          Matrix.zeros(k, extra),
+                          Matrix.from_rows([[1] * extra]))
+    return ecrs_finisher(base, factors, "p-divisible", k=k, lam=lam, q=q)

@@ -105,9 +105,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_integral(self) -> bool:
-        return max(map(operator.attrgetter("denominator"), self._data)) == 1
-
     def is_nonnegative(self) -> bool:
         return min(self._data) >= 0
 

@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from dimgroup import cli, ecrs
 from dimgroup.errors import (CongruenceViolated, DimgroupError, GcdViolated,
                              InvariantViolated, K1Unnormalizable,
-                             LambdaTooSmall, NotEqualSums, PositivityFailed,
-                             SchemaError)
+                             LambdaTooSmall, NoValidT, NotEqualSums,
+                             NotPrimitive, PositivityFailed, SchemaError)
 from dimgroup.exact import Matrix, UnimodularTransform, content
-from dimgroup.ecrs import (EcrsProblem, PolyNat, _normalized_stages,
-                           _stage_matrix, commuting_family, ecrs_pipeline,
-                           embroider_cols, embroider_rows, embroidery_block,
+from dimgroup.ecrs import (EcrsProblem, PolyNat, _certified_factors,
+                           _cyclic_targets, _p_divisible_shift, _stage_matrix,
+                           commuting_family, ecrs_pipeline, embroider_cols,
+                           embroider_rows, embroidery_block,
                            normalize_to_ones, poly_for)
-from dimgroup.perron import check_equal_sums_criterion, integer_perron
+from dimgroup.perron import (check_equal_sums_criterion, integer_perron,
+                             is_primitive)
 from dimgroup.supernatural import FactorSequence
 
 
@@ -159,6 +161,13 @@ def _index_problems(draw):
     return EcrsProblem(k, lam, rho, FactorSequence(ps)), scale
 
 
+def _normalized_stages(prob, scale):
+    """The stage [[p, c u], [0, I]], c = (p - 1)/lambda, of each certified
+    factor, p = scale * factor."""
+    values = [scale * p for p in _certified_factors(prob, scale)]
+    return [_stage_matrix(p, ((p - 1) // prob.lam,) * prob.k) for p in values]
+
+
 @settings(deadline=None, max_examples=300)
 @given(_index_problems())
 def test_normalized_stages_match_conjugated_index_stages(case):
@@ -188,7 +197,7 @@ def test_normalizer_must_fix_e0(monkeypatch, rho, scale):
             == Matrix.from_rows([[1, 0], [p - 1, p]])
     monkeypatch.setattr(ecrs, "normalize_to_ones", lambda prob: t)
     with pytest.raises(InvariantViolated, match="T e_0") as err:
-        _normalized_stages(prob, scale)
+        _certified_factors(prob, scale)
     assert err.value.stage == 1
 
 
@@ -196,10 +205,13 @@ def test_normalizer_must_fix_e0(monkeypatch, rho, scale):
     EcrsProblem(2, 3, (1, 2), FactorSequence((7, 13))),
     EcrsProblem(3, 32, (16, -14, -19), FactorSequence((2273, 2593, 2657, 2689))),
     EcrsProblem(2, 3, (1, 1), FactorSequence((19, 31)), q=4),
+    EcrsProblem(2, 5, (1, -2), FactorSequence(
+        (11, 31, 41, 61, 71, 101, 131, 151))),
 ])
 def test_ecrs_build_conjugates_once(monkeypatch, prob):
-    # The normalizer is certified, not applied: the finisher's conjugation
-    # is the only one.
+    # The normalizer is certified, not applied, and the finisher conjugates
+    # the base stage and e_0 V alone: one call on two matrices, whatever
+    # the number of stages.
     calls = []
     conjugate = UnimodularTransform.conjugate
 
@@ -208,7 +220,8 @@ def test_ecrs_build_conjugates_once(monkeypatch, prob):
         return conjugate(self, mats)
     monkeypatch.setattr(UnimodularTransform, "conjugate", counted)
     seq = ecrs_pipeline(prob)
-    assert calls == [len(seq.matrices)]
+    assert len(seq.matrices) == len(prob.p_seq)
+    assert calls == [2]
 
 
 def test_embroider_rows():
@@ -414,9 +427,148 @@ def test_conjugations_form_no_matrix_product(monkeypatch, prob):
         assert set(m.row_sums()) == {p} and set(m.column_sums()) == {p}
 
 
+# The route before stages were finished from one base, read only by the
+# tests: every normalized stage is bordered as its route borders it and
+# conjugated by the finisher's T on its own, then checked on its own.
+def _finish_each(mats, case, k, lam, q=1):
+    size = mats[0].rows
+    ones = tuple([1] * k)
+    if case in ("direct", "embroidered"):
+        v_evec = (lam,) + ones + tuple([0] * (lam - k - 1))
+        shift = UnimodularTransform(size, tuple(
+            ("add", target, k + 1 + j, 1)
+            for j, target in enumerate(_cyclic_targets(k, lam - k - 1))))
+    else:
+        v_evec = (lam * q,) + tuple(q * x for x in ones) \
+            + tuple([lam] * (size - k - 1))
+        p_min = min(m[0, 0] // q for m in mats)
+        if -(-q // lam) > (q * p_min - 1) // lam:
+            raise NoValidT(
+                f"empty window for t = sk: q/lam={q}/{lam}, qp-1={q * p_min - 1}")
+        shift = _p_divisible_shift(size, k, lam, q)
+    e0 = tuple([1] + [0] * (size - 1))
+    for m in mats:
+        p = m[0, 0]
+        assert m.vector_mul(v_evec) == tuple(p * x for x in v_evec)
+        assert m.mul_vector(e0) == tuple(p * x for x in e0)
+    lower = UnimodularTransform(size, tuple(
+        ("add", i, 0, 1) for i in range(1, size)))
+    out = lower.compose(shift.inverse()).conjugate(mats)
+    for idx, (m, g) in enumerate(zip(mats, out), start=1):
+        assert all(x.denominator == 1 for row in g.to_rows() for x in row)
+        if not g.is_nonnegative():
+            bad = next((i, j) for i in range(size) for j in range(size)
+                       if g[i, j] < 0)
+            raise PositivityFailed(
+                f"entry {bad} = {g[bad[0], bad[1]]} negative", stage=idx)
+        if not is_primitive(g):
+            raise NotPrimitive("finished stage not primitive", stage=idx)
+        assert set(g.row_sums()) | set(g.column_sums()) == {m[0, 0]}
+    return out, tuple(m[0, 0] for m in mats)
+
+
+def _stage_by_stage(prob):
+    k, lam, q = prob.k, prob.lam, prob.q
+    if q is None and lam < k + 1:
+        raise LambdaTooSmall(
+            f"lambda = {lam} below rank G = {k + 1}: no ECRS "
+            "realization exists when the value group has no infinite prime")
+    normalized = _conjugated_index_stages(prob, q or 1)
+    if q is None:
+        x = embroidery_block(k, lam)
+        bordered = [embroider_rows(m, x) for m in normalized]
+        return _finish_each(bordered, "direct" if x is None else "embroidered",
+                            k, lam)
+    extra = lam * q - k - 1
+    bordered = [embroider_cols(m, Matrix.zeros(k, extra),
+                               Matrix.from_rows([[p] * extra]))
+                for m, p in zip(normalized, prob.p_seq.factors)]
+    return _finish_each(bordered, "p-divisible", k, lam, q)
+
+
+def _route_outcome(route, prob):
+    """The stages and stage values ``route`` builds, or the type, text and
+    stage of its error."""
+    try:
+        out = route(prob)
+    except DimgroupError as exc:
+        return type(exc), str(exc), exc.stage
+    if isinstance(out, tuple):
+        return list(out[0]), out[1]
+    return list(out.matrices), out.stage_values
+
+
+@st.composite
+def _finish_problems(draw):
+    k = draw(st.integers(1, 4))
+    rho = tuple(draw(st.lists(st.integers(-40, 40), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        # Mostly lambda >= k+1; below it the route raises LambdaTooSmall.
+        q = None
+        lam = draw(st.integers(k + 1, 40) | st.integers(k + 1, 40)
+                   | st.integers(1, 40))
+        top = 2 * max(1, (lam - k - 1) // k) + 3     # about twice -min(G_0)
+    else:
+        # Sizes lambda q up to 100; q = 1 (mod lambda).
+        lam = draw(st.integers(1, 6))
+        if lam == 1:
+            q = draw(st.integers(k + 2, 100))
+        else:
+            q = 1 + lam * draw(st.integers(1, (100 // lam - 1) // lam))
+        top = 3 * q
+    # p = 1 (mod lambda) around the threshold; now and then one other p.
+    ps = draw(st.lists(st.integers(1, top).map(lambda m: 1 + lam * m),
+                       min_size=1, max_size=4))
+    if draw(st.integers(0, 7)) == 0:
+        ps[draw(st.integers(0, len(ps) - 1))] = draw(st.integers(2, 200))
+    return EcrsProblem(k, lam, rho, FactorSequence(tuple(ps)), q=q)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_finish_problems())
+def test_stages_finished_from_one_base_match_stage_by_stage(prob):
+    # Every finished stage is G_0 + c J: the pipeline gives the stages of the
+    # stage-by-stage route, or its error, text and stage.
+    assert _route_outcome(ecrs_pipeline, prob) \
+        == _route_outcome(_stage_by_stage, prob)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_embroidered_threshold(k):
+    # A stage is nonnegative exactly when c = (p-1)/lambda >= -min(G_0),
+    # which on the embroidered route is ceil((lambda-k-1)/k) for any rho.
+    rho = (-1,) + (1,) * (k - 1)
+    for lam in range(k + 2, 41):
+        c = -(-(lam - k - 1) // k)
+        seq = ecrs_pipeline(EcrsProblem(k, lam, rho, FactorSequence(
+            (1 + lam * c, 1 + lam * (c + 1)))))
+        assert len(seq.matrices) == 2
+        if c > 1:
+            with pytest.raises(PositivityFailed) as err:
+                ecrs_pipeline(EcrsProblem(k, lam, rho, FactorSequence(
+                    (1 + lam * (c - 1),))))
+            assert err.value.stage == 1
+
+
+def test_p_divisible_threshold():
+    # At k = 2, lambda = 3, q = 64 the first stage that builds has c = 126;
+    # the pinned factor 193 has c = 64.
+    def build(*cs):
+        return ecrs_pipeline(EcrsProblem(2, 3, (1, 1), FactorSequence(
+            tuple(1 + 3 * c for c in cs)), q=64))
+    assert build(126).stage_values == (64 * 379,)
+    for cs, stage in [((125,), 1), ((64,), 1), ((126, 125), 2)]:
+        with pytest.raises(PositivityFailed) as err:
+            build(*cs)
+        assert err.value.stage == stage
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 5: build ecrs exits 3 with PositivityFailed at stage 1 "
-    "on data for which the paper constructs a realization"))
+    "ROADMAP item 2: build ecrs exits 3 with PositivityFailed at stage 1 "
+    "on data for which the paper constructs a realization.  A stage is "
+    "nonnegative exactly when c = (p-1)/lambda >= -min(G_0): factor 193 at "
+    "q = 64 has c = 64 below 126, and factor 5 at lambda = 4, k = 1 has "
+    "c = 1 below ceil((lambda-k-1)/k) = 2; the factors must be grouped"))
 @pytest.mark.parametrize("problem", [
     {"k": 2, "lambda": 3, "rho": [1, 1], "p_seq": [193, 577, 769], "q": 64},
     {"k": 1, "lambda": 4, "rho": [1], "p_seq": [5, 13]},
