@@ -70,10 +70,11 @@ class ExtensionData:
     def from_json(cls, obj: dict) -> "ExtensionData":
         with parsing("extension data"):
             k = json_int(obj["k"])
+            shared: dict[Matrix, Matrix] = {}   # equal Bs: one det B check
             stages = tuple(
                 Stage(json_int(st["p"]),
                       tuple(json_ints(st["v"])),
-                      json_matrix(st["B"]))
+                      shared.setdefault(b := json_matrix(st["B"]), b))
                 for st in json_list(obj["stages"]))
             return cls(k, stages)
 
@@ -188,21 +189,28 @@ def bordered_stage(idx: int, p: int, v: Sequence[int], b: Matrix) -> Matrix:
     """The bordered matrix of stage ``idx`` for stage data (p, v, B) with the
     smallest uniform free parameters (choose_a_params), built once and
     checked to be nonnegative, to have every column sum p, to annihilate
-    the kernel vector z (so its rank is at most k+1) and to be primitive;
-    each failure names the stage."""
+    the kernel vector z (rank at most k+1), to have a bottom row of one
+    value a >= 1 and to be primitive; each failure names the stage.  Rank
+    k+1 then needs no elimination: less the bottom row, then less column 0,
+    the rows below the top are [[v, B, -B 1], [a, 0, ..., 0]], whose first
+    k+1 columns have determinant +-a det B; det B != 0 is the caller's."""
     try:
         a = choose_a_params(p, v, b)
     except Infeasible as exc:
         raise Infeasible(str(exc), stage=idx) from None
     m = general_ecs_matrix(p, v, b, a)
+    k = len(v)
     if not m.is_nonnegative():
         raise InvariantViolated("negative entry despite the chosen a",
                                 stage=idx)
     if set(m.column_sums()) != {p}:
         raise InvariantViolated("column sums broke ECS by-construction",
                                 stage=idx)
-    if m.mul_vector(kernel_vector(len(v))) != tuple([0] * (len(v) + 2)):
+    if m.mul_vector(kernel_vector(k)) != tuple([0] * (k + 2)):
         raise InvariantViolated("kernel vector not annihilated", stage=idx)
+    if set(m.row(k + 1)) != {m[k + 1, 0]} or m[k + 1, 0] < 1:
+        raise InvariantViolated("bottom row is not one value a >= 1, so "
+                                "rank k+1 is unproved", stage=idx)
     if not is_primitive(m):
         raise NotPrimitive("stage matrix not primitive", stage=idx)
     return m
@@ -353,16 +361,10 @@ def _build_from_telescoped(tele: ExtensionData) -> RealizationSeq:
     for idx, (st, b_new) in enumerate(zip(tele.stages, bs), start=1):
         v_new = vec_add(vec_add(vec_scale(st.p, w), em.mul_vector(st.v)),
                         tuple(-x for x in b_new.mul_vector(w)))
-        m = bordered_stage(idx, st.p, v_new, b_new)
-        # M z = 0 caps the rank at k+1.  The k+1 rows below the top reach
-        # it whenever a >= 1 and det B != 0: less the bottom row, then less
-        # column 0, they are [[v, B, -B 1], [a, 0, ..., 0]].
-        lower = Matrix._exact_rows([m.row(i) for i in range(1, k + 2)])
-        rank = lower.rank()
-        if rank != k + 1:
-            raise InvariantViolated(
-                f"rank {rank} != k+1 for the rows below the top", stage=idx)
-        mats.append(m)
+        # bordered_stage's rank k+1 certificate needs det B_new != 0: B_new
+        # = E B E^-1 with E built from elementary operations only, and every
+        # Stage checks det B != 0 when it is made.
+        mats.append(bordered_stage(idx, st.p, v_new, b_new))
     return RealizationSeq(tuple(mats), tuple(st.p for st in tele.stages),
                           None, {"ecs": True}, {"pipeline": "ecs", "k": k})
 
@@ -374,9 +376,9 @@ def ecs_pipeline(data: ExtensionData,
     parameters per stage and emit the bordered ECS matrices.
 
     Every emitted matrix is verified exactly: nonnegative, column sums equal
-    to the stage p, kernel vector annihilated, rank k+1, primitive.  If a
-    grouping fails (positivity or primitivity), coarser telescopings are
-    tried before giving up.
+    to the stage p, kernel vector annihilated, rank k+1 by certificate,
+    primitive.  If a grouping fails (positivity or primitivity), coarser
+    telescopings are tried before giving up.
     """
     norm, _ = normalize_extension(data)
     epsilon = Fraction(epsilon)

@@ -31,9 +31,10 @@ def _as_exact(x) -> Number:
 
 class Matrix:
     """Immutable exact matrix (entries: int or Fraction), row-major.  Its
-    row and column sums are computed once, on first use."""
+    row and column sums and its determinant are computed once, on first
+    use."""
 
-    __slots__ = ("rows", "cols", "_data", "_row_sums", "_col_sums")
+    __slots__ = ("rows", "cols", "_data", "_row_sums", "_col_sums", "_det")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Number]):
         self._store(rows, cols, tuple(map(_as_exact, data)))
@@ -47,7 +48,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._data = data
-        self._row_sums = self._col_sums = None
+        self._row_sums = self._col_sums = self._det = None
 
     @classmethod
     def _exact(cls, rows: int, cols: int, data: Iterable[Number]) -> "Matrix":
@@ -189,14 +190,15 @@ class Matrix:
     # -- exact elimination kernels ----------------------------------------------
 
     def det(self) -> Number:
-        """Exact determinant, by fraction-free elimination."""
+        """Exact determinant, by fraction-free elimination, taken once."""
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
-        rows, scale = _integer_rows(map(self.row, range(self.rows)))
-        pivots, d, sign = _eliminate(rows)
-        if len(pivots) < self.rows:
-            return 0
-        return sign * d if scale == 1 else Fraction(sign * d, scale)
+        if self._det is None:
+            rows, scale = _integer_rows(map(self.row, range(self.rows)))
+            pivots, d, sign = _eliminate(rows)
+            self._det = (0 if len(pivots) < self.rows else sign * d
+                         if scale == 1 else Fraction(sign * d, scale))
+        return self._det
 
     def rank(self) -> int:
         """Rank over the rationals, by fraction-free elimination."""

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dimgroup import cli, ecs
+from dimgroup import cli, ecs, exact
 from dimgroup.errors import (BadCutPoints, HorizonExhausted, Infeasible,
+                             InvariantViolated, NotPrimitive,
                              ParameterExtractionFailed, PTooSmall, SchemaError)
 from dimgroup.exact import Matrix, is_unimodular
 from dimgroup.ecs import (AParams, BParams, ExtensionData, Stage, b_compose,
@@ -473,14 +475,16 @@ def test_ecs_pipeline_takes_no_determinant_of_settled_stages(monkeypatch):
 def test_build_ecs_makes_one_matrix_and_no_square_rank_per_stage(
         tmp_path, monkeypatch):
     """An n-stage build forms each bordered matrix once and proves its rank
-    on the k+1 rows below the top, never on the (k+2)-square matrix."""
+    by certificate, with no rank taken; its stages share one B, so the
+    whole build runs one elimination, for that B's determinant."""
     n, k = 5, 2
     payload = {"k": k, "stages": [{"p": 101 + 2 * i, "v": [0, 0],
                                    "B": [[1, 0], [0, 2]]} for i in range(n)]}
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(payload))
-    built, ranked = [], []
+    built, ranked, eliminated = [], [], []
     general, rank = ecs.general_ecs_matrix, Matrix.rank
+    eliminate = exact._eliminate
 
     def counted_general(*args):
         built.append(args)
@@ -489,12 +493,58 @@ def test_build_ecs_makes_one_matrix_and_no_square_rank_per_stage(
     def counted_rank(m):
         ranked.append((m.rows, m.cols))
         return rank(m)
+
+    def counted_eliminate(rows):
+        eliminated.append(len(rows))
+        return eliminate(rows)
     monkeypatch.setattr(ecs, "general_ecs_matrix", counted_general)
     monkeypatch.setattr(Matrix, "rank", counted_rank)
+    monkeypatch.setattr(exact, "_eliminate", counted_eliminate)
     assert cli.main(["build", "ecs", "-i", str(inp),
                      "-o", str(tmp_path / "out.json")]) == 0
     assert len(built) == n
-    assert ranked == [(k + 1, k + 2)] * n
+    assert ranked == []
+    assert eliminated == [k]
+
+
+@pytest.mark.parametrize("a", [AParams.uniform(1, 0), AParams((2, 1, 3))])
+def test_rank_certificate_needs_a_at_least_one(monkeypatch, a):
+    """With these a every stage below is nonnegative, has column sums p and
+    annihilates z, but its bottom row is zero or not one value: the
+    certificate's premise fails, and the build stops at stage 1 instead of
+    trying other groupings."""
+    data = ExtensionData(1, tuple(Stage(101 + 2 * i, (5,),
+                                        Matrix.identity(1))
+                                  for i in range(4)))
+    monkeypatch.setattr(ecs, "choose_a_params", lambda p, v, b: a)
+    with pytest.raises(InvariantViolated, match="a >= 1") as exc:
+        ecs_pipeline(data)
+    assert exc.value.stage == 1
+
+
+@st.composite
+def _stage_data(draw):
+    k = draw(st.integers(1, 4))
+    b = draw(st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k),
+                      min_size=k, max_size=k)
+             .map(Matrix.from_rows).filter(lambda m: m.det() != 0))
+    v = tuple(draw(st.lists(st.integers(-30, 40), min_size=k, max_size=k)))
+    return draw(st.integers(2, 20_000)), v, b
+
+
+@settings(deadline=None, max_examples=300)
+@given(_stage_data())
+def test_bordered_stage_has_rank_k_plus_one(data):
+    """Whenever bordered_stage returns, an exact elimination agrees with its
+    certificate: rank k+1, for the matrix and for its k+1 lower rows."""
+    p, v, b = data
+    k = len(v)
+    try:
+        m = ecs.bordered_stage(1, p, v, b)
+    except (Infeasible, NotPrimitive):
+        return
+    lower = Matrix.from_rows([m.row(i) for i in range(1, k + 2)])
+    assert m.rank() == lower.rank() == k + 1
 
 
 def test_rejected_groupings_are_logged(tmp_path, caplog, capsys):

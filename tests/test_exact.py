@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dimgroup import exact
 from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
-from dimgroup.errors import ContentMismatch, DimensionMismatch
+from dimgroup.ecs import ExtensionData
+from dimgroup.errors import ContentMismatch, DimensionMismatch, NonSquare
 from dimgroup.exact import (Matrix, UnimodularTransform, colsum_norm, content,
                             is_unimodular, map_content1_row,
                             rank_factorization, right_kernel_basis)
@@ -137,6 +139,74 @@ def test_det_bareiss_matches_fraction_path():
         a = Matrix.from_rows(rows)
         b = Matrix.from_rows([[Fraction(x) for x in row] for row in rows])
         assert Fraction(a.det()) == b.det()
+
+
+def _leibniz_det(m):
+    """det by the permutation expansion: no elimination, small n only."""
+    total = 0
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * math.prod(
+            m[i, j] for i, j in enumerate(perm))
+    return total
+
+
+def test_det_is_eliminated_once_and_cached(monkeypatch):
+    """The first det() eliminates, later calls return the same value; for
+    int, Fraction, singular and 1x1 matrices it is the expansion's."""
+    calls = []
+    eliminate = exact._eliminate
+
+    def counted(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
+    monkeypatch.setattr(exact, "_eliminate", counted)
+    rng = random.Random(19)
+    mats = [Matrix.from_rows([[1, 2], [3, 4]]),
+            Matrix.from_rows([[Fraction(1, 2), 3], [Fraction(-2, 3), 5]]),
+            Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]),
+            Matrix.from_rows([[0, 0], [0, 0]]),
+            Matrix.from_rows([[7]]), Matrix.from_rows([[0]]),
+            Matrix.from_rows([[Fraction(-5, 4)]])]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[-1] = list(rows[0])
+        if rng.random() < 0.3:
+            rows = [[Fraction(x, rng.randint(1, 4)) for x in row]
+                    for row in rows]
+        mats.append(Matrix.from_rows(rows))
+    for m in mats:
+        expected = _leibniz_det(m)
+        calls.clear()
+        assert m.det() == expected
+        assert m.det() == expected
+        assert len(calls) == 1
+    assert any(m.det() == 0 for m in mats)
+    assert any(isinstance(m.det(), Fraction) for m in mats)
+
+
+def test_det_of_non_square_raises_every_time():
+    m = Matrix.zeros(2, 3)
+    for _ in range(2):
+        with pytest.raises(NonSquare):
+            m.det()
+
+
+def test_extension_data_shares_equal_bs():
+    """Equal Bs in an ECS input become one Matrix, so its determinant is
+    taken once; distinct Bs stay apart."""
+    b1, b2 = [[1, 2], [0, 1]], [[2, 1], [1, 1]]
+    data = ExtensionData.from_json({"k": 2, "stages": [
+        {"p": 50 + i, "v": [0, 0], "B": [list(r) for r in b]}
+        for i, b in enumerate((b1, b2, b1, b2, b1))]})
+    bs = [stage.b for stage in data.stages]
+    assert bs[0] is bs[2] is bs[4]
+    assert bs[1] is bs[3]
+    assert bs[0] is not bs[1]
+    assert bs[0] == Matrix.from_rows(b1) and bs[1] == Matrix.from_rows(b2)
 
 
 def test_charpoly_int_examples():
