@@ -19,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import errors
@@ -119,7 +118,8 @@ def cmd_telescope(args: argparse.Namespace) -> int:
             for flag, claimed in composed.properties.items()}
     lost = [flag for flag, claimed in composed.properties.items()
             if claimed and not kept[flag]]
-    replace(composed, properties=kept).save(args.output)
+    RealizationSeq(composed.matrices, composed.stage_values, composed.markers,
+                   kept, composed.provenance).save(args.output)
     _emit({"ok": True, "output": args.output, "stages": len(composed),
            "properties": kept, "lost_flags": lost})
     return EXIT_OK

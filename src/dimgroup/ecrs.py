@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
@@ -29,8 +29,8 @@ from .realization import (RealizationSeq, echo, json_int, json_ints,
 from .supernatural import FactorSequence
 
 
-@dataclass(frozen=True)
-class EcrsProblem:
+class EcrsProblem(namedtuple("EcrsProblem",
+                             "k lam rho p_seq q seed_matrix")):
     """Target data for an ECRS realization: rank k of the complement, the
     index lambda = |tau(G)/tau(H)|, the trace row remainder rho with
     gcd(content(rho), lambda) = 1, and the factor prefix with every
@@ -38,22 +38,20 @@ class EcrsProblem:
     prime power q = 1 (mod lambda) for the embroidered route, or a seed
     matrix (primitive, equal row and column sums) for the commuting route."""
 
-    k: int
-    lam: int
-    rho: tuple[int, ...]
-    p_seq: FactorSequence
-    q: int | None = None
-    seed_matrix: Matrix | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int, lam: int, rho: tuple[int, ...],
+                p_seq: FactorSequence, q: int | None = None,
+                seed_matrix: Matrix | None = None):
+        if k < 1:
             raise SchemaError("k must be >= 1")
-        if self.lam < 1:
+        if lam < 1:
             raise SchemaError("lambda must be >= 1")
-        if len(self.rho) != self.k:
+        if len(rho) != k:
             raise DimensionMismatch("rho must have length k")
-        if not self.p_seq:
+        if not p_seq:
             raise SchemaError("need at least one factor")
+        return super().__new__(cls, k, lam, rho, p_seq, q, seed_matrix)
 
     @classmethod
     def from_json(cls, obj: dict) -> "EcrsProblem":
@@ -307,15 +305,15 @@ def ecrs_finisher(base: Matrix, factors: Sequence[int], case: str, *, k: int,
 # -- the polynomial algorithm and the commuting route ---------------------------------
 
 
-@dataclass(frozen=True)
-class PolyNat:
+class PolyNat(namedtuple("PolyNat", "coefficients")):
     """Polynomial with nonnegative integer coefficients, ascending degree."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.coefficients):
+    def __new__(cls, coefficients: tuple[int, ...]):
+        if any(c < 0 for c in coefficients):
             raise SchemaError("coefficients must be nonnegative")
+        return super().__new__(cls, coefficients)
 
     def __call__(self, x: int) -> int:
         acc = 0

@@ -14,9 +14,9 @@ vector z = (k+1, -1, ..., -1)^T.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (DimensionMismatch, HorizonExhausted, Infeasible,
                      InvariantViolated, NotNonnegative, NotPrimitive,
@@ -35,36 +35,33 @@ _log = logging.getLogger(__name__)
 # -- data model -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stage:
-    p: int
-    v: tuple[int, ...]
-    b: Matrix
+class Stage(namedtuple("Stage", "p v b")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p <= 1:
-            raise SchemaError(f"stage factor must exceed 1, got {self.p}")
-        if not self.b.is_square or self.b.rows != len(self.v):
+    def __new__(cls, p: int, v: tuple[int, ...], b: Matrix):
+        if p <= 1:
+            raise SchemaError(f"stage factor must exceed 1, got {p}")
+        if not b.is_square or b.rows != len(v):
             raise DimensionMismatch("stage B must be k x k with v of length k")
-        if self.b.det() == 0:
+        if b.det() == 0:
             raise SchemaError("stage B must have nonzero determinant")
+        return super().__new__(cls, p, v, b)
 
 
-@dataclass(frozen=True)
-class ExtensionData:
+class ExtensionData(namedtuple("ExtensionData", "k stages")):
     """Finite presentation of a rank-(k+1) extension as stages (p, v, B)."""
 
-    k: int
-    stages: tuple[Stage, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int, stages: tuple[Stage, ...]):
+        if k < 1:
             raise SchemaError("k must be >= 1")
-        if not self.stages:
+        if not stages:
             raise SchemaError("need at least one stage")
-        for st in self.stages:
-            if len(st.v) != self.k:
+        for st in stages:
+            if len(st.v) != k:
                 raise DimensionMismatch("stage vector length != k")
+        return super().__new__(cls, k, stages)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtensionData":
@@ -79,21 +76,21 @@ class ExtensionData:
             return cls(k, stages)
 
 
-@dataclass(frozen=True)
-class AParams:
+class AParams(namedtuple("AParams", "values")):
     """Free integer parameters a_0 .. a_{k+1} subject to the rank-drop
     constraint sum(a_1..a_{k+1}) = (k+1) a_0."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) < 3:
+    def __new__(cls, values: tuple[int, ...]):
+        if len(values) < 3:
             raise SchemaError("need a_0 .. a_{k+1} with k >= 1")
-        k = len(self.values) - 2
-        if sum(self.values[1:]) != (k + 1) * self.values[0]:
+        k = len(values) - 2
+        if sum(values[1:]) != (k + 1) * values[0]:
             raise SchemaError(
-                f"rank-drop constraint violated: sum {self.values[1:]} != "
-                f"{k + 1} * {self.values[0]}")
+                f"rank-drop constraint violated: sum {values[1:]} != "
+                f"{k + 1} * {values[0]}")
+        return super().__new__(cls, values)
 
     @classmethod
     def uniform(cls, k: int, a: int) -> "AParams":
@@ -394,16 +391,16 @@ def ecs_pipeline(data: ExtensionData,
                       type(exc).__name__, exc.stage)
             last_error = exc
             continue
-        return replace(seq, provenance={**seq.provenance, "cuts": cuts,
-                                        "epsilon": str(epsilon)})
+        return RealizationSeq(seq.matrices, seq.stage_values, seq.markers,
+                              seq.properties, {**seq.provenance, "cuts": cuts,
+                                               "epsilon": str(epsilon)})
     raise last_error    # set: _convergent_cuts raised if nothing converged
 
 
 # -- the composition algebra of bordered matrices (uniform parameters) -------------
 
 
-@dataclass(frozen=True)
-class BParams:
+class BParams(NamedTuple):
     p: int
     b: Matrix
     v: tuple[int, ...]

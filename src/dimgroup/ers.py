@@ -6,9 +6,9 @@ the kernel complement."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (DimensionMismatch, InvariantViolated, KernelMismatch,
                      RegimeViolation, SchemaError)
@@ -18,43 +18,40 @@ from .realization import (RealizationSeq, json_int, json_ints, json_list,
                           json_matrix, json_str, parsing)
 
 
-@dataclass(frozen=True)
-class ErsStage:
-    p: int
-    u: tuple[int, ...]      # a row this time
-    b: Matrix
+class ErsStage(namedtuple("ErsStage", "p u b")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p <= 1:
-            raise SchemaError(f"stage factor must exceed 1, got {self.p}")
-        if not self.b.is_square or self.b.rows != len(self.u):
+    def __new__(cls, p: int, u: tuple[int, ...], b: Matrix):    # u is a row
+        if p <= 1:
+            raise SchemaError(f"stage factor must exceed 1, got {p}")
+        if not b.is_square or b.rows != len(u):
             raise DimensionMismatch("stage B must be k x k with u of length k")
-        if self.b.det() == 0:
+        if b.det() == 0:
             raise SchemaError("stage B must have nonzero determinant")
+        return super().__new__(cls, p, u, b)
 
 
-@dataclass(frozen=True)
-class ErsStageData:
+class ErsStageData(namedtuple("ErsStageData", "k stages trace_row")):
     """Canonical upper-triangular presentation: stages (p, u, B) plus the
-    target trace row (1, rho) with rho exact rationals.  The canonical form
-    is the input format; no abstract-group bootstrapping is attempted."""
+    target trace row (1, rho) with rho exact rationals, stored as a tuple
+    of Fractions.  The canonical form is the input format; no
+    abstract-group bootstrapping is attempted."""
 
-    k: int
-    stages: tuple[ErsStage, ...]
-    trace_row: tuple[Fraction, ...]    # rho^1, length k
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int, stages: tuple[ErsStage, ...],
+                trace_row: tuple[Fraction, ...]):    # rho^1, length k
+        if k < 1:
             raise SchemaError("k must be >= 1")
-        if not self.stages:
+        if not stages:
             raise SchemaError("need at least one stage")
-        for st in self.stages:
-            if len(st.u) != self.k:
+        for st in stages:
+            if len(st.u) != k:
                 raise DimensionMismatch("stage row length != k")
-        if len(self.trace_row) != self.k:
+        if len(trace_row) != k:
             raise DimensionMismatch("trace row length != k")
-        object.__setattr__(self, "trace_row",
-                           tuple(Fraction(x) for x in self.trace_row))
+        return super().__new__(cls, k, stages,
+                               tuple(Fraction(x) for x in trace_row))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ErsStageData":
@@ -73,8 +70,7 @@ class ErsStageData:
 # -- verification ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErsVerifyReport:
+class ErsVerifyReport(NamedTuple):
     ok: bool
     stage_row_sums: tuple[tuple[int, ...], ...]
     stage_values: tuple[int | None, ...]   # per-stage row sum when constant
@@ -152,8 +148,7 @@ def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> list[ErsSta
     return stages
 
 
-@dataclass(frozen=True)
-class WSequence:
+class WSequence(NamedTuple):
     ys: tuple[tuple[int, ...], ...]        # y_1 .. y_{N+1}
     ws: tuple[tuple[int, ...], ...]        # w^1 .. w^N
     error_bound: Fraction                  # |S_N - rho|_inf is at most this

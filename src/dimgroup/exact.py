@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContentMismatch, DimensionMismatch, NonSquare
 
@@ -32,7 +31,8 @@ def _as_exact(x) -> Number:
 class Matrix:
     """Immutable exact matrix (entries: int or Fraction), row-major.  Its
     row and column sums and its determinant are computed once, on first
-    use."""
+    use; a product of square factors whose determinants are known takes
+    their product as its own."""
 
     __slots__ = ("rows", "cols", "_data", "_row_sums", "_col_sums", "_det")
 
@@ -147,7 +147,11 @@ class Matrix:
                 base = i * p
                 for j in range(p):
                     out[base + j] += aik * brow[j]
-        return Matrix._exact(n, p, out)
+        prod = Matrix._exact(n, p, out)
+        if self._det is not None and other._det is not None:
+            # Only a square matrix holds a det, so both factors are n x n.
+            prod._det = self._det * other._det      # det AB = det A det B
+        return prod
 
     def mul_vector(self, v: Sequence[Number]) -> tuple[Number, ...]:
         if len(v) != self.cols:
@@ -423,8 +427,7 @@ def _apply_op_row(rows: list, op: ElementaryOp) -> None:
         raise ValueError(f"unknown elementary op {op!r}")
 
 
-@dataclass(frozen=True)
-class UnimodularTransform:
+class UnimodularTransform(NamedTuple):
     """An element of GL(k,Z) carried together with its elementary factorization.
 
     ``matrix`` replays the factorization as row operations on the

@@ -3,9 +3,8 @@ charpoly bisection, equal sums, and the unique-trace diagnostic."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (InvariantViolated, NonSquare, NotIntegerEigenvalue,
                      NotNonnegative, NotPrimitive, SizeMismatch)
@@ -48,8 +47,7 @@ def _or_combine(row_bits: int, pattern: list[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(NamedTuple):
     """Integer Perron eigenvalue with content-1, strictly positive integer
     left (row) and right (column) eigenvectors."""
 
@@ -127,8 +125,7 @@ def _perron_vector(a: Matrix, root: int,
     return basis[0]
 
 
-@dataclass(frozen=True)
-class EqualSumsReport:
+class EqualSumsReport(NamedTuple):
     inner_product: int
     size: int
     sums_equal: bool
@@ -151,8 +148,7 @@ def check_equal_sums_criterion(a: Matrix) -> EqualSumsReport:
     return EqualSumsReport(inner, data.size, sums_equal)
 
 
-@dataclass(frozen=True)
-class UniqueTraceReport:
+class UniqueTraceReport(NamedTuple):
     limit_matrix: Matrix          # normalized product, exact rational entries
     numeric_rank_at_tol: int
     horizon: int

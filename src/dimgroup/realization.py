@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import BadCutPoints, DimensionMismatch, NumberTooLarge, SchemaError
@@ -161,32 +161,38 @@ def groups(cuts: Sequence[int], n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:] + [n]))
 
 
-@dataclass(frozen=True)
-class RealizationSeq:
-    """Chained transition matrices with designed eigenvalues and markers."""
+class RealizationSeq(namedtuple("RealizationSeq", "matrices stage_values "
+                                "markers properties provenance")):
+    """Chained transition matrices with designed eigenvalues and markers.
+    Omitted properties and provenance are each a fresh empty dict; the
+    length is the number of stages."""
 
-    matrices: tuple[Matrix, ...]
-    stage_values: tuple[int, ...]
-    markers: tuple[tuple[int, ...], ...] | None = None
-    properties: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.matrices:
+    def __new__(cls, matrices: tuple[Matrix, ...],
+                stage_values: tuple[int, ...],
+                markers: tuple[tuple[int, ...], ...] | None = None,
+                properties: dict | None = None,
+                provenance: dict | None = None):
+        if not matrices:
             raise DimensionMismatch("realization needs at least one stage")
-        if len(self.stage_values) != len(self.matrices):
+        if len(stage_values) != len(matrices):
             raise DimensionMismatch("one designed eigenvalue per stage")
-        for a, b in zip(self.matrices, self.matrices[1:]):
+        for a, b in zip(matrices, matrices[1:]):
             if a.rows != b.cols:
                 raise DimensionMismatch("stage dimensions do not chain")
-        if self.markers is not None:
-            if len(self.markers) != len(self.matrices) + 1:
+        if markers is not None:
+            if len(markers) != len(matrices) + 1:
                 raise DimensionMismatch("one marker per level")
-            for lvl, (m, h) in enumerate(zip(self.matrices, self.markers)):
+            for lvl, (m, h) in enumerate(zip(matrices, markers)):
                 if len(h) != m.cols:
                     raise DimensionMismatch(f"marker length wrong at level {lvl + 1}")
-            if len(self.markers[-1]) != self.matrices[-1].rows:
+            if len(markers[-1]) != matrices[-1].rows:
                 raise DimensionMismatch("marker length wrong at last level")
+        return super().__new__(
+            cls, matrices, stage_values, markers,
+            {} if properties is None else properties,
+            {} if provenance is None else provenance)
 
     def __len__(self):
         return len(self.matrices)

@@ -10,8 +10,8 @@ supports with finite multiplicities are approximated by prefixes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import SchemaError
 from .realization import echo, json_int, json_ints, parsing
@@ -98,32 +98,34 @@ def factorize(xs: Sequence[int]) -> list[tuple[int, int, bool]]:
             for x, e in sorted({**small, **coprime}.items())]
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
-    """finite_part: prime -> positive multiplicity; infinite_primes: multiplicity oo."""
+class SupernaturalNumber(namedtuple("SupernaturalNumber",
+                                    "finite_part infinite_primes")):
+    """finite_part: prime -> positive multiplicity (a dict, copied; empty
+    when omitted); infinite_primes: multiplicity oo (a frozenset)."""
 
-    finite_part: dict[int, int] = field(default_factory=dict)
-    infinite_primes: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "finite_part", dict(self.finite_part))
-        object.__setattr__(self, "infinite_primes", frozenset(self.infinite_primes))
-        overlap = set(self.finite_part) & self.infinite_primes
+    def __new__(cls, finite_part: dict[int, int] | None = None,
+                infinite_primes: Iterable[int] = ()):
+        finite_part = {} if finite_part is None else dict(finite_part)
+        infinite_primes = frozenset(infinite_primes)
+        overlap = set(finite_part) & infinite_primes
         if overlap:
             raise SchemaError(
                 f"primes {echo(sorted(overlap))} both finite and infinite")
-        small = [p for p in (*self.finite_part, *self.infinite_primes) if p < 2]
+        small = [p for p in (*finite_part, *infinite_primes) if p < 2]
         if small:
             raise SchemaError(
                 f"primes must be at least 2, got {echo(sorted(small))}")
-        composite = [p for p in (*self.finite_part, *self.infinite_primes)
+        composite = [p for p in (*finite_part, *infinite_primes)
                      if not is_prime(p)]
         if composite:
             raise SchemaError(
                 f"keys must be prime, got {echo(sorted(composite))}")
-        for p, e in self.finite_part.items():
+        for p, e in finite_part.items():
             if e <= 0:
                 raise SchemaError(f"multiplicity of {p} must be positive, got {e}")
+        return super().__new__(cls, finite_part, infinite_primes)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SupernaturalNumber":
@@ -134,21 +136,22 @@ class SupernaturalNumber:
                        json_ints(dict.get(obj, "infinite", [])))
 
 
-@dataclass(frozen=True)
-class FactorSequence:
-    """Ordered finite prefix p_2, p_3, ... of telescoped factors, each > 1."""
+class FactorSequence(namedtuple("FactorSequence", "factors")):
+    """Ordered finite prefix p_2, p_3, ... of telescoped factors, each > 1,
+    stored as a tuple.  Its length and iteration are those of the factors."""
 
-    factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        odd = [p for p in self.factors
+    def __new__(cls, factors: Iterable[int]):
+        factors = tuple(factors)
+        odd = [p for p in factors
                if not isinstance(p, int) or isinstance(p, bool)]
         if odd:
             raise SchemaError(
                 f"every factor must be an integer, got {echo(odd[0])}")
-        if any(p <= 1 for p in self.factors):
+        if any(p <= 1 for p in factors):
             raise SchemaError("every factor must exceed 1")
+        return super().__new__(cls, factors)
 
     def __iter__(self):
         return iter(self.factors)
@@ -166,8 +169,7 @@ def _ge(a, b) -> bool:
     return a >= b
 
 
-@dataclass(frozen=True)
-class EcrsDecision:
+class EcrsDecision(NamedTuple):
     exists: bool
     size: int | str | None   # exact size, INFINITE for unbounded, None if unknown/absent
     bounded: bool | None

@@ -3,8 +3,7 @@ nearly-split witness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotECS, NotNonnegative, ZeroRow
 from .exact import Matrix, content, right_kernel_basis
@@ -22,8 +21,7 @@ def _stage_column_sums(seq: RealizationSeq) -> list[int]:
     return sums
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(NamedTuple):
     """Canonical trace data of an ECS realization.  The trace of a basis
     vector at level i is 1/(c_1 ... c_{i-1}), c_j the column sum of stage
     j, so the value group of the prefix is (1/prod c_j) Z."""
@@ -66,8 +64,7 @@ def is_good_row(w: Sequence[int]) -> bool:
     return all(x == 0 or x == g for x in w)
 
 
-@dataclass(frozen=True)
-class NearlySplitReport:
+class NearlySplitReport(NamedTuple):
     has_common_right_evec: bool
     has_common_left_evec: bool
     nearly_split_implied: bool

@@ -43,7 +43,7 @@ elimination beyond one rank factorization per stage:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotIntegerEigenvalue, NotPrimitive
 from .exact import Matrix, rank_factorization
@@ -184,8 +184,7 @@ def _telescoped_kernel_ranks(seq: RealizationSeq) -> list[dict]:
     return out
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     report: dict
 

@@ -507,6 +507,28 @@ def test_build_ecs_makes_one_matrix_and_no_square_rank_per_stage(
     assert eliminated == [k]
 
 
+@pytest.mark.parametrize("n,code", [(8, 3), (16, 0)])
+def test_grouping_search_takes_one_determinant(tmp_path, monkeypatch,
+                                               n, code):
+    """Every candidate grouping telescopes its stages into new Stages,
+    each checking det B != 0; the products carry the determinant of the
+    one shared B, so a failing and a passing build both eliminate once."""
+    payload = {"k": 2, "stages": [{"p": 101 + 2 * i, "v": [(3 + i) % 5, 7],
+                                   "B": [[1, 0], [0, 2]]} for i in range(n)]}
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    eliminated = []
+    eliminate = exact._eliminate
+
+    def counted(rows):
+        eliminated.append(len(rows))
+        return eliminate(rows)
+    monkeypatch.setattr(exact, "_eliminate", counted)
+    assert cli.main(["build", "ecs", "-i", str(inp),
+                     "-o", str(tmp_path / "out.json")]) == code
+    assert eliminated == [2]
+
+
 @pytest.mark.parametrize("a", [AParams.uniform(1, 0), AParams((2, 1, 3))])
 def test_rank_certificate_needs_a_at_least_one(monkeypatch, a):
     """With these a every stage below is nonnegative, has column sums p and

@@ -188,6 +188,52 @@ def test_det_is_eliminated_once_and_cached(monkeypatch):
     assert any(isinstance(m.det(), Fraction) for m in mats)
 
 
+def test_det_is_carried_through_square_products(monkeypatch):
+    """A product of two square factors whose determinants are known has
+    det A * det B with no elimination, and it equals a fresh elimination
+    of the product's entries; a factor with no determinant taken yet
+    leaves the product's to be eliminated."""
+    calls = []
+    eliminate = exact._eliminate
+
+    def counted(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
+    monkeypatch.setattr(exact, "_eliminate", counted)
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        pair = []
+        for _ in range(2):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.25:
+                rows[-1] = list(rows[0])
+            if rng.random() < 0.3:
+                rows = [[Fraction(x, rng.randint(1, 5)) for x in row]
+                        for row in rows]
+            pair.append(Matrix.from_rows(rows))
+        a, b = pair
+        a.det(), b.det()
+        calls.clear()
+        carried = (a * b).det()
+        assert calls == []
+        assert carried == Matrix.from_rows((a * b).to_rows()).det() \
+            == _leibniz_det(a * b)
+        kinds.add((carried == 0, isinstance(carried, Fraction)))
+    assert kinds == {(False, False), (False, True), (True, False),
+                     (True, True)}
+    fresh = Matrix.from_rows([[1, 2], [3, 4]])
+    known = Matrix.from_rows([[2, 0], [0, 3]])
+    known.det()
+    calls.clear()
+    assert (known * fresh).det() == (fresh * known).det() == -12
+    assert len(calls) == 2
+    wide = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(NonSquare):
+        (known * wide).det()
+
+
 def test_det_of_non_square_raises_every_time():
     m = Matrix.zeros(2, 3)
     for _ in range(2):

@@ -378,3 +378,47 @@ def test_uncalled_definition_finder():
         == ["m:M.unused", "m:M.pow", "m:f", "m:g"]
     assert _uncalled_definitions({"m": tree}) \
         == ["m:M.unused", "m:M.pow", "m:M.allowed", "m:f", "m:g"]
+
+
+def _record_shortcuts(tree) -> list[str]:
+    """``line what`` for each import of ``dataclasses`` and each call of a
+    ``_replace`` method.  The records are named tuples whose constructors
+    run the input checks; ``_replace`` builds through ``tuple.__new__`` and
+    skips them, and dataclass code generation is import-time cost."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno} import {alias.name}"
+                      for alias in node.names
+                      if alias.name.split(".")[0] == "dataclasses"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "dataclasses"):
+            found.append(f"{node.lineno} from {node.module}")
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_replace"):
+            found.append(f"{node.lineno} _replace")
+    return found
+
+
+def test_records_are_built_only_through_their_checked_constructors():
+    found = []
+    for path in sorted(Path(dimgroup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{hit}" for hit in _record_shortcuts(tree)]
+    assert found == []
+
+
+def test_record_shortcut_finder_flags_planted_examples():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, replace\n"
+        "import collections, dataclasses as dc\n"
+        "from collections import namedtuple\n"
+        "from .dataclasses import x\n"
+        "seq = seq._replace(properties={})\n"
+        "replace(seq)\n"
+        "seq.replace('a', 'b')\n")
+    assert _record_shortcuts(tree) == [
+        "1 import dataclasses", "2 from dataclasses",
+        "3 import dataclasses", "6 _replace"]
