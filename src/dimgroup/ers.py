@@ -290,7 +290,7 @@ def ers_pipeline(data: ErsStageData, horizon: int,
     w_rows = []
     for idx, (blk, st) in enumerate(zip(blocks, stages), start=1):
         b_rec = Matrix.from_rows([[blk[1 + i, 1 + j] for j in range(k)]
-                                  for i in range(k)]).transpose()
+                                  for i in range(k)])
         if blk[0, 0] != st.p or b_rec != st.b:
             raise InvariantViolated("restricted block lost the stage data",
                                     stage=idx)

@@ -363,20 +363,8 @@ def right_kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
 
     Vectors are sign-normalized so their first nonzero entry is positive.
     """
-    rows, _ = _integer_rows(map(m.row, range(m.rows)))
-    pivots, d, _ = _eliminate(rows)
-    basis = []
-    for fc in range(m.cols):
-        if fc in pivots:
-            continue
-        v = [0] * m.cols
-        v[fc] = d
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
-        lead = next(x for x in v if x != 0)
-        g = content(v) if lead > 0 else -content(v)
-        basis.append(tuple(x // g for x in v))
-    return basis
+    return [primitive_part(v)
+            for v in factor_kernel_basis(*rank_factorization(m), m.cols)]
 
 
 def rank_factorization(m: Matrix) -> tuple[list[int], list[Sequence[int]]]:
@@ -387,11 +375,43 @@ def rank_factorization(m: Matrix) -> tuple[list[int], list[Sequence[int]]]:
     scaling leaves unchanged; the left factor must therefore be taken from
     the columns of m itself, never from a row-scaled copy.  d is the final
     pivot of the elimination of m's distinct nonzero rows, so it depends on
-    which rows repeat, while p and d^-1 R do not.
+    which rows repeat, while p and d^-1 R do not.  R holds d at its own
+    pivot column and 0 at every other one.
     """
     rows, _ = _integer_rows(map(m.row, range(m.rows)))
     pivots, _, _ = _eliminate(rows)
     return pivots, rows[:len(pivots)]
+
+
+def factor_kernel_basis(pivots: Sequence[int], rows: Sequence[Sequence[int]],
+                        cols: int) -> list[list[int]]:
+    """Integer basis of the right kernel of a matrix with cols columns,
+    read off its rank_factorization (pivots, rows) with no further
+    elimination: ker m = ker R, and each free column f of R gives the
+    vector holding d at f, minus R's column f at the pivots, 0 elsewhere."""
+    d = rows[0][pivots[0]] if pivots else 1
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [0] * cols
+        v[fc] = d
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def primitive_part(v: Sequence[Number]) -> tuple[int, ...]:
+    """The integer multiple of a nonzero rational vector whose content is 1
+    and whose first nonzero entry is positive."""
+    if any(type(x) is not int for x in v):
+        den = math.lcm(*(x.denominator for x in v))
+        v = [x.numerator * (den // x.denominator) for x in v]
+    g = content(v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 # -- unimodular transforms ------------------------------------------------------

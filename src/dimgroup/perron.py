@@ -4,7 +4,7 @@ charpoly bisection, equal sums, and the unique-trace diagnostic."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (InvariantViolated, NonSquare, NotIntegerEigenvalue,
                      NotNonnegative, NotPrimitive, SizeMismatch)
@@ -15,8 +15,9 @@ def is_primitive(a: Matrix) -> bool:
     """True iff some power of the nonnegative square matrix a is entrywise
     positive.  A positive cross, an index j whose row j and column j are
     both positive, certifies it at once: (a^2)_il >= a_ij a_jl > 0.  Without
-    one, powers of the zero pattern are tested up to the Wielandt bound
-    (s-1)^2 + 1, so entries never blow up."""
+    one, the zero pattern is squared: a is primitive iff a^N > 0 for
+    N = (s-1)^2 + 1 (Wielandt), and then every later power is positive too,
+    so ceil(log2 N) squarings of the row bitsets decide it."""
     if not a.is_square:
         raise NonSquare("primitivity needs a square matrix")
     if not a.is_nonnegative():
@@ -25,17 +26,18 @@ def is_primitive(a: Matrix) -> bool:
     if any(min(a.row(j)) > 0 and min(a.col(j)) > 0 for j in range(s)):
         return True
     full = (1 << s) - 1
-    base = [sum(1 << j for j, x in enumerate(a.row(i)) if x) for i in range(s)]
-    power = base
-    bound = (s - 1) ** 2 + 1
-    for _ in range(bound):
+    power = [sum(1 << j for j, x in enumerate(a.row(i)) if x)
+             for i in range(s)]
+    for _ in range(((s - 1) ** 2).bit_length()):
         if all(row == full for row in power):
             return True
-        power = [_or_combine(power[i], base) for i in range(s)]
+        power = [_or_combine(row, power) for row in power]
     return all(row == full for row in power)
 
 
 def _or_combine(row_bits: int, pattern: list[int]) -> int:
+    """The OR of the rows of pattern that row_bits selects: one row of a
+    boolean matrix product."""
     out = 0
     j = 0
     bits = row_bits
@@ -45,6 +47,11 @@ def _or_combine(row_bits: int, pattern: list[int]) -> int:
         bits >>= 1
         j += 1
     return out
+
+
+# Maps a Perron root r to a content-1 integer basis of ker(a - rI), or of
+# the rows w with w a = r w.
+KernelSolver = Callable[[int], list[tuple[int, ...]]]
 
 
 class PerronData(NamedTuple):
@@ -88,36 +95,45 @@ def _shifted(chi: Sequence[int], t: int) -> list[int]:
     return out
 
 
-def integer_perron(a: Matrix) -> PerronData:
+def integer_perron(a: Matrix, right_kernel: KernelSolver | None = None,
+                   left_kernel: KernelSolver | None = None) -> PerronData:
     """Integer Perron data of a primitive matrix, certified by the sum
     sandwich or one charpoly bisection (perron_root).  By Perron-Frobenius
     ker(a - rI) and ker(a^T - rI) are spanned by strictly positive vectors;
     constant row (column) sums make the all-ones vector the right (left) one,
-    and only otherwise is the kernel solved.  NotIntegerEigenvalue signals
-    input outside this library's constructions."""
+    and only otherwise is the kernel solved.  A caller that can find one of
+    these kernels more cheaply passes a solver, mapping the root to a
+    content-1 integer basis of it; that basis is checked as a solved one
+    is.  NotIntegerEigenvalue signals input outside this library's
+    constructions."""
     if not is_primitive(a):
         raise NotPrimitive("integer_perron requires a primitive matrix")
     root = perron_root(a)
-    return PerronData(root, _perron_vector(a, root, left=True),
-                      _perron_vector(a, root), a.rows)
+    left = _perron_vector(a, root, left=True, kernel=left_kernel)
+    return PerronData(root, left, _perron_vector(a, root, kernel=right_kernel),
+                      a.rows)
 
 
-def _perron_vector(a: Matrix, root: int,
-                   left: bool = False) -> tuple[int, ...]:
+def _perron_vector(a: Matrix, root: int, left: bool = False,
+                   kernel: KernelSolver | None = None) -> tuple[int, ...]:
     """Content-1 vector spanning ker(a - root I), or with ``left`` the row
     vectors w with w a = root w, for primitive a.  Constant row (column)
-    sums give the all-ones vector; only a kernel solve reads a^T.  Where
-    every column of the solved matrix sums to root, the rows of a - root I
-    sum to zero, so the last one is left out of the solve."""
+    sums give the all-ones vector; otherwise ``kernel`` gives the basis, or
+    it is solved, and only a left solve reads a^T.  Where every column of
+    the solved matrix sums to root, the rows of a - root I sum to zero, so
+    the last one is left out of the solve."""
     if len(set(a.column_sums() if left else a.row_sums())) == 1:
         return (1,) * a.rows
-    if left:
-        a = a.transpose()
-    shifted = [[x - root if i == j else x for j, x in enumerate(a.row(i))]
-               for i in range(a.rows)]
-    if set(a.column_sums()) == {root}:
-        shifted.pop()
-    basis = right_kernel_basis(Matrix._exact_rows(shifted))
+    if kernel is not None:
+        basis = kernel(root)
+    else:
+        if left:
+            a = a.transpose()
+        shifted = [[x - root if i == j else x
+                    for j, x in enumerate(a.row(i))] for i in range(a.rows)]
+        if set(a.column_sums()) == {root}:
+            shifted.pop()
+        basis = right_kernel_basis(Matrix._exact_rows(shifted))
     if len(basis) != 1 or not all(x > 0 for x in basis[0]):
         raise InvariantViolated(
             f"Perron root {root} of a primitive matrix has no simple, "

@@ -7,6 +7,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import NotECS, NotNonnegative, ZeroRow
 from .exact import Matrix, content, right_kernel_basis
+from .perron import PerronData
 from .realization import RealizationSeq, json_str
 from .supernatural import factorize
 
@@ -77,17 +78,22 @@ class NearlySplitReport(NamedTuple):
         }
 
 
-def nearly_split_witness(seq: RealizationSeq) -> NearlySplitReport:
+def nearly_split_witness(seq: RealizationSeq,
+                         perron: Sequence[PerronData | None] = ()
+                         ) -> NearlySplitReport:
     """Looks for one integer vector that is a right eigenvector of every
     stage matrix at its designed eigenvalue, and a row that is a left
     eigenvector of every stage, with nonzero pairing; both found with a
-    nonzero pairing forces the trace extension to be nearly split."""
+    nonzero pairing forces the trace extension to be nearly split.
+    ``perron`` holds, per stage, the Perron data of a stage verified
+    primitive, else None; it seeds the search."""
     sizes = set(seq.level_sizes())
     if len(sizes) != 1:
         return NearlySplitReport(False, False, False)
     values = seq.stage_values
-    right_basis = _common_eigenvectors(seq.matrices, values)
-    left_basis = _common_eigenvectors(seq.matrices, values, left=True)
+    right_basis = _common_eigenvectors(seq.matrices, values, perron=perron)
+    left_basis = _common_eigenvectors(seq.matrices, values, left=True,
+                                      perron=perron)
     has_right = bool(right_basis)
     has_left = bool(left_basis)
     pairing = any(sum(l * r for l, r in zip(w, v)) != 0
@@ -97,21 +103,25 @@ def nearly_split_witness(seq: RealizationSeq) -> NearlySplitReport:
 
 
 def _common_eigenvectors(mats: Sequence[Matrix], values: Sequence[int],
-                         left: bool = False) -> list[tuple[int, ...]]:
+                         left: bool = False,
+                         perron: Sequence[PerronData | None] = ()
+                         ) -> list[tuple[int, ...]]:
     """Integer basis of {v : A v = p v for every stage (A, p)}, or with
     ``left`` of the rows {w : w A = p w}, for square stages of one size.
 
     The stage kernels are intersected one at a time, so at most s vectors
-    are live.  A positive stage with A 1 = p 1 (1 A = p 1) has its kernel
-    spanned by the all-ones vector (Perron's theorem), which then seeds the
-    basis without a solve; once the basis is one vector, each stage costs
-    one vector product.
+    are live.  A primitive stage whose Perron root is p has ker(A - pI)
+    spanned by its right Perron vector, and the rows w A = p w by its left
+    one, since that root is simple; its vector from ``perron`` then seeds
+    the basis without a solve.  Once the basis is one vector, each stage
+    costs one vector product.
     """
     s = mats[0].cols
-    if any((m.column_sums() if left else m.row_sums()) == (p,) * s
-           and all(x > 0 for i in range(s) for x in m.row(i))
-           for m, p in zip(mats, values)):
-        basis = [(1,) * s]
+    seed = next(((pd.left if left else pd.right)
+                 for pd, p in zip(perron, values)
+                 if pd is not None and pd.eigenvalue == p), None)
+    if seed is not None:
+        basis = [seed]
     else:
         basis = [tuple(int(i == j) for j in range(s)) for i in range(s)]
     for m, p in zip(mats, values):

@@ -289,3 +289,75 @@ def test_infeasible_stage_is_named():
     with pytest.raises(Infeasible) as info:
         ers_pipeline(data, 2)
     assert info.value.stage == 2
+
+
+def _upper_b_data(stages, rho):
+    """k=2 ERS data with the non-symmetric B = [[1, b], [0, 1]] per stage."""
+    return ErsStageData(2, tuple(
+        ErsStage(p, u, Matrix.from_rows([[1, b], [0, 1]]))
+        for p, u, b in stages), tuple(Fraction(x) for x in rho))
+
+
+def test_restricted_block_is_p_w_over_the_input_b():
+    """ers_pipeline builds the bordered ECS matrix of (p, w, B^T) and
+    transposes it.  Restricted to the kernel complement, each stage is the
+    upper block [[p, w], [0, B]] with the input's own B, and the commuting
+    squares F_n M_n(u) = [[p, w], [0, B]] F_{n-1}, F_n = [[1, y_n], [0, I]],
+    hold on it."""
+    data = _upper_b_data([(47, (-2, -1), 1), (63, (-6, 6), 3)], ("1/6", "3/5"))
+    seq = ers_pipeline(data, 2)
+    wseq = build_w_sequence(data, 2)
+    blocks = restrict_to_kernel_complement(
+        [m.transpose() for m in seq.matrices])
+    k = data.k
+    for n, (blk, st, w) in enumerate(zip(blocks, data.stages, wseq.ws),
+                                     start=1):
+        assert st.b != st.b.transpose()
+        assert blk == upper_block_matrix(st.p, w, st.b)
+        f_next, f_prev = (upper_block_matrix(1, wseq.ys[i], Matrix.identity(k))
+                          for i in (n, n - 1))
+        assert f_next * upper_block_matrix(st.p, st.u, st.b) == blk * f_prev
+
+
+# Inputs with B = [[1, b], [0, 1]] that the self-check rejected as "restricted
+# block lost the stage data" while it compared B^T with B.
+NON_SYMMETRIC_B = [
+    ([(67, (6, -5), 1), (82, (-5, -8), 2), (111, (4, -6), 1)], ("2/9", "-1/4")),
+    ([(47, (-2, -1), 1), (63, (-6, 6), 3)], ("1/6", "3/5")),
+    ([(67, (5, 5), -1)], ("0", "0")),
+    ([(57, (-3, -2), 2), (92, (-7, -1), 3), (105, (-10, -8), 2)],
+     ("-1/7", "0")),
+    ([(28, (1, 2), 2), (44, (-4, 1), 3), (53, (5, 4), -1), (86, (-3, 2), 2)],
+     ("1/4", "0")),
+    ([(43, (4, 2), 3)], ("3/5", "0")),
+    ([(26, (-1, 2), 3), (34, (0, -2), -1)], ("1/9", "3/8")),
+    ([(71, (0, 1), 1), (106, (10, -5), -1), (125, (9, 0), -1),
+      (144, (13, -10), 2)], ("1/9", "-1/8")),
+    ([(78, (-7, 2), 1), (79, (1, -7), 3)], ("1/7", "1/2")),
+    ([(30, (-2, -2), 1), (30, (2, -1), 2), (52, (-2, 4), -1)], ("0", "0")),
+    ([(33, (0, 2), 3), (66, (3, -4), 3), (106, (7, 10), 2)],
+     ("-2/9", "-2/9")),
+    ([(56, (2, -4), 2), (58, (3, 4), 1), (67, (-3, -4), 3)],
+     ("-3/4", "-2/3")),
+    ([(34, (2, 0), 1), (40, (1, 2), 1), (67, (2, -1), 3)], ("0", "1/6")),
+    ([(72, (-5, -1), 1)], ("0", "1/3")),
+    ([(61, (2, -6), 3), (85, (-8, -5), 2)], ("-1/5", "-1/6")),
+    ([(93, (5, -7), 1), (117, (-6, 1), 1), (127, (3, 5), 3),
+      (154, (15, 0), 1)], ("0", "1/7")),
+    ([(60, (-1, 1), 2), (86, (6, 0), 2), (109, (6, -6), 3)],
+     ("-1/3", "-1/4")),
+    ([(84, (3, 0), -1)], ("-1/4", "2/5")),
+    ([(43, (0, -1), 1), (62, (1, 5), 1), (80, (-4, -1), -1),
+      (100, (1, -7), -1)], ("-1/8", "1/5")),
+    ([(61, (1, 6), 2)], ("1/6", "3/8")),
+    ([(46, (2, -2), 1), (56, (5, 1), 2), (76, (-4, -1), 2)], ("0", "-1/5")),
+]
+
+
+@pytest.mark.parametrize("stages,rho", NON_SYMMETRIC_B)
+def test_non_symmetric_b_builds_and_verifies(stages, rho):
+    from dimgroup.verify import structural_report
+    seq = ers_pipeline(_upper_b_data(stages, rho), len(stages))
+    assert seq.stage_values == tuple(p for p, _, _ in stages)
+    result = structural_report(seq)
+    assert result.ok and result.report["derived"]["ers"]

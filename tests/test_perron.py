@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from dimgroup.errors import (DimensionMismatch, NonSquare,
-                             NotIntegerEigenvalue, NotNonnegative,
+from dimgroup.errors import (DimensionMismatch, InvariantViolated,
+                             NonSquare, NotIntegerEigenvalue, NotNonnegative,
                              NotPrimitive)
 from dimgroup import perron
 from dimgroup.exact import Matrix, right_kernel_basis
@@ -60,6 +60,54 @@ def test_is_primitive_matches_the_wielandt_loop():
         assert is_primitive(m) == expected
         verdicts[expected] += 1
     assert min(verdicts.values()) >= 300
+
+
+@st.composite
+def _patterns(draw):
+    s = draw(st.integers(1, 8))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    return Matrix.from_rows([[draw(st.integers(1, 3)) if draw(
+        st.floats(0, 1)) < density else 0 for _ in range(s)]
+        for _ in range(s)])
+
+
+@settings(deadline=None, max_examples=400)
+@given(_patterns())
+def test_is_primitive_by_squaring_matches_explicit_powers(m):
+    """ceil(log2((s-1)^2 + 1)) squarings decide what the explicit boolean
+    powers up to the Wielandt bound decide."""
+    expected = _wielandt_primitive(m)
+    event(f"primitive: {expected}")
+    assert is_primitive(m) == expected
+
+
+def test_wielandt_matrix_is_decided_by_squaring():
+    """The Wielandt matrix, the primitive matrix whose first positive power
+    is the bound (s-1)^2 + 1 itself, and the cycle, which is not primitive;
+    neither has a positive cross."""
+    for s in (2, 5, 8, 64):
+        cycle = [[int(j == (i + 1) % s) for j in range(s)] for i in range(s)]
+        assert not is_primitive(Matrix.from_rows(cycle))
+        cycle[s - 1][1] = 1
+        assert is_primitive(Matrix.from_rows(cycle))
+        if s <= 8:
+            assert _wielandt_primitive(Matrix.from_rows(cycle))
+
+
+def test_a_given_kernel_solver_is_checked_as_a_solve_is():
+    """integer_perron takes a solver's basis of ker(A - rho I) only if it is
+    one strictly positive vector; its row and column sums are unequal, so
+    neither vector is the all-ones one."""
+    m = Matrix.from_rows([[1, 2], [3, 6]])
+    pd = integer_perron(m)
+    assert pd == (7, (1, 2), (1, 3), 2)
+    assert integer_perron(m, lambda root: [pd.right]) == pd
+    assert integer_perron(m, None, lambda root: [pd.left]) == pd
+    for basis in ([pd.right, (1, 0)], [], [(1, 0)], [(-1, -1)]):
+        with pytest.raises(InvariantViolated):
+            integer_perron(m, lambda root: basis)
+        with pytest.raises(InvariantViolated):
+            integer_perron(m, None, lambda root: basis)
 
 
 def test_is_primitive_transpose_symmetry():

@@ -214,7 +214,7 @@ def test_every_elimination_takes_rows_from_integer_rows():
     for path in sorted(Path(dimgroup.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [(path.name, ok) for _, ok in _eliminations(tree)]
-    assert found == [("exact.py", True)] * 5
+    assert found == [("exact.py", True)] * 4
 
 
 def test_elimination_finder_flags_other_rows():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dimgroup.errors import (DimensionMismatch, DimgroupError, NotECS,
-                             NotNonnegative, ZeroRow)
+                             NotIntegerEigenvalue, NotNonnegative,
+                             NotPrimitive, ZeroRow)
 from dimgroup.exact import Matrix, right_kernel_basis
+from dimgroup.perron import integer_perron
 from dimgroup.realization import RealizationSeq
 from dimgroup.traces import (NearlySplitReport, _common_eigenvectors,
                              _stage_column_sums, is_good_row,
@@ -216,8 +218,8 @@ def _witness_stage(rng, s, kind):
     """One stage and designed value.  a J + b I has the all-ones vector at
     a s + b and every zero-sum vector at b, the non-Perron eigenvalue for
     a > 0 (b < 0 makes entries negative, a half-integer a makes Fraction
-    entries); positive stages with constant row or column sums seed the
-    witness when p is their sum; diagonal, permutation and Jordan stages
+    entries); positive stages with constant row or column sums have that
+    sum as Perron root; diagonal, permutation and Jordan stages
     are not primitive, and a Jordan block's left and right eigenvectors
     pair to zero; random stages have negative entries."""
     ones = Matrix.from_rows([[1] * s for _ in range(s)])
@@ -272,6 +274,34 @@ def test_nearly_split_witness_matches_stacked_kernels():
         seen[key] = seen.get(key, 0) + 1
     # Every combination of the three answers the witness can give occurs.
     assert len(seen) == 5 and min(seen.values()) >= 10, seen
+
+
+def test_witness_seeded_from_perron_data_matches_stacked_kernels():
+    """Given each stage's Perron data where it is primitive, a stage whose
+    Perron root is its designed value seeds the search with its Perron
+    vector, all-ones or not, and the answer is unchanged."""
+    rng = random.Random(3301)
+    seeded = 0
+    for _ in range(800):
+        s = rng.randint(1, 4)
+        family = rng.choice(WITNESS_KINDS)
+        stages = [_witness_stage(rng, s, family if rng.random() < 0.7
+                                 else rng.choice(WITNESS_KINDS))
+                  for _ in range(rng.randint(1, 4))]
+        perron = []
+        for m, _ in stages:
+            try:
+                perron.append(integer_perron(m) if m.is_nonnegative()
+                              else None)
+            except (NotPrimitive, NotIntegerEigenvalue):
+                perron.append(None)
+        seeded += any(pd is not None and pd.eigenvalue == p
+                      and {pd.left, pd.right} != {(1,) * s}
+                      for pd, (_, p) in zip(perron, stages))
+        seq = RealizationSeq(tuple(m for m, _ in stages),
+                             tuple(p for _, p in stages))
+        assert nearly_split_witness(seq, perron) == stacked_witness(seq)
+    assert seeded >= 50, seeded
 
 
 def test_left_common_eigenvectors_equal_the_transposed_computation():

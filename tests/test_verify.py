@@ -1,18 +1,23 @@
 """The certified kernel ranks of telescoped products, against direct
 elimination of every product, and the change-point runs that carry them."""
 
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from dimgroup import exact, perron, verify
 from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
 from dimgroup.ecs import ExtensionData, ecs_pipeline
+from dimgroup.ers import ErsStage, ErsStageData, ers_pipeline
 from dimgroup.exact import Matrix
 from dimgroup.realization import RealizationSeq
 from dimgroup.supernatural import FactorSequence
+from dimgroup.traces import nearly_split_witness
 from dimgroup.verify import structural_report
 
 P = 2**61 - 1
@@ -235,11 +240,12 @@ def test_built_file_verifies_without_a_transpose(tmp_path, monkeypatch,
                for st in result.report["stages"])
 
 
-def test_full_rank_built_ecs_chain_makes_one_modular_rank(tmp_path,
-                                                          monkeypatch):
-    """Every stage of a built ECS chain has rank k+1, which the whole
-    chain's rank modulo the prime reaches, so that one elimination settles
-    the lower bound of every start."""
+def test_full_rank_built_ecs_chain_makes_no_modular_rank(tmp_path,
+                                                         monkeypatch):
+    """Every stage of a built ECS chain kills the kernel vector of stage 1
+    and has a nonsingular core on the quotient, so every telescoped product
+    has rank k+1 by that certificate, and no rank modulo the prime is
+    taken."""
     seq = RealizationSeq.load(_built_file(tmp_path, "ecs"))
     calls = []
     original = verify._rank_mod_prime
@@ -247,7 +253,7 @@ def test_full_rank_built_ecs_chain_makes_one_modular_rank(tmp_path,
                         lambda rows: calls.append(len(rows)) or original(rows))
     result = structural_report(seq)
     assert result.ok
-    assert calls == [3]
+    assert calls == []
     assert result.report["telescoped_kernel_ranks"] == [
         {"from": i, "runs": [[i, 1]]} for i in range(1, 17)]
 
@@ -322,3 +328,181 @@ def test_built_ecrs_file_verifies_without_kernel_solves(tmp_path, monkeypatch):
     assert all(result.report["nearly_split"].values())
     assert all(m.rows == 16 for m in seq.matrices)
     assert tested == list(seq.matrices)
+
+
+# -- the common-kernel certificate ---------------------------------------------
+
+
+def certified(seq):
+    """structural_report's report, and whether it was certified on a
+    quotient, i.e. without the core-product scan."""
+    scans = []
+    original = verify._telescoped_kernel_ranks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_telescoped_kernel_ranks",
+                      lambda *args: scans.append(1) or original(*args))
+        report = structural_report(seq).report
+    return report, not scans
+
+
+def uncertified_report(seq):
+    """The report with the quotient certificate switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_quotient_kernels", lambda *args: None)
+        return structural_report(seq).report
+
+
+@st.composite
+def planted_chains(draw):
+    """s x s stages A_i = C_i R0, conjugated by one permutation, sharing the
+    kernel of R0 = [I_r | E] of dimension c = 1-3.  Each R0 C_i has constant
+    row sums rho_i, the Perron root of A_i, which is the stage's designed
+    value.  The variant breaks the chain with one more stage, whose C has
+    rank below r (a singular core) or which is nonsingular and so leaves
+    the kernel, or transposes every stage (a common left kernel)."""
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    s = r + c
+    e = [[draw(st.integers(0, 2)) for _ in range(c)] for _ in range(r)]
+    r0 = [[int(i == j) for j in range(r)] + e[i] for i in range(r)]
+    entries = st.integers(1, 3)
+    mats, values = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        free = [[draw(entries) for _ in range(r)] for _ in range(c)]
+        ef = [sum(x * sum(row) for x, row in zip(e[j], free))
+              for j in range(r)]
+        head = [[draw(entries) for _ in range(r - 1)] for _ in range(r)]
+        rho = max(x + sum(h) for x, h in zip(ef, head)) + draw(entries)
+        C = [h + [rho - x - sum(h)] for x, h in zip(ef, head)] + free
+        # The core R0 C is nonsingular, which also gives C rank r.
+        assume(Matrix.from_rows([[sum(x * y for x, y in zip(row, col))
+                                  for col in zip(*C)] for row in r0]).det())
+        mats.append([[sum(C[i][j] * r0[j][l] for j in range(r))
+                      for l in range(s)] for i in range(s)])
+        values.append(rho)
+    variant = draw(st.sampled_from(["planted", "singular", "leaves", "left"]))
+    # A broken stage goes after stage 1, whose kernel is the one planted.
+    at = draw(st.integers(1, len(mats)))
+    if variant == "singular":
+        col = [draw(st.integers(0, 3)) for _ in range(s)]
+        if r == 1:
+            col = [0] * s
+        mats.insert(at, [[col[i] * sum(r0[j][l] for j in range(r))
+                          for l in range(s)] for i in range(s)])
+        values.insert(at, 1)
+    elif variant == "leaves":
+        mats.insert(at, [[draw(st.integers(0, 3)) + (i == l) * 10
+                          for l in range(s)] for i in range(s)])
+        values.insert(at, 1)
+    perm = draw(st.permutations(range(s)))
+    mats = [Matrix.from_rows([[m[perm[i]][perm[l]] for l in range(s)]
+                              for i in range(s)]) for m in mats]
+    if variant == "left":
+        mats = [m.transpose() for m in mats]
+    return variant, RealizationSeq(tuple(mats), tuple(values))
+
+
+@settings(deadline=None, max_examples=300)
+@given(planted_chains())
+def test_planted_common_kernel_is_certified_exactly(chain):
+    """A chain with a common right (or left) kernel and nonsingular cores is
+    certified on the quotient, a singular core or a stage leaving the
+    kernel sends it down the scan; either way its kernel ranks are the
+    exact products', its Perron vectors those of the s x s solve, and its
+    report that of the scan."""
+    variant, seq = chain
+    event(variant)
+    report, took = certified(seq)
+    assert took == (variant in ("planted", "left"))
+    assert report == uncertified_report(seq)
+    assert expand(report) == oracle_kernel_ranks(list(seq.matrices))
+    for st_rep, m in zip(report["stages"], seq.matrices):
+        if st_rep["perron"] and "value" in st_rep["perron"]:
+            sums = m.column_sums() if variant == "left" else m.row_sums()
+            if len(set(sums)) > 1:
+                event(f"{variant}: a Perron vector of unequal sums")
+            root = int(st_rep["perron"]["value"])
+            assert st_rep["perron"]["right"] == [
+                str(x) for x in perron._perron_vector(m, root)]
+            assert st_rep["perron"]["left"] == [
+                str(x) for x in perron._perron_vector(m, root, left=True)]
+    assert report["nearly_split"] == nearly_split_witness(seq).to_json()
+
+
+@pytest.mark.parametrize("second", [
+    # kills no vector, but its core [1] on the quotient is nonsingular
+    [[1, 1], [0, 1]],
+    # kills the kernel, but its core is zero: A2 A2 = 0
+    [[0, 0], [1, 0]]])
+def test_a_chain_failing_the_certificate_takes_the_scan(second):
+    """K = ker A1 is spanned by (0, 1).  Read through the quotient alone,
+    either chain would claim kernel rank 1 for every product."""
+    mats = [Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows(second),
+            Matrix.from_rows(second)]
+    report, took = certified(seq_of(mats))
+    assert not took
+    assert expand(report) == oracle_kernel_ranks(mats)
+    assert any(r["kernel_rank"] != 1 for r in expand(report))
+
+
+def test_built_ecs_file_makes_one_stage_size_elimination(tmp_path,
+                                                        monkeypatch):
+    """Stage 1's rank factorization is the only elimination of a 4-column
+    matrix: every other one is of a 3 x 3 core on the quotient, no kernel
+    is solved by right_kernel_basis, and no exact rank is taken."""
+    seq = RealizationSeq.load(_built_file(tmp_path, "ecs"))
+    widths, solved = [], []
+    original = exact._eliminate
+    monkeypatch.setattr(exact, "_eliminate", lambda rows: widths.append(
+        len(rows[0]) if rows else 0) or original(rows))
+    replace_everywhere(monkeypatch, exact.right_kernel_basis,
+                       lambda m: solved.append(m.cols)
+                       or exact.right_kernel_basis(m))
+    calls = RankCalls(monkeypatch)
+    result = structural_report(seq)
+    assert result.ok
+    assert len(seq) == 16 and seq.matrices[0].cols == 4
+    assert widths.count(4) == 1 and set(widths) == {3, 4}
+    assert solved == [] and calls.count == 0
+
+
+def test_built_ers_and_ecrs_files_take_the_certificate(tmp_path):
+    """An ERS file (transposed ECS stages, here with a non-symmetric B)
+    shares a left kernel and is certified on the transposed chain; an ECRS
+    file shares a right kernel of dimension 4 at rank 4, checked in the
+    row-space form."""
+    ers = ers_pipeline(ErsStageData(2, (
+        ErsStage(47, (-2, -1), Matrix.from_rows([[1, 1], [0, 1]])),
+        ErsStage(63, (-6, 6), Matrix.from_rows([[1, 3], [0, 1]]))),
+        (Fraction(1, 6), Fraction(3, 5))), 2)
+    ecrs = RealizationSeq.load(_built_file(tmp_path, "ecrs"))
+    for seq in (ers, ecrs):
+        report, took = certified(seq)
+        assert took and report["ok"]
+        assert report == uncertified_report(seq)
+    assert [len(m.row(0)) for m in ecrs.matrices] == [8] * 4
+
+
+THRESHOLD_REPORT_SHA256 = (
+    "fa7f7e5290186594c98cc72701ef3009eadbf493783a24b8390874001e12fe29")
+
+
+def test_threshold_ecrs_file_seeds_the_witness_from_perron_data(monkeypatch):
+    """At the positivity threshold, k=3, rho=(1,1,1), lambda=64 and two
+    factors 1 + 64 * ceil(60/3), the stages keep zero entries, so the
+    nearly-split witness is seeded from their verified Perron vectors: no
+    64 x 64 kernel is solved, and the report is the one the unseeded
+    search gave (its sha256 pinned)."""
+    k, lam = 3, 64
+    p = 1 + lam * -(-(lam - k - 1) // k)
+    seq = ecrs_pipeline(EcrsProblem(k, lam, (1, 1, 1),
+                                    FactorSequence((p, p))))
+    assert all(any(0 in m.row(i) for i in range(lam)) for m in seq.matrices)
+    solved = []
+    replace_everywhere(monkeypatch, exact.right_kernel_basis,
+                       lambda m: solved.append(m.cols)
+                       or exact.right_kernel_basis(m))
+    report = structural_report(seq).report
+    assert report["ok"] and all(report["nearly_split"].values())
+    assert lam not in solved
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == THRESHOLD_REPORT_SHA256
