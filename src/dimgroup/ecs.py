@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (DimensionMismatch, HorizonExhausted, Infeasible,
                      InvariantViolated, NotNonnegative, NotPrimitive,
@@ -400,11 +400,8 @@ def ecs_pipeline(data: ExtensionData,
 # -- the composition algebra of bordered matrices (uniform parameters) -------------
 
 
-class BParams(NamedTuple):
-    p: int
-    b: Matrix
-    v: tuple[int, ...]
-    a: int
+class BParams(namedtuple("BParams", "p b v a")):
+    __slots__ = ()
 
 
 def b_matrix(params: BParams) -> Matrix:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (DimensionMismatch, InvariantViolated, KernelMismatch,
                      RegimeViolation, SchemaError)
@@ -70,13 +70,13 @@ class ErsStageData(namedtuple("ErsStageData", "k stages trace_row")):
 # -- verification ---------------------------------------------------------------
 
 
-class ErsVerifyReport(NamedTuple):
-    ok: bool
-    stage_row_sums: tuple[tuple[int, ...], ...]
-    stage_values: tuple[int | None, ...]   # per-stage row sum when constant
-    marker_chain_ok: bool
-    some_p_exceeds_one: bool
-    failures: tuple[str, ...]
+class ErsVerifyReport(namedtuple("ErsVerifyReport",
+                                  "ok stage_row_sums stage_values "
+                                  "marker_chain_ok some_p_exceeds_one "
+                                  "failures")):
+    """stage_values holds, per stage, its row sum when constant, else None."""
+
+    __slots__ = ()
 
 
 def verify_ers(seq: RealizationSeq) -> ErsVerifyReport:
@@ -148,10 +148,10 @@ def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> list[ErsSta
     return stages
 
 
-class WSequence(NamedTuple):
-    ys: tuple[tuple[int, ...], ...]        # y_1 .. y_{N+1}
-    ws: tuple[tuple[int, ...], ...]        # w^1 .. w^N
-    error_bound: Fraction                  # |S_N - rho|_inf is at most this
+class WSequence(namedtuple("WSequence", "ys ws error_bound")):
+    """ys: y_1 .. y_{N+1}; ws: w^1 .. w^N; |S_N - rho|_inf <= error_bound."""
+
+    __slots__ = ()
 
 
 def partial_sum(ws: Sequence[Sequence[int]],

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContentMismatch, DimensionMismatch, NonSquare
 
@@ -96,11 +97,14 @@ class Matrix:
     def row(self, i: int) -> tuple[Number, ...]:
         return self._data[i * self.cols:(i + 1) * self.cols]
 
+    def __iter__(self):    # the rows, as tuples
+        return map(self.row, range(self.rows))
+
     def col(self, j: int) -> tuple[Number, ...]:
         return self._data[j::self.cols]
 
     def to_rows(self) -> list[list[Number]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return list(map(list, self))
 
     @property
     def is_square(self) -> bool:
@@ -198,7 +202,7 @@ class Matrix:
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
         if self._det is None:
-            rows, scale = _integer_rows(map(self.row, range(self.rows)))
+            rows, scale = _integer_rows(self)
             pivots, d, sign = _eliminate(rows)
             self._det = (0 if len(pivots) < self.rows else sign * d
                          if scale == 1 else Fraction(sign * d, scale))
@@ -206,7 +210,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Rank over the rationals, by fraction-free elimination."""
-        rows, _ = _integer_rows(map(self.row, range(self.rows)))
+        rows, _ = _integer_rows(self)
         return len(_eliminate(rows)[0])
 
     def charpoly(self) -> tuple[int | Fraction, ...]:
@@ -325,10 +329,7 @@ def _eliminate(rows: list[Sequence[int]]) -> tuple[list[int], int, int]:
 
 def content(v: Iterable[int]) -> int:
     """gcd of the absolute values of the nonzero entries; 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    return g
+    return math.gcd(*v)
 
 
 def vec_add(u: Sequence[Number], v: Sequence[Number]) -> tuple[Number, ...]:
@@ -367,9 +368,11 @@ def right_kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
             for v in factor_kernel_basis(*rank_factorization(m), m.cols)]
 
 
-def rank_factorization(m: Matrix) -> tuple[list[int], list[Sequence[int]]]:
+def rank_factorization(m: Iterable[Sequence[Number]]
+                       ) -> tuple[list[int], list[Sequence[int]]]:
     """Pivot columns p and integer rows R, one per unit of rank, with
-    d * m = m[:, p] * R for a nonzero integer d.
+    d * m = m[:, p] * R for a nonzero integer d, for any iterable m of
+    equal-length rows of ints or Fractions (a Matrix iterates over its rows).
 
     R is d times the nonzero part of the reduced row echelon form, which row
     scaling leaves unchanged; the left factor must therefore be taken from
@@ -378,7 +381,7 @@ def rank_factorization(m: Matrix) -> tuple[list[int], list[Sequence[int]]]:
     which rows repeat, while p and d^-1 R do not.  R holds d at its own
     pivot column and 0 at every other one.
     """
-    rows, _ = _integer_rows(map(m.row, range(m.rows)))
+    rows, _ = _integer_rows(map(tuple, m))
     pivots, _, _ = _eliminate(rows)
     return pivots, rows[:len(pivots)]
 
@@ -447,17 +450,17 @@ def _apply_op_row(rows: list, op: ElementaryOp) -> None:
         raise ValueError(f"unknown elementary op {op!r}")
 
 
-class UnimodularTransform(NamedTuple):
+class UnimodularTransform(namedtuple("UnimodularTransform", "size ops")):
     """An element of GL(k,Z) carried together with its elementary factorization.
 
     ``matrix`` replays the factorization as row operations on the
     identity, last op first, which is the product of the elementary
     matrices in order; |det| = 1 by construction.  ``conjugate`` replays it
     on each matrix instead of multiplying, at O(len(ops) * size) per matrix.
+    ``ops`` is a tuple of ElementaryOps.
     """
 
-    size: int
-    ops: tuple[ElementaryOp, ...]
+    __slots__ = ()
 
     @property
     def matrix(self) -> Matrix:

@@ -3,8 +3,9 @@ charpoly bisection, equal sums, and the unique-trace diagnostic."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import (InvariantViolated, NonSquare, NotIntegerEigenvalue,
                      NotNonnegative, NotPrimitive, SizeMismatch)
@@ -54,14 +55,11 @@ def _or_combine(row_bits: int, pattern: list[int]) -> int:
 KernelSolver = Callable[[int], list[tuple[int, ...]]]
 
 
-class PerronData(NamedTuple):
+class PerronData(namedtuple("PerronData", "eigenvalue left right size")):
     """Integer Perron eigenvalue with content-1, strictly positive integer
     left (row) and right (column) eigenvectors."""
 
-    eigenvalue: int
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    size: int
+    __slots__ = ()
 
 
 def perron_root(a: Matrix) -> int:
@@ -141,10 +139,9 @@ def _perron_vector(a: Matrix, root: int, left: bool = False,
     return basis[0]
 
 
-class EqualSumsReport(NamedTuple):
-    inner_product: int
-    size: int
-    sums_equal: bool
+class EqualSumsReport(namedtuple("EqualSumsReport",
+                                  "inner_product size sums_equal")):
+    __slots__ = ()
 
 
 def check_equal_sums_criterion(a: Matrix) -> EqualSumsReport:
@@ -164,11 +161,12 @@ def check_equal_sums_criterion(a: Matrix) -> EqualSumsReport:
     return EqualSumsReport(inner, data.size, sums_equal)
 
 
-class UniqueTraceReport(NamedTuple):
-    limit_matrix: Matrix          # normalized product, exact rational entries
-    numeric_rank_at_tol: int
-    horizon: int
-    tol: Fraction
+class UniqueTraceReport(namedtuple("UniqueTraceReport",
+                                    "limit_matrix numeric_rank_at_tol "
+                                    "horizon tol")):
+    """limit_matrix is the normalized product, of exact rational entries."""
+
+    __slots__ = ()
 
 
 def unique_trace_diagnostic(seq: Sequence[Matrix], horizon: int,
@@ -205,8 +203,7 @@ def unique_trace_diagnostic(seq: Sequence[Matrix], horizon: int,
 
 
 def _rank_at_tolerance(m: Matrix, tol: Fraction) -> int:
-    rows = [[x if abs(x) >= tol else Fraction(0) for x in m.row(i)]
-            for i in range(m.rows)]
+    rows = [[x if abs(x) >= tol else Fraction(0) for x in row] for row in m]
     rank = 0
     r = 0
     for c in range(m.cols):

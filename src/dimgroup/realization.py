@@ -242,7 +242,7 @@ class RealizationSeq(namedtuple("RealizationSeq", "matrices stage_values "
             "kind": "realization",
             "properties": {k: bool(v) for k, v in self.properties.items()},
             "stages": [
-                {"matrix": [json_strs(m.row(i)) for i in range(m.rows)],
+                {"matrix": [json_strs(row) for row in m],
                  "p": json_str(p)}
                 for m, p in zip(self.matrices, self.stage_values)
             ],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import SchemaError
 from .realization import echo, json_int, json_ints, parsing
@@ -169,11 +169,10 @@ def _ge(a, b) -> bool:
     return a >= b
 
 
-class EcrsDecision(NamedTuple):
-    exists: bool
-    size: int | str | None   # exact size, INFINITE for unbounded, None if unknown/absent
-    bounded: bool | None
-    reason: str
+class EcrsDecision(namedtuple("EcrsDecision", "exists size bounded reason")):
+    """size: exact, INFINITE if unbounded, None if unknown or absent."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -3,7 +3,8 @@ nearly-split witness."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from .errors import NotECS, NotNonnegative, ZeroRow
 from .exact import Matrix, content, right_kernel_basis
@@ -22,14 +23,15 @@ def _stage_column_sums(seq: RealizationSeq) -> list[int]:
     return sums
 
 
-class TraceReport(NamedTuple):
+class TraceReport(namedtuple("TraceReport",
+                              "value_group faithful_claim lam")):
     """Canonical trace data of an ECS realization.  The trace of a basis
     vector at level i is 1/(c_1 ... c_{i-1}), c_j the column sum of stage
-    j, so the value group of the prefix is (1/prod c_j) Z."""
+    j, so the value group of the prefix is (1/prod c_j) Z.  value_group is
+    factorize(column sums); faithful_claim holds by construction for ECS;
+    lam is |tau(G)/tau(H)| for an all-ones marker, else None."""
 
-    value_group: list[tuple[int, int, bool]]  # factorize(column sums)
-    faithful_claim: bool                      # by construction for ECS
-    lam: int | None                           # |tau(G)/tau(H)| for an all-ones marker
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -65,10 +67,11 @@ def is_good_row(w: Sequence[int]) -> bool:
     return all(x == 0 or x == g for x in w)
 
 
-class NearlySplitReport(NamedTuple):
-    has_common_right_evec: bool
-    has_common_left_evec: bool
-    nearly_split_implied: bool
+class NearlySplitReport(namedtuple("NearlySplitReport",
+                                    "has_common_right_evec "
+                                    "has_common_left_evec "
+                                    "nearly_split_implied")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

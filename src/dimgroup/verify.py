@@ -17,9 +17,10 @@ stage 1 is factored again transposed):
   (ECS and ECRS) or on the left (ERS, whose stages are transposed ECS
   ones).  From stage 1's factorization d A_1 = A_1[:, p] R, each stage is
   checked to kill K, on its distinct rows, and gives an r x r core
-  N_i = R A_i[:, p], the map it induces on Q^s / K.  Every det N_i != 0
-  proves every telescoped product has rank r (see _quotient_kernels).  A
-  stage failing either check sends the file down the scan below.
+  N_i = R A_i[:, p], the map it induces on Q^s / K.  Every N_i of full
+  rank r, by the pivot count of its rank factorization, proves every
+  telescoped product has rank r (see _quotient_kernels).  A stage failing
+  either check sends the file down the scan below.
 - Perron data: primitivity is tested once per stage, inside
   integer_perron; constant row (column) sums make the all-ones vector the
   right (left) Perron vector.  On a certified file the other vector, on
@@ -54,7 +55,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from .errors import NotIntegerEigenvalue, NotPrimitive
 from .exact import (Matrix, factor_kernel_basis, primitive_part,
@@ -119,8 +121,8 @@ def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
     as d a = a[p] R.  Then N_i / d, N_i = R A_i[:, p], is the map A_i
     induces on the quotient, and a product of such stages, in any order, is
     the first one's A[:, p] times the others' N times R, up to a power of
-    d.  With every det N_i != 0 it has rank r: at most r through its r
-    columns, at least rank N = r.  For root != 0, x -> R x maps
+    d.  With every N_i of full rank r it has rank r: at most r through its
+    r columns, at least rank N = r.  For root != 0, x -> R x maps
     ker(A_i - root I) one to one onto ker(N_i - d root I), and
     y -> A_i[:, p] y maps it back, so each solve is r x r, not s x s.
     """
@@ -131,7 +133,7 @@ def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
     reduced_cols = list(zip(*reduced))
     solvers = []
     for m in mats:
-        for a in dict.fromkeys(map(m.row, range(s))):
+        for a in dict.fromkeys(m):
             if kernel is not None:
                 leaves = any(sum(map(operator.mul, a, z)) for z in kernel)
             else:
@@ -141,25 +143,24 @@ def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
             if leaves:
                 return None
         cols = [m.col(j) for j in pivots]
-        core = Matrix._exact_rows([[sum(map(operator.mul, row, col))
-                                    for col in cols] for row in reduced])
-        if core.det() == 0:
+        core = [tuple([sum(map(operator.mul, row, col)) for col in cols])
+                for row in reduced]
+        if len(rank_factorization(core)[0]) < len(core):
             return None
         solvers.append(functools.partial(_core_kernel, cols, core, d))
     return solvers
 
 
-def _core_kernel(cols: list[tuple], core: Matrix, d: int,
+def _core_kernel(cols: list[tuple], core: list[tuple[int, ...]], d: int,
                  root: int) -> list[tuple[int, ...]]:
     """ker(A - root I) as A[:, p] ker(N - d root I), for the columns
-    A[:, p] and core N of a certified stage; see _quotient_kernels."""
-    shifted = Matrix._exact_rows(
-        [[x - d * root if i == j else x for j, x in enumerate(core.row(i))]
-         for i in range(core.rows)])
+    A[:, p] and core rows N of a certified stage; see _quotient_kernels."""
+    shifted = [(*row[:i], row[i] - d * root, *row[i + 1:])
+               for i, row in enumerate(core)]
     return [primitive_part([sum(map(operator.mul, row, y))
                             for row in zip(*cols)])
             for y in factor_kernel_basis(*rank_factorization(shifted),
-                                         core.rows)]
+                                         len(core))]
 
 
 # A nonzero minor modulo this prime is a nonzero minor over the integers, so
@@ -259,9 +260,8 @@ def _telescoped_kernel_ranks(seq: RealizationSeq,
     return out
 
 
-class VerificationResult(NamedTuple):
-    ok: bool
-    report: dict
+class VerificationResult(namedtuple("VerificationResult", "ok report")):
+    __slots__ = ()
 
 
 def structural_report(seq: RealizationSeq) -> VerificationResult:

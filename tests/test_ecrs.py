@@ -564,7 +564,7 @@ def test_p_divisible_threshold():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: build ecrs exits 3 with PositivityFailed at stage 1 "
+    "ROADMAP item 3: build ecrs exits 3 with PositivityFailed at stage 1 "
     "on data for which the paper constructs a realization.  A stage is "
     "nonnegative exactly when c = (p-1)/lambda >= -min(G_0): factor 193 at "
     "q = 64 has c = 64 below 126, and factor 5 at lambda = 4, k = 1 has "

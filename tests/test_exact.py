@@ -20,6 +20,8 @@ def test_content_examples():
     assert content((2, 4, 6)) == 2
     assert content((0, 0, 0)) == 0
     assert content((3, 5)) == 1
+    assert content(()) == 0
+    assert content((-4, 0, 6)) == content(iter([4, -6])) == 2
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
@@ -567,6 +569,21 @@ def test_repeated_and_zero_rows_change_no_elimination_result(rows):
             m.inverse()
     else:
         assert m * m.inverse() == Matrix.identity(m.rows)
+
+
+@settings(deadline=None)
+@given(_blown_up_matrices())
+@example([[2, 4], [0, 0], [2, 4]])
+@example([[Fraction(1, 2), 0, 1], [0, 0, 0], [Fraction(1, 2), 0, 1]])
+def test_rank_factorization_of_rows_is_that_of_their_matrix(rows):
+    """rank_factorization takes any iterable of rows, lists or tuples, and
+    a Matrix iterates over its own rows, so both factor alike."""
+    m = Matrix.from_rows(rows)
+    assert list(m) == [tuple(row) for row in rows]
+    expected = rank_factorization(m)
+    assert rank_factorization(rows) == expected
+    assert rank_factorization(map(tuple, rows)) == expected
+    assert rows == [list(row) for row in m]     # the input rows are unchanged
 
 
 def test_elimination_sees_only_the_distinct_rows_of_an_ecrs_stage(

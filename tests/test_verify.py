@@ -465,6 +465,22 @@ def test_built_ecs_file_makes_one_stage_size_elimination(tmp_path,
     assert solved == [] and calls.count == 0
 
 
+@pytest.mark.parametrize("kind", ["ecs", "ecrs"])
+def test_built_file_takes_no_core_determinant(tmp_path, monkeypatch, kind):
+    """Each core is shown nonsingular by the pivot count of its rank
+    factorization, so a built file is certified with no determinant taken,
+    to the report it had before."""
+    path = _built_file(tmp_path, kind)
+    expected = structural_report(RealizationSeq.load(path)).report
+
+    def no_det(m):
+        raise AssertionError(f"determinant of a {m.rows}x{m.cols} matrix")
+    monkeypatch.setattr(Matrix, "det", no_det)
+    report, took = certified(RealizationSeq.load(path))
+    assert took and report["ok"]
+    assert report == expected
+
+
 def test_built_ers_and_ecrs_files_take_the_certificate(tmp_path):
     """An ERS file (transposed ECS stages, here with a non-symmetric B)
     shares a left kernel and is certified on the transposed chain; an ECRS
