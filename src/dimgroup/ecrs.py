@@ -5,9 +5,11 @@ rank-one updates I + c e_0 (lambda, rho) of the identity, c = (p-1)/lambda,
 normalized to the all-ones row by one conjugator that a single certificate,
 (lambda, 1, ..., 1) T = (lambda, rho) with T e_0 = e_0, proves right for
 every stage; embroidery with zero rows or columns; the finisher, which
-conjugates one bordered base stage G_0 and makes every stage G_0 + c J,
-J the all-ones matrix; the digit-moving polynomial algorithm; and the
-commuting-family route seeded by an equal-sums primitive matrix.
+takes from each route its bordered stage of factor 1, common left
+eigenvector V and column shift, conjugates that base stage once to G_0 and
+makes every stage G_0 + c J, J the all-ones matrix; the digit-moving
+polynomial algorithm; and the commuting-family route seeded by an
+equal-sums primitive matrix.
 """
 
 from __future__ import annotations
@@ -113,11 +115,10 @@ def normalize_to_ones(prob: EcrsProblem) -> UnimodularTransform:
     [[p, rho (p-1)/lambda], [0, I]] to [[p, ((p-1)/lambda) u], [0, I]] with
     u the all-ones row; the common left eigenvector becomes (lambda, u).
 
-    Needs a row v with content(rho - lambda v) = 1.  For k >= 2 one always
-    exists; for k = 1 it exists iff rho = +-1 (mod lambda)."""
+    Needs a row v with content(rho - lambda v) = 1.  For k >= 2 one exists
+    iff gcd(content(rho), lambda) = 1, which _certified_factors checks
+    first; for k = 1 iff rho = +-1 (mod lambda)."""
     k, lam, rho = prob.k, prob.lam, prob.rho
-    if math.gcd(content(rho), lam) != 1:
-        raise GcdViolated("gcd(content(rho), lambda) != 1")
     ones = tuple([1] * k)
     if lam == 1:
         v = tuple(r - o for r, o in zip(rho, (1,) + (0,) * (k - 1)))
@@ -229,54 +230,27 @@ def _p_divisible_shift(size: int, k: int, lam: int, q: int) -> UnimodularTransfo
     return UnimodularTransform(size, tuple(ops))
 
 
-def ecrs_finisher(base: Matrix, factors: Sequence[int], case: str, *, k: int,
-                  lam: int, q: int = 1) -> RealizationSeq:
+def ecrs_finisher(base: Matrix, eigenrow: tuple[int, ...],
+                  shift: UnimodularTransform, factors: Sequence[int],
+                  case: str, *, k: int, lam: int, q: int = 1) -> RealizationSeq:
     """Primitive stages with all row sums and all column sums equal, one
     for each factor p, finished from ``base``, the bordered stage of
-    factor 1.
-
-    Cases: "embroidered" (finite route, interior columns first copied onto
-    the border), named "direct" at lambda = k+1, where the border is empty
-    and only the final add-first-row / subtract-columns step acts;
-    "p-divisible" (the border carries the small prime blocks; the
-    content-one tail of the common left eigenvector is mapped to all ones,
-    guarded by the t = sk window).
+    factor 1.  ``case`` names the route in the provenance.
 
     Precondition: the bordered stage of factor p is base + c e_0 V with
-    c = (p-1)/lambda and V the case's common left eigenvector.  The
-    finishing T sends e_0 to the all-ones column and V to the all-ones row,
-    so T (e_0 V) T^{-1} = J, the all-ones matrix, and every finished stage
-    is G_0 + c J with G_0 = T base T^{-1}.  One conjugation of base and
-    e_0 V, with J and the sums q of G_0 checked, finishes every stage: the
-    stage of p has sums q + c size = q p, and is nonnegative exactly when
-    c >= -min(G_0)."""
+    c = (p-1)/lambda and V = ``eigenrow``, the route's common left
+    eigenvector, and ``shift`` S sends the tail of V to all ones.  The
+    finishing T = L S^{-1}, L adding row 0 to every other row, sends e_0 to
+    the all-ones column and V to the all-ones row, so T (e_0 V) T^{-1} = J,
+    the all-ones matrix, and every finished stage is G_0 + c J with
+    G_0 = T base T^{-1}.  One conjugation of base and e_0 V, with J and the
+    sums q of G_0 checked, finishes every stage: the stage of p has sums
+    q + c size = q p, and is nonnegative exactly when c >= -min(G_0)."""
     size = base.rows
-    ones = tuple([1] * k)
-    if case in ("direct", "embroidered"):
-        v_evec = (lam,) + ones + tuple([0] * (lam - k - 1))
-        # Copy each interior column onto the border column it feeds.
-        shift = UnimodularTransform(size, tuple(
-            ("add", target, k + 1 + j, 1)
-            for j, target in enumerate(_cyclic_targets(k, lam - k - 1))))
-    elif case == "p-divisible":
-        v_evec = (lam * q,) + tuple(q * x for x in ones) \
-            + tuple([lam] * (size - k - 1))
-        # Guard: the finishing window q/lam <= t/k <= (q p_min - 1)/lam must
-        # contain a multiple t = sk.
-        p_min = min(factors)
-        s_lo = -(-q // lam)
-        s_hi = (q * p_min - 1) // lam
-        if s_lo > s_hi:
-            raise NoValidT(
-                f"empty window for t = sk: q/lam={q}/{lam}, qp-1={q * p_min - 1}")
-        shift = _p_divisible_shift(size, k, lam, q)
-    else:
-        raise SchemaError(f"unknown finisher case {case!r}")
-
     # T = L S^{-1}, where L m adds row 0 to every other row.
     lower = UnimodularTransform(size, tuple(
         ("add", i, 0, 1) for i in range(1, size)))
-    e0_v = Matrix._exact(size, size, v_evec + (0,) * (size * (size - 1)))
+    e0_v = Matrix._exact(size, size, eigenrow + (0,) * (size * (size - 1)))
     g0, all_ones = lower.compose(shift.inverse()).conjugate([base, e0_v])
     if all_ones != Matrix._exact(size, size, [1] * (size * size)):
         raise InvariantViolated("finisher failed to send e_0 V to all ones")
@@ -443,21 +417,26 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
     if prob.q is not None:
         return _p_divisible_route(prob)
 
-    if prob.lam < prob.k + 1:
+    k, lam = prob.k, prob.lam
+    if lam < k + 1:
         raise LambdaTooSmall(
-            f"lambda = {prob.lam} below rank G = {prob.k + 1}: no ECRS "
+            f"lambda = {lam} below rank G = {k + 1}: no ECRS "
             "realization exists when the value group has no infinite prime")
     factors = _certified_factors(prob)
-    x = embroidery_block(prob.k, prob.lam)
-    base = embroider_rows(Matrix.identity(prob.k + 1), x)   # factor 1: c = 0
-    return ecrs_finisher(base, factors,
-                         "direct" if x is None else "embroidered",
-                         k=prob.k, lam=prob.lam)
+    # The stage of factor 1 (c = 0); the shift copies each interior column
+    # onto the border columns it feeds.
+    base = embroider_rows(Matrix.identity(k + 1), embroidery_block(k, lam))
+    eigenrow = (lam,) + (1,) * k + (0,) * (lam - k - 1)
+    shift = UnimodularTransform(lam, tuple(
+        ("add", target, k + 1 + j, 1)
+        for j, target in enumerate(_cyclic_targets(k, lam - k - 1))))
+    return ecrs_finisher(base, eigenrow, shift, factors, "embroidered",
+                         k=k, lam=lam)
 
 
 def _p_divisible_route(prob: EcrsProblem) -> RealizationSeq:
     q, lam, k = prob.q, prob.lam, prob.k
-    if q is None or q <= 1:
+    if q <= 1:
         raise SchemaError("q must be a prime power exceeding 1")
     if (q - 1) % lam != 0:
         raise CongruenceViolated(f"q = {q} is not 1 mod lambda = {lam}")
@@ -470,8 +449,11 @@ def _p_divisible_route(prob: EcrsProblem) -> RealizationSeq:
             f"lambda q = {size} leaves no room to border a (k+1)-block, k={k}")
     factors = _certified_factors(prob, scale=q)
     extra = size - k - 1
-    # The stage of factor 1: c = (q-1)/lambda and the top border 1 * ones.
+    # The stage of factor 1: c = (q-1)/lambda and the top border 1 * ones;
+    # its eigenvector is (lambda q, q...q, lambda...lambda).
     base = embroider_cols(_stage_matrix(q, ((q - 1) // lam,) * k),
                           Matrix.zeros(k, extra),
                           Matrix.from_rows([[1] * extra]))
-    return ecrs_finisher(base, factors, "p-divisible", k=k, lam=lam, q=q)
+    eigenrow = (lam * q,) + (q,) * k + (lam,) * extra
+    return ecrs_finisher(base, eigenrow, _p_divisible_shift(size, k, lam, q),
+                         factors, "p-divisible", k=k, lam=lam, q=q)

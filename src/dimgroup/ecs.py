@@ -350,14 +350,15 @@ def _build_from_telescoped(tele: ExtensionData) -> RealizationSeq:
     k = tele.k
     # Renormalize: telescoping can push v outside [0, p) when B has negative
     # entries, and the reduction step needs a nonnegative terminal ratio.
+    # With 0 <= v < p that ratio lies in [0, 1)^k, so reduce_vector's W is
+    # 0 and each stage's v becomes E v.
     tele, _ = normalize_extension(tele)
-    e, w = reduce_vector(_ratio(tele.stages[-1]))
+    e, _ = reduce_vector(_ratio(tele.stages[-1]))
     em = e.matrix
     bs = e.conjugate([st.b for st in tele.stages])
     mats = []
     for idx, (st, b_new) in enumerate(zip(tele.stages, bs), start=1):
-        v_new = vec_add(vec_add(vec_scale(st.p, w), em.mul_vector(st.v)),
-                        tuple(-x for x in b_new.mul_vector(w)))
+        v_new = em.mul_vector(st.v)
         # bordered_stage's rank k+1 certificate needs det B_new != 0: B_new
         # = E B E^-1 with E built from elementary operations only, and every
         # Stage checks det B != 0 when it is made.

@@ -278,7 +278,7 @@ def _integer_rows(rows: Iterable[tuple[Number, ...]]) -> tuple[list[Sequence[int
     out = []
     scale = 1
     for row in filter(any, dict.fromkeys(rows)):
-        if all(type(x) is int for x in row):
+        if set(map(type, row)) == {int}:
             out.append(row)
             continue
         den = math.lcm(*(x.denominator for x in row))

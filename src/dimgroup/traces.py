@@ -7,7 +7,7 @@ from collections import namedtuple
 from typing import Sequence
 
 from .errors import NotECS, NotNonnegative, ZeroRow
-from .exact import Matrix, content, right_kernel_basis
+from .exact import Matrix, content, primitive_part, right_kernel_basis
 from .perron import PerronData
 from .realization import RealizationSeq, json_str
 from .supernatural import factorize
@@ -138,8 +138,7 @@ def _common_eigenvectors(mats: Sequence[Matrix], values: Sequence[int],
             coords = right_kernel_basis(Matrix.from_rows(list(zip(*images))))
             combos = [[sum(c * v[i] for c, v in zip(cs, basis))
                        for i in range(s)] for cs in coords]
-            basis = [tuple(x // g for x in w)
-                     for w, g in zip(combos, map(content, combos))]
+            basis = [primitive_part(w) for w in combos]
         if not basis:
             break
     return basis

@@ -533,3 +533,37 @@ def test_long_ecs_verify_report_is_linear_in_the_stage_count(tmp_path,
     report = capsys.readouterr().out
     assert len(json.loads(report)["stages"]) == 512
     assert len(report.encode()) <= 300_000
+
+
+def test_build_ecs_epsilon_reaches_provenance(tmp_path, capsys):
+    inp = write(tmp_path, "in.json", ECS_INPUT)
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ecs", "-i", inp, "-o", str(out),
+                     "--epsilon", "1/20"]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["provenance"]["epsilon"] == "1/20"
+
+
+@pytest.mark.parametrize("epsilon", ["x", "1/0"])
+def test_build_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
+    inp = write(tmp_path, "in.json", ECS_INPUT)
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ecs", "-i", inp, "-o", str(out),
+                     "--epsilon", epsilon]) == cli.EXIT_SCHEMA
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "SchemaError"
+    assert "not a rational" in payload["message"]
+    assert not out.exists()
+
+
+def test_telescope_non_integer_cuts_exit_2(tmp_path, capsys):
+    inp = write(tmp_path, "in.json", ECS_INPUT)
+    built = str(tmp_path / "out.json")
+    assert cli.main(["build", "ecs", "-i", inp, "-o", built]) == cli.EXIT_OK
+    capsys.readouterr()
+    tel = tmp_path / "tel.json"
+    assert cli.main(["telescope", "-i", built, "--cuts", "1,a",
+                     "-o", str(tel)]) == cli.EXIT_SCHEMA
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "SchemaError"
+    assert "bad cuts" in payload["message"]
+    assert not tel.exists()

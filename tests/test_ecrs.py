@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimgroup import cli, ecrs
-from dimgroup.errors import (CongruenceViolated, DimgroupError, GcdViolated,
+from dimgroup.errors import (CongruenceViolated, ContentMismatch,
+                             DimgroupError, GcdViolated,
                              InvariantViolated, K1Unnormalizable,
                              LambdaTooSmall, NoValidT, NotEqualSums,
                              NotPrimitive, PositivityFailed, SchemaError)
@@ -129,6 +130,28 @@ def test_normalize_to_ones_k1():
     assert t * mats[0] * t_inv == Matrix.from_rows([[11, 2], [0, 1]])
     with pytest.raises(K1Unnormalizable):
         normalize_to_ones(EcrsProblem(1, 5, (2,), FactorSequence((11,))))
+
+
+@pytest.mark.parametrize("q", [None, 5])
+def test_gcd_is_checked_before_the_congruence(q):
+    # gcd(content(rho), lambda) = 2 and 6 is not 1 (mod 4): the one gcd
+    # check, in _certified_factors, runs first on both routes and names the gcd.
+    prob = EcrsProblem(2, 4, (2, 4), FactorSequence((6,)), q=q)
+    with pytest.raises(GcdViolated,
+                       match=r"^gcd\(content\(rho\), lambda\) = 2 != 1$"):
+        ecrs_pipeline(prob)
+
+
+@pytest.mark.parametrize("k,rho,error", [
+    (2, (2, 4), ContentMismatch),
+    (2, (0, 0), ContentMismatch),
+    (1, (2,), K1Unnormalizable),
+])
+def test_normalize_to_ones_without_the_gcd_raises_typed(k, rho, error):
+    # Called directly, past the gcd check: no row v gives
+    # content(rho - lambda v) = 1, and the search says so with a typed error.
+    with pytest.raises(error):
+        normalize_to_ones(EcrsProblem(k, 4, rho, FactorSequence((5,))))
 
 
 def _outcome(build, prob, scale):
@@ -373,7 +396,7 @@ def test_ecrs_pipeline_p_divisible_needs_room():
 
 
 @pytest.mark.parametrize("case,prob", [
-    ("direct", EcrsProblem(2, 3, (1, 2), FactorSequence((7, 13)))),
+    ("embroidered", EcrsProblem(2, 3, (1, 2), FactorSequence((7, 13)))),
     ("embroidered", EcrsProblem(2, 7, (1, 1), FactorSequence((29, 43)))),
     ("p-divisible", EcrsProblem(2, 3, (1, 1), FactorSequence((19, 31)), q=4)),
 ])

@@ -239,6 +239,16 @@ def test_reduce_vector_random():
         assert sum(rem) < 1
 
 
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)),
+                min_size=1, max_size=5))
+def test_reduce_vector_has_no_integer_part_below_one(pairs):
+    # _build_from_telescoped applies E alone: after normalize_extension the
+    # terminal ratio v/p lies in [0, 1)^k, where W is always 0.
+    v = tuple(Fraction(a % b, b) for a, b in pairs)
+    _, w = reduce_vector(v)
+    assert w == (0,) * len(v)
+
+
 def test_normalize_examples():
     data, us = normalize_extension(
         ExtensionData(1, (Stage(5, (-3,), Matrix.identity(1)),)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dimgroup import exact
+from dimgroup.exact import _integer_rows
 from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
 from dimgroup.ecs import ExtensionData
 from dimgroup.errors import ContentMismatch, DimensionMismatch, NonSquare
@@ -605,3 +606,16 @@ def test_elimination_sees_only_the_distinct_rows_of_an_ecrs_stage(
     monkeypatch.setattr(exact, "_eliminate", recording)
     m.rank(), m.det(), right_kernel_basis(m), rank_factorization(m)
     assert seen == [distinct] * 4
+
+
+def test_integer_rows_pass_int_rows_and_scale_the_rest():
+    # A row of ints passes as the same object; bool and Fraction rows take
+    # the scaling path and come out as lists of ints.
+    ints = (2, -3)
+    out, scale = _integer_rows([ints, (True, False, True),
+                                (Fraction(1, 2), Fraction(1, 3)),
+                                (Fraction(4), 5), ints, (0, 0)])
+    assert out[0] is ints
+    assert out[1:] == [[1, 0, 1], [3, 2], [4, 5]]
+    assert all(type(x) is int for row in out[1:] for x in row)
+    assert scale == 6
