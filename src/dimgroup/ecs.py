@@ -1,9 +1,10 @@
 """Construction of equal-column-sum realizations.
 
 The split-case matrix, the general bordered matrices with their free
-parameters, the GL(k,Z) reduction of the limiting ratio vector, extension
-normalization / telescoping, the full pipeline, and the composition algebra
-of the bordered matrices.
+parameters, the chain builder that checks one base G_0 per distinct (v, B)
+and emits each stage as G_0 + p e_0 1^T, the GL(k,Z) reduction of the
+limiting ratio vector, extension normalization / telescoping, the full
+pipeline, and the composition algebra of the bordered matrices.
 
 Conventions: an extension is presented by stages (p, v, B) standing for the
 block matrix [[p, 0], [v, B]] of size k+1 (v a column); the bordered
@@ -16,7 +17,7 @@ from __future__ import annotations
 import logging
 from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatch, HorizonExhausted, Infeasible,
                      InvariantViolated, NotNonnegative, NotPrimitive,
@@ -28,6 +29,7 @@ from .realization import (RealizationSeq, groups, json_int, json_ints,
                           json_list, json_matrix, parsing)
 
 DEFAULT_EPSILON = Fraction(1, 100)
+_NO_UNIFORM_A = "no uniform a makes the bordered matrix nonnegative at p={}"
 
 _log = logging.getLogger(__name__)
 
@@ -177,40 +179,57 @@ def choose_a_params(p: int, v: Sequence[int], b: Matrix) -> AParams:
     # -sum(B) > 0.
     widest = max(max(b.column_sums()), -sum(brow_sums))
     if sum(v) + (k + 1) * lower + widest > p:
-        raise Infeasible(
-            f"no uniform a makes the bordered matrix nonnegative at p={p}")
+        raise Infeasible(_NO_UNIFORM_A.format(p))
     return AParams.uniform(k, lower)
 
 
-def bordered_stage(idx: int, p: int, v: Sequence[int], b: Matrix) -> Matrix:
-    """The bordered matrix of stage ``idx`` for stage data (p, v, B) with the
-    smallest uniform free parameters (choose_a_params), built once and
-    checked to be nonnegative, to have every column sum p, to annihilate
-    the kernel vector z (rank at most k+1), to have a bottom row of one
-    value a >= 1 and to be primitive; each failure names the stage.  Rank
-    k+1 then needs no elimination: less the bottom row, then less column 0,
-    the rows below the top are [[v, B, -B 1], [a, 0, ..., 0]], whose first
-    k+1 columns have determinant +-a det B; det B != 0 is the caller's."""
-    try:
-        a = choose_a_params(p, v, b)
-    except Infeasible as exc:
-        raise Infeasible(str(exc), stage=idx) from None
-    m = general_ecs_matrix(p, v, b, a)
-    k = len(v)
-    if not m.is_nonnegative():
-        raise InvariantViolated("negative entry despite the chosen a",
-                                stage=idx)
-    if set(m.column_sums()) != {p}:
-        raise InvariantViolated("column sums broke ECS by-construction",
-                                stage=idx)
-    if m.mul_vector(kernel_vector(k)) != tuple([0] * (k + 2)):
-        raise InvariantViolated("kernel vector not annihilated", stage=idx)
-    if set(m.row(k + 1)) != {m[k + 1, 0]} or m[k + 1, 0] < 1:
-        raise InvariantViolated("bottom row is not one value a >= 1, so "
-                                "rank k+1 is unproved", stage=idx)
-    if not is_primitive(m):
-        raise NotPrimitive("stage matrix not primitive", stage=idx)
-    return m
+def bordered_stages(stages: Iterable[tuple[int, Sequence[int], Matrix]]
+                    ) -> list[Matrix]:
+    """The checked bordered matrices of stages (p, v, B), numbered from 1,
+    with the smallest uniform a (choose_a_params).  A stage is G_0 + p e_0
+    1^T, G_0 its matrix at p = 0, so each distinct (v, B) is built and
+    checked once: rows below the top nonnegative, column sums 0, z
+    annihilated, a bottom row of one value a >= 1.  As 1^T z = 0, each stage
+    then has column sums p, annihilates z and has rank k+1: less the bottom
+    row, then less column 0, the rows below the top are [[v, B, -B 1],
+    [a, 0, ..., 0]], whose first k+1 columns have determinant +-a det B
+    (det B != 0 is the caller's).  A stage is nonnegative iff p >=
+    -min(G_0[0]), as choose_a_params decides; each is tested primitive."""
+    blocks: dict = {}
+    out = []
+    for idx, (p, v, b) in enumerate(stages, start=1):
+        block = blocks.get((v, b))
+        if block is None:
+            try:
+                a = choose_a_params(p, v, b)
+            except Infeasible as exc:
+                raise Infeasible(str(exc), stage=idx) from None
+            g0 = general_ecs_matrix(0, v, b, a)
+            top, *lower = g0
+            if min(map(min, lower)) < 0:
+                raise InvariantViolated("negative entry despite the chosen a",
+                                        stage=idx)
+            if set(g0.column_sums()) != {0}:
+                raise InvariantViolated(
+                    "column sums broke ECS by-construction", stage=idx)
+            if any(g0.mul_vector(kernel_vector(len(v)))):
+                raise InvariantViolated("kernel vector not annihilated",
+                                        stage=idx)
+            if set(lower[-1]) != {lower[-1][0]} or lower[-1][0] < 1:
+                raise InvariantViolated("bottom row is not one value a >= 1, "
+                                        "so rank k+1 is unproved", stage=idx)
+            block = blocks[v, b] = top, sum(lower, ())
+        top, lower = block
+        if p < -min(top):
+            raise Infeasible(_NO_UNIFORM_A.format(p), stage=idx)
+        m = Matrix._exact(len(top), len(top),
+                          tuple([p + x for x in top]) + lower)
+        if not is_primitive(m):
+            raise NotPrimitive("stage matrix not primitive", stage=idx)
+        out.append(m)
+    _log.debug("built %d stages from %d distinct (v, B) blocks", len(out),
+               len(blocks))
+    return out
 
 
 # -- GL(k,Z) reduction of the ratio vector -----------------------------------------
@@ -355,14 +374,13 @@ def _build_from_telescoped(tele: ExtensionData) -> RealizationSeq:
     tele, _ = normalize_extension(tele)
     e, _ = reduce_vector(_ratio(tele.stages[-1]))
     em = e.matrix
-    bs = e.conjugate([st.b for st in tele.stages])
-    mats = []
-    for idx, (st, b_new) in enumerate(zip(tele.stages, bs), start=1):
-        v_new = em.mul_vector(st.v)
-        # bordered_stage's rank k+1 certificate needs det B_new != 0: B_new
-        # = E B E^-1 with E built from elementary operations only, and every
-        # Stage checks det B != 0 when it is made.
-        mats.append(bordered_stage(idx, st.p, v_new, b_new))
+    # Equal Bs are conjugated once.  B_new = E B E^-1 has det B != 0, the
+    # rank certificate's premise: E is made of elementary operations and
+    # every Stage checked its B.
+    distinct = list(dict.fromkeys(st.b for st in tele.stages))
+    conjugated = dict(zip(distinct, e.conjugate(distinct)))
+    mats = bordered_stages((st.p, em.mul_vector(st.v), conjugated[st.b])
+                           for st in tele.stages)
     return RealizationSeq(tuple(mats), tuple(st.p for st in tele.stages),
                           None, {"ecs": True}, {"pipeline": "ecs", "k": k})
 
@@ -371,7 +389,7 @@ def ecs_pipeline(data: ExtensionData,
                  epsilon: Fraction = DEFAULT_EPSILON) -> RealizationSeq:
     """Normalize, telescope until the ratio vectors nearly converge, reduce
     the terminal ratio with a single GL(k,Z) conjugation, pick uniform free
-    parameters per stage and emit the bordered ECS matrices.
+    parameters per distinct (v, B) and emit the bordered ECS matrices.
 
     Every emitted matrix is verified exactly: nonnegative, column sums equal
     to the stage p, kernel vector annihilated, rank k+1 by certificate,

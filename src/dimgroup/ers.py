@@ -13,7 +13,7 @@ from typing import Sequence
 from .errors import (DimensionMismatch, InvariantViolated, KernelMismatch,
                      RegimeViolation, SchemaError)
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
-from .ecs import bordered_stage, kernel_vector
+from .ecs import bordered_stages, kernel_vector
 from .realization import (RealizationSeq, json_int, json_ints, json_list,
                           json_matrix, json_str, parsing)
 
@@ -274,16 +274,17 @@ def restrict_to_kernel_complement(matrices: Sequence[Matrix]) -> list[Matrix]:
 def ers_pipeline(data: ErsStageData, horizon: int,
                  strict: bool = False) -> RealizationSeq:
     """Match the target trace row with a w-sequence, build the checked
-    bordered ECS matrix of (p, w^T, B^T) for every stage and transpose it,
-    and check the reconstructed trace row of the restricted blocks against
-    the bound.  Transposing makes the checked column sums the row sums and
+    bordered ECS matrices of the stages (p, w^T, B^T) with bordered_stages
+    (the w vary, so stages rarely share a base) and transpose them, and
+    check the reconstructed trace row of the restricted blocks against the
+    bound.  Transposing makes the checked column sums the row sums and
     keeps primitivity; the restricted blocks, with determinant p det B,
     certify rank k+1."""
     wseq = build_w_sequence(data, horizon, strict)
     stages = list(data.stages[:min(horizon, len(data.stages))])
     k = data.k
-    ecs_mats = [bordered_stage(idx, st.p, w, st.b.transpose())
-                for idx, (st, w) in enumerate(zip(stages, wseq.ws), start=1)]
+    ecs_mats = bordered_stages((st.p, w, st.b.transpose())
+                               for st, w in zip(stages, wseq.ws))
 
     # Reconstruct the trace row from the output itself and compare.
     blocks = restrict_to_kernel_complement(ecs_mats)

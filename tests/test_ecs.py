@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimgroup import cli, ecs, exact
-from dimgroup.errors import (BadCutPoints, HorizonExhausted, Infeasible,
-                             InvariantViolated, NotPrimitive,
+from dimgroup.errors import (BadCutPoints, DimgroupError, HorizonExhausted,
+                             Infeasible, InvariantViolated, NotPrimitive,
                              ParameterExtractionFailed, PTooSmall, SchemaError)
 from dimgroup.exact import Matrix, is_unimodular
 from dimgroup.ecs import (AParams, BParams, ExtensionData, Stage, b_compose,
@@ -482,13 +482,16 @@ def test_ecs_pipeline_takes_no_determinant_of_settled_stages(monkeypatch):
     assert calls == []
 
 
-def test_build_ecs_makes_one_matrix_and_no_square_rank_per_stage(
-        tmp_path, monkeypatch):
-    """An n-stage build forms each bordered matrix once and proves its rank
-    by certificate, with no rank taken; its stages share one B, so the
-    whole build runs one elimination, for that B's determinant."""
+@pytest.mark.parametrize("step,blocks", [(0, 1), (1, 5)],
+                         ids=["one-block", "v-per-stage"])
+def test_build_ecs_makes_one_matrix_per_block_and_no_square_rank(
+        tmp_path, monkeypatch, step, blocks):
+    """An n-stage build forms one bordered matrix per distinct (v, B), its
+    base G_0, and proves every stage's rank by certificate, with no rank
+    taken; its stages share one B, so the whole build runs one
+    elimination, for that B's determinant."""
     n, k = 5, 2
-    payload = {"k": k, "stages": [{"p": 101 + 2 * i, "v": [0, 0],
+    payload = {"k": k, "stages": [{"p": 101 + 2 * i, "v": [step * i, 0],
                                    "B": [[1, 0], [0, 2]]} for i in range(n)]}
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(payload))
@@ -510,9 +513,11 @@ def test_build_ecs_makes_one_matrix_and_no_square_rank_per_stage(
     monkeypatch.setattr(ecs, "general_ecs_matrix", counted_general)
     monkeypatch.setattr(Matrix, "rank", counted_rank)
     monkeypatch.setattr(exact, "_eliminate", counted_eliminate)
-    assert cli.main(["build", "ecs", "-i", str(inp),
-                     "-o", str(tmp_path / "out.json")]) == 0
-    assert len(built) == n
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ecs", "-i", str(inp), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["provenance"]["cuts"] \
+        == list(range(n))
+    assert len(built) == blocks
     assert ranked == []
     assert eliminated == [k]
 
@@ -537,6 +542,35 @@ def test_grouping_search_takes_one_determinant(tmp_path, monkeypatch,
     assert cli.main(["build", "ecs", "-i", str(inp),
                      "-o", str(tmp_path / "out.json")]) == code
     assert eliminated == [2]
+
+
+def test_one_b_is_conjugated_once(monkeypatch, caplog):
+    """A 16-stage stream with one B hands UnimodularTransform.conjugate one
+    matrix; every stage is still the oracle's bordered matrix of
+    (p, E v, E B E^-1), here with the conjugate taken as a matrix product,
+    and one DEBUG record counts the stages and their one block."""
+    b = Matrix.from_rows([[1, 0], [0, 2]])
+    data = ExtensionData(2, tuple(Stage(101 + 2 * i, (3, 5), b)
+                                  for i in range(16)))
+    handed = []
+    conjugate = exact.UnimodularTransform.conjugate
+
+    def counted(self, mats):
+        handed.append(len(mats))
+        return conjugate(self, mats)
+    monkeypatch.setattr(exact.UnimodularTransform, "conjugate", counted)
+    caplog.set_level(logging.DEBUG, logger="dimgroup.ecs")
+    seq = ecs_pipeline(data)
+    assert handed == [1]
+    assert seq.provenance["cuts"] == list(range(16))
+    last = data.stages[-1]
+    em = reduce_vector([Fraction(x, last.p) for x in last.v])[0].matrix
+    b_new = em * b * em.inverse()
+    assert list(seq.matrices) == _bordered_each(
+        [(st.p, em.mul_vector(st.v), b_new) for st in data.stages])
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno == logging.DEBUG] \
+        == ["built 16 stages from 1 distinct (v, B) blocks"]
 
 
 @pytest.mark.parametrize("a", [AParams.uniform(1, 0), AParams((2, 1, 3))])
@@ -567,16 +601,158 @@ def _stage_data(draw):
 @settings(deadline=None, max_examples=300)
 @given(_stage_data())
 def test_bordered_stage_has_rank_k_plus_one(data):
-    """Whenever bordered_stage returns, an exact elimination agrees with its
-    certificate: rank k+1, for the matrix and for its k+1 lower rows."""
+    """Whenever bordered_stages returns, an exact elimination agrees with
+    its certificate: rank k+1, for the matrix and for its k+1 lower rows."""
     p, v, b = data
     k = len(v)
     try:
-        m = ecs.bordered_stage(1, p, v, b)
+        m, = ecs.bordered_stages([(p, v, b)])
     except (Infeasible, NotPrimitive):
         return
     lower = Matrix.from_rows([m.row(i) for i in range(1, k + 2)])
     assert m.rank() == lower.rank() == k + 1
+
+
+def _base_floor(v, b):
+    """-min(G_0[0]): the least p whose uniform bordered matrix for (v, B)
+    has a nonnegative top row, G_0 that matrix at p = 0 with the reference
+    a (its entries are far below 10^9)."""
+    a = AParams.uniform(len(v), _smallest_uniform_a(10 ** 9, v, b))
+    return -min(general_ecs_matrix(0, v, b, a).row(0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_stage_data())
+def test_choose_a_params_is_infeasible_below_the_base_top_row(data):
+    """choose_a_params(p, v, B) raises Infeasible exactly when
+    p < -min(G_0[0]): the test bordered_stages makes per stage."""
+    p, v, b = data
+    floor = _base_floor(v, b)
+    for q in {p, floor - 1, floor}:
+        if q < floor:
+            with pytest.raises(Infeasible):
+                choose_a_params(q, v, b)
+        else:
+            choose_a_params(q, v, b)
+
+
+def _bordered_each(stages):
+    """Oracle for bordered_stages: each stage (p, v, B) built on its own
+    with the smallest uniform a and checked to be nonnegative, to have
+    every column sum p, to annihilate z, to have a bottom row of one value
+    a >= 1 and to be primitive; the first failure raises, naming its
+    stage."""
+    out = []
+    for idx, (p, v, b) in enumerate(stages, start=1):
+        try:
+            a = choose_a_params(p, v, b)
+        except Infeasible as exc:
+            raise Infeasible(str(exc), stage=idx) from None
+        m = general_ecs_matrix(p, v, b, a)
+        k = len(v)
+        if not m.is_nonnegative():
+            raise InvariantViolated("negative entry despite the chosen a",
+                                    stage=idx)
+        if set(m.column_sums()) != {p}:
+            raise InvariantViolated("column sums broke ECS by-construction",
+                                    stage=idx)
+        if m.mul_vector(kernel_vector(k)) != tuple([0] * (k + 2)):
+            raise InvariantViolated("kernel vector not annihilated",
+                                    stage=idx)
+        if set(m.row(k + 1)) != {m[k + 1, 0]} or m[k + 1, 0] < 1:
+            raise InvariantViolated("bottom row is not one value a >= 1, so "
+                                    "rank k+1 is unproved", stage=idx)
+        if not is_primitive(m):
+            raise NotPrimitive("stage matrix not primitive", stage=idx)
+        out.append(m)
+    return out
+
+
+def _same_outcome(stages):
+    """bordered_stages returns the oracle's matrices, or raises its error
+    class with its text and stage."""
+    try:
+        expected = _bordered_each(stages)
+    except DimgroupError as exc:
+        with pytest.raises(DimgroupError) as got:
+            ecs.bordered_stages(stages)
+        assert (type(got.value), str(got.value), got.value.stage) \
+            == (type(exc), str(exc), exc.stage)
+        return exc
+    assert ecs.bordered_stages(stages) == expected
+
+
+@st.composite
+def _chains(draw):
+    """1 to 6 stages drawing (v, B) from one or two vs and one or two Bs,
+    so blocks repeat, share a B or share a v; a p near its block's floor
+    makes some later stage of a block infeasible.  In ERS form each stage
+    gets its own transposed B, as ers_pipeline passes (p, w, B^T)."""
+    k = draw(st.integers(1, 4))
+    bs = draw(st.lists(
+        st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k),
+                 min_size=k, max_size=k)
+        .map(Matrix.from_rows).filter(lambda m: m.det() != 0),
+        min_size=1, max_size=2))
+    vs = draw(st.lists(st.lists(st.integers(-30, 40), min_size=k,
+                                max_size=k).map(tuple),
+                       min_size=1, max_size=2))
+    ers_form = draw(st.booleans())
+    chain = []
+    for _ in range(draw(st.integers(1, 6))):
+        v = draw(st.sampled_from(vs))
+        b = draw(st.sampled_from(bs))
+        b = b.transpose() if ers_form else b
+        p = draw(st.one_of(
+            st.integers(2, 20_000),
+            st.integers(-3, 3).map(lambda d: max(2, _base_floor(v, b) + d))))
+        chain.append((p, v, b))
+    return chain
+
+
+@settings(deadline=None, max_examples=400)
+@given(_chains())
+def test_bordered_stages_match_the_stage_by_stage_oracle(chain):
+    _same_outcome(chain)
+
+
+@pytest.mark.parametrize("ers_form", [False, True], ids=["ecs", "ers"])
+def test_later_stage_of_a_feasible_block_is_infeasible(ers_form):
+    """A block whose first stage is feasible fails at a later stage of
+    smaller p, with choose_a_params' text for that p."""
+    v, b = (3, -2), Matrix.from_rows([[2, 1], [-1, 3]])
+    b_of = b.transpose if ers_form else lambda: b
+    floor = _base_floor(v, b_of())
+    chain = [(floor + 5, v, b_of()), (floor, v, b_of()),
+             (floor - 1, v, b_of())]
+    exc = _same_outcome(chain)
+    assert type(exc) is Infeasible and exc.stage == 3
+    assert str(exc) == ("stage 3: no uniform a makes the bordered matrix "
+                        f"nonnegative at p={floor - 1}")
+
+
+@pytest.mark.parametrize("src,dst,amount,text", [
+    ((1, 0), (0, 0), 10 ** 6, "negative entry despite the chosen a"),
+    ((0, 1), (0, 0), 1, "column sums broke ECS by-construction"),
+    ((0, 0), (1, 0), 1, "kernel vector not annihilated"),
+], ids=["negative", "column-sums", "kernel"])
+def test_a_broken_base_is_refused_at_its_first_stage(monkeypatch, src, dst,
+                                                     amount, text):
+    """Each check of a block's base fires, at the block's first stage, on a
+    base broken so that the checks before it still pass: an entry below
+    the top made negative, a column sum moved, z no longer annihilated."""
+    general = ecs.general_ecs_matrix
+
+    def broken(*args):
+        rows = general(*args).to_rows()
+        rows[src[0]][src[1]] -= amount
+        rows[dst[0]][dst[1]] += amount
+        return Matrix.from_rows(rows)
+    monkeypatch.setattr(ecs, "general_ecs_matrix", broken)
+    b = Matrix.identity(2)
+    with pytest.raises(InvariantViolated, match=text) as exc:
+        ecs.bordered_stages([(300, (1, 2), b), (301, (1, 2), b)])
+    assert exc.value.stage == 1
 
 
 def test_rejected_groupings_are_logged(tmp_path, caplog, capsys):
