@@ -16,8 +16,7 @@ from .ecs import (AParams, BParams, ExtensionData, Stage, b_compose, b_matrix,
 from .ers import (ErsStage, ErsStageData, build_w_sequence, ers_pipeline,
                   restrict_to_kernel_complement, verify_ers)
 from .ecrs import (EcrsProblem, PolyNat, commuting_family, ecrs_finisher,
-                   ecrs_pipeline, embroider_cols, embroider_rows,
-                   normalize_to_ones, poly_for)
+                   ecrs_pipeline, normalize_to_ones, poly_for)
 from .verify import structural_report
 
 __version__ = "0.1.0"

@@ -4,12 +4,12 @@ The staged construction for a target index lambda, whose stages are the
 rank-one updates I + c e_0 (lambda, rho) of the identity, c = (p-1)/lambda,
 normalized to the all-ones row by one conjugator that a single certificate,
 (lambda, 1, ..., 1) T = (lambda, rho) with T e_0 = e_0, proves right for
-every stage; embroidery with zero rows or columns; the finisher, which
-takes from each route its bordered stage of factor 1, common left
-eigenvector V and column shift, conjugates that base stage once to G_0 and
-makes every stage G_0 + c J, J the all-ones matrix; the digit-moving
-polynomial algorithm; and the commuting-family route seeded by an
-equal-sums primitive matrix.
+every stage; the finisher, which takes from each route its stage of
+factor 1, written directly as an embroidered matrix (bordered with zero
+rows or zero columns), its common left eigenvector V and column shift,
+conjugates that base stage once to G_0 and makes every stage G_0 + c J,
+J the all-ones matrix; the digit-moving polynomial algorithm; and the
+commuting-family route seeded by an equal-sums primitive matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 from .errors import (CongruenceViolated, DimensionMismatch, GcdViolated,
                      InvariantViolated, K1Unnormalizable, LambdaTooSmall,
                      NoValidT, NotEqualSums, NotPrimitive, PositivityFailed,
-                     RankDeficient, SchemaError)
+                     SchemaError)
 from .exact import (Matrix, UnimodularTransform, content, map_content1_row,
                     _euclid_to_first)
 from .perron import is_primitive
@@ -37,7 +37,7 @@ class EcrsProblem(namedtuple("EcrsProblem",
     index lambda = |tau(G)/tau(H)|, the trace row remainder rho with
     gcd(content(rho), lambda) = 1, and the factor prefix with every
     p = 1 (mod lambda).  Optional extras select the p-divisible routes: a
-    prime power q = 1 (mod lambda) for the embroidered route, or a seed
+    prime power q = 1 (mod lambda) for the route of size lambda q, or a seed
     matrix (primitive, equal row and column sums) for the commuting route."""
 
     __slots__ = ()
@@ -69,14 +69,6 @@ class EcrsProblem(namedtuple("EcrsProblem",
 
 
 # -- stage construction -----------------------------------------------------------
-
-
-def _stage_matrix(p: int, v: Sequence[int]) -> Matrix:
-    k = len(v)
-    rows = [[p] + list(v)]
-    for i in range(k):
-        rows.append([0] + [1 if j == i else 0 for j in range(k)])
-    return Matrix.from_rows(rows)
 
 
 def _certified_factors(prob: EcrsProblem, scale: int = 1) -> tuple[int, ...]:
@@ -145,68 +137,10 @@ def normalize_to_ones(prob: EcrsProblem) -> UnimodularTransform:
     return UnimodularTransform(k + 1, tuple(ops))
 
 
-# -- embroidery (zero rows / zero columns) ------------------------------------------
-
-
-def embroider_rows(m: Matrix, x: Matrix | None) -> Matrix:
-    """Border with zero columns on the right and the block X below:
-    [[M, 0], [X, 0]].  Rank is preserved, and a left eigenvector (a, b)
-    of M extends to (a, b, 0)."""
-    if x is None or x.rows == 0:
-        return m
-    if not m.is_square:
-        raise DimensionMismatch("embroidery needs a square matrix")
-    if m.rank() != m.rows:
-        raise RankDeficient("embroidery needs a full-rank matrix")
-    if x.cols != m.cols:
-        raise DimensionMismatch("X must have as many columns as M")
-    s, extra = m.rows, x.rows
-    rows = [list(m.row(i)) + [0] * extra for i in range(s)]
-    rows += [list(x.row(i)) + [0] * extra for i in range(extra)]
-    return Matrix._exact_rows(rows)
-
-
-def embroider_cols(m: Matrix, y: Matrix | None, z: Matrix | None) -> Matrix:
-    """Border with zero rows at the bottom and the block [Z; Y] at the
-    right: [[M, Z over Y], [0, 0]]."""
-    if not m.is_square:
-        raise DimensionMismatch("embroidery needs a square matrix")
-    if m.rank() != m.rows:
-        raise RankDeficient("embroidery needs a full-rank matrix")
-    blocks = [b for b in (z, y) if b is not None and b.rows > 0]
-    if not blocks:
-        return m
-    extra = blocks[0].cols
-    if any(b.cols != extra for b in blocks):
-        raise DimensionMismatch("border blocks must share a width")
-    if sum(b.rows for b in blocks) != m.rows:
-        raise DimensionMismatch("border blocks must cover the rows of M")
-    s = m.rows
-    size = s + extra
-    border_rows = [row for b in blocks for row in b.to_rows()]
-    rows = [list(m.row(i)) + list(border_rows[i]) for i in range(s)]
-    rows += [[0] * size for _ in range(extra)]
-    return Matrix._exact_rows(rows)
-
-
 def _cyclic_targets(k: int, count: int) -> list[int]:
     """Column indices 1..k assigned cyclically to the bordered block; for
     count <= k this is the plain shift-by-k of the identity block."""
     return [1 + (j % k) for j in range(count)]
-
-
-def embroidery_block(k: int, lam: int) -> Matrix | None:
-    """The X block for the finite route: one row per extra coordinate, a
-    single 1 in the cyclically assigned interior column."""
-    extra = lam - k - 1
-    if extra <= 0:
-        return None
-    rows = []
-    for target in _cyclic_targets(k, extra):
-        row = [0] * (k + 1)
-        row[target] = 1
-        rows.append(row)
-    return Matrix.from_rows(rows)
 
 
 # -- the finishing conjugations -----------------------------------------------------
@@ -403,12 +337,13 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
     """Dispatch on the problem data.
 
     Without an infinite prime: lambda >= k+1 is necessary and sufficient;
-    the stage of factor 1, normalized to the all-ones row, is embroidered
-    when lambda exceeds k+1 and finished to G_0, and the stage of p is
+    the normalized stage of factor 1, the identity, is embroidered with one
+    row per extra coordinate, a single 1 in a cyclically assigned interior
+    column, and zero columns, finished to G_0, and the stage of p is
     G_0 + ((p-1)/lambda) J; output size is exactly lambda.  With a seed
     matrix (split case, lambda = 1): the commuting-family route.  With a
-    prime power q: the p-divisible embroidery of size lambda q, finished
-    from one base stage the same way."""
+    prime power q: the stage of factor 1, of value q, embroidered with zero
+    rows and a top border of ones to size lambda q, finished the same way."""
     if prob.seed_matrix is not None:
         if prob.lam != 1:
             raise SchemaError("the seed-matrix route is the split case lambda=1")
@@ -423,13 +358,16 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
             f"lambda = {lam} below rank G = {k + 1}: no ECRS "
             "realization exists when the value group has no infinite prime")
     factors = _certified_factors(prob)
-    # The stage of factor 1 (c = 0); the shift copies each interior column
-    # onto the border columns it feeds.
-    base = embroider_rows(Matrix.identity(k + 1), embroidery_block(k, lam))
+    # The stage of factor 1 (c = 0): row i <= k is e_i and each border row
+    # has its one 1 in its target column; the shift copies each interior
+    # column onto the border columns it feeds.
+    targets = _cyclic_targets(k, lam - k - 1)
+    base = Matrix._exact(lam, lam, [1 if j == one else 0
+                                    for one in [*range(k + 1), *targets]
+                                    for j in range(lam)])
     eigenrow = (lam,) + (1,) * k + (0,) * (lam - k - 1)
     shift = UnimodularTransform(lam, tuple(
-        ("add", target, k + 1 + j, 1)
-        for j, target in enumerate(_cyclic_targets(k, lam - k - 1))))
+        ("add", target, k + 1 + j, 1) for j, target in enumerate(targets)))
     return ecrs_finisher(base, eigenrow, shift, factors, "embroidered",
                          k=k, lam=lam)
 
@@ -449,11 +387,13 @@ def _p_divisible_route(prob: EcrsProblem) -> RealizationSeq:
             f"lambda q = {size} leaves no room to border a (k+1)-block, k={k}")
     factors = _certified_factors(prob, scale=q)
     extra = size - k - 1
-    # The stage of factor 1: c = (q-1)/lambda and the top border 1 * ones;
-    # its eigenvector is (lambda q, q...q, lambda...lambda).
-    base = embroider_cols(_stage_matrix(q, ((q - 1) // lam,) * k),
-                          Matrix.zeros(k, extra),
-                          Matrix.from_rows([[1] * extra]))
+    # The stage of factor 1: top row (q, c...c, 1...1), c = (q-1)/lambda,
+    # rows 1..k the e_i and zero rows below; its eigenvector is
+    # (lambda q, q...q, lambda...lambda).
+    data = [q] + [(q - 1) // lam] * k + [1] * extra + [0] * (size * (size - 1))
+    for i in range(1, k + 1):
+        data[i * size + i] = 1
+    base = Matrix._exact(size, size, data)
     eigenrow = (lam * q,) + (q,) * k + (lam,) * extra
     return ecrs_finisher(base, eigenrow, _p_divisible_shift(size, k, lam, q),
                          factors, "p-divisible", k=k, lam=lam, q=q)

@@ -116,10 +116,6 @@ class K1Unnormalizable(DimgroupError):
     pass
 
 
-class RankDeficient(DimgroupError):
-    pass
-
-
 class NoValidT(DimgroupError):
     pass
 

@@ -223,22 +223,16 @@ def build_w_sequence(data: ErsStageData, horizon: int,
 # -- restriction to the kernel complement ------------------------------------------
 
 
-def complement_basis(k: int) -> Matrix:
-    """Z-basis of the orthogonal complement of the kernel vector inside
-    Z^{k+2}, as columns: the all-ones column, then e_i - e_{k+1}."""
-    cols = [[1] * (k + 2)]
-    for i in range(1, k + 1):
-        col = [0] * (k + 2)
-        col[i] = 1
-        col[k + 1] = -1
-        cols.append(col)
-    return Matrix.from_rows(cols).transpose()
-
-
 def restrict_to_kernel_complement(matrices: Sequence[Matrix]) -> list[Matrix]:
     """Rewrite the transposes of shared-kernel ECS matrices in the basis of
-    the kernel complement, recovering upper-triangular blocks
-    [[p, v^T], [0, B^T]] for bordered-construction inputs."""
+    the kernel complement, the all-ones column and the e_i - e_{k+1},
+    recovering upper-triangular blocks [[p, v^T], [0, B^T]] for
+    bordered-construction inputs.
+
+    Each image is read off the rows of A: A^T 1 is A's column sums and
+    A^T (e_i - e_{k+1}) is row i minus row k+1.  Every image x = A^T y
+    stays in the complement once A z = 0 is checked, since
+    x . z = y . (A z) = 0."""
     if not matrices:
         raise DimensionMismatch("no matrices")
     size = matrices[0].rows
@@ -253,18 +247,11 @@ def restrict_to_kernel_complement(matrices: Sequence[Matrix]) -> list[Matrix]:
         if a.mul_vector(z) != tuple([0] * size):
             raise KernelMismatch(
                 "matrix does not annihilate the kernel vector", stage=idx)
-        c = a.transpose()
-        basis_cols = complement_basis(k)
-        image = c * basis_cols
-        rows = []
-        for j in range(k + 1):
-            x = image.col(j)
-            coords = [x[0]] + [x[i] - x[0] for i in range(1, k + 1)]
-            if x[k + 1] != (k + 1) * x[0] - sum(x[1:k + 1]):
-                raise KernelMismatch(
-                    "image leaves the kernel complement", stage=idx)
-            rows.append(coords)
-        out.append(Matrix.from_rows(rows).transpose())
+        images = [a.column_sums()] + [vec_sub(a.row(i), a.row(k + 1))
+                                      for i in range(1, k + 1)]
+        # Column j of the block holds the coordinates of image j.
+        out.append(Matrix._exact(k + 1, k + 1, [x[0] for x in images] + [
+            x[i] - x[0] for i in range(1, k + 1) for x in images]))
     return out
 
 

@@ -100,6 +100,36 @@ def test_decide_command(tmp_path):
     assert json.loads(stdout)["exists"] is True
 
 
+@pytest.mark.parametrize("rank,code", [("inf", 0), ("INF ", 0), ("x", 2)])
+def test_decide_rank_is_a_count_or_inf(tmp_path, capsys, rank, code):
+    group = write(tmp_path, "g.json", {"finite": {}, "infinite": [2]})
+    assert cli.main(["decide", "--rank", rank, "--group", group,
+                     "--lambda", "4"]) == code
+    out = json.loads(capsys.readouterr().out)
+    if code:
+        assert out["error"] == "SchemaError"
+        assert "not a positive count" in out["message"]
+    else:
+        assert out["exists"] is True
+
+
+@pytest.mark.parametrize("stages,strict,text", [
+    ([{"p": 125, "u": [5], "B": [[1]]}, {"p": 25, "u": [8], "B": [[1]]}],
+     False, "stage 2: stage values must be nondecreasing"),
+    ([{"p": 65537, "u": [17], "B": [[1]]}],
+     True, "stage 1: strict bound ||u|| <= p^(1/4) fails"),
+], ids=["decreasing-p", "strict-u-bound"])
+def test_build_ers_regime_is_checked(tmp_path, capsys, stages, strict, text):
+    inp = write(tmp_path, "in.json", {"k": 1, "stages": stages,
+                                      "trace_row": [[1, 3]]})
+    out = tmp_path / "out.json"
+    argv = ["build", "ers", "-i", inp, "-o", str(out)]
+    assert cli.main(argv + ["--strict-bounds"] * strict) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["error"], payload["message"]) == ("RegimeViolation", text)
+    assert not out.exists()
+
+
 def test_telescope_command(tmp_path):
     inp = write(tmp_path, "in.json", ECS_INPUT)
     built = str(tmp_path / "out.json")

@@ -5,21 +5,56 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimgroup import cli, ecrs
+from dimgroup import cli, ecrs, exact
 from dimgroup.errors import (CongruenceViolated, ContentMismatch,
-                             DimgroupError, GcdViolated,
+                             DimensionMismatch, DimgroupError, GcdViolated,
                              InvariantViolated, K1Unnormalizable,
                              LambdaTooSmall, NoValidT, NotEqualSums,
                              NotPrimitive, PositivityFailed, SchemaError)
 from dimgroup.exact import Matrix, UnimodularTransform, content
 from dimgroup.ecrs import (EcrsProblem, PolyNat, _certified_factors,
-                           _cyclic_targets, _p_divisible_shift, _stage_matrix,
-                           commuting_family, ecrs_pipeline, embroider_cols,
-                           embroider_rows, embroidery_block,
+                           _cyclic_targets, _p_divisible_shift,
+                           commuting_family, ecrs_pipeline,
                            normalize_to_ones, poly_for)
 from dimgroup.perron import (check_equal_sums_criterion, integer_perron,
                              is_primitive)
 from dimgroup.supernatural import FactorSequence
+
+
+# Stage matrices and the embroidery helpers that border them, read only by
+# the tests; the package writes its two base stages directly.
+def _stage_matrix(p: int, v) -> Matrix:
+    """[[p, v], [0, I]]."""
+    k = len(v)
+    return Matrix.from_rows([[p, *v]] + [[0] + [int(j == i) for j in range(k)]
+                                         for i in range(k)])
+
+
+def embroider_rows(m: Matrix, x: Matrix | None) -> Matrix:
+    """Border with zero columns on the right and the block X below:
+    [[M, 0], [X, 0]].  Rank is preserved, and a left eigenvector (a, b)
+    of M extends to (a, b, 0)."""
+    if x is None:
+        return m
+    return Matrix.from_rows([list(row) + [0] * x.rows for row in [*m, *x]])
+
+
+def embroider_cols(m: Matrix, y: Matrix, z: Matrix) -> Matrix:
+    """Border with zero rows at the bottom and the block [Z; Y] at the
+    right: [[M, Z over Y], [0, 0]]."""
+    border = [*z, *y]
+    size = m.rows + z.cols
+    return Matrix.from_rows([list(row) + list(b) for row, b in zip(m, border)]
+                            + [[0] * size] * z.cols)
+
+
+def embroidery_block(k: int, lam: int) -> Matrix | None:
+    """The X block for the finite route: one row per extra coordinate, a
+    single 1 in the cyclically assigned interior column."""
+    if lam <= k + 1:
+        return None
+    return Matrix.from_rows([[int(j == target) for j in range(k + 1)]
+                             for target in _cyclic_targets(k, lam - k - 1)])
 
 
 # The index stages and their diagonal presentation, read only by the tests;
@@ -273,6 +308,86 @@ def test_embroider_cols_eigenvector():
     assert big.rows == lam * q
     vec = (lam * q,) + tuple([q] * k) + tuple([lam] * extra)
     assert big.vector_mul(vec) == tuple(q * p * x for x in vec)
+
+
+def _bases(monkeypatch, prob):
+    """The base stage, eigenrow and shift that ``prob``'s route hands the
+    finisher."""
+    handed = []
+    monkeypatch.setattr(ecrs, "ecrs_finisher",
+                        lambda *args, **kwargs: handed.append(args[:3]))
+    ecrs_pipeline(prob)
+    return handed[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_finite_base_is_the_embroidered_identity(monkeypatch, k):
+    for lam in range(k + 1, 14):
+        prob = EcrsProblem(k, lam, (1,) * k, FactorSequence((1 + lam,)))
+        base, eigenrow, _ = _bases(monkeypatch, prob)
+        assert base == embroider_rows(Matrix.identity(k + 1),
+                                      embroidery_block(k, lam))
+        assert base.vector_mul(eigenrow) == eigenrow
+
+
+@pytest.mark.parametrize("k,lam,q", [
+    (1, 1, 3), (1, 2, 3), (2, 3, 4), (3, 1, 5), (2, 5, 11), (4, 2, 9)])
+def test_p_divisible_base_is_the_embroidered_stage_of_value_q(monkeypatch,
+                                                              k, lam, q):
+    prob = EcrsProblem(k, lam, (1,) * k, FactorSequence((1 + lam,)), q=q)
+    base, eigenrow, _ = _bases(monkeypatch, prob)
+    extra = lam * q - k - 1
+    assert base == embroider_cols(_stage_matrix(q, ((q - 1) // lam,) * k),
+                                  Matrix.zeros(k, extra),
+                                  Matrix.from_rows([[1] * extra]))
+    assert base.vector_mul(eigenrow) == tuple(q * x for x in eigenrow)
+
+
+@pytest.mark.parametrize("prob", [
+    EcrsProblem(2, 7, (1, 1), FactorSequence((29, 43))),
+    EcrsProblem(3, 32, (16, -14, -19), FactorSequence((2273, 2593))),
+    EcrsProblem(2, 3, (1, 1), FactorSequence((19, 31)), q=4),
+], ids=["finite", "finite-lambda-32", "p-divisible"])
+def test_ecrs_build_runs_no_elimination(monkeypatch, prob):
+    # Both bases are written whole, full rank by construction; nothing on
+    # the build path eliminates a matrix.
+    calls = []
+    eliminate = exact._eliminate
+
+    def counted(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
+    monkeypatch.setattr(exact, "_eliminate", counted)
+    seq = ecrs_pipeline(prob)
+    assert len(seq.matrices) == len(prob.p_seq)
+    assert calls == []
+
+
+@pytest.mark.parametrize("k,lam,q,error,code", [
+    (2, 3, 1, "SchemaError", 2),
+    (2, 3, 5, "CongruenceViolated", 3),
+    (3, 1, 2, "NoValidT", 3),
+    (1, 2, 2 ** 63 + 1, "SchemaError", 2),
+], ids=["q-1", "q-not-1-mod-lambda", "no-room", "size-past-maxsize"])
+def test_p_divisible_input_checks(tmp_path, capsys, k, lam, q, error, code):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"k": k, "lambda": lam, "rho": [1] * k,
+                               "p_seq": [1 + lam], "q": q}))
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ecrs", "-i", str(inp), "-o", str(out)]) == code
+    assert json.loads(capsys.readouterr().out)["error"] == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed,factors,error,text", [
+    ([[1, 2, 1], [2, 1, 1]], [5], DimensionMismatch, "square"),
+    ([[2, -1], [-1, 2]], [5], NotEqualSums, "nonnegative"),
+    ([[0, 3], [3, 0]], [5], NotPrimitive, "primitive"),
+    ([[1, 2], [2, 1]], [5, 0], SchemaError, "positive"),
+], ids=["non-square", "negative-entry", "not-primitive", "factor-below-1"])
+def test_commuting_family_seed_checks(seed, factors, error, text):
+    with pytest.raises(error, match=text):
+        commuting_family(Matrix.from_rows(seed), factors)
 
 
 def test_poly_for_examples():

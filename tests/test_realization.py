@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,7 +10,7 @@ from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
 from dimgroup.ecs import (ExtensionData, Stage, ecs_pipeline,
                           telescope_extension)
 from dimgroup.errors import (BadCutPoints, DimensionMismatch,
-                             InvariantViolated, SchemaError)
+                             InvariantViolated, NumberTooLarge, SchemaError)
 from dimgroup.ers import ErsStageData, ers_pipeline
 from dimgroup.exact import Matrix
 from dimgroup.realization import (RealizationSeq, dump_json, json_int,
@@ -40,6 +41,16 @@ def test_json_uses_decimal_strings():
     assert obj["stages"][0]["matrix"][0] == ["1", "2"]
     assert obj["stages"][0]["p"] == "3"
     assert obj["version"] == "1"
+
+
+def test_entry_past_the_digit_limit_is_not_written():
+    # json_strs' one guard falls back to the per-entry json_str, which names
+    # the error.
+    big = 10 ** sys.get_int_max_str_digits()
+    seq = RealizationSeq((Matrix.from_rows([[1, big], [big, 1]]),),
+                         (3,), None, {}, {})
+    with pytest.raises(NumberTooLarge, match="more than a JSON reader"):
+        seq.to_json()
 
 
 def test_invariants():

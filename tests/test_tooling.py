@@ -1,6 +1,7 @@
 """Source-level checks on the package itself."""
 
 import ast
+import importlib
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -294,6 +295,26 @@ def test_every_error_class_is_raised_in_the_package():
                 todo.append(base)
     assert sorted(set(bases) - needed) == []
 
+
+
+def test_every_traced_target_resolves_in_the_package():
+    """Each (module, class, attribute) that the benchmark's tracer wraps is
+    a name in the package, so a deletion that would blind a per-layer metric
+    fails here and not only in the separately run benchmark suite."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert len(targets) > 20
+    missing = []
+    for name, module, cls, attr, _ in targets:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if not hasattr(owner, attr):
+            missing.append(name)
+    assert missing == []
 
 
 # Methods that no code in the package calls, each with its reason.
