@@ -1,7 +1,7 @@
 """Command-line front end.
 
     dimgroup build {ecs|ers|ecrs} -i in.json -o out.json
-                   [--epsilon N/D] [--horizon N] [--strict-bounds]
+                   [--horizon N] [--strict-bounds]
     dimgroup verify -i out.json
     dimgroup decide --rank R --group g.json --lambda L
     dimgroup telescope -i in.json --cuts 1,3,7 -o out.json
@@ -19,11 +19,10 @@ import argparse
 import logging
 import os
 import sys
-from fractions import Fraction
 
 from . import errors
 from .ecrs import EcrsProblem, ecrs_pipeline
-from .ecs import DEFAULT_EPSILON, ExtensionData, ecs_pipeline
+from .ecs import ExtensionData, ecs_pipeline
 from .ers import ErsStageData, ers_pipeline
 from .realization import RealizationSeq, dump_json, load_json
 from .supernatural import INFINITE, SupernaturalNumber, decide_ecrs
@@ -54,19 +53,10 @@ def _error_payload(exc: Exception) -> dict:
     return payload
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise errors.SchemaError(f"not a rational: {text!r}") from None
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     raw = load_json(args.input)
     if args.kind == "ecs":
-        data = ExtensionData.from_json(raw)
-        seq = ecs_pipeline(data, _parse_fraction(args.epsilon)
-                           if args.epsilon else DEFAULT_EPSILON)
+        seq = ecs_pipeline(ExtensionData.from_json(raw))
     elif args.kind == "ers":
         data = ErsStageData.from_json(raw)
         horizon = (len(data.stages) if args.horizon is None
@@ -135,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("kind", choices=["ecs", "ers", "ecrs"])
     p_build.add_argument("-i", "--input", required=True)
     p_build.add_argument("-o", "--output", required=True)
-    p_build.add_argument("--epsilon", default=None, metavar="N/D",
-                         help="convergence threshold for the ecs pipeline")
     p_build.add_argument("--horizon", type=int, default=None,
                          help="stage horizon for the ers pipeline")
     p_build.add_argument("--strict-bounds", action="store_true",

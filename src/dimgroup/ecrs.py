@@ -36,9 +36,10 @@ class EcrsProblem(namedtuple("EcrsProblem",
     """Target data for an ECRS realization: rank k of the complement, the
     index lambda = |tau(G)/tau(H)|, the trace row remainder rho with
     gcd(content(rho), lambda) = 1, and the factor prefix with every
-    p = 1 (mod lambda).  Optional extras select the p-divisible routes: a
-    prime power q = 1 (mod lambda) for the route of size lambda q, or a seed
-    matrix (primitive, equal row and column sums) for the commuting route."""
+    p = 1 (mod lambda).  Optional extras select the p-divisible routes: an
+    integer q > 1 with q = 1 (mod lambda), all that the route of size
+    lambda q needs of q (it need not be a prime power), or a seed matrix
+    (primitive, equal row and column sums) for the commuting route."""
 
     __slots__ = ()
 
@@ -341,9 +342,11 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
     row per extra coordinate, a single 1 in a cyclically assigned interior
     column, and zero columns, finished to G_0, and the stage of p is
     G_0 + ((p-1)/lambda) J; output size is exactly lambda.  With a seed
-    matrix (split case, lambda = 1): the commuting-family route.  With a
-    prime power q: the stage of factor 1, of value q, embroidered with zero
-    rows and a top border of ones to size lambda q, finished the same way."""
+    matrix (split case, lambda = 1): the commuting-family route.  With an
+    integer q > 1, q = 1 (mod lambda), which is all this route checks and
+    needs of q: the stage of factor 1, of value q, embroidered with zero
+    rows and a top border of ones to size lambda q, finished the same
+    way."""
     if prob.seed_matrix is not None:
         if prob.lam != 1:
             raise SchemaError("the seed-matrix route is the split case lambda=1")
@@ -375,7 +378,7 @@ def ecrs_pipeline(prob: EcrsProblem) -> RealizationSeq:
 def _p_divisible_route(prob: EcrsProblem) -> RealizationSeq:
     q, lam, k = prob.q, prob.lam, prob.k
     if q <= 1:
-        raise SchemaError("q must be a prime power exceeding 1")
+        raise SchemaError(f"q must exceed 1, got {echo(q)}")
     if (q - 1) % lam != 0:
         raise CongruenceViolated(f"q = {q} is not 1 mod lambda = {lam}")
     size = lam * q

@@ -14,6 +14,7 @@ vector z = (k+1, -1, ..., -1)^T.
 
 from __future__ import annotations
 
+import json
 import logging
 from collections import namedtuple
 from fractions import Fraction
@@ -28,7 +29,6 @@ from .perron import is_primitive
 from .realization import (RealizationSeq, groups, json_int, json_ints,
                           json_list, json_matrix, parsing)
 
-DEFAULT_EPSILON = Fraction(1, 100)
 _NO_UNIFORM_A = "no uniform a makes the bordered matrix nonnegative at p={}"
 
 _log = logging.getLogger(__name__)
@@ -67,15 +67,19 @@ class ExtensionData(namedtuple("ExtensionData", "k stages")):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtensionData":
+        """Each distinct B is read and checked once, keyed on its JSON
+        text, so equal Bs share one Matrix and one det B check."""
         with parsing("extension data"):
             k = json_int(obj["k"])
-            shared: dict[Matrix, Matrix] = {}   # equal Bs: one det B check
-            stages = tuple(
-                Stage(json_int(st["p"]),
-                      tuple(json_ints(st["v"])),
-                      shared.setdefault(b := json_matrix(st["B"]), b))
-                for st in json_list(obj["stages"]))
-            return cls(k, stages)
+            parsed: dict[str, Matrix] = {}
+            stages = []
+            for st in json_list(obj["stages"]):
+                p, v = json_int(st["p"]), tuple(json_ints(st["v"]))
+                b = parsed.get(key := json.dumps(st["B"]))
+                if b is None:
+                    b = parsed[key] = json_matrix(st["B"])
+                stages.append(Stage(p, v, b))
+            return cls(k, tuple(stages))
 
 
 class AParams(namedtuple("AParams", "values")):
@@ -268,7 +272,7 @@ def reduce_vector(v: Sequence[Fraction]) -> tuple[UnimodularTransform, tuple[int
     return e, tuple(w)
 
 
-# -- normalization, telescoping, convergence ---------------------------------------
+# -- normalization and telescoping ---------------------------------------------
 
 
 def normalize_extension(data: ExtensionData) -> tuple[ExtensionData, list[tuple[int, ...]]]:
@@ -313,107 +317,60 @@ def telescope_extension(data: ExtensionData,
     return ExtensionData(data.k, tuple(stages))
 
 
-def _ratio(st: Stage) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x, st.p) for x in st.v)
-
-
-def _candidate_cuts(n: int):
-    """(drop, block) candidates ordered from finest to coarsest; each must
-    leave at least two groups (one pair to compare) unless only one stage
-    exists at all."""
-    if n == 1:
-        yield [0]
-        return
-    for cost in range(0, 2 * n):
-        for block in range(1, cost + 2):
-            drop = cost - (block - 1)
-            if drop < 0 or drop >= n:
-                continue
-            remaining = n - drop
-            groups = -(-remaining // block)
-            if groups < 2:
-                continue
-            yield list(range(drop, n, block))
-
-
-def _within(st: Stage, nxt: Stage, epsilon: Fraction) -> bool:
-    """The ratios v/p of two stages are equal or differ by less than epsilon
-    in max norm, tested in integers: the gap max |v_i p' - v'_i p| over
-    p p' is below num/den iff gap * den < num * p p'."""
-    gap = max(abs(x * nxt.p - y * st.p) for x, y in zip(st.v, nxt.v))
-    return (gap == 0
-            or gap * epsilon.denominator < epsilon.numerator * st.p * nxt.p)
-
-
-def _convergent_cuts(data: ExtensionData, epsilon: Fraction):
-    """Candidate cuts, finest first, after which consecutive telescoped
-    ratios v/q differ by less than epsilon in max norm (exactly equal ratios
-    always pass), each with the telescoped data.  Raises HorizonExhausted if
-    no candidate converges."""
-    found = False
-    for cuts in _candidate_cuts(len(data.stages)):
-        tele = telescope_extension(data, cuts)
-        if all(_within(st, nxt, epsilon)
-               for st, nxt in zip(tele.stages, tele.stages[1:])):
-            found = True
-            yield cuts, tele
-    if not found:
-        raise HorizonExhausted(
-            f"no grouping of {len(data.stages)} stages meets epsilon={epsilon}")
-
-
 # -- the pipeline --------------------------------------------------------------
 
 
-def _build_from_telescoped(tele: ExtensionData) -> RealizationSeq:
-    k = tele.k
-    # Renormalize: telescoping can push v outside [0, p) when B has negative
-    # entries, and the reduction step needs a nonnegative terminal ratio.
-    # With 0 <= v < p that ratio lies in [0, 1)^k, so reduce_vector's W is
-    # 0 and each stage's v becomes E v.
-    tele, _ = normalize_extension(tele)
-    e, _ = reduce_vector(_ratio(tele.stages[-1]))
-    em = e.matrix
-    # Equal Bs are conjugated once.  B_new = E B E^-1 has det B != 0, the
-    # rank certificate's premise: E is made of elementary operations and
-    # every Stage checked its B.
-    distinct = list(dict.fromkeys(st.b for st in tele.stages))
-    conjugated = dict(zip(distinct, e.conjugate(distinct)))
-    mats = bordered_stages((st.p, em.mul_vector(st.v), conjugated[st.b])
-                           for st in tele.stages)
-    return RealizationSeq(tuple(mats), tuple(st.p for st in tele.stages),
-                          None, {"ecs": True}, {"pipeline": "ecs", "k": k})
+def ecs_pipeline(data: ExtensionData) -> RealizationSeq:
+    """Normalize, reduce the terminal ratio with a single GL(k,Z)
+    conjugation E, and emit the bordered ECS matrices of the stages
+    (p, E v, E B E^-1), telescoping only the groups that do not fit.
 
-
-def ecs_pipeline(data: ExtensionData,
-                 epsilon: Fraction = DEFAULT_EPSILON) -> RealizationSeq:
-    """Normalize, telescope until the ratio vectors nearly converge, reduce
-    the terminal ratio with a single GL(k,Z) conjugation, pick uniform free
-    parameters per distinct (v, B) and emit the bordered ECS matrices.
-
-    Every emitted matrix is verified exactly: nonnegative, column sums equal
-    to the stage p, kernel vector annihilated, rank k+1 by certificate,
-    primitive.  If a grouping fails (positivity or primitivity), coarser
-    telescopings are tried before giving up.
+    Every group starts as one stage.  Where a group is infeasible or not
+    primitive, it is merged into the next group (the last group into the
+    one before it) and the stages are telescoped again: the merged group
+    has the product of the p's, which is what cures both failures.  After
+    a merge the telescoped stages are normalized again, since a product
+    can carry v outside [0, p).  Telescoping, normalizing and conjugating
+    by E each keep the dimension group, so E is found once and each
+    distinct B is conjugated once.  Every emitted matrix is proved exactly
+    by bordered_stages: nonnegative, column sums equal to the stage p,
+    kernel vector annihilated, rank k+1 by certificate, primitive.  A
+    single group that still fails raises HorizonExhausted.
     """
     norm, _ = normalize_extension(data)
-    epsilon = Fraction(epsilon)
-    last_error: Exception | None = None
-    # retry only over groupings that still meet the convergence criterion:
-    # coarser telescoping raises the stage values, which is what cures
-    # positivity and primitivity failures
-    for cuts, tele in _convergent_cuts(norm, epsilon):
+    last = norm.stages[-1]
+    # 0 <= v < p, so the terminal ratio lies in [0, 1)^k and reduce_vector's
+    # W is 0.  B_new = E B E^-1 has det B != 0, the rank certificate's
+    # premise: E is made of elementary operations and every Stage checked
+    # its B.
+    e, _ = reduce_vector([Fraction(x, last.p) for x in last.v])
+    em = e.matrix
+    conjugated: dict[Matrix, Matrix] = {}
+    cuts = list(range(len(norm.stages)))
+    while True:
+        tele = telescope_extension(norm, cuts)
+        if len(cuts) < len(norm.stages):    # else tele is norm, normalized
+            tele, _ = normalize_extension(tele)
+        fresh = list(dict.fromkeys(st.b for st in tele.stages
+                                   if st.b not in conjugated))
+        conjugated.update(zip(fresh, e.conjugate(fresh)))
         try:
-            seq = _build_from_telescoped(tele)
+            mats = bordered_stages((st.p, em.mul_vector(st.v),
+                                    conjugated[st.b]) for st in tele.stages)
         except (Infeasible, NotPrimitive) as exc:
-            _log.info("grouping %s rejected: %s at stage %s", cuts,
-                      type(exc).__name__, exc.stage)
-            last_error = exc
-            continue
-        return RealizationSeq(seq.matrices, seq.stage_values, seq.markers,
-                              seq.properties, {**seq.provenance, "cuts": cuts,
-                                               "epsilon": str(epsilon)})
-    raise last_error    # set: _convergent_cuts raised if nothing converged
+            if len(cuts) == 1:
+                raise HorizonExhausted(
+                    f"no grouping of {len(norm.stages)} stages fits: as one "
+                    f"group, {type(exc).__name__}: {exc}") from None
+            # deleting cuts[gone] joins stages gone and gone + 1 (from 1)
+            gone = min(exc.stage, len(cuts) - 1)
+            _log.info("grouping %s: %s at stage %d, merging stages %d and %d",
+                      cuts, type(exc).__name__, exc.stage, gone, gone + 1)
+            cuts = cuts[:gone] + cuts[gone + 1:]    # the record holds the old
+        else:
+            return RealizationSeq(
+                tuple(mats), tuple(st.p for st in tele.stages), None,
+                {"ecs": True}, {"pipeline": "ecs", "k": data.k, "cuts": cuts})
 
 
 # -- the composition algebra of bordered matrices (uniform parameters) -------------

@@ -565,23 +565,37 @@ def test_long_ecs_verify_report_is_linear_in_the_stage_count(tmp_path,
     assert len(report.encode()) <= 300_000
 
 
-def test_build_ecs_epsilon_reaches_provenance(tmp_path, capsys):
+def test_build_has_no_epsilon_option(tmp_path, capsys):
+    """ECS groupings are found from the stage checks alone: no threshold
+    is read, and --epsilon is an unknown argument."""
     inp = write(tmp_path, "in.json", ECS_INPUT)
     out = tmp_path / "out.json"
-    assert cli.main(["build", "ecs", "-i", inp, "-o", str(out),
-                     "--epsilon", "1/20"]) == cli.EXIT_OK
-    assert json.loads(out.read_text())["provenance"]["epsilon"] == "1/20"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", "ecs", "-i", inp, "-o", str(out),
+                  "--epsilon", "1/20"])
+    assert exc.value.code == cli.EXIT_SCHEMA
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+    assert cli.main(["build", "ecs", "-i", inp, "-o", str(out)]) == 0
+    assert "epsilon" not in json.loads(out.read_text())["provenance"]
 
 
-@pytest.mark.parametrize("epsilon", ["x", "1/0"])
-def test_build_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
-    inp = write(tmp_path, "in.json", ECS_INPUT)
-    out = tmp_path / "out.json"
-    assert cli.main(["build", "ecs", "-i", inp, "-o", str(out),
-                     "--epsilon", epsilon]) == cli.EXIT_SCHEMA
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"] == "SchemaError"
-    assert "not a rational" in payload["message"]
+def test_p_divisible_q_needs_only_to_exceed_1(tmp_path, capsys):
+    """q = 6 is 1 mod 5 but not a prime power: the route checks only
+    q > 1 and q = 1 (mod lambda), and its output verifies.  q = 1 is
+    refused with a text that says what is checked."""
+    problem = {"k": 1, "lambda": 5, "rho": [1], "p_seq": [151, 191]}
+    inp = write(tmp_path, "in.json", {**problem, "q": 6})
+    out = str(tmp_path / "out.json")
+    assert cli.main(["build", "ecrs", "-i", inp, "-o", out]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["stages"] == 2
+    assert cli.main(["verify", "-i", out]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    inp = write(tmp_path, "q1.json", {**problem, "q": 1})
+    out = tmp_path / "q1-out.json"
+    assert cli.main(["build", "ecrs", "-i", inp, "-o", str(out)]) \
+        == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "SchemaError", "message": "q must exceed 1, got 1"}
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import random
 from fractions import Fraction
 
@@ -14,10 +15,10 @@ from dimgroup.exact import Matrix, is_unimodular
 from dimgroup.ecs import (AParams, BParams, ExtensionData, Stage, b_compose,
                           b_extract, b_matrix, choose_a_params, ecs_pipeline,
                           general_ecs_matrix, kernel_vector,
-                          _convergent_cuts, normalize_extension,
-                          reduce_vector, split_ecs_matrix,
-                          telescope_extension)
+                          normalize_extension, reduce_vector,
+                          split_ecs_matrix, telescope_extension)
 from dimgroup.perron import is_primitive
+from dimgroup.verify import structural_report
 
 
 def eps_basis(k):
@@ -242,7 +243,7 @@ def test_reduce_vector_random():
 @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)),
                 min_size=1, max_size=5))
 def test_reduce_vector_has_no_integer_part_below_one(pairs):
-    # _build_from_telescoped applies E alone: after normalize_extension the
+    # ecs_pipeline applies E alone: after normalize_extension the
     # terminal ratio v/p lies in [0, 1)^k, where W is always 0.
     v = tuple(Fraction(a % b, b) for a, b in pairs)
     _, w = reduce_vector(v)
@@ -323,84 +324,6 @@ def test_telescope_associativity():
         assert block_matrix(all_at_once.stages[0]) == oracle
 
 
-# Reached by no command (ecs_pipeline walks _convergent_cuts itself); kept
-# here as a checked definition.
-def select_convergent_prefix(data: ExtensionData,
-                             epsilon: Fraction) -> list[int]:
-    """Cut points after which consecutive telescoped ratios v/q differ by
-    less than epsilon in max norm (exactly equal ratios always pass); the
-    finite stand-in for extracting a convergent subsequence."""
-    epsilon = Fraction(epsilon)
-    for st in data.stages:
-        if any(x < 0 or x >= st.p for x in st.v):
-            raise SchemaError("select_convergent_prefix needs normalized data")
-    return next(_convergent_cuts(data, epsilon))[0]
-
-
-def test_select_convergent_prefix():
-    stationary = ExtensionData(1, tuple(Stage(4, (1,), Matrix.identity(1))
-                                        for _ in range(5)))
-    cuts = select_convergent_prefix(stationary, Fraction(0))
-    assert cuts == [0, 1, 2, 3, 4]    # exact equality always passes
-
-    doubling = ExtensionData(1, tuple(
-        Stage(2 ** (i + 3), (1,), Matrix.identity(1)) for i in range(6)))
-    cuts = select_convergent_prefix(doubling, Fraction(1, 50))
-    tele = telescope_extension(doubling, cuts)
-    ratios = [Fraction(st.v[0], st.p) for st in tele.stages]
-    assert all(abs(a - b) < Fraction(1, 50)
-               for a, b in zip(ratios, ratios[1:]))
-
-    nonstationary = ExtensionData(1, (Stage(7, (1,), Matrix.identity(1)),
-                                      Stage(11, (5,), Matrix.identity(1))))
-    with pytest.raises(HorizonExhausted):
-        select_convergent_prefix(nonstationary, Fraction(0))
-
-
-def _ratio_gap(st, nxt):
-    return max(abs(Fraction(x, st.p) - Fraction(y, nxt.p))
-               for x, y in zip(st.v, nxt.v))
-
-
-def _within_by_fractions(st, nxt, epsilon):
-    """Reference for ecs._within: the max-norm gap of the ratios v/p as a
-    Fraction, passing when it is 0 or below epsilon."""
-    gap = _ratio_gap(st, nxt)
-    return gap == 0 or gap < epsilon
-
-
-def test_integer_convergence_test_matches_fractions():
-    one = Matrix.identity(1)
-    # equal ratios pass at every epsilon, 0 included
-    for eps in (Fraction(0), Fraction(1, 100), Fraction(-1, 3)):
-        assert ecs._within(Stage(4, (1,), one), Stage(12, (3,), one), eps)
-    # a gap of exactly epsilon fails; just below it passes
-    st, nxt = Stage(10, (1,), one), Stage(10, (2,), one)
-    assert not ecs._within(st, nxt, Fraction(1, 10))
-    assert ecs._within(st, nxt, Fraction(101, 1000))
-    assert not ecs._within(st, nxt, Fraction(0))
-    rng = random.Random(67)
-    epsilons = [Fraction(0), Fraction(1, 100), Fraction(1, 10),
-                Fraction(1, 2), Fraction(3, 7)]
-    passed = 0
-    for _ in range(3000):
-        k = rng.randint(1, 3)
-        b = Matrix.identity(k)
-        st = Stage(rng.randint(2, 30), tuple(rng.randint(-9, 30)
-                                             for _ in range(k)), b)
-        if rng.random() < 0.2:      # equal or scaled ratios
-            c = rng.randint(1, 4)
-            nxt = Stage(st.p * c, tuple(c * x for x in st.v), b)
-        else:
-            nxt = Stage(rng.randint(2, 30), tuple(rng.randint(-9, 30)
-                                                  for _ in range(k)), b)
-        eps = rng.choice(epsilons + [_ratio_gap(st, nxt)])
-        got = ecs._within(st, nxt, eps)
-        assert got == _within_by_fractions(st, nxt, eps)
-        passed += got
-    assert 300 < passed < 2700
-
-
 def test_ecs_pipeline_split_data():
     data = ExtensionData(1, (Stage(5, (0,), Matrix.identity(1)),
                              Stage(7, (0,), Matrix.identity(1)),
@@ -428,7 +351,7 @@ def test_ecs_pipeline_random_normalized():
             stages.append(Stage(p, tuple(v0 for _ in range(k)),
                                 Matrix.identity(k)))
         data = ExtensionData(k, tuple(stages))
-        seq = ecs_pipeline(data, Fraction(1, 20))
+        seq = ecs_pipeline(data)
         z = kernel_vector(k)
         for m, p in zip(seq.matrices, seq.stage_values):
             assert m.is_nonnegative()
@@ -449,8 +372,8 @@ def test_ecs_pipeline_outputs_have_designed_perron():
 
 
 def test_ecs_pipeline_telescopes_an_accepted_grouping_once(monkeypatch):
-    """The grouping search hands the pipeline the data it telescoped for
-    the ratio test; the pipeline does not telescope the same cuts again."""
+    """A build in which every stage fits as it is telescopes once, with one
+    group per stage, and merges nothing."""
     calls = []
     original = ecs.telescope_extension
 
@@ -465,7 +388,7 @@ def test_ecs_pipeline_telescopes_an_accepted_grouping_once(monkeypatch):
 
 
 def test_ecs_pipeline_takes_no_determinant_of_settled_stages(monkeypatch):
-    """On normalized data whose finest grouping converges, normalizing and
+    """On normalized data in which every stage fits, normalizing and
     telescoping keep every Stage checked when the data was made, so its
     determinant is not taken again."""
     b = Matrix.from_rows([[2, 1], [1, 1]])
@@ -522,12 +445,13 @@ def test_build_ecs_makes_one_matrix_per_block_and_no_square_rank(
     assert eliminated == [k]
 
 
-@pytest.mark.parametrize("n,code", [(8, 3), (16, 0)])
+@pytest.mark.parametrize("n,code", [(8, 0), (16, 0)])
 def test_grouping_search_takes_one_determinant(tmp_path, monkeypatch,
                                                n, code):
-    """Every candidate grouping telescopes its stages into new Stages,
-    each checking det B != 0; the products carry the determinant of the
-    one shared B, so a failing and a passing build both eliminate once."""
+    """Every merge telescopes the stages into new Stages, each checking
+    det B != 0; the products carry the determinant of the one shared B, so
+    a build that merges (n = 16) and one that does not (n = 8) both
+    eliminate once."""
     payload = {"k": 2, "stages": [{"p": 101 + 2 * i, "v": [(3 + i) % 5, 7],
                                    "B": [[1, 0], [0, 2]]} for i in range(n)]}
     inp = tmp_path / "in.json"
@@ -539,9 +463,11 @@ def test_grouping_search_takes_one_determinant(tmp_path, monkeypatch,
         eliminated.append(len(rows))
         return eliminate(rows)
     monkeypatch.setattr(exact, "_eliminate", counted)
-    assert cli.main(["build", "ecs", "-i", str(inp),
-                     "-o", str(tmp_path / "out.json")]) == code
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ecs", "-i", str(inp), "-o", str(out)]) == code
     assert eliminated == [2]
+    cuts = json.loads(out.read_text())["provenance"]["cuts"]
+    assert (cuts == list(range(n))) == (n == 8)
 
 
 def test_one_b_is_conjugated_once(monkeypatch, caplog):
@@ -578,7 +504,7 @@ def test_rank_certificate_needs_a_at_least_one(monkeypatch, a):
     """With these a every stage below is nonnegative, has column sums p and
     annihilates z, but its bottom row is zero or not one value: the
     certificate's premise fails, and the build stops at stage 1 instead of
-    trying other groupings."""
+    merging groups."""
     data = ExtensionData(1, tuple(Stage(101 + 2 * i, (5,),
                                         Matrix.identity(1))
                                   for i in range(4)))
@@ -757,30 +683,141 @@ def test_a_broken_base_is_refused_at_its_first_stage(monkeypatch, src, dst,
 
 def test_rejected_groupings_are_logged(tmp_path, caplog, capsys):
     """The stream p_i = 101 + 2i, v = (3 + i mod 5, 7), B = diag(1, 2) at
-    n = 8 has one convergent grouping, and it is infeasible at stage 1."""
+    n = 12 does not fit at stages 1, 5 and 10 in turn: each group is
+    merged into the next, the last into the one before it, and each merge
+    is one INFO record."""
     stages = [{"p": 101 + 2 * i, "v": [(3 + i) % 5, 7],
-               "B": [[1, 0], [0, 2]]} for i in range(8)]
-    inp = tmp_path / "in.json"
+               "B": [[1, 0], [0, 2]]} for i in range(12)]
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
     inp.write_text(json.dumps({"k": 2, "stages": stages}))
     caplog.set_level(logging.INFO, logger="dimgroup.ecs")
-    assert cli.main(["build", "ecs", "-i", str(inp),
-                     "-o", str(tmp_path / "out.json")]) == 3
+    assert cli.main(["build", "ecs", "-i", str(inp), "-o", str(out)]) == 0
     records = [r for r in caplog.records if r.name == "dimgroup.ecs"]
-    assert [r.getMessage() for r in records] \
-        == ["grouping [0, 4] rejected: Infeasible at stage 1"]
-    assert records[0].levelno == logging.INFO
-    assert json.loads(capsys.readouterr().out) == {
-        "error": "Infeasible",
-        "message": "stage 1: no uniform a makes the bordered matrix "
-                   "nonnegative at p=116877705",
-        "stage": 1}
+    assert [(r.levelno, r.msg, r.getMessage()) for r in records] == [
+        (logging.INFO, "grouping %s: %s at stage %d, merging stages %d and %d",
+         f"grouping {cuts}: Infeasible at stage {stage}, merging stages "
+         f"{gone} and {gone + 1}")
+        for cuts, stage, gone in (
+            (list(range(12)), 1, 1),
+            ([0, *range(2, 12)], 5, 5),
+            ([0, 2, 3, 4, 5, *range(7, 12)], 10, 9))]
+    assert json.loads(out.read_text())["provenance"]["cuts"] \
+        == [0, 2, 3, 4, 5, 7, 8, 9, 10]
+    assert json.loads(capsys.readouterr().out)["stages"] == 9
 
 
 def test_ecs_pipeline_infeasible_small_p():
-    data = ExtensionData(2, tuple(Stage(2, (0, 0), Matrix.identity(2))
-                                  for _ in range(2)))
-    with pytest.raises((Infeasible, HorizonExhausted)):
-        ecs_pipeline(data)
+    """Two stages of p = 2 do not fit; merged, they are one stage of value
+    4 that does.  One stage of p = 2 has nothing to merge with."""
+    two = Stage(2, (0, 0), Matrix.identity(2))
+    seq = ecs_pipeline(ExtensionData(2, (two, two)))
+    assert seq.stage_values == (4,)
+    assert seq.provenance["cuts"] == [0]
+    with pytest.raises(HorizonExhausted) as exc:
+        ecs_pipeline(ExtensionData(2, (two,)))
+    assert str(exc.value) == (
+        "no grouping of 1 stages fits: as one group, Infeasible: stage 1: "
+        "no uniform a makes the bordered matrix nonnegative at p=2")
+    assert exc.value.stage is None
+
+
+_STREAM_BS = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 2]])
+
+
+def _random_streams():
+    """60 seeded k = 2 streams per B, n = 8 or 16 stages, p rising by 2
+    from p_0 in [30, 200), v drawn from [0, 10)^2 at every stage: a
+    search over groupings whose ratios agree within 1/100 failed on most
+    of them."""
+    rng = random.Random(5)
+    for b in _STREAM_BS:
+        for j in range(60):
+            p0 = rng.randrange(30, 200)
+            yield {"k": 2, "stages": [
+                {"p": p0 + 2 * i, "v": [rng.randrange(10), rng.randrange(10)],
+                 "B": b} for i in range(8 + 8 * (j % 2))]}
+
+
+def test_random_streams_all_build_and_verify():
+    merged = 0
+    for payload in _random_streams():
+        seq = ecs_pipeline(ExtensionData.from_json(payload))
+        assert structural_report(seq).ok
+        merged += len(seq) < len(payload["stages"])
+    assert 0 < merged < 180
+
+
+@pytest.mark.parametrize("b", [[[1, 0], [0, 1]], [[1, 0], [0, 2]]],
+                         ids=["I", "diag12"])
+@pytest.mark.parametrize("n", [5, 8, 12, 16, 24, 32, 48, 64])
+def test_stream_builds_at_every_horizon(b, n):
+    """p_i = 101 + 2i, v = ((3 + i) mod 5, 7) builds whatever the horizon:
+    a longer stream only adds stages to merge."""
+    seq = ecs_pipeline(ExtensionData.from_json({"k": 2, "stages": [
+        {"p": 101 + 2 * i, "v": [(3 + i) % 5, 7], "B": b}
+        for i in range(n)]}))
+    assert math.prod(seq.stage_values) == math.prod(
+        101 + 2 * i for i in range(n))
+    assert structural_report(seq).ok
+
+
+def test_unsettled_stream_merges_in_at_most_n_telescopings(monkeypatch):
+    """p = 101, B = diag(1, 2) and v drawn from [0, 10)^2 at every one of
+    128 stages: each failed build merges two groups, so at most n
+    telescopings; this stream needs 74 and keeps 55 stages."""
+    rng = random.Random(10)
+    payload = {"k": 2, "stages": [
+        {"p": 101, "v": [rng.randrange(10), rng.randrange(10)],
+         "B": [[1, 0], [0, 2]]} for _ in range(128)]}
+    calls = []
+    original = ecs.telescope_extension
+
+    def counted(data, cuts):
+        calls.append(len(cuts))
+        return original(data, cuts)
+    monkeypatch.setattr(ecs, "telescope_extension", counted)
+    seq = ecs_pipeline(ExtensionData.from_json(payload))
+    assert len(calls) <= 128
+    assert calls == list(range(128, len(seq) - 1, -1))
+    assert (len(calls), len(seq)) == (74, 55)
+    assert structural_report(seq).ok
+
+
+def test_merged_group_is_renormalized():
+    """Stages (3, 2) and (4, 3) with B = (2) do not fit apart; telescoped
+    to p = 12 and B = (4), v = 3 * 3 + 2 * 2 = 13 is not below p, and the
+    group fits only once v is normalized to 1."""
+    b, b2 = Matrix.from_rows([[2]]), Matrix.from_rows([[4]])
+    seq = ecs_pipeline(ExtensionData(1, (Stage(3, (2,), b),
+                                         Stage(4, (3,), b))))
+    assert seq.provenance["cuts"] == [0]
+    assert list(seq.matrices) == ecs.bordered_stages([(12, (1,), b2)])
+    with pytest.raises(Infeasible):
+        ecs.bordered_stages([(12, (13,), b2)])
+    assert structural_report(seq).ok
+
+
+def test_one_b_text_is_parsed_once(monkeypatch):
+    """from_json reads a B shared by n stages through json_matrix once, and
+    every stage holds that one Matrix; a B of other text is read again."""
+    seen = []
+    original = ecs.json_matrix
+
+    def counted(raw):
+        seen.append(raw)
+        return original(raw)
+    monkeypatch.setattr(ecs, "json_matrix", counted)
+    b = [[1, 0], [0, 2]]
+    data = ExtensionData.from_json({"k": 2, "stages": [
+        {"p": 101 + 2 * i, "v": [i % 3, 1], "B": json.loads(json.dumps(b))}
+        for i in range(16)]})
+    assert seen == [b]
+    assert len({id(st.b) for st in data.stages}) == 1
+    seen.clear()
+    ExtensionData.from_json({"k": 2, "stages": [
+        {"p": 101, "v": [0, 1], "B": b}, {"p": 103, "v": [0, 1], "B": b},
+        {"p": 105, "v": [0, 1], "B": [["1", "0"], ["0", "2"]]}]})
+    assert seen == [b, [["1", "0"], ["0", "2"]]]
 
 
 def test_b_algebra_worked_example():
