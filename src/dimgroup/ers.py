@@ -71,9 +71,7 @@ class ErsStageData(namedtuple("ErsStageData", "k stages trace_row")):
 
 
 class ErsVerifyReport(namedtuple("ErsVerifyReport",
-                                  "ok stage_row_sums stage_values "
-                                  "marker_chain_ok some_p_exceeds_one "
-                                  "failures")):
+                                  "ok stage_values marker_chain_ok")):
     """stage_values holds, per stage, its row sum when constant, else None."""
 
     __slots__ = ()
@@ -83,27 +81,15 @@ def verify_ers(seq: RealizationSeq) -> ErsVerifyReport:
     """Recompute the ERS facts from the matrices alone: nonnegativity,
     constant row sums per stage, the marker chain, and (finite proxy for the
     tail condition) at least one stage value above 1."""
-    failures = []
-    all_sums = []
-    values: list[int | None] = []
-    for idx, m in enumerate(seq.matrices, start=1):
-        if not m.is_nonnegative():
-            failures.append(f"stage {idx}: negative entry")
+    values = []
+    for m in seq.matrices:
         sums = m.row_sums()
-        all_sums.append(sums)
-        if len(set(sums)) == 1:
-            values.append(sums[0])
-        else:
-            values.append(None)
-            failures.append(f"stage {idx}: unequal row sums {sums}")
+        values.append(sums[0] if len(set(sums)) == 1 else None)
     marker_ok = seq.marker_chain_ok()
-    if not marker_ok:
-        failures.append("marker chain broken")
-    some_p = any(p is not None and p > 1 for p in values)
-    if not some_p:
-        failures.append("no stage value exceeds 1 in the prefix")
-    return ErsVerifyReport(not failures, tuple(all_sums), tuple(values),
-                           marker_ok, some_p, tuple(failures))
+    ok = (all(m.is_nonnegative() for m in seq.matrices)
+          and None not in values and marker_ok
+          and any(p > 1 for p in values))
+    return ErsVerifyReport(ok, tuple(values), marker_ok)
 
 
 # -- lattice rounding and the w-sequence -------------------------------------------

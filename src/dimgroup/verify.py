@@ -20,7 +20,7 @@ stage 1 is factored again transposed):
   N_i = R A_i[:, p], the map it induces on Q^s / K.  Every N_i of full
   rank r, by the pivot count of its rank factorization, proves every
   telescoped product has rank r (see _quotient_kernels).  A stage failing
-  either check sends the file down the scan below.
+  either check sends the file down the walk below.
 - Perron data: primitivity is tested once per stage, inside
   integer_perron; constant row (column) sums make the all-ones vector the
   right (left) Perron vector.  On a certified file the other vector, on
@@ -33,16 +33,14 @@ stage 1 is factored again transposed):
   eigenvector with its verified Perron vector, and each further stage is
   one vector product, on the left or on the right.
 - Kernel ranks of the n(n+1)/2 telescoped products, where no common kernel
-  certifies them: each stage is factored once as A = C R, so each rank is
-  that of a product of small cores R_{i+1} C_i.  The factorization
-  eliminates only a stage's distinct nonzero rows.  The stage ranks bound
-  it from above and the rank modulo a prime of each core suffix from
-  below.  One whole-chain rank modulo the prime bounds every suffix from
-  below, so a start's own suffix is eliminated only where that bound is
-  below its stage rank; only where the two bounds differ is the core
-  product built and eliminated exactly.  The report lists, per start, only
-  the ends where the kernel rank changes, so it grows with n times the
-  stage size rather than with n squared.
+  certifies them: the starts are walked last first, each carrying a
+  content-1 basis of its product's image, one stage product and one
+  rank_factorization per end.  A start's image lies in the next start's
+  at the same end, so where their ranks agree the images agree for good
+  and the start copies the next one's remaining ranks; a chain of
+  full-rank stages takes one elimination per start.  The report lists,
+  per start, only the ends where the kernel rank changes, so it grows
+  with n times the stage size rather than with n squared.
 - Trace: the value group is written as a factorization of the product of
   the column sums into pairwise-coprime factors, found by trial division to
   a fixed bound and gcds, so no large number is factored into primes; the
@@ -53,7 +51,6 @@ stage 1 is factored again transposed):
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from collections import namedtuple
 from typing import Sequence
@@ -163,101 +160,48 @@ def _core_kernel(cols: list[tuple], core: list[tuple[int, ...]], d: int,
                                          len(core))]
 
 
-# A nonzero minor modulo this prime is a nonzero minor over the integers, so
-# a rank modulo it never exceeds the rank over the rationals.
-_PRIME = 2**61 - 1
-
-
-def _rank_mod_prime(rows: list[list[int]]) -> int:
-    """Rank over GF(_PRIME) of integer rows, by elimination in place."""
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        inv = pow(top[c], -1, _PRIME)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] * inv % _PRIME
-            if f:
-                rows[i] = [(x - f * y) % _PRIME for x, y in zip(rows[i], top)]
-        rank += 1
-    return rank
-
-
-def _telescoped_kernel_ranks(seq: RealizationSeq,
-                             first: tuple[list[int], list]) -> list[dict]:
+def _telescoped_kernel_ranks(mats: Sequence[Matrix]) -> list[dict]:
     """Right-kernel rank of every contiguous product A_end ... A_start, as
     change points: per start, ``{"from": start, "runs": [[to, kernel_rank],
     ...]}``, where each run holds from its ``to`` up to the next run's
     ``to`` - 1, the last one through the last stage, and the first run's
-    ``to`` is ``start``.  ``first`` is stage 1's rank factorization.
+    ``to`` is ``start``.
 
-    Each stage is factored once as A_i = C_i R_i (up to a nonzero scalar),
-    C_i its pivot columns and R_i of full row rank, so A_end ... A_start has
-    the rank of the product of the small cores R_{i+1} C_i between them.
-    That rank is certified between two bounds.  From above: the ranks of its
-    stages, and of any shorter product from the same start.  From below: the
-    rank modulo a prime of the whole core suffix from that start, a left
-    multiple of every such product.  Where the bounds differ the core
-    product is built and eliminated exactly.  As end grows the rank never
-    rises and never falls below the lower bound, so once it meets that bound
-    it holds through the last stage and the scan of that start stops.
+    The starts are taken last first.  Each carries a content-1 basis of the
+    image of its product, starting from A_start's columns; each step applies
+    A_end to it and keeps the vectors at the pivot columns of the
+    rank_factorization of the matrix they form.  Since
+    P(start, end) = P(start + 1, end) A_start, the image of a start's
+    product lies in that of the next start's at the same end, so equal
+    ranks mean equal images, which stay equal as the end grows: the walk
+    stops there and copies the next start's remaining ranks.  At end =
+    start the next start's product is the identity on the level, of rank
+    A_start.rows.
     """
-    mats = seq.matrices
     n = len(mats)
-    factors = [first] + [rank_factorization(m) for m in mats[1:]]
-    ranks = [len(pivots) for pivots, _ in factors]
-    cores = []
-    for m, (pivots, _), (_, r_next) in zip(mats, factors, factors[1:]):
-        cols = [m.col(j) for j in pivots]
-        cores.append([[sum(x * y for x, y in zip(row, col)) for col in cols]
-                      for row in r_next])
-
-    # S(start) = core_{n-2} ... core_start modulo _PRIME, built right to left
-    # down to the first zero one; every longer suffix is zero as well.
-    suffixes = [None] * n
-    suffix = [[int(i == j) for j in range(ranks[-1])]
-              for i in range(ranks[-1])]
-    for start in reversed(range(n)):
-        if start < n - 1:
-            # A nonzero multiple of a core clears its denominators and keeps
-            # the rank of every product through it.
-            core = cores[start]
-            den = math.lcm(*(x.denominator for row in core for x in row))
-            core = [[int(x * den) % _PRIME for x in row] for row in core]
-            suffix = [[sum(x * y for x, y in zip(row, col)) % _PRIME
-                       for col in zip(*core)] for row in suffix]
-        suffixes[start] = suffix
-        if not any(map(any, suffix)):
-            break
-    # S(start - 1) = S(start) core_{start - 1}, so the rank of S(start) never
-    # falls as start grows: the whole chain's rank bounds every start from
-    # below, and settles each start whose stage rank it reaches.
-    whole = _rank_mod_prime(list(suffixes[0])) if suffixes[0] else 0
-    lower = [whole if suffix is None or whole == rank
-             else _rank_mod_prime(list(suffix))
-             for rank, suffix in zip(ranks, suffixes)]
-
     out = []
-    for start in range(n):
-        width = mats[start].cols
-        rank = ranks[start]
-        runs = [[start + 1, width - rank]]
-        prod = None
-        for end in range(start + 1, n):
-            if rank == lower[start]:
+    later: list[int] = []    # the next start's ranks, from its own stage on
+    for start in reversed(range(n)):
+        bounds = [mats[start].rows, *later]
+        basis = list(zip(*mats[start]))
+        ranks = []
+        for end in range(start, n):
+            if end > start:
+                basis = [mats[end].mul_vector(b) for b in basis]
+            pivots, _ = rank_factorization(zip(*basis))
+            basis = [primitive_part(basis[j]) for j in pivots]
+            ranks.append(len(basis))
+            if len(basis) == bounds[end - start]:
+                ranks += later[end - start:]
                 break
-            rank = min(rank, ranks[end])
-            if rank > lower[start]:
-                core = Matrix.from_rows(cores[end - 1])
-                prod = core if prod is None else core * prod
-                rank = prod.rank()
-            if width - rank != runs[-1][1]:
-                runs.append([end + 1, width - rank])
+        later = ranks
+        width = mats[start].cols
+        runs = []
+        for end, rank in enumerate(ranks, start + 1):
+            if not runs or width - rank != runs[-1][1]:
+                runs.append([end, width - rank])
         out.append({"from": start + 1, "runs": runs})
-    return out
+    return out[::-1]
 
 
 class VerificationResult(namedtuple("VerificationResult", "ok report")):
@@ -270,8 +214,8 @@ def structural_report(seq: RealizationSeq) -> VerificationResult:
     s = mats[0].cols
     # A common right kernel certifies the chain; failing that, a common
     # left kernel certifies the transposed chain, which has the same ranks.
-    # At r = s there is no kernel to divide out, and the cores would cost
-    # what the scan's own factorizations cost.
+    # At r = s there is no kernel to divide out, and the walk takes one
+    # elimination per start, what the cores would cost.
     right = left = None
     if 0 < len(pivots) < s and all(m.rows == m.cols == s for m in mats):
         right = _quotient_kernels(mats, pivots, reduced)
@@ -314,7 +258,7 @@ def structural_report(seq: RealizationSeq) -> VerificationResult:
                  for flag, verified in claim_checks.items() if not verified]
 
     if right is None and left is None:
-        kernel = _telescoped_kernel_ranks(seq, (pivots, reduced))
+        kernel = _telescoped_kernel_ranks(mats)
     else:
         kernel = [{"from": i, "runs": [[i, s - len(pivots)]]}
                   for i in range(1, len(mats) + 1)]

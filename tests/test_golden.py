@@ -106,6 +106,14 @@ def corpus() -> dict[str, tuple[str, dict]]:
                                        "p_seq": [151, 191], "q": 6})
     cases["foreign-256-bit"] = ("verify", _odd_entries(rng, 16, 8, 256))
     cases["rank-dropping-chain"] = ("verify", _rank_dropping(rng, 16, 6))
+    # 1281 = 1 + 64 * ceil(60 / 3), the positivity threshold at k = 3.
+    cases["ecrs-threshold"] = ("build ecrs", {
+        "k": 3, "lambda": 64, "rho": [1, 1, 1], "p_seq": [1281, 1281]})
+    cases["ers-nonsymmetric-b"] = ("build ers", {
+        "k": 2, "trace_row": [[1, 6], [3, 5]],
+        "stages": [{"p": 47, "u": [-2, -1], "B": [[1, 1], [0, 1]]},
+                   {"p": 63, "u": [-6, 6], "B": [[1, 3], [0, 1]]}]})
+    cases["rank-dropping-32"] = ("verify", _rank_dropping(rng, 16, 32))
     cases["fail-ecs-one-stage"] = ("build ecs", {"k": 2, "stages": [
         {"p": 2, "v": [0, 0], "B": [[1, 0], [0, 1]]}]})
     cases["fail-ecs-float-entry"] = ("build ecs", {"k": 1, "stages": [

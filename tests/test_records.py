@@ -122,8 +122,7 @@ def _examples():
             (I2,), (1,), ((1, 1), (1, 1)), {"ecs": True},
             {"pipeline": "test"}),
         "BParams": lambda: BParams(3, I1, (1,), 1),
-        "ErsVerifyReport": lambda: ErsVerifyReport(True, ((3,),), (3,), True,
-                                                   True, ()),
+        "ErsVerifyReport": lambda: ErsVerifyReport(True, (3,), True),
         "WSequence": lambda: WSequence(((1,),), ((1,),), Fraction(1, 3)),
         "PerronData": lambda: PerronData(3, (1,), (1,), 1),
         "EqualSumsReport": lambda: EqualSumsReport(1, 1, True),

@@ -94,44 +94,93 @@ def seq_of(mats):
     return RealizationSeq(tuple(mats), tuple([1] * len(mats)))
 
 
-class RankCalls:
-    """Counts Matrix.rank calls: the exact fallback, on products of stage
-    cores, is the only caller in the verifier."""
-
-    def __init__(self, monkeypatch):
-        self.count = 0
-        original = Matrix.rank
-
-        def counted(m):
-            self.count += 1
-            return original(m)
-        monkeypatch.setattr(Matrix, "rank", counted)
+def walk(mats):
+    """The kernel-rank walk's entries for a chain, and how many
+    eliminations (rank factorizations) it made."""
+    count = []
+    original = verify.rank_factorization
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "rank_factorization",
+                      lambda rows: count.append(1) or original(rows))
+        entries = verify._telescoped_kernel_ranks(mats)
+    return entries, len(count)
 
 
-def test_kernel_ranks_match_exact_products(monkeypatch):
+def test_kernel_ranks_match_exact_products():
     rng = random.Random(20260418)
-    calls = RankCalls(monkeypatch)
-    fell_back = 0
+    walked_on = 0
     for _ in range(300):
         mats = random_chain(rng)
         expected = oracle_kernel_ranks(mats)
-        calls.count = 0
         report = structural_report(seq_of(mats)).report
         assert expand(report) == expected, mats
-        fell_back += calls.count > 0
-    # The chains are built to make the two bounds disagree.
-    assert fell_back >= 20
+        entries, count = walk(mats)
+        assert entries == report["telescoped_kernel_ranks"]
+        # One elimination per start at least, one per product at most.
+        n = len(mats)
+        assert n <= count <= n * (n + 1) // 2
+        walked_on += count > n
+    # Many chains lose rank, so some start walks past its own stage.
+    assert walked_on >= 20
 
 
-def test_rank_lost_modulo_the_prime_falls_back_to_exact(monkeypatch):
-    # Modulo P the first stage has rank 1, over the rationals rank 2.
+def test_full_rank_chain_makes_one_elimination_per_start():
+    """Each stage maps onto its level, so every start's image is the next
+    start's from its own stage on.  Modulo P the first stage has rank 1,
+    over the rationals rank 2; the walk is exact."""
     mats = [Matrix.from_rows([[P, 0], [0, 1]]), Matrix.identity(2),
             Matrix.from_rows([[1, 1], [1, 2]])]
-    calls = RankCalls(monkeypatch)
     report = structural_report(seq_of(mats)).report
-    assert calls.count > 0
     assert expand(report) == oracle_kernel_ranks(mats)
     assert all(r["kernel_rank"] == 0 for r in expand(report))
+    assert walk(mats) == (report["telescoped_kernel_ranks"], 3)
+
+
+@st.composite
+def walk_chains(draw):
+    """Chains of 1-7 stages of 1-4 rows and columns: dense integer stages,
+    Fraction stages and strictly lower-triangular (rank-dropping) ones.  A
+    planted pair u v^T, w u^T at some start of at least two rows gives
+    products P(start, start + 1) and A_(start + 1) the same line as image,
+    so that start stops past its own stage and copies the next one's
+    ranks."""
+    n = draw(st.integers(1, 7))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n + 1,
+                          max_size=n + 1))
+    entry = st.integers(-3, 3)
+    kinds, mats = [], []
+    for rows, cols in zip(sizes[1:], sizes):
+        kind = draw(st.sampled_from(["dense", "fraction", "lower"]))
+        m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+        if kind == "fraction":
+            m = [[Fraction(x, draw(st.integers(1, 3))) for x in row]
+                 for row in m]
+        elif kind == "lower":
+            m = [[abs(x) if j < i else 0 for j, x in enumerate(row)]
+                 for i, row in enumerate(m)]
+        kinds.append(kind if rows == cols else f"{kind}, rectangular")
+        mats.append(m)
+    starts = [i for i in range(n - 1) if sizes[i + 1] > 1]
+    if starts and draw(st.booleans()):
+        at = draw(st.sampled_from(starts))
+        u = [draw(st.integers(1, 3))] + [draw(entry)
+                                         for _ in range(sizes[at + 1] - 1)]
+        v = [draw(st.integers(1, 3)) for _ in range(sizes[at])]
+        w = [draw(st.integers(1, 3)) for _ in range(sizes[at + 2])]
+        mats[at] = [[a * b for b in v] for a in u]
+        mats[at + 1] = [[a * b for b in u] for a in w]
+        kinds.append("planted pair")
+    return kinds, [Matrix.from_rows(m) for m in mats]
+
+
+@settings(deadline=None, max_examples=300)
+@given(walk_chains())
+def test_kernel_rank_report_matches_exact_products(chain):
+    kinds, mats = chain
+    for kind in kinds:
+        event(kind)
+    report = structural_report(seq_of(mats)).report
+    assert expand(report) == oracle_kernel_ranks(mats)
 
 
 def test_rational_stages_are_certified():
@@ -179,34 +228,36 @@ def test_zero_rank_stage_in_a_chain(zero_at):
                if r["from"] <= zero_at + 1 <= r["to"])
 
 
-def test_fallback_stops_where_a_stage_rank_meets_the_lower_bound(
-        monkeypatch):
-    # Every suffix from stage 1 has rank 1, but the products of the first
-    # two and three stages have rank 2 and are eliminated exactly.  The last
-    # stage's own rank then certifies the whole product from stage 1, and
-    # only the second start needs its two-stage product eliminated.
+def test_walk_stops_where_its_rank_meets_the_next_starts():
+    """A chain of n full-rank stages makes one elimination per start.  With
+    a rank-one stage 1, start 1's image is a line inside the next start's
+    whole level at every end, so it walks through all n stages: 2n - 1
+    eliminations.  A rank-one last stage stops no earlier start."""
     ones = Matrix.from_rows([[1, 1], [1, 1]])
-    mats = [Matrix.identity(2)] * 3 + [ones]
-    calls = RankCalls(monkeypatch)
-    report = structural_report(seq_of(mats)).report
-    assert calls.count == 3
-    assert expand(report) == oracle_kernel_ranks(mats)
+    unimodular = Matrix.from_rows([[1, 1], [1, 2]])
+    for n in range(1, 7):
+        for mats, eliminations in (([unimodular] * n, n),
+                                   ([ones] + [unimodular] * (n - 1),
+                                    2 * n - 1),
+                                   ([unimodular] * (n - 1) + [ones], n)):
+            entries, count = walk(mats)
+            assert count == eliminations
+            assert expand({"telescoped_kernel_ranks": entries}) \
+                == oracle_kernel_ranks(mats)
 
 
 @pytest.mark.parametrize("b", [[[1, 0], [0, 1]], [[1, 0], [0, 2]]])
-def test_built_ecs_file_needs_one_rank_per_stage(tmp_path, monkeypatch, b):
+def test_built_ecs_file_needs_one_rank_per_stage(tmp_path, b):
     data = ExtensionData.from_json(
         {"k": 2, "stages": [{"p": 101 + 2 * i, "v": [1, 2], "B": b}
                             for i in range(16)]})
     path = str(tmp_path / "ecs.json")
     ecs_pipeline(data).save(path)
     seq = RealizationSeq.load(path)
-    calls = RankCalls(monkeypatch)
-    result = structural_report(seq)
-    assert result.ok
-    assert len(result.report["telescoped_kernel_ranks"]) == len(seq)
-    assert len(expand(result.report)) == len(seq) * (len(seq) + 1) // 2
-    assert calls.count == 0
+    report, took = certified(seq)
+    assert took and report["ok"]
+    assert len(report["telescoped_kernel_ranks"]) == len(seq)
+    assert len(expand(report)) == len(seq) * (len(seq) + 1) // 2
 
 
 def _built_file(tmp_path, kind):
@@ -240,21 +291,13 @@ def test_built_file_verifies_without_a_transpose(tmp_path, monkeypatch,
                for st in result.report["stages"])
 
 
-def test_full_rank_built_ecs_chain_makes_no_modular_rank(tmp_path,
-                                                         monkeypatch):
+def test_certified_built_ecs_chain_never_enters_the_walk(tmp_path):
     """Every stage of a built ECS chain kills the kernel vector of stage 1
     and has a nonsingular core on the quotient, so every telescoped product
-    has rank k+1 by that certificate, and no rank modulo the prime is
-    taken."""
-    seq = RealizationSeq.load(_built_file(tmp_path, "ecs"))
-    calls = []
-    original = verify._rank_mod_prime
-    monkeypatch.setattr(verify, "_rank_mod_prime",
-                        lambda rows: calls.append(len(rows)) or original(rows))
-    result = structural_report(seq)
-    assert result.ok
-    assert calls == []
-    assert result.report["telescoped_kernel_ranks"] == [
+    has rank k+1 by that certificate, and the walk is never entered."""
+    report, took = certified(RealizationSeq.load(_built_file(tmp_path, "ecs")))
+    assert took and report["ok"]
+    assert report["telescoped_kernel_ranks"] == [
         {"from": i, "runs": [[i, 1]]} for i in range(1, 17)]
 
 
@@ -335,7 +378,7 @@ def test_built_ecrs_file_verifies_without_kernel_solves(tmp_path, monkeypatch):
 
 def certified(seq):
     """structural_report's report, and whether it was certified on a
-    quotient, i.e. without the core-product scan."""
+    quotient, i.e. without the kernel-rank walk."""
     scans = []
     original = verify._telescoped_kernel_ranks
     with pytest.MonkeyPatch.context() as patch:
@@ -406,9 +449,9 @@ def planted_chains(draw):
 def test_planted_common_kernel_is_certified_exactly(chain):
     """A chain with a common right (or left) kernel and nonsingular cores is
     certified on the quotient, a singular core or a stage leaving the
-    kernel sends it down the scan; either way its kernel ranks are the
-    exact products', its Perron vectors those of the s x s solve, and its
-    report that of the scan."""
+    kernel sends it down the kernel-rank walk; either way its kernel ranks
+    are the exact products', its Perron vectors those of the s x s solve,
+    and its report that of the walk."""
     variant, seq = chain
     event(variant)
     report, took = certified(seq)
@@ -448,7 +491,8 @@ def test_built_ecs_file_makes_one_stage_size_elimination(tmp_path,
                                                         monkeypatch):
     """Stage 1's rank factorization is the only elimination of a 4-column
     matrix: every other one is of a 3 x 3 core on the quotient, no kernel
-    is solved by right_kernel_basis, and no exact rank is taken."""
+    is solved by right_kernel_basis, and the kernel-rank walk is never
+    entered."""
     seq = RealizationSeq.load(_built_file(tmp_path, "ecs"))
     widths, solved = [], []
     original = exact._eliminate
@@ -457,12 +501,11 @@ def test_built_ecs_file_makes_one_stage_size_elimination(tmp_path,
     replace_everywhere(monkeypatch, exact.right_kernel_basis,
                        lambda m: solved.append(m.cols)
                        or exact.right_kernel_basis(m))
-    calls = RankCalls(monkeypatch)
-    result = structural_report(seq)
-    assert result.ok
+    report, took = certified(seq)
+    assert took and report["ok"]
     assert len(seq) == 16 and seq.matrices[0].cols == 4
     assert widths.count(4) == 1 and set(widths) == {3, 4}
-    assert solved == [] and calls.count == 0
+    assert solved == []
 
 
 @pytest.mark.parametrize("kind", ["ecs", "ecrs"])
