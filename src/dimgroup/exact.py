@@ -31,11 +31,12 @@ def _as_exact(x) -> Number:
 
 class Matrix:
     """Immutable exact matrix (entries: int or Fraction), row-major.  Its
-    row and column sums and its determinant are computed once, on first
-    use; a product of square factors whose determinants are known takes
-    their product as its own."""
+    row and column sums, nonnegativity and determinant are computed once,
+    on first use; a product of square factors whose determinants are known
+    takes their product as its own."""
 
-    __slots__ = ("rows", "cols", "_data", "_row_sums", "_col_sums", "_det")
+    __slots__ = ("rows", "cols", "_data", "_row_sums", "_col_sums",
+                 "_nonneg", "_det")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Number]):
         self._store(rows, cols, tuple(map(_as_exact, data)))
@@ -49,7 +50,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._data = data
-        self._row_sums = self._col_sums = self._det = None
+        self._row_sums = self._col_sums = self._nonneg = self._det = None
 
     @classmethod
     def _exact(cls, rows: int, cols: int, data: Iterable[Number]) -> "Matrix":
@@ -111,7 +112,9 @@ class Matrix:
         return self.rows == self.cols
 
     def is_nonnegative(self) -> bool:
-        return min(self._data) >= 0
+        if self._nonneg is None:
+            self._nonneg = min(self._data) >= 0
+        return self._nonneg
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -174,6 +177,7 @@ class Matrix:
         t = Matrix._exact(self.cols, self.rows,
                           [x for j in range(self.cols) for x in self.col(j)])
         t._row_sums, t._col_sums = self._col_sums, self._row_sums
+        t._nonneg = self._nonneg
         return t
 
     # -- sums and norms --------------------------------------------------------

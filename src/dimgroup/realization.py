@@ -201,12 +201,14 @@ class RealizationSeq(namedtuple("RealizationSeq", "matrices stage_values "
         return tuple([self.matrices[0].cols] + [m.rows for m in self.matrices])
 
     def marker_chain_ok(self) -> bool:
-        """Each matrix must send its level marker to p times the next one."""
+        """Each matrix must send its level marker to p times the next one.
+        An all-ones marker is sent to the matrix's cached row sums."""
         if self.markers is None:
             return True
         for m, p, h, h_next in zip(self.matrices, self.stage_values,
                                    self.markers, self.markers[1:]):
-            if m.mul_vector(h) != tuple(p * x for x in h_next):
+            image = m.row_sums() if set(h) == {1} else m.mul_vector(h)
+            if image != tuple(p * x for x in h_next):
                 return False
         return True
 

@@ -117,7 +117,8 @@ def _common_eigenvectors(mats: Sequence[Matrix], values: Sequence[int],
     spanned by its right Perron vector, and the rows w A = p w by its left
     one, since that root is simple; its vector from ``perron`` then seeds
     the basis without a solve.  Once the basis is one vector, each stage
-    costs one vector product.
+    costs one vector product, and none for the all-ones vector: A 1 and
+    1 A are the stage's cached row and column sums.
     """
     s = mats[0].cols
     seed = next(((pd.left if left else pd.right)
@@ -131,7 +132,9 @@ def _common_eigenvectors(mats: Sequence[Matrix], values: Sequence[int],
         image = m.vector_mul if left else m.mul_vector
         if len(basis) == 1:
             v = basis[0]
-            basis = [v] if image(v) == tuple(p * x for x in v) else []
+            sums = m.column_sums() if left else m.row_sums()
+            av = sums if set(v) == {1} else image(v)
+            basis = [v] if av == tuple(p * x for x in v) else []
         else:
             images = [[y - p * x for x, y in zip(v, image(v))]
                       for v in basis]

@@ -10,13 +10,16 @@ Certificates come first, so a file the library built needs one stage-size
 elimination in all, stage 1's rank factorization (two for ERS files, whose
 stage 1 is factored again transposed):
 
-- Sums: each stage's row and column sums are computed once and cached on
-  its matrix; the stage report, the Perron root, the ERS pass, the trace
-  and the nearly-split witness all read the same tuples.
+- Sums: each stage's row and column sums, and whether it is nonnegative,
+  are computed once and cached on its matrix; the stage report, the Perron
+  root, the ERS pass, the trace and the nearly-split witness all read them.
+  The witness and the marker chain read A 1 and 1 A for an all-ones vector
+  off the sums, with no vector product.
 - Common kernel: the stages of a built file share a kernel K, on the right
   (ECS and ECRS) or on the left (ERS, whose stages are transposed ECS
   ones).  From stage 1's factorization d A_1 = A_1[:, p] R, each stage is
-  checked to kill K, on its distinct rows, and gives an r x r core
+  checked to kill K, by testing each distinct row of the chain once
+  against stage 1's row space, and gives an r x r core
   N_i = R A_i[:, p], the map it induces on Q^s / K.  Every N_i of full
   rank r, by the pivot count of its rank factorization, proves every
   telescoped product has rank r (see _quotient_kernels).  A stage failing
@@ -113,13 +116,14 @@ def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
     s x s stages share K = ker A_1 and have nonsingular cores on Q^s / K;
     else None.  (p, R) is A_1's rank factorization, d A_1 = A_1[:, p] R.
 
-    A_i K = 0 iff d A_i = A_i[:, p] R, checked on A_i's distinct rows a as
-    a z = 0 for the s - r kernel vectors z where they are at most r, else
-    as d a = a[p] R.  Then N_i / d, N_i = R A_i[:, p], is the map A_i
-    induces on the quotient, and a product of such stages, in any order, is
-    the first one's A[:, p] times the others' N times R, up to a power of
-    d.  With every N_i of full rank r it has rank r: at most r through its
-    r columns, at least rank N = r.  For root != 0, x -> R x maps
+    A_i K = 0 iff d A_i = A_i[:, p] R, checked once per distinct row a of
+    the chain, as a z = 0 for the s - r kernel vectors z where they are at
+    most r, else as d a = a[p] R, R's rows combined by a[p] and compared
+    whole.  Then N_i / d, N_i = R A_i[:, p], is the map A_i induces on the
+    quotient, and a product of such stages, in any order, is the first
+    one's A[:, p] times the others' N times R, up to a power of d.  With
+    every N_i of full rank r it has rank r: at most r through its r
+    columns, at least rank N = r.  For root != 0, x -> R x maps
     ker(A_i - root I) one to one onto ker(N_i - d root I), and
     y -> A_i[:, p] y maps it back, so each solve is r x r, not s x s.
     """
@@ -127,18 +131,18 @@ def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
     d = reduced[0][pivots[0]]
     kernel = (factor_kernel_basis(pivots, reduced, s)
               if s - len(pivots) <= len(pivots) else None)
-    reduced_cols = list(zip(*reduced))
+    for a in dict.fromkeys(a for m in mats for a in m):
+        if kernel is not None:
+            leaves = any(sum(map(operator.mul, a, z)) for z in kernel)
+        else:
+            comb = [0] * s
+            for c, row in zip([a[j] for j in pivots], reduced):
+                comb = [x + c * y for x, y in zip(comb, row)]
+            leaves = comb != [d * x for x in a]
+        if leaves:
+            return None
     solvers = []
     for m in mats:
-        for a in dict.fromkeys(m):
-            if kernel is not None:
-                leaves = any(sum(map(operator.mul, a, z)) for z in kernel)
-            else:
-                u = [a[j] for j in pivots]
-                leaves = any(d * x != sum(map(operator.mul, u, col))
-                             for x, col in zip(a, reduced_cols))
-            if leaves:
-                return None
         cols = [m.col(j) for j in pivots]
         core = [tuple([sum(map(operator.mul, row, col)) for col in cols])
                 for row in reduced]

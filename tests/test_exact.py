@@ -82,6 +82,33 @@ def test_cached_sums_equal_fresh_sums(fractions):
             assert (inv.row_sums(), inv.column_sums()) == _fresh_sums(inv)
 
 
+@st.composite
+def _signed_matrices(draw):
+    """int or Fraction matrices of 1-5 rows and 1-5 columns, of entries
+    drawn from 0..5 or from -3..5."""
+    ints = st.integers(draw(st.sampled_from([0, -3])), 5)
+    entry = draw(st.sampled_from(
+        [ints, st.builds(Fraction, ints, st.integers(1, 4))]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return Matrix.from_rows([[draw(entry) for _ in range(cols)]
+                             for _ in range(rows)])
+
+
+@given(_signed_matrices(), st.booleans())
+def test_cached_facts_agree_with_the_entries(m, ask_first):
+    """is_nonnegative, asked before or only after a transpose and more than
+    once, is min(entries) >= 0 on the matrix, its transpose and its
+    negation; the cached row and column sums are the products with the
+    all-ones vector, on the matrix and on its transpose."""
+    if ask_first:
+        m.is_nonnegative(), m.row_sums(), m.column_sums()
+    t = m.transpose()
+    for a in (t, m, t, m, t.transpose(), m.scale(-1)):
+        assert a.is_nonnegative() == (min(x for row in a for x in row) >= 0)
+        assert a.row_sums() == a.mul_vector((1,) * a.cols)
+        assert a.column_sums() == a.vector_mul((1,) * a.rows)
+
+
 def test_rank_examples():
     assert Matrix.identity(3).rank() == 3
     assert Matrix.zeros(2, 2).rank() == 0

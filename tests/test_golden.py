@@ -25,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 from dimgroup import cli
+from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
 
 TABLE = Path(__file__).with_name("golden_sha256.json")
 
@@ -91,6 +92,15 @@ def _rank_dropping(rng: random.Random, size: int, count: int) -> dict:
     return _foreign(mats, [1] * count, {})
 
 
+def _marker_changed(payload: dict) -> dict:
+    """The ECRS file built from ``payload`` with the first entry of its
+    first marker changed from 1 to 2, so stage 1 breaks the marker chain
+    while every stage keeps its sums."""
+    realization = ecrs_pipeline(EcrsProblem.from_json(payload)).to_json()
+    realization["markers"][0][0] = "2"
+    return realization
+
+
 def corpus() -> dict[str, tuple[str, dict]]:
     """Case name -> (command, input).  The command is ``build <kind>``
     (then ``verify`` on a success) or ``verify`` of a foreign file."""
@@ -131,6 +141,8 @@ def corpus() -> dict[str, tuple[str, dict]]:
         "q": 64})
     cases["fail-verify-unequal-sums"] = ("verify", _foreign(
         [[[2, 1], [1, 3]]], [3], {"ecs": True}))
+    cases["fail-verify-ecrs-marker"] = ("verify", _marker_changed(
+        cases["ecrs-index"][1]))
     return cases
 
 

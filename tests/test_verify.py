@@ -6,11 +6,12 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from dimgroup import exact, perron, verify
+from dimgroup import cli, exact, perron, verify
 from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
 from dimgroup.ecs import ExtensionData, ecs_pipeline
 from dimgroup.ers import ErsStage, ErsStageData, ers_pipeline
@@ -565,3 +566,80 @@ def test_threshold_ecrs_file_seeds_the_witness_from_perron_data(monkeypatch):
     assert lam not in solved
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest() == THRESHOLD_REPORT_SHA256
+
+
+# -- facts read from the cached sums -------------------------------------------
+
+
+def _verify_file(path, capsys):
+    """The exit code and the report of ``dimgroup verify`` on a file."""
+    capsys.readouterr()
+    code = cli.main(["verify", "-i", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_built_ecrs_file_verifies_without_vector_products(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    """A built ECRS file at lambda = 32 has all-ones markers and Perron
+    vectors, so the nearly-split witness and the marker chain read each
+    stage's cached sums and make no vector product.  A marker entry
+    changed to 2 is multiplied out, and breaks the chain at stage 1."""
+    seq = ecrs_pipeline(EcrsProblem(3, 32, (5, -10, 4),
+                                    FactorSequence((1601, 1697, 1889, 2017))))
+    path = tmp_path / "ecrs.json"
+    seq.save(str(path))
+    calls = []
+    for name in ("mul_vector", "vector_mul"):
+        original = getattr(Matrix, name)
+        monkeypatch.setattr(Matrix, name, lambda m, v, name=name,
+                            original=original: calls.append(name)
+                            or original(m, v))
+    code, report = _verify_file(path, capsys)
+    assert code == cli.EXIT_OK and report["marker_chain_ok"]
+    assert all(report["nearly_split"].values())
+    assert all(m.rows == 32 for m in seq.matrices)
+    assert calls == []
+
+    raw = json.loads(path.read_text())
+    raw["markers"][0][0] = "2"
+    path.write_text(json.dumps(raw))
+    code, report = _verify_file(path, capsys)
+    assert code == cli.EXIT_VERIFY
+    assert report["marker_chain_ok"] is False
+    assert report["derived"]["ers"] is False
+    assert calls == ["mul_vector"]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_moved_unit_breaks_the_all_ones_eigenvector(tmp_path, capsys,
+                                                      side):
+    """One unit moved between two entries of a column of stage 2 keeps its
+    column sums and changes two row sums, so the all-ones vector is no
+    longer a right eigenvector of it at its designed value: the marker
+    chain, the common right eigenvector and ERS all fail.  Moved within a
+    row, it changes two column sums instead, and the common left
+    eigenvector and ECS fail while the marker chain, which reads the row
+    sums, holds."""
+    path = Path(_built_file(tmp_path, "ecrs"))
+    raw = json.loads(path.read_text())
+    rows = raw["stages"][1]["matrix"]
+    to = (1, 0) if side == "right" else (0, 1)
+    assert int(rows[0][0]) > 0
+    rows[0][0] = str(int(rows[0][0]) - 1)
+    rows[to[0]][to[1]] = str(int(rows[to[0]][to[1]]) + 1)
+    path.write_text(json.dumps(raw))
+    code, report = _verify_file(path, capsys)
+    assert code == cli.EXIT_VERIFY
+    stage = report["stages"][1]
+    split = report["nearly_split"]
+    if side == "right":
+        assert stage["columns_equal"] and not stage["rows_equal"]
+        assert report["marker_chain_ok"] is False
+        assert split["common_right_eigenvector"] is False
+        assert report["derived"]["ers"] is False
+    else:
+        assert stage["rows_equal"] and not stage["columns_equal"]
+        assert report["marker_chain_ok"] is True
+        assert split["common_left_eigenvector"] is False
+        assert report["derived"]["ecs"] is False
