@@ -11,11 +11,15 @@ pipeline's own InvariantViolated), 4 verification failure, 5 I/O error.
 Malformed input is exit 2 wherever it is found, even a non-UTF-8 file or
 over-deep JSON; every failure after argument parsing prints one JSON object.
 Set DIMGROUP_LOG=DEBUG|INFO|... for logging.
+
+``main(argv)`` may be called repeatedly in one process: it builds its parser
+once, on the first call, and reads DIMGROUP_LOG on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -36,9 +40,14 @@ EXIT_IO = 5
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("DIMGROUP_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the stderr handler only to a root logger that has
+    # none, so it is added once and a caller's own handlers are kept.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    name = os.environ.get("DIMGROUP_LOG")
+    if name:
+        level = logging.getLevelName(name.upper())
+        logging.getLogger("dimgroup").setLevel(
+            level if isinstance(level, int) else logging.WARNING)
 
 
 def _emit(obj: dict) -> None:
@@ -115,6 +124,7 @@ def cmd_telescope(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimgroup",

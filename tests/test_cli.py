@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -611,3 +613,135 @@ def test_telescope_non_integer_cuts_exit_2(tmp_path, capsys):
     assert payload["error"] == "SchemaError"
     assert "bad cuts" in payload["message"]
     assert not tel.exists()
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """A build, a verify and a rejected command line in one process
+    construct one parser tree: the top parser and its four subparsers."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    inp = write(tmp_path, "in.json", ECS_INPUT)
+    out = str(tmp_path / "out.json")
+    assert cli.main(["build", "ecs", "-i", inp, "-o", out]) == cli.EXIT_OK
+    assert cli.main(["verify", "-i", out]) == cli.EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == cli.EXIT_SCHEMA
+    assert built == ["dimgroup", "dimgroup build", "dimgroup verify",
+                     "dimgroup decide", "dimgroup telescope"]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_shared_parser_carries_no_options_between_calls(tmp_path, capsys,
+                                                        monkeypatch):
+    """An option given to one call is back at its default in the next:
+    --horizon 1 then no --horizon builds every stage, and --strict-bounds
+    then no flag passes strict=False (the p = 65537 stage fails only the
+    strict bound)."""
+    seen = []
+    real = cli.ers_pipeline
+
+    def recording(data, horizon, strict=False):
+        seen.append((horizon, strict))
+        return real(data, horizon, strict=strict)
+
+    monkeypatch.setattr(cli, "ers_pipeline", recording)
+    out = str(tmp_path / "out.json")
+    inp = write(tmp_path, "in.json", ERS_INPUT)
+    for extra, stages in ((["--horizon", "1"], 1), ([], 2)):
+        assert cli.main(["build", "ers", "-i", inp, "-o", out, *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["stages"] == stages
+    big = write(tmp_path, "big.json", {
+        "k": 1, "stages": [{"p": 65537, "u": [17], "B": [[1]]}],
+        "trace_row": [[1, 3]]})
+    for extra, code in ((["--strict-bounds"], 3), ([], 0)):
+        assert cli.main(["build", "ers", "-i", big, "-o", out, *extra]) \
+            == code
+    assert seen == [(1, False), (2, False), (1, True), (1, False)]
+
+
+def test_rejected_command_line_leaves_the_parser_unchanged(tmp_path, capsys):
+    """After command lines that argparse rejects (exit 2, usage on stderr,
+    nothing on stdout) a verify exits 0 and prints the same bytes as the
+    same verify made first."""
+    inp = write(tmp_path, "in.json", ECS_INPUT)
+    out = str(tmp_path / "out.json")
+    assert cli.main(["build", "ecs", "-i", inp, "-o", out]) == cli.EXIT_OK
+    capsys.readouterr()
+    cli.build_parser.cache_clear()
+    assert cli.main(["verify", "-i", out]) == cli.EXIT_OK
+    first = capsys.readouterr().out
+    for argv in (["verify"], ["verify", "-i", out, "--strict-bounds"],
+                 ["build", "ers", "-i", inp, "-o", out, "--horizon", "x"],
+                 ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dimgroup")
+    assert cli.main(["verify", "-i", out]) == cli.EXIT_OK
+    assert capsys.readouterr().out == first
+
+
+_MERGE_STREAM = {"k": 2, "stages": [{"p": 101 + 2 * i, "v": [(3 + i) % 5, 7],
+                                     "B": [[1, 0], [0, 2]]}
+                                    for i in range(12)]}
+_MERGES = [f"dimgroup.ecs: grouping {cuts}: Infeasible at stage {stage}, "
+           f"merging stages {gone} and {gone + 1}"
+           for cuts, stage, gone in (
+               (list(range(12)), 1, 1),
+               ([0, *range(2, 12)], 5, 5),
+               ([0, 2, 3, 4, 5, *range(7, 12)], 10, 9))]
+
+
+def _stderr_of_builds(tmp_path, prelude: str, levels) -> list[str]:
+    """Run ``prelude``, then one ``build ecs`` of the merge stream per entry
+    of ``levels`` (None leaves DIMGROUP_LOG unset), all in one fresh
+    process; return its stderr lines, each call's after a ``call`` line."""
+    inp = write(tmp_path, "in.json", _MERGE_STREAM)
+    script = "\n".join([
+        "import logging, os, sys",
+        "from dimgroup import cli",
+        prelude,
+        "for level in sys.argv[2:]:",
+        "    if level != 'None':",
+        "        os.environ['DIMGROUP_LOG'] = level",
+        "    print('call', level, file=sys.stderr)",
+        "    assert cli.main(['build', 'ecs', '-i', sys.argv[1],",
+        "                     '-o', sys.argv[1] + '.out']) == 0"])
+    env = {k: v for k, v in os.environ.items() if k != "DIMGROUP_LOG"}
+    proc = subprocess.run([sys.executable, "-c", script, inp,
+                           *map(str, levels)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()
+
+
+def test_dimgroup_log_is_read_on_every_call(tmp_path):
+    """DIMGROUP_LOG set after a first call still takes effect: the second
+    call logs each of the three merges once on stderr, and a third call at
+    WARNING logs none."""
+    lines = _stderr_of_builds(tmp_path, "", [None, "INFO", "WARNING"])
+    assert lines == ["call None", "call INFO",
+                     *(f"INFO {merge}" for merge in _MERGES), "call WARNING"]
+
+
+def test_unset_dimgroup_log_keeps_the_callers_logging(tmp_path):
+    """With DIMGROUP_LOG unset, a caller's own handler and level stand: the
+    merges go through the caller's format only, and no stderr handler of
+    the CLI's is added beside it."""
+    lines = _stderr_of_builds(
+        tmp_path,
+        "logging.basicConfig(level=logging.INFO, format='mine %(message)s')",
+        [None, None])
+    merges = [f"mine {merge.split(': ', 1)[1]}" for merge in _MERGES]
+    assert lines == ["call None", *merges, "call None", *merges]
