@@ -20,17 +20,17 @@ stage 1 is factored again transposed):
   ones).  From stage 1's factorization d A_1 = A_1[:, p] R, each stage is
   checked to kill K, by testing each distinct row of the chain once
   against stage 1's row space, and gives an r x r core
-  N_i = R A_i[:, p], the map it induces on Q^s / K.  Every N_i of full
-  rank r, by the pivot count of its rank factorization, proves every
-  telescoped product has rank r (see _quotient_kernels).  A stage failing
-  either check sends the file down the walk below.
+  N_i = R A_i[:, p], the map it induces on Q^s / K.  det(N_n ... N_1)
+  nonzero modulo a 61-bit prime, one elimination per chain, proves every
+  core nonsingular and so every telescoped product of rank r (see
+  _quotient_kernels).  Failing either check sends the file to the walk.
 - Perron data: primitivity is tested once per stage, inside
   integer_perron; constant row (column) sums make the all-ones vector the
   right (left) Perron vector.  On a certified file the other vector, on
   the side of the common kernel, is A_i[:, p] y for y spanning
-  ker(N_i - d rho I), an r x r solve; only the remaining cases solve an
-  s x s kernel.  Left-hand data is read from the columns, so no stage is
-  transposed unless a left kernel must be solved or certified.
+  ker(N_i - d rho I), an r x r solve on r - 1 rows where N_i's columns
+  sum to d rho; only the rest solve s x s.  Left-hand data is read from
+  the columns: a stage is transposed only to solve or certify a left kernel.
 - Nearly-split witness: stage kernels are intersected one at a time; a
   primitive stage whose Perron root is its designed value seeds the common
   eigenvector with its verified Perron vector, and each further stage is
@@ -54,6 +54,7 @@ stage 1 is factored again transposed):
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections import namedtuple
 from typing import Sequence
@@ -69,6 +70,8 @@ from .ers import verify_ers
 # The format of the report; "2" writes telescoped kernel ranks as runs,
 # "3" the trace value group as a coprime factorization.
 REPORT_VERSION = "3"
+# The prime modulo which _quotient_kernels multiplies a chain's cores.
+MODULUS = 2**61 - 1
 
 
 def _stage_report(idx: int, m: Matrix, designed: int,
@@ -122,16 +125,20 @@ def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
     whole.  Then N_i / d, N_i = R A_i[:, p], is the map A_i induces on the
     quotient, and a product of such stages, in any order, is the first
     one's A[:, p] times the others' N times R, up to a power of d.  With
-    every N_i of full rank r it has rank r: at most r through its r
-    columns, at least rank N = r.  For root != 0, x -> R x maps
-    ker(A_i - root I) one to one onto ker(N_i - d root I), and
-    y -> A_i[:, p] y maps it back, so each solve is r x r, not s x s.
+    every N_i nonsingular it has rank r: at most r through its r columns,
+    at least rank N = r.  One elimination decides the chain: the product
+    of the den N_i modulo MODULUS, den clearing denominators (x % MODULUS
+    is a residue of an int x only), must have r pivots and a final pivot,
+    +-det, prime to MODULUS.  For root != 0, x -> R x maps
+    ker(A_i - root I) onto ker(N_i - d root I), and y -> A_i[:, p] y maps
+    it back, so each solve is r x r, not s x s.
     """
     s = mats[0].cols
     d = reduced[0][pivots[0]]
     kernel = (factor_kernel_basis(pivots, reduced, s)
               if s - len(pivots) <= len(pivots) else None)
-    for a in dict.fromkeys(a for m in mats for a in m):
+    distinct = dict.fromkeys(a for m in mats for a in m)
+    for a in distinct:
         if kernel is not None:
             leaves = any(sum(map(operator.mul, a, z)) for z in kernel)
         else:
@@ -141,14 +148,20 @@ def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
             leaves = comb != [d * x for x in a]
         if leaves:
             return None
+    den = math.lcm(*(x.denominator for a in distinct for x in a
+                     if type(x) is not int))
+    product = [[int(i == j) for j in pivots] for i in pivots]   # by columns
     solvers = []
     for m in mats:
         cols = [m.col(j) for j in pivots]
         core = [tuple([sum(map(operator.mul, row, col)) for col in cols])
                 for row in reduced]
-        if len(rank_factorization(core)[0]) < len(core):
-            return None
+        product = [[sum(map(operator.mul, row, col)) * den % MODULUS
+                    for row in core] for col in product]
         solvers.append(functools.partial(_core_kernel, cols, core, d))
+    found, echelon = rank_factorization(product)
+    if len(found) < len(pivots) or echelon[0][found[0]] % MODULUS == 0:
+        return None
     return solvers
 
 
@@ -158,6 +171,8 @@ def _core_kernel(cols: list[tuple], core: list[tuple[int, ...]], d: int,
     A[:, p] and core rows N of a certified stage; see _quotient_kernels."""
     shifted = [(*row[:i], row[i] - d * root, *row[i + 1:])
                for i, row in enumerate(core)]
+    if set(map(sum, zip(*core))) == {d * root}:    # the rows sum to zero
+        shifted.pop()
     return [primitive_part([sum(map(operator.mul, row, y))
                             for row in zip(*cols)])
             for y in factor_kernel_basis(*rank_factorization(shifted),

@@ -614,6 +614,40 @@ def test_rank_factorization_of_rows_is_that_of_their_matrix(rows):
     assert rows == [list(row) for row in m]     # the input rows are unchanged
 
 
+@st.composite
+def _square_int_matrices(draw):
+    """Square integer matrices of size 1-5 with small entries; a repeated
+    row or column makes some of them singular."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        if draw(st.booleans()):
+            rows[i] = list(rows[j])
+        else:
+            for row in rows:
+                row[i] = row[j]
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(_square_int_matrices())
+@example([[0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 1], [1, 0]])
+def test_rank_factorization_has_full_rank_iff_det_is_nonzero(rows):
+    """A square integer matrix has len(rows) pivots exactly when its
+    determinant is nonzero, and then its final pivot rows[0][pivots[0]]
+    is +-det: the fact the verifier's modular chain certificate reads."""
+    m = Matrix.from_rows(rows)
+    det = _leibniz_det(m)
+    assert m.det() == det
+    pivots, reduced = rank_factorization(rows)
+    assert (len(pivots) == len(rows)) == (det != 0)
+    if det:
+        assert reduced[0][pivots[0]] in (det, -det)
+
+
 def test_elimination_sees_only_the_distinct_rows_of_an_ecrs_stage(
         monkeypatch):
     """A built ECRS stage of size 16 repeats 7 distinct rows; each

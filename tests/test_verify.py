@@ -488,32 +488,87 @@ def test_a_chain_failing_the_certificate_takes_the_scan(second):
     assert any(r["kernel_rank"] != 1 for r in expand(report))
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(
+    st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+    min_size=r, max_size=r)), st.integers(-3, 3), st.booleans())
+def test_core_kernel_leaves_out_a_row_only_where_the_columns_sum_to_the_shift(
+        core, root, balanced):
+    """With d = 2 and A[:, p] = I, _core_kernel solves N - 2 root I on
+    r - 1 rows exactly where every column of N sums to 2 root, and returns
+    the kernel of the whole N - 2 root I, singular or not; a row left out
+    elsewhere could give a nonsingular N - 2 root I a kernel."""
+    d, r = 2, len(core)
+    if balanced:
+        core[-1] = [d * root - sum(col[:-1]) for col in zip(*core)]
+    balanced = all(sum(col) == d * root for col in zip(*core))
+    full = exact.right_kernel_basis(Matrix.from_rows(
+        [[x - d * root * (i == j) for j, x in enumerate(row)]
+         for i, row in enumerate(core)]))
+    event(f"columns sum to d root: {balanced}, kernel dimension {len(full)}")
+    solved = []
+    original = verify.rank_factorization
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "rank_factorization",
+                      lambda rows: solved.append(len(rows)) or original(rows))
+        kernel = verify._core_kernel(
+            [tuple(int(i == j) for i in range(r)) for j in range(r)],
+            [tuple(row) for row in core], d, root)
+    assert kernel == full
+    assert solved == [r - balanced]
+
+
+@pytest.mark.parametrize("chain", ["SGG", "GSG", "GGZ"])
+def test_one_singular_core_anywhere_refuses_the_chain(chain):
+    """The stages share K = span e_1, and G's core on Q^3 / K is
+    [[1, 2], [2, 3]].  S maps e_2 into K and Z has rank 1, so both have
+    singular cores, and the product of the whole chain has rank 1.  First,
+    in the middle or last, the singular core enters the determinant (the
+    last one's shows that its stage has rank below r), and the chain takes
+    the walk."""
+    stages = {"G": [[0, 1, 1], [0, 1, 2], [0, 2, 3]],
+              "S": [[0, 1, 0], [0, 0, 0], [0, 0, 1]],
+              "Z": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]}
+    mats = [Matrix.from_rows(stages[name]) for name in chain]
+    report, took = certified(seq_of(mats))
+    assert not took
+    assert expand(report) == oracle_kernel_ranks(mats)
+    assert {"from": 1, "to": 3, "kernel_rank": 2} in expand(report)
+
+
 def test_built_ecs_file_makes_one_stage_size_elimination(tmp_path,
                                                         monkeypatch):
     """Stage 1's rank factorization is the only elimination of a 4-column
-    matrix: every other one is of a 3 x 3 core on the quotient, no kernel
-    is solved by right_kernel_basis, and the kernel-rank walk is never
-    entered."""
+    matrix.  The n = 16 cores on the quotient are certified by one more,
+    of their 3 x 3 product modulo MODULUS, and each Perron kernel is
+    solved on 2 rows of its shifted 3 x 3 core, whose columns sum to the
+    shift: n + 2 eliminations in all, where one rank factorization per
+    core made 2n + 1.  No kernel is solved by right_kernel_basis, and the
+    kernel-rank walk is never entered."""
     seq = RealizationSeq.load(_built_file(tmp_path, "ecs"))
-    widths, solved = [], []
+    shapes, solved = [], []
     original = exact._eliminate
-    monkeypatch.setattr(exact, "_eliminate", lambda rows: widths.append(
-        len(rows[0]) if rows else 0) or original(rows))
+    monkeypatch.setattr(exact, "_eliminate", lambda rows: shapes.append(
+        (len(rows), len(rows[0]) if rows else 0)) or original(rows))
     replace_everywhere(monkeypatch, exact.right_kernel_basis,
                        lambda m: solved.append(m.cols)
                        or exact.right_kernel_basis(m))
     report, took = certified(seq)
     assert took and report["ok"]
     assert len(seq) == 16 and seq.matrices[0].cols == 4
+    widths = [width for _, width in shapes]
     assert widths.count(4) == 1 and set(widths) == {3, 4}
+    assert len(shapes) == len(seq) + 2
+    assert shapes.count((3, 3)) == 1
+    assert shapes.count((2, 3)) == len(seq)
     assert solved == []
 
 
 @pytest.mark.parametrize("kind", ["ecs", "ecrs"])
 def test_built_file_takes_no_core_determinant(tmp_path, monkeypatch, kind):
-    """Each core is shown nonsingular by the pivot count of its rank
-    factorization, so a built file is certified with no determinant taken,
-    to the report it had before."""
+    """The cores are shown nonsingular by the final pivot of one
+    elimination of their product modulo MODULUS, so a built file is
+    certified with no determinant taken, to the report it had before."""
     path = _built_file(tmp_path, kind)
     expected = structural_report(RealizationSeq.load(path)).report
 
@@ -540,6 +595,92 @@ def test_built_ers_and_ecrs_files_take_the_certificate(tmp_path):
         assert took and report["ok"]
         assert report == uncertified_report(seq)
     assert [len(m.row(0)) for m in ecrs.matrices] == [8] * 4
+
+
+def residue_certifies(mats, modulus):
+    """Whether every stage kills K = ker A_1, for 0 < rank A_1 < s, and
+    the modulus does not divide the product of the exact determinants of
+    the integer cores N_i = R A_i[:, p], read off A_1's rank factorization
+    d A_1 = A_1[:, p] R."""
+    pivots, rows = exact.rank_factorization(mats[0])
+    kernel = exact.right_kernel_basis(mats[0])
+    if not 0 < len(pivots) < mats[0].cols or any(
+            any(m.mul_vector(z)) for m in mats for z in kernel):
+        return False
+    det = 1
+    for m in mats:
+        det *= Matrix.from_rows([[sum(x * y for x, y in zip(row, m.col(j)))
+                                  for j in pivots] for row in rows]).det()
+    return det % modulus != 0
+
+
+def small_modulus_certifies(mats, modulus):
+    """Whether the right chain or, failing it, the transposed one is
+    certified with MODULUS set to a small prime."""
+    return (residue_certifies(mats, modulus)
+            or residue_certifies([m.transpose() for m in mats], modulus))
+
+
+@settings(deadline=None, max_examples=150)
+@given(planted_chains(), st.sampled_from([2, 3, 5]))
+def test_a_small_modulus_refuses_only_where_it_divides_the_determinant(
+        chain, modulus):
+    """With MODULUS a small prime, a planted chain is certified exactly
+    where the prime does not divide the determinant of its cores' product,
+    on one side or the other; a refused chain takes the walk to the same
+    report as at the 61-bit prime and with no certificate at all."""
+    variant, seq = chain
+    mats = list(seq.matrices)
+    expected, took_at_prime = certified(seq)
+    assert took_at_prime == small_modulus_certifies(mats, verify.MODULUS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "MODULUS", modulus)
+        report, took = certified(seq)
+    assert took == small_modulus_certifies(mats, modulus)
+    if took_at_prime and not took:
+        event(f"{variant}: refused modulo {modulus}")
+    assert report == expected == uncertified_report(seq)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 5])
+def test_built_ecs_file_refused_at_a_small_modulus_reports_the_same(
+        tmp_path, monkeypatch, modulus):
+    """Every small prime divides the determinant of some core of the built
+    ECS file (stage 3's, at p = 105, is 2^4 * 3 * 5 * 7 * 97^3), so each
+    refuses the certificate, and the walk gives the certified report."""
+    seq = RealizationSeq.load(_built_file(tmp_path, "ecs"))
+    expected, took = certified(seq)
+    assert took and small_modulus_certifies(list(seq.matrices), verify.MODULUS)
+    monkeypatch.setattr(verify, "MODULUS", modulus)
+    report, took = certified(seq)
+    assert not took and not small_modulus_certifies(list(seq.matrices),
+                                                    modulus)
+    assert report == expected == uncertified_report(seq)
+
+
+@pytest.mark.parametrize("second", [
+    [[Fraction(-2, 25), 6], [Fraction(-3, 25), 1]],
+    # (N_1 mod 5)^-1, reduced entry by entry: N_2 (N_1 mod 5) = I
+    [[Fraction(-8, 315), Fraction(1, 3)], [Fraction(5, 21), 0]]])
+def test_rational_cores_are_cleared_before_they_are_reduced(monkeypatch,
+                                                           second):
+    """Stage 1 = diag(1, 1, 0) gives R = [I | 0], so the next stages' cores
+    are their top left blocks: N_1 = [[5, -4/5], [-2, 8/25]], of
+    determinant 0, then N_2.  x % q is no residue of a Fraction x whose
+    denominator q divides: reduced entry by entry at q = 5, the second
+    chain's product of cores is I.  Scaled to integer rows first, its
+    determinant vanishes modulo q, so the chain takes the walk, at q = 5
+    as at the 61-bit prime."""
+    first = [[5, Fraction(-4, 5)], [-2, Fraction(8, 25)]]
+    mats = [Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])] + [
+        Matrix.from_rows([row + [0] for row in core] + [[0, 0, 0]])
+        for core in (first, second)]
+    for modulus in (5, verify.MODULUS):
+        monkeypatch.setattr(verify, "MODULUS", modulus)
+        report, took = certified(seq_of(mats))
+        assert not took
+        assert expand(report) == oracle_kernel_ranks(mats)
+        assert expand(report)[1] == {"from": 1, "to": 2, "kernel_rank": 2}
 
 
 THRESHOLD_REPORT_SHA256 = (
