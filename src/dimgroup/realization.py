@@ -26,8 +26,8 @@ from .exact import Matrix
 FILE_VERSION = "1"
 
 _DECIMAL = re.compile(r"-?[0-9]+")
-# A row of decimal strings joined by commas.
-_DECIMAL_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+# The characters of decimal strings joined by commas.
+_DECIMAL_CHARS = re.compile(r"[-,0-9]+")
 
 # The most characters of a rejected value that an error message repeats.
 _ECHO = 80
@@ -54,24 +54,37 @@ def json_list(x) -> list:
 
 def json_ints(x) -> list[int]:
     """A JSON array of integers as a list of ints, each entry checked once.
-    An array of decimal strings is checked whole: joined by commas, it
-    holds one comma fewer than it has entries (so no entry holds a comma)
-    and fullmatches _DECIMAL_ROW (so each entry fullmatches _DECIMAL), and
-    is converted by one C-level pass.  Any other array goes through
-    json_int entry by entry, which gives the error for a bad entry."""
+    An array of strings whose comma join fullmatches _DECIMAL_CHARS is
+    converted by one C-level ``map(int, ...)`` pass: within those
+    characters ``int`` reads just the entries that _DECIMAL fullmatches and
+    refuses the rest.  Anything else goes through json_int entry by entry."""
     row = json_list(x)
     try:
-        text = ",".join(row)
-    except TypeError:           # an entry that is not a string
-        text = ""
-    if text.count(",") == len(row) - 1 and _DECIMAL_ROW.fullmatch(text):
-        return list(map(int, row))
+        if _DECIMAL_CHARS.fullmatch(",".join(row)):
+            return list(map(int, row))
+    except (TypeError, ValueError):     # a non-string or an unreadable entry
+        pass
     return [json_int(v) for v in row]
 
 
 def json_matrix(x) -> Matrix:
-    """A JSON array of integer rows, each read by json_ints, as a Matrix."""
-    return Matrix._exact_rows(list(map(json_ints, json_list(x))))
+    """A JSON array of integer rows as a Matrix.  Rows of strings, all of one
+    width, are read whole: joined by commas, they hold one comma fewer than
+    they have entries and fullmatch _DECIMAL_CHARS, and one ``json.loads``
+    converts them; its C parser refuses, of what _DECIMAL fullmatches, only
+    a leading zero.  That, more digits than the int limit, or a misshapen
+    row goes row by row through json_ints."""
+    rows = json_list(x)
+    try:
+        cols = len(rows[0])
+        if all(isinstance(row, list) and len(row) == cols for row in rows):
+            text = ",".join(map(",".join, rows))
+            if (text.count(",") == len(rows) * cols - 1
+                    and _DECIMAL_CHARS.fullmatch(text)):
+                return Matrix._exact(len(rows), cols, json.loads(f"[{text}]"))
+    except (IndexError, TypeError, ValueError):
+        pass
+    return Matrix._exact_rows(list(map(json_ints, rows)))
 
 
 def echo(x) -> str:
@@ -244,9 +257,10 @@ class RealizationSeq(namedtuple("RealizationSeq", "matrices stage_values "
             "kind": "realization",
             "properties": {k: bool(v) for k, v in self.properties.items()},
             "stages": [
-                {"matrix": [json_strs(row) for row in m],
+                {"matrix": [e[i:i + m.cols] for i in range(0, len(e), m.cols)],
                  "p": json_str(p)}
                 for m, p in zip(self.matrices, self.stage_values)
+                for e in [json_strs(m._data)]   # one pass, sliced into rows
             ],
             "markers": (None if self.markers is None
                         else [json_strs(h) for h in self.markers]),

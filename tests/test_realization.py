@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dimgroup import cli
+from dimgroup import cli, realization
 from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
 from dimgroup.ecs import (ExtensionData, Stage, ecs_pipeline,
                           telescope_extension)
@@ -169,9 +169,21 @@ def _outcome(parse, x):
 
 
 # Strings that int() reads but a file may not hold, strings that neither
-# reads, and values that are not strings.
+# reads, and values that are not strings; then strings that the C JSON
+# parser reads but a file may not hold, decimals with a leading zero, which
+# a file may hold but that parser refuses, and one entry with more digits
+# than int() reads.
+_PAST_THE_LIMIT = "7" * (sys.get_int_max_str_digits() + 1)
 _ODD_ENTRIES = ["+5", " 5", "5 ", "5\n", "5_0", "\u0663", "1,2", "1,", ",1",
-                "", "-", "--1", "05", "-0", 7, True, 1.5, None, ["1"]]
+                "", "-", "--1", "05", "-0", 7, True, 1.5, None, ["1"],
+                "true", "null", "1.5", "1e3", "NaN", "Infinity", "-Infinity",
+                "[1]", "0x1", "007", "-05", "00", _PAST_THE_LIMIT]
+# Test ids for the entries whose own would repeat another's or run long.
+_ODD_IDS = {"1.5": "1.5-string", _PAST_THE_LIMIT: "past-the-digit-limit"}
+
+
+def _odd_id(entry):
+    return _ODD_IDS.get(entry) if isinstance(entry, str) else None
 
 
 @st.composite
@@ -195,7 +207,7 @@ def _json_rows(draw):
 
 
 @pytest.mark.parametrize("at", [0, 1, 2])
-@pytest.mark.parametrize("entry", _ODD_ENTRIES)
+@pytest.mark.parametrize("entry", _ODD_ENTRIES, ids=_odd_id)
 def test_json_matrix_names_an_odd_entry_as_the_entries_would(entry, at):
     rows = [["1", "2", "3"], ["4", "5", "6"]]
     rows[1][at] = entry
@@ -208,6 +220,7 @@ def test_json_matrix_names_an_odd_entry_as_the_entries_would(entry, at):
 @given(_json_rows())
 @example([["1", "2"], ["3", "4"]])
 @example([["1,2"], ["3"]])
+@example([["1", "2"], ["3", "4", "5"], ["6"]])
 @example([[]])
 def test_json_matrix_checks_rows_as_the_entries_would(rows):
     """A row checked whole gives the matrix, or the list, or the error
@@ -216,3 +229,26 @@ def test_json_matrix_checks_rows_as_the_entries_would(rows):
         == _outcome(_json_matrix_by_entries, rows)
     assert [_outcome(json_ints, row) for row in rows] \
         == [_outcome(_json_ints_by_entries, row) for row in rows]
+
+
+def test_a_matrix_is_read_whole_unless_an_entry_has_a_leading_zero(
+        tmp_path, monkeypatch):
+    """Loading a built file sends only its markers through json_ints; a
+    matrix with a leading zero, which json.loads refuses, is read row by
+    row through json_ints and equals the reference."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return json_ints(x)
+
+    seq = _built()[2]
+    path = str(tmp_path / "ecrs.json")
+    seq.save(path)
+    monkeypatch.setattr(realization, "json_ints", counted)
+    assert RealizationSeq.load(path) == seq
+    assert calls == [list(map(str, h)) for h in seq.markers]
+    calls.clear()
+    rows = [["1", "2", "3"], ["4", "05", "6"]]
+    assert json_matrix(rows) == _json_matrix_by_entries(rows)
+    assert calls == rows
