@@ -124,6 +124,16 @@ def corpus() -> dict[str, tuple[str, dict]]:
         "stages": [{"p": 47, "u": [-2, -1], "B": [[1, 1], [0, 1]]},
                    {"p": 63, "u": [-6, 6], "B": [[1, 3], [0, 1]]}]})
     cases["rank-dropping-32"] = ("verify", _rank_dropping(rng, 16, 32))
+    # |det B| = 2: every level of the w-sequence doubles its denominator,
+    # and one of its exact corrections is a half-integer, a rounding tie.
+    cases["ers-det2-six-stages"] = ("build ers", {
+        "k": 2, "trace_row": [[1, 3], [2, 5]],
+        "stages": [{"p": 20 + 6 * i, "u": [3 + i % 3, -1 - i % 2],
+                    "B": [[1, 1], [1, -1]]} for i in range(6)]})
+    cases["ers-b3"] = ("build ers", {
+        "k": 1, "trace_row": [[2, 7]],
+        "stages": [{"p": 9 * 2 ** i + 1, "u": [i - 3], "B": [[3]]}
+                   for i in range(4)]})
     cases["fail-ecs-one-stage"] = ("build ecs", {"k": 2, "stages": [
         {"p": 2, "v": [0, 0], "B": [[1, 0], [0, 1]]}]})
     cases["fail-ecs-float-entry"] = ("build ecs", {"k": 1, "stages": [
