@@ -95,16 +95,13 @@ def verify_ers(seq: RealizationSeq) -> ErsVerifyReport:
 # -- lattice rounding and the w-sequence -------------------------------------------
 
 
-def nearest_int(x: Fraction) -> int:
-    """Nearest integer, ties rounded toward zero (fixed for determinism)."""
-    x = Fraction(x)
-    floor = x.numerator // x.denominator
-    frac = x - floor
-    if frac > Fraction(1, 2):
+def nearest_int(num: int, den: int) -> int:
+    """Nearest integer to num/den for den > 0, ties rounded toward zero
+    (fixed for determinism)."""
+    floor, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and num < 0):
         return floor + 1
-    if frac < Fraction(1, 2):
-        return floor
-    return floor if x > 0 else floor + 1
+    return floor
 
 
 def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> list[ErsStage]:
@@ -142,17 +139,17 @@ class WSequence(namedtuple("WSequence", "ys ws error_bound")):
 
 def partial_sum(ws: Sequence[Sequence[int]],
                 stages: Sequence[ErsStage]) -> tuple[Fraction, ...]:
-    """S_N = w^1/p_2 + w^2 B_1/(p_3 p_2) + ... for the given stages."""
-    k = len(ws[0])
-    total = tuple(Fraction(0) for _ in range(k))
-    bprod = Matrix.identity(k)
+    """S_N = w^1/p_2 + w^2 B_1/(p_3 p_2) + ... for the given stages, summed
+    by Horner in integers over the one denominator q = p_2 ... p_{N+1}:
+    num <- num p + w^n B_{n-1} ... B_1, q <- q p, then num / q once."""
+    num = tuple([0] * len(ws[0]))
+    bprod = Matrix.identity(len(ws[0]))
     q = 1
     for w, st in zip(ws, stages):
         q *= st.p
-        term = bprod.vector_mul(tuple(Fraction(x) for x in w))
-        total = vec_add(total, vec_scale(Fraction(1, q), term))
+        num = vec_add(vec_scale(st.p, num), bprod.vector_mul(w))
         bprod = st.b * bprod    # B_n ... B_1 acts on the right of rows
-    return total
+    return tuple(Fraction(x, q) for x in num)
 
 
 def build_w_sequence(data: ErsStageData, horizon: int,
@@ -161,48 +158,56 @@ def build_w_sequence(data: ErsStageData, horizon: int,
     [[1, y_{n+1}], [0, I]] M_n(z) = M_n(w) [[1, y_n], [0, I]] such that the
     series of the w's reproduces the target trace row; the reported bound
     covers both the final rounding and a geometric tail allowance.
+
+    y_n rounds exact_n = q_n target (B_n ... B_1)^{-1}, computed by the
+    recurrence exact_n = p exact_{n-1} B_n^{-1} from exact_0 = target.
+    exact_n is held as an integer row over one denominator: B^{-1} is
+    inverted once per distinct B and scaled to integers by the lcm of its
+    denominators, and each level multiplies the denominator by that lcm.
+    Only B_N ... B_1, for the bound, is kept as a product.
     """
     stages = _check_regime(data, horizon, strict)
-    n_stages = len(stages)
     k = data.k
-    rho = data.trace_row
-
-    # cumulative products: q[i] = p_2 ... p_{i+1}, bprod[i] = B_i ... B_1
-    q = [1]
-    bprod = [Matrix.identity(k)]
-    for st in stages:
-        q.append(q[-1] * st.p)
-        bprod.append(st.b * bprod[-1])
-
-    target = vec_sub(rho, partial_sum([st.u for st in stages], stages))
+    target = vec_sub(data.trace_row,
+                     partial_sum([st.u for st in stages], stages))
+    den = math.lcm(*(x.denominator for x in target))
+    num = tuple(x.numerator * (den // x.denominator) for x in target)
+    scaled_inverses: dict[Matrix, tuple[Matrix, int]] = {}
+    bprod = Matrix.identity(k)
+    q = 1
     ys: list[tuple[int, ...]] = [tuple([0] * k)]
-    for n in range(1, n_stages + 1):
-        exact = bprod[n].inverse().vector_mul(vec_scale(q[n], target))
-        ys.append(tuple(nearest_int(x) for x in exact))
-
     ws = []
     for n, st in enumerate(stages, start=1):
+        cached = scaled_inverses.get(st.b)
+        if cached is None:
+            inv = st.b.inverse()
+            scale = math.lcm(*(x.denominator for row in inv for x in row))
+            cached = scaled_inverses[st.b] = (Matrix._exact(k, k, [
+                x.numerator * (scale // x.denominator)
+                for row in inv for x in row]), scale)
+        inv, scale = cached
+        num = inv.vector_mul(vec_scale(st.p, num))
+        den *= scale
+        ys.append(tuple(nearest_int(x, den) for x in num))
+        bprod = st.b * bprod
+        q *= st.p
         w = vec_sub(vec_add(st.u, st.b.vector_mul(ys[n])),
                     vec_scale(st.p, ys[n - 1]))
-        if n > 1:
-            # w^1 absorbs the whole correction p_2 (rho - z-infinity); the
-            # norm estimate only covers the later stages.  Rounding ties can
-            # attain the limit, so the guaranteed form is non-strict.
-            norm_limit = (Fraction(sup_norm(st.u))
-                          + Fraction(st.p + colsum_norm(st.b), 2))
-            if Fraction(sup_norm(w)) > norm_limit:
-                raise InvariantViolated("w-norm estimate violated", stage=n)
+        # w^1 absorbs the whole correction p_2 (rho - z-infinity); the norm
+        # estimate |w| <= |u| + (p + ||B||) / 2 only covers the later stages.
+        if n > 1 and (2 * sup_norm(w) > 2 * sup_norm(st.u) + st.p
+                      + colsum_norm(st.b)):
+            raise InvariantViolated("w-norm estimate violated", stage=n)
         ws.append(w)
 
     # y_{n} enters M_n as the top-right row of F_n = [[1, y_n],[0, I]]; the
     # commuting square is w^n = z_n + y_{n+1} B_n - p_{n+1} y_n, which is the
     # construction itself, so the squares hold identically.
-    rounding = Fraction(colsum_norm(bprod[n_stages]), 2 * q[n_stages])
+    rounding = Fraction(colsum_norm(bprod), 2 * q)
     delta = max((Fraction(sup_norm(st.u), st.p) for st in stages),
                 default=Fraction(0))
-    last_p = stages[-1].p
-    tail = delta * Fraction(colsum_norm(bprod[n_stages]),
-                            q[n_stages] * max(1, math.isqrt(last_p) - 1))
+    tail = delta * Fraction(colsum_norm(bprod),
+                            q * max(1, math.isqrt(stages[-1].p) - 1))
     return WSequence(tuple(ys), tuple(ws), rounding + tail)
 
 

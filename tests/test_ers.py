@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -7,8 +8,10 @@ import pytest
 from dimgroup.errors import (DimensionMismatch, DimgroupError, Infeasible,
                              InvariantViolated, KernelMismatch,
                              RegimeViolation)
-from dimgroup.exact import Matrix, colsum_norm, sup_norm, vec_sub
+from dimgroup.exact import (Matrix, colsum_norm, sup_norm, vec_add,
+                            vec_scale, vec_sub)
 from dimgroup.ecs import AParams, general_ecs_matrix
+from dimgroup import ers
 from dimgroup.ers import (ErsStage, ErsStageData, build_w_sequence,
                           ers_pipeline, nearest_int, partial_sum,
                           restrict_to_kernel_complement, verify_ers)
@@ -23,8 +26,7 @@ def upper_block_matrix(p, u, b):
 
 def _rand_stage_data(rng, k, n_stages):
     """Random admissible data; odd p's, odd det(B) and odd trace
-    denominators keep the rounding free of exact half ties, which is what
-    makes the w-norm estimate strict."""
+    denominators keep the rounding free of exact half ties."""
     stages = []
     p = rng.randint(150, 200)
     for _ in range(n_stages):
@@ -71,12 +73,12 @@ def test_verify_ers_transpose_duality():
 
 
 def test_nearest_int_ties_toward_zero():
-    assert nearest_int(Fraction(3, 2)) == 1
-    assert nearest_int(Fraction(-3, 2)) == -1
-    assert nearest_int(Fraction(5, 3)) == 2
-    assert nearest_int(Fraction(-5, 3)) == -2
-    assert nearest_int(Fraction(1, 2)) == 0
-    assert nearest_int(Fraction(-1, 2)) == 0
+    assert nearest_int(3, 2) == 1
+    assert nearest_int(-3, 2) == -1
+    assert nearest_int(5, 3) == 2
+    assert nearest_int(-5, 3) == -2
+    assert nearest_int(1, 2) == 0
+    assert nearest_int(-1, 2) == 0
 
 
 class SingularB(DimgroupError):
@@ -101,7 +103,7 @@ def reduce_mod_rowlattice(z: Sequence[int], b: Matrix) -> tuple[int, ...]:
     d = abs(det)
     b_inv = b.inverse()
     exact = b_inv.vector_mul(tuple(Fraction(x) for x in z))
-    y = tuple(nearest_int(x) for x in exact)
+    y = tuple(nearest_int(x.numerator, x.denominator) for x in exact)
     if sup_norm(vec_sub(z, b.vector_mul(y))) < d:
         return y
     floors = tuple(x // d for x in z)                       # z - d*floors in [0, d)
@@ -180,6 +182,135 @@ def test_build_w_bound_improves_with_horizon():
         data = _rand_stage_data(rng, 2, 5)
         bounds = [build_w_sequence(data, n).error_bound for n in (2, 3, 4, 5)]
         assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
+
+
+# The w-sequence by the Fraction formulas that the integer recurrence in
+# dimgroup.ers replaced: y_n rounds q_n target (B_n ... B_1)^{-1}, each prefix
+# product inverted afresh, and the partial sums add w^n B_{n-1} ... B_1 / q_n.
+
+
+def _reference_round(x: Fraction) -> int:
+    """Nearest integer to x, ties toward zero, in Fraction arithmetic."""
+    floor = x.numerator // x.denominator
+    frac = x - floor
+    if frac > Fraction(1, 2):
+        return floor + 1
+    if frac < Fraction(1, 2):
+        return floor
+    return floor if x > 0 else floor + 1
+
+
+def _reference_partial_sum(ws, stages):
+    k = len(ws[0])
+    total, bprod, q = (Fraction(0),) * k, Matrix.identity(k), 1
+    for w, st in zip(ws, stages):
+        q *= st.p
+        total = vec_add(total, vec_scale(Fraction(1, q), bprod.vector_mul(w)))
+        bprod = st.b * bprod
+    return total
+
+
+def _reference_w_sequence(data, horizon):
+    """(ys, ws, error_bound, the exact rows the ys round)."""
+    stages = data.stages[:horizon]
+    target = vec_sub(data.trace_row,
+                     _reference_partial_sum([st.u for st in stages], stages))
+    ys, ws, exacts = [(0,) * data.k], [], []
+    bprod, q = Matrix.identity(data.k), 1
+    for st in stages:
+        bprod, q = st.b * bprod, q * st.p
+        exacts.append(bprod.inverse().vector_mul(vec_scale(q, target)))
+        ys.append(tuple(_reference_round(Fraction(x)) for x in exacts[-1]))
+        ws.append(vec_sub(vec_add(st.u, st.b.vector_mul(ys[-1])),
+                          vec_scale(st.p, ys[-2])))
+    norm = colsum_norm(bprod)
+    delta = max(Fraction(sup_norm(st.u), st.p) for st in stages)
+    bound = Fraction(norm, 2 * q) + delta * Fraction(
+        norm, q * max(1, math.isqrt(stages[-1].p) - 1))
+    return tuple(ys), tuple(ws), bound, exacts
+
+
+def _b_with_det(rng, k, dets):
+    span = 3 if k == 1 else 2
+    while True:
+        b = Matrix.from_rows([[rng.randint(-span, span) for _ in range(k)]
+                              for _ in range(k)])
+        if abs(b.det()) in dets:
+            return b
+
+
+def _assert_matches_reference(data, horizon):
+    ys, ws, bound, exacts = _reference_w_sequence(data, horizon)
+    got = build_w_sequence(data, horizon)
+    assert (got.ys, got.ws, got.error_bound) == (ys, ws, bound)
+    stages = data.stages[:horizon]
+    assert partial_sum(ws, stages) == _reference_partial_sum(ws, stages)
+    # w^n = u + e_n B - p e_{n-1} with rounding errors |e| <= 1/2; a tie
+    # rounded toward zero gives e the opposite sign of exact, and
+    # exact_n B = p exact_{n-1} then keeps the three terms from adding up
+    # to the limit, so the non-strict w-norm guard is never met with equality.
+    for w, st in list(zip(ws, stages))[1:]:
+        assert 2 * sup_norm(w) < 2 * sup_norm(st.u) + st.p + colsum_norm(st.b)
+    return exacts
+
+
+def test_w_sequence_matches_the_fraction_reference():
+    """k = 1..3, n = 1..12, u of either sign, |det B| in {1, 2, 3}, and the
+    stages' B one matrix, two alternating ones or a fresh one per stage."""
+    rng = random.Random(32)
+    ties = 0
+    for _ in range(60):
+        k, n = rng.randint(1, 3), rng.randint(1, 12)
+        det = {rng.choice((1, 2, 3))}
+        pool = [_b_with_det(rng, k, det) for _ in range(rng.choice((1, 2)))]
+        bs = ([pool[i % len(pool)] for i in range(n)] if rng.randrange(3)
+              else [_b_with_det(rng, k, det) for _ in range(n)])
+        p = max(colsum_norm(b) ** 2 for b in bs) + rng.randint(0, 9)
+        stages = []
+        for b in bs:
+            p += rng.randint(0, 30)
+            stages.append(ErsStage(p, tuple(rng.randint(-(p - 1), p - 1)
+                                            for _ in range(k)), b))
+        rho = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                    for _ in range(k))
+        exacts = _assert_matches_reference(
+            ErsStageData(k, tuple(stages), rho), rng.randint(1, n))
+        ties += sum(Fraction(x).denominator == 2 for row in exacts
+                    for x in row)
+    assert ties > 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_w_sequence_tie_rounds_toward_zero(sign):
+    """B = [[2]]: exact_1 = 5 target / 2 = 3 sign and exact_2 = 7 exact_1 / 2
+    = 21/2 sign, a tie that y_2 rounds toward zero."""
+    stages = (ErsStage(5, (1,), Matrix.from_rows([[2]])),
+              ErsStage(7, (-2,), Matrix.from_rows([[2]])))
+    rho = (Fraction(6 * sign, 5) + _reference_partial_sum(
+        [st.u for st in stages], stages)[0],)
+    exacts = _assert_matches_reference(ErsStageData(1, stages, rho), 2)
+    assert exacts == [(3 * sign,), (Fraction(21 * sign, 2),)]
+    assert build_w_sequence(ErsStageData(1, stages, rho), 2).ys[2] \
+        == (10 * sign,)
+
+
+def test_w_norm_guard_names_the_stage(monkeypatch):
+    """Every exact correction of this input is 0.  A rounding one too high
+    at level 2 puts p_3 y_2 = 64 into w^3, past |u| + (p + ||B||)/2."""
+    stages = tuple(ErsStage(p, (u,), Matrix.identity(1))
+                   for p, u in ((4, 1), (16, 2), (64, 3)))
+    data = ErsStageData(1, stages, partial_sum([st.u for st in stages],
+                                               stages))
+    assert build_w_sequence(data, 3).ys == ((0,), (0,), (0,), (0,))
+    levels = iter(range(1, 4))
+
+    def off_at_level_2(num, den):
+        return nearest_int(num, den) + (next(levels) == 2)
+
+    monkeypatch.setattr(ers, "nearest_int", off_at_level_2)
+    with pytest.raises(InvariantViolated, match="w-norm") as info:
+        build_w_sequence(data, 3)
+    assert info.value.stage == 3
 
 
 def test_build_w_regime_violation():
