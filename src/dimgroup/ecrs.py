@@ -113,9 +113,7 @@ def normalize_to_ones(prob: EcrsProblem) -> UnimodularTransform:
     first; for k = 1 iff rho = +-1 (mod lambda)."""
     k, lam, rho = prob.k, prob.lam, prob.rho
     ones = tuple([1] * k)
-    if lam == 1:
-        v = tuple(r - o for r, o in zip(rho, (1,) + (0,) * (k - 1)))
-    elif k == 1:
+    if k == 1:
         r0 = rho[0]
         if (r0 - 1) % lam == 0:
             v = ((r0 - 1) // lam,)

@@ -38,13 +38,18 @@ _log = logging.getLogger(__name__)
 
 
 class Stage(namedtuple("Stage", "p v b")):
+    """An integer p > 1, a length-k integer vector v and a nonsingular k x k
+    B: the ECS block [[p, 0], [v, B]] (v a column), or the ERS block
+    [[p, u], [0, B]] with v read as the row u."""
+
     __slots__ = ()
 
     def __new__(cls, p: int, v: tuple[int, ...], b: Matrix):
         if p <= 1:
             raise SchemaError(f"stage factor must exceed 1, got {p}")
         if not b.is_square or b.rows != len(v):
-            raise DimensionMismatch("stage B must be k x k with v of length k")
+            raise DimensionMismatch(
+                "stage B must be k x k, k the length of the stage vector")
         if b.det() == 0:
             raise SchemaError("stage B must have nonzero determinant")
         return super().__new__(cls, p, v, b)
@@ -67,19 +72,23 @@ class ExtensionData(namedtuple("ExtensionData", "k stages")):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtensionData":
-        """Each distinct B is read and checked once, keyed on its JSON
-        text, so equal Bs share one Matrix and one det B check."""
         with parsing("extension data"):
-            k = json_int(obj["k"])
-            parsed: dict[str, Matrix] = {}
-            stages = []
-            for st in json_list(obj["stages"]):
-                p, v = json_int(st["p"]), tuple(json_ints(st["v"]))
-                b = parsed.get(key := json.dumps(st["B"]))
-                if b is None:
-                    b = parsed[key] = json_matrix(st["B"])
-                stages.append(Stage(p, v, b))
-            return cls(k, tuple(stages))
+            return cls(json_int(obj["k"]), read_stages(obj["stages"], "v"))
+
+
+def read_stages(obj, key: str) -> tuple[Stage, ...]:
+    """The Stages of a JSON list of {"p": p, key: vector, "B": B}, read in
+    that order.  Each distinct B is read and checked once, keyed on its
+    JSON text, so equal Bs share one Matrix and one det B check."""
+    parsed: dict[str, Matrix] = {}
+    stages = []
+    for st in json_list(obj):
+        p, v = json_int(st["p"]), tuple(json_ints(st[key]))
+        b = parsed.get(text := json.dumps(st["B"]))
+        if b is None:
+            b = parsed[text] = json_matrix(st["B"])
+        stages.append(Stage(p, v, b))
+    return tuple(stages)
 
 
 class AParams(namedtuple("AParams", "values")):
@@ -275,24 +284,22 @@ def reduce_vector(v: Sequence[Fraction]) -> tuple[UnimodularTransform, tuple[int
 # -- normalization and telescoping ---------------------------------------------
 
 
-def normalize_extension(data: ExtensionData) -> tuple[ExtensionData, list[tuple[int, ...]]]:
-    """Equivalent data with 0 <= v < p entrywise, plus the correction
-    vectors u^m; equivalence is witnessed by the commuting squares
-    F_{m+1} M_m = M'_m F_m with F_m = [[1, 0], [d_m, I]], d_1 = 0 and
-    d_{m+1} = -u^m.  B d is taken only where d is nonzero, and a stage whose
-    v is already normalized is kept as it is."""
+def normalize_extension(data: ExtensionData) -> ExtensionData:
+    """Equivalent data with 0 <= v < p entrywise; equivalence is witnessed
+    by the commuting squares F_{m+1} M_m = M'_m F_m with
+    F_m = [[1, 0], [d_m, I]], d_1 = 0 and d_{m+1} = -u^m, u^m the floor of
+    (v - B d_m) / p.  B d is taken only where d is nonzero, and a stage
+    whose v is already normalized is kept as it is."""
     k = data.k
     d = tuple([0] * k)
     stages = []
-    us = []
     for st in data.stages:
         v_eff = vec_sub(st.v, st.b.mul_vector(d)) if any(d) else st.v
         u = tuple(x // st.p for x in v_eff)
         v_new = vec_sub(v_eff, vec_scale(st.p, u))
         stages.append(st if v_new == st.v else Stage(st.p, v_new, st.b))
-        us.append(u)
         d = tuple(-x for x in u)
-    return ExtensionData(k, tuple(stages)), us
+    return ExtensionData(k, tuple(stages))
 
 
 def telescope_extension(data: ExtensionData,
@@ -337,7 +344,7 @@ def ecs_pipeline(data: ExtensionData) -> RealizationSeq:
     kernel vector annihilated, rank k+1 by certificate, primitive.  A
     single group that still fails raises HorizonExhausted.
     """
-    norm, _ = normalize_extension(data)
+    norm = normalize_extension(data)
     last = norm.stages[-1]
     # 0 <= v < p, so the terminal ratio lies in [0, 1)^k and reduce_vector's
     # W is 0.  B_new = E B E^-1 has det B != 0, the rank certificate's
@@ -350,7 +357,7 @@ def ecs_pipeline(data: ExtensionData) -> RealizationSeq:
     while True:
         tele = telescope_extension(norm, cuts)
         if len(cuts) < len(norm.stages):    # else tele is norm, normalized
-            tele, _ = normalize_extension(tele)
+            tele = normalize_extension(tele)
         fresh = list(dict.fromkeys(st.b for st in tele.stages
                                    if st.b not in conjugated))
         conjugated.update(zip(fresh, e.conjugate(fresh)))

@@ -1,7 +1,8 @@
 """Construction of equal-row-sum realizations by transposing the bordered
 ECS machinery, plus the canonical upper-triangular form utilities: lattice
 rounding, the w-sequence matching a target trace row, and the restriction to
-the kernel complement."""
+the kernel complement.  The stages are ecs.Stage records, read and checked
+as ECS stages, their vector v standing for the row u of [[p, u], [0, B]]."""
 
 from __future__ import annotations
 
@@ -13,41 +14,24 @@ from typing import Sequence
 from .errors import (DimensionMismatch, InvariantViolated, KernelMismatch,
                      RegimeViolation, SchemaError)
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
-from .ecs import bordered_stages, kernel_vector
-from .realization import (RealizationSeq, json_int, json_ints, json_list,
-                          json_matrix, json_str, parsing)
-
-
-class ErsStage(namedtuple("ErsStage", "p u b")):
-    __slots__ = ()
-
-    def __new__(cls, p: int, u: tuple[int, ...], b: Matrix):    # u is a row
-        if p <= 1:
-            raise SchemaError(f"stage factor must exceed 1, got {p}")
-        if not b.is_square or b.rows != len(u):
-            raise DimensionMismatch("stage B must be k x k with u of length k")
-        if b.det() == 0:
-            raise SchemaError("stage B must have nonzero determinant")
-        return super().__new__(cls, p, u, b)
+from .ecs import (ExtensionData, Stage, bordered_stages, kernel_vector,
+                  read_stages)
+from .realization import (RealizationSeq, json_int, json_list, json_str,
+                          parsing)
 
 
 class ErsStageData(namedtuple("ErsStageData", "k stages trace_row")):
-    """Canonical upper-triangular presentation: stages (p, u, B) plus the
+    """Canonical upper-triangular presentation: Stages (p, u, B) plus the
     target trace row (1, rho) with rho exact rationals, stored as a tuple
-    of Fractions.  The canonical form is the input format; no
-    abstract-group bootstrapping is attempted."""
+    of Fractions, with ExtensionData's checks on k and the stages; the JSON
+    stages are read by read_stages, vector under "u".  The canonical form
+    is the input format; no abstract-group bootstrapping is attempted."""
 
     __slots__ = ()
 
-    def __new__(cls, k: int, stages: tuple[ErsStage, ...],
+    def __new__(cls, k: int, stages: tuple[Stage, ...],
                 trace_row: tuple[Fraction, ...]):    # rho^1, length k
-        if k < 1:
-            raise SchemaError("k must be >= 1")
-        if not stages:
-            raise SchemaError("need at least one stage")
-        for st in stages:
-            if len(st.u) != k:
-                raise DimensionMismatch("stage row length != k")
+        ExtensionData(k, stages)
         if len(trace_row) != k:
             raise DimensionMismatch("trace row length != k")
         return super().__new__(cls, k, stages,
@@ -57,11 +41,7 @@ class ErsStageData(namedtuple("ErsStageData", "k stages trace_row")):
     def from_json(cls, obj: dict) -> "ErsStageData":
         with parsing("ERS stage data"):
             k = json_int(obj["k"])
-            stages = tuple(
-                ErsStage(json_int(st["p"]),
-                         tuple(json_ints(st["u"])),
-                         json_matrix(st["B"]))
-                for st in json_list(obj["stages"]))
+            stages = read_stages(obj["stages"], "u")
             rho = tuple(Fraction(json_int(n), json_int(d))
                         for n, d in map(json_list, json_list(obj["trace_row"])))
             return cls(k, stages, rho)
@@ -104,10 +84,10 @@ def nearest_int(num: int, den: int) -> int:
     return floor
 
 
-def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> list[ErsStage]:
+def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> Sequence[Stage]:
     if horizon < 1:
         raise SchemaError(f"horizon must be at least 1, got {horizon}")
-    stages = list(data.stages[:min(horizon, len(data.stages))])
+    stages = data.stages[:horizon]
     s = data.k + 1
     prev_p = 1
     for idx, st in enumerate(stages, start=1):
@@ -118,14 +98,14 @@ def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> list[ErsSta
         if norm_b * norm_b > st.p:
             raise RegimeViolation(
                 f"||B||^2 = {norm_b * norm_b} exceeds p = {st.p}", stage=idx)
-        if sup_norm(st.u) >= st.p:
+        if sup_norm(st.v) >= st.p:
             raise RegimeViolation(
-                f"||z|| = {sup_norm(st.u)} not below p = {st.p}", stage=idx)
+                f"||z|| = {sup_norm(st.v)} not below p = {st.p}", stage=idx)
         if strict:
             if norm_b ** (8 * s) * math.factorial(s) ** 16 > st.p:
                 raise RegimeViolation(
                     "strict bound ||B|| <= p^(1/8s)/(s!)^(2/s) fails", stage=idx)
-            if sup_norm(st.u) ** 4 > st.p:
+            if sup_norm(st.v) ** 4 > st.p:
                 raise RegimeViolation(
                     "strict bound ||u|| <= p^(1/4) fails", stage=idx)
     return stages
@@ -138,17 +118,16 @@ class WSequence(namedtuple("WSequence", "ys ws error_bound")):
 
 
 def partial_sum(ws: Sequence[Sequence[int]],
-                stages: Sequence[ErsStage]) -> tuple[Fraction, ...]:
+                stages: Sequence[Stage]) -> tuple[Fraction, ...]:
     """S_N = w^1/p_2 + w^2 B_1/(p_3 p_2) + ... for the given stages, summed
-    by Horner in integers over the one denominator q = p_2 ... p_{N+1}:
-    num <- num p + w^n B_{n-1} ... B_1, q <- q p, then num / q once."""
+    by Horner from the last stage in integers over the one denominator
+    q = p_2 ... p_{N+1}: num <- w^n q + num B_n, q <- q p_{n+1}, then
+    num / q once.  Only rows meet the Bs, so no matrix product is formed."""
     num = tuple([0] * len(ws[0]))
-    bprod = Matrix.identity(len(ws[0]))
     q = 1
-    for w, st in zip(ws, stages):
+    for w, st in reversed(list(zip(ws, stages))):
+        num = vec_add(vec_scale(q, w), st.b.vector_mul(num))
         q *= st.p
-        num = vec_add(vec_scale(st.p, num), bprod.vector_mul(w))
-        bprod = st.b * bprod    # B_n ... B_1 acts on the right of rows
     return tuple(Fraction(x, q) for x in num)
 
 
@@ -169,7 +148,7 @@ def build_w_sequence(data: ErsStageData, horizon: int,
     stages = _check_regime(data, horizon, strict)
     k = data.k
     target = vec_sub(data.trace_row,
-                     partial_sum([st.u for st in stages], stages))
+                     partial_sum([st.v for st in stages], stages))
     den = math.lcm(*(x.denominator for x in target))
     num = tuple(x.numerator * (den // x.denominator) for x in target)
     scaled_inverses: dict[Matrix, tuple[Matrix, int]] = {}
@@ -191,11 +170,11 @@ def build_w_sequence(data: ErsStageData, horizon: int,
         ys.append(tuple(nearest_int(x, den) for x in num))
         bprod = st.b * bprod
         q *= st.p
-        w = vec_sub(vec_add(st.u, st.b.vector_mul(ys[n])),
+        w = vec_sub(vec_add(st.v, st.b.vector_mul(ys[n])),
                     vec_scale(st.p, ys[n - 1]))
         # w^1 absorbs the whole correction p_2 (rho - z-infinity); the norm
         # estimate |w| <= |u| + (p + ||B||) / 2 only covers the later stages.
-        if n > 1 and (2 * sup_norm(w) > 2 * sup_norm(st.u) + st.p
+        if n > 1 and (2 * sup_norm(w) > 2 * sup_norm(st.v) + st.p
                       + colsum_norm(st.b)):
             raise InvariantViolated("w-norm estimate violated", stage=n)
         ws.append(w)
@@ -204,7 +183,7 @@ def build_w_sequence(data: ErsStageData, horizon: int,
     # commuting square is w^n = z_n + y_{n+1} B_n - p_{n+1} y_n, which is the
     # construction itself, so the squares hold identically.
     rounding = Fraction(colsum_norm(bprod), 2 * q)
-    delta = max((Fraction(sup_norm(st.u), st.p) for st in stages),
+    delta = max((Fraction(sup_norm(st.v), st.p) for st in stages),
                 default=Fraction(0))
     tail = delta * Fraction(colsum_norm(bprod),
                             q * max(1, math.isqrt(stages[-1].p) - 1))
@@ -257,9 +236,9 @@ def ers_pipeline(data: ErsStageData, horizon: int,
     check the reconstructed trace row of the restricted blocks against the
     bound.  Transposing makes the checked column sums the row sums and
     keeps primitivity; the restricted blocks, with determinant p det B,
-    certify rank k+1."""
+    certify rank k+1.  The provenance horizon counts the stages built."""
     wseq = build_w_sequence(data, horizon, strict)
-    stages = list(data.stages[:min(horizon, len(data.stages))])
+    stages = data.stages[:len(wseq.ws)]
     k = data.k
     ecs_mats = bordered_stages((st.p, w, st.b.transpose())
                                for st, w in zip(stages, wseq.ws))
@@ -286,5 +265,5 @@ def ers_pipeline(data: ErsStageData, horizon: int,
     return RealizationSeq(tuple(m.transpose() for m in ecs_mats),
                           tuple(st.p for st in stages), markers,
                           {"ers": True},
-                          {"pipeline": "ers", "k": k, "horizon": horizon,
+                          {"pipeline": "ers", "k": k, "horizon": len(stages),
                            "trace_gap_bound": json_str(wseq.error_bound)})

@@ -25,7 +25,7 @@ from dimgroup.ecs import (BParams, ExtensionData, Stage, b_compose,
                           split_ecs_matrix)
 from dimgroup.ecrs import (EcrsProblem, commuting_family, ecrs_pipeline,
                            poly_for)
-from dimgroup.ers import (ErsStage, ErsStageData, build_w_sequence,
+from dimgroup.ers import (ErsStageData, build_w_sequence,
                           ers_pipeline, partial_sum,
                           restrict_to_kernel_complement)
 from dimgroup.perron import (check_equal_sums_criterion, integer_perron,
@@ -142,7 +142,7 @@ def test_criterion_04_w_sequence():
             norm = colsum_norm(b)
             p = max(p + rng.randint(2, 60), 4 * norm * norm) | 1
             z = tuple(rng.randint(-(p - 1), p - 1) for _ in range(k))
-            stages.append(ErsStage(p, z, b))
+            stages.append(Stage(p, z, b))
         rho = tuple(Fraction(rng.randint(-30, 30), 2 * rng.randint(0, 30) + 1)
                     for _ in range(k))
         data = ErsStageData(k, tuple(stages), rho)
@@ -157,11 +157,11 @@ def test_criterion_04_w_sequence():
                 [[1, *res.ys[n - 1]],
                  *[[0] + [1 if jj == ii else 0 for jj in range(k)]
                    for ii in range(k)]])
-            m_z = upper_block_matrix(st.p, st.u, st.b)
+            m_z = upper_block_matrix(st.p, st.v, st.b)
             m_w = upper_block_matrix(st.p, res.ws[n - 1], st.b)
             assert f_top * m_z == m_w * f_bot
             if n > 1:    # the estimate covers w^i for i > 1 only
-                limit = (Fraction(sup_norm(st.u))
+                limit = (Fraction(sup_norm(st.v))
                          + Fraction(st.p + colsum_norm(st.b), 2))
                 assert Fraction(sup_norm(res.ws[n - 1])) < limit
         gap = sup_norm(vec_sub(partial_sum(res.ws, data.stages), rho))
@@ -287,11 +287,11 @@ def test_criterion_08_commuting_family():
 @criterion(9, "ERS pipeline: row sums, markers, diagnostic, trace recovery")
 def test_criterion_09_ers_pipeline():
     instances = {
-        1: ErsStageData(1, (ErsStage(25, (8,), Matrix.identity(1)),
-                            ErsStage(125, (5,), Matrix.identity(1))),
+        1: ErsStageData(1, (Stage(25, (8,), Matrix.identity(1)),
+                            Stage(125, (5,), Matrix.identity(1))),
                         (Fraction(1, 3),)),
-        2: ErsStageData(2, (ErsStage(101, (7, 11), Matrix.identity(2)),
-                            ErsStage(1009, (13, 5), Matrix.identity(2))),
+        2: ErsStageData(2, (Stage(101, (7, 11), Matrix.identity(2)),
+                            Stage(1009, (13, 5), Matrix.identity(2))),
                         (Fraction(1, 5), Fraction(2, 7))),
     }
     for k, data in instances.items():

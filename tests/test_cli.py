@@ -421,6 +421,94 @@ def test_ers_horizon_below_one_is_schema_error(tmp_path, capsys, horizon):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("horizon,built", [("1", 1), ("2", 2), ("9", 2)])
+def test_ers_provenance_horizon_counts_the_stages_built(tmp_path, capsys,
+                                                       horizon, built):
+    inp = write(tmp_path, "in.json", ERS_INPUT)
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ers", "-i", inp, "-o", str(out),
+                     "--horizon", horizon]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["stages"] == built
+    assert json.loads(out.read_text())["provenance"]["horizon"] == built
+
+
+_STAGE = {"p": 25, "u": [1, 2], "B": [[1, 0], [0, 1]]}
+
+
+def _stage(drop=(), **changes):
+    """_STAGE with the given entries changed and the keys in drop left out."""
+    st = {**_STAGE, **changes}
+    return {key: st[key] for key in st if key not in drop}
+
+
+def _ers(stages, drop=(), **changes):
+    """A k = 2 ERS input of the given stages, changed likewise."""
+    obj = {"k": 2, "stages": stages, "trace_row": [[1, 3], [1, 5]],
+           **changes}
+    return {key: obj[key] for key in obj if key not in drop}
+
+
+# The error text of each malformed ERS input; each exits 2 with a
+# SchemaError.  ERS stages are read and checked as ECS stages, so two texts
+# are the ECS ones: a B that is not k x k for its vector, where the ERS
+# reader used to say "stage B must be k x k with u of length k", and a
+# vector whose length is not k, where it used to say "stage row length !=
+# k".  The rest, and which error a doubly malformed input reports, are as
+# the ERS reader had them.
+_M = "malformed ERS stage data: "
+_DIM = _M + "stage B must be k x k, k the length of the stage vector"
+_LEN = _M + "stage vector length != k"
+ERS_INPUT_ERRORS = {
+    "missing-u": (_ers([_STAGE, _stage(drop=("u",))]), _M + "'u'"),
+    "missing-B": (_ers([_stage(drop=("B",))]), _M + "'B'"),
+    "missing-p-and-u": (_ers([_stage(drop=("p", "u"))]), _M + "'p'"),
+    "bad-u-and-missing-B": (_ers([_stage(u="12", drop=("B",))]),
+                            "not an array: '12'"),
+    "ragged-B": (_ers([_stage(B=[[1, 0], [0]])]), _M + "ragged rows"),
+    "float-in-B": (_ers([_stage(B=[[1, 0], [0, 1.5]])]),
+                   "not an integer: 1.5"),
+    "B-not-square": (_ers([_stage(B=[[1, 0, 0], [0, 1, 0]])]), _DIM),
+    "u-longer-than-B": (_ers([_stage(u=[1, 2, 3])]), _DIM),
+    "u-shorter-than-B": (_ers([_stage(u=[1])]), _DIM),
+    "u-length-not-k": (_ers([_STAGE, _stage(u=[1], B=[[1]])]), _LEN),
+    "singular-B": (_ers([_stage(B=[[1, 2], [2, 4]])] * 2),
+                   "stage B must have nonzero determinant"),
+    "p-1": (_ers([_stage(p=1)]), "stage factor must exceed 1, got 1"),
+    "p-not-an-integer": (_ers([_stage(p="abc")]), "not an integer: 'abc'"),
+    "stage-not-an-object": (
+        _ers([[25, [1, 2], [[1, 0], [0, 1]]]]),
+        _M + "list indices must be integers or slices, not str"),
+    "zero-denominator-in-trace-row": (
+        _ers([_STAGE], trace_row=[[1, 0], [1, 5]]), _M + "Fraction(1, 0)"),
+    "long-trace-row": (_ers([_STAGE], trace_row=[[1, 3], [1, 5], [1, 7]]),
+                       _M + "trace row length != k"),
+    "triple-in-trace-row": (_ers([_STAGE], trace_row=[[1, 3, 4], [1, 5]]),
+                            _M + "too many values to unpack (expected 2)"),
+    "missing-trace-row": (_ers([_STAGE], drop=("trace_row",)),
+                          _M + "'trace_row'"),
+    "bad-stage-before-bad-trace-row": (
+        _ers([_stage(p=1)], trace_row=[[1, 0]]),
+        "stage factor must exceed 1, got 1"),
+    "empty-stage-list": (_ers([]), "need at least one stage"),
+    "stages-not-an-array": (_ers({"p": 25}), "not an array: {'p': 25}"),
+    "k-0": (_ers([_STAGE], k=0), "k must be >= 1"),
+    "k-0-before-empty-stage-list": (_ers([], k=0), "k must be >= 1"),
+    "missing-k": (_ers([_STAGE], drop=("k",)), _M + "'k'"),
+}
+
+
+@pytest.mark.parametrize("payload,message", ERS_INPUT_ERRORS.values(),
+                         ids=ERS_INPUT_ERRORS)
+def test_ers_input_error_texts(tmp_path, capsys, payload, message):
+    inp = write(tmp_path, "in.json", payload)
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ers", "-i", inp, "-o", str(out)]) \
+        == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out) \
+        == {"error": "SchemaError", "message": message}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("group,rank,lam", [
     ({"finite": {"2": 1.5}}, "1", "2"),
     ({"finite": {"2": True}}, "1", "2"),

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,20 @@ def test_normalize_to_ones_k1():
     assert t * mats[0] * t_inv == Matrix.from_rows([[11, 2], [0, 1]])
     with pytest.raises(K1Unnormalizable):
         normalize_to_ones(EcrsProblem(1, 5, (2,), FactorSequence((11,))))
+
+
+def test_normalize_to_ones_certifies_every_rho_at_index_one():
+    # At lambda = 1 the k = 1 branch gives v = rho - 1 and the general
+    # branch a sigma of content gcd(content(rho), 1) = 1, zero rho included.
+    rng = random.Random(6151)
+    for _ in range(3000):
+        k = rng.randint(1, 5)
+        rho = tuple(rng.randint(-40, 40) for _ in range(k))
+        prob = EcrsProblem(k, 1, rho, FactorSequence((2, 3)))
+        assert _certified_factors(prob) == (2, 3)
+    for k in range(1, 6):
+        prob = EcrsProblem(k, 1, (0,) * k, FactorSequence((2,)))
+        assert _certified_factors(prob) == (2,)
 
 
 @pytest.mark.parametrize("q", [None, 5])

@@ -36,6 +36,20 @@ def block_matrix(st):
                             + [[x, *st.b.row(i)] for i, x in enumerate(st.v)])
 
 
+def correction_vectors(data, norm):
+    """The u^m = (v - B d_m - v')/p that take each stage of data to the
+    stage of norm, d_1 = 0 and d_{m+1} = -u^m; each must be integral."""
+    d = tuple([0] * data.k)
+    us = []
+    for orig, new in zip(data.stages, norm.stages):
+        diff = [x - y - z for x, y, z in zip(orig.v, orig.b.mul_vector(d),
+                                             new.v)]
+        assert all(x % orig.p == 0 for x in diff)
+        us.append(tuple(x // orig.p for x in diff))
+        d = tuple(-x for x in us[-1])
+    return us
+
+
 def normalization_witnesses(us, k):
     """The change-of-basis matrices F_1, ..., F_{n+1} for the u-vectors."""
     def f_matrix(d):
@@ -251,17 +265,19 @@ def test_reduce_vector_has_no_integer_part_below_one(pairs):
 
 
 def test_normalize_examples():
-    data, us = normalize_extension(
-        ExtensionData(1, (Stage(5, (-3,), Matrix.identity(1)),)))
-    assert data.stages[0].v == (2,) and us == [(-1,)]
+    given = ExtensionData(1, (Stage(5, (-3,), Matrix.identity(1)),))
+    data = normalize_extension(given)
+    assert data.stages[0].v == (2,)
+    assert correction_vectors(given, data) == [(-1,)]
 
-    data, us = normalize_extension(
-        ExtensionData(2, (Stage(7, (9, -1), Matrix.identity(2)),)))
-    assert data.stages[0].v == (2, 6) and us == [(1, -1)]
+    given = ExtensionData(2, (Stage(7, (9, -1), Matrix.identity(2)),))
+    data = normalize_extension(given)
+    assert data.stages[0].v == (2, 6)
+    assert correction_vectors(given, data) == [(1, -1)]
 
     already = ExtensionData(1, (Stage(5, (2,), Matrix.identity(1)),))
-    data, us = normalize_extension(already)
-    assert data == already and us == [(0,)]
+    data = normalize_extension(already)
+    assert data == already and correction_vectors(already, data) == [(0,)]
 
 
 def test_normalize_commuting_squares():
@@ -279,8 +295,8 @@ def test_normalize_commuting_squares():
                                 tuple(rng.randint(-20, 20) for _ in range(k)),
                                 b))
         data = ExtensionData(k, tuple(stages))
-        norm, us = normalize_extension(data)
-        fs = normalization_witnesses(us, k)
+        norm = normalize_extension(data)
+        fs = normalization_witnesses(correction_vectors(data, norm), k)
         for i, (orig, new) in enumerate(zip(data.stages, norm.stages)):
             assert all(0 <= x < orig.p for x in new.v)
             assert fs[i + 1] * block_matrix(orig) == block_matrix(new) * fs[i]

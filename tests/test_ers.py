@@ -10,9 +10,9 @@ from dimgroup.errors import (DimensionMismatch, DimgroupError, Infeasible,
                              RegimeViolation)
 from dimgroup.exact import (Matrix, colsum_norm, sup_norm, vec_add,
                             vec_scale, vec_sub)
-from dimgroup.ecs import AParams, general_ecs_matrix
+from dimgroup.ecs import AParams, Stage, general_ecs_matrix
 from dimgroup import ers
-from dimgroup.ers import (ErsStage, ErsStageData, build_w_sequence,
+from dimgroup.ers import (ErsStageData, build_w_sequence,
                           ers_pipeline, nearest_int, partial_sum,
                           restrict_to_kernel_complement, verify_ers)
 from dimgroup.realization import RealizationSeq
@@ -38,7 +38,7 @@ def _rand_stage_data(rng, k, n_stages):
         norm = colsum_norm(b)
         p = max(p + rng.randint(1, 50), 4 * norm * norm) | 1
         z = tuple(rng.randint(-(p - 1), p - 1) for _ in range(k))
-        stages.append(ErsStage(p, z, b))
+        stages.append(Stage(p, z, b))
     rho = tuple(Fraction(rng.randint(-20, 20), 2 * rng.randint(0, 24) + 1)
                 for _ in range(k))
     return ErsStageData(k, tuple(stages), rho)
@@ -138,8 +138,8 @@ def test_reduce_mod_rowlattice_random():
 
 def test_build_w_trivial_correction():
     # rho equal to the truncated series: all corrections vanish
-    data = ErsStageData(1, (ErsStage(4, (1,), Matrix.identity(1)),
-                            ErsStage(16, (2,), Matrix.identity(1))),
+    data = ErsStageData(1, (Stage(4, (1,), Matrix.identity(1)),
+                            Stage(16, (2,), Matrix.identity(1))),
                         (Fraction(9, 32),))
     w = build_w_sequence(data, 2)
     assert all(y == (0,) for y in w.ys)
@@ -165,11 +165,11 @@ def test_build_w_random_properties():
                 [[1] + list(w.ys[i - 1]),
                  *[[0] + [1 if jj == ii else 0 for jj in range(k)]
                    for ii in range(k)]])
-            m_z = upper_block_matrix(st.p, st.u, st.b)
+            m_z = upper_block_matrix(st.p, st.v, st.b)
             m_w = upper_block_matrix(st.p, w.ws[i - 1], st.b)
             assert f_top * m_z == m_w * f_bot
             if i > 1:     # w^1 absorbs the whole trace correction
-                bound = (Fraction(sup_norm(st.u))
+                bound = (Fraction(sup_norm(st.v))
                          + Fraction(st.p + colsum_norm(st.b), 2))
                 assert Fraction(sup_norm(w.ws[i - 1])) < bound
         gap = sup_norm(vec_sub(partial_sum(w.ws, data.stages), data.trace_row))
@@ -214,17 +214,17 @@ def _reference_w_sequence(data, horizon):
     """(ys, ws, error_bound, the exact rows the ys round)."""
     stages = data.stages[:horizon]
     target = vec_sub(data.trace_row,
-                     _reference_partial_sum([st.u for st in stages], stages))
+                     _reference_partial_sum([st.v for st in stages], stages))
     ys, ws, exacts = [(0,) * data.k], [], []
     bprod, q = Matrix.identity(data.k), 1
     for st in stages:
         bprod, q = st.b * bprod, q * st.p
         exacts.append(bprod.inverse().vector_mul(vec_scale(q, target)))
         ys.append(tuple(_reference_round(Fraction(x)) for x in exacts[-1]))
-        ws.append(vec_sub(vec_add(st.u, st.b.vector_mul(ys[-1])),
+        ws.append(vec_sub(vec_add(st.v, st.b.vector_mul(ys[-1])),
                           vec_scale(st.p, ys[-2])))
     norm = colsum_norm(bprod)
-    delta = max(Fraction(sup_norm(st.u), st.p) for st in stages)
+    delta = max(Fraction(sup_norm(st.v), st.p) for st in stages)
     bound = Fraction(norm, 2 * q) + delta * Fraction(
         norm, q * max(1, math.isqrt(stages[-1].p) - 1))
     return tuple(ys), tuple(ws), bound, exacts
@@ -250,7 +250,7 @@ def _assert_matches_reference(data, horizon):
     # exact_n B = p exact_{n-1} then keeps the three terms from adding up
     # to the limit, so the non-strict w-norm guard is never met with equality.
     for w, st in list(zip(ws, stages))[1:]:
-        assert 2 * sup_norm(w) < 2 * sup_norm(st.u) + st.p + colsum_norm(st.b)
+        assert 2 * sup_norm(w) < 2 * sup_norm(st.v) + st.p + colsum_norm(st.b)
     return exacts
 
 
@@ -269,8 +269,8 @@ def test_w_sequence_matches_the_fraction_reference():
         stages = []
         for b in bs:
             p += rng.randint(0, 30)
-            stages.append(ErsStage(p, tuple(rng.randint(-(p - 1), p - 1)
-                                            for _ in range(k)), b))
+            stages.append(Stage(p, tuple(rng.randint(-(p - 1), p - 1)
+                                         for _ in range(k)), b))
         rho = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12))
                     for _ in range(k))
         exacts = _assert_matches_reference(
@@ -284,10 +284,10 @@ def test_w_sequence_matches_the_fraction_reference():
 def test_w_sequence_tie_rounds_toward_zero(sign):
     """B = [[2]]: exact_1 = 5 target / 2 = 3 sign and exact_2 = 7 exact_1 / 2
     = 21/2 sign, a tie that y_2 rounds toward zero."""
-    stages = (ErsStage(5, (1,), Matrix.from_rows([[2]])),
-              ErsStage(7, (-2,), Matrix.from_rows([[2]])))
+    stages = (Stage(5, (1,), Matrix.from_rows([[2]])),
+              Stage(7, (-2,), Matrix.from_rows([[2]])))
     rho = (Fraction(6 * sign, 5) + _reference_partial_sum(
-        [st.u for st in stages], stages)[0],)
+        [st.v for st in stages], stages)[0],)
     exacts = _assert_matches_reference(ErsStageData(1, stages, rho), 2)
     assert exacts == [(3 * sign,), (Fraction(21 * sign, 2),)]
     assert build_w_sequence(ErsStageData(1, stages, rho), 2).ys[2] \
@@ -297,9 +297,9 @@ def test_w_sequence_tie_rounds_toward_zero(sign):
 def test_w_norm_guard_names_the_stage(monkeypatch):
     """Every exact correction of this input is 0.  A rounding one too high
     at level 2 puts p_3 y_2 = 64 into w^3, past |u| + (p + ||B||)/2."""
-    stages = tuple(ErsStage(p, (u,), Matrix.identity(1))
+    stages = tuple(Stage(p, (u,), Matrix.identity(1))
                    for p, u in ((4, 1), (16, 2), (64, 3)))
-    data = ErsStageData(1, stages, partial_sum([st.u for st in stages],
+    data = ErsStageData(1, stages, partial_sum([st.v for st in stages],
                                                stages))
     assert build_w_sequence(data, 3).ys == ((0,), (0,), (0,), (0,))
     levels = iter(range(1, 4))
@@ -314,11 +314,11 @@ def test_w_norm_guard_names_the_stage(monkeypatch):
 
 
 def test_build_w_regime_violation():
-    data = ErsStageData(1, (ErsStage(5, (5,), Matrix.identity(1)),),
+    data = ErsStageData(1, (Stage(5, (5,), Matrix.identity(1)),),
                         (Fraction(0),))
     with pytest.raises(RegimeViolation):
         build_w_sequence(data, 1)
-    big_b = ErsStageData(1, (ErsStage(5, (1,), Matrix.from_rows([[4]])),),
+    big_b = ErsStageData(1, (Stage(5, (1,), Matrix.from_rows([[4]])),),
                          (Fraction(0),))
     with pytest.raises(RegimeViolation):
         build_w_sequence(big_b, 1)
@@ -361,8 +361,8 @@ def test_restrict_general_block_form():
 
 
 def test_ers_pipeline_split_like():
-    data = ErsStageData(2, (ErsStage(30, (0, 0), Matrix.identity(2)),
-                            ErsStage(60, (0, 0), Matrix.identity(2))),
+    data = ErsStageData(2, (Stage(30, (0, 0), Matrix.identity(2)),
+                            Stage(60, (0, 0), Matrix.identity(2))),
                         (Fraction(0), Fraction(0)))
     seq = ers_pipeline(data, 2)
     assert seq.stage_values == (30, 60)
@@ -375,8 +375,8 @@ def test_ers_pipeline_split_like():
 
 
 def test_ers_pipeline_third_trace():
-    data = ErsStageData(1, (ErsStage(25, (8,), Matrix.identity(1)),
-                            ErsStage(125, (5,), Matrix.identity(1))),
+    data = ErsStageData(1, (Stage(25, (8,), Matrix.identity(1)),
+                            Stage(125, (5,), Matrix.identity(1))),
                         (Fraction(1, 3),))
     seq = ers_pipeline(data, 2)
     gap_bound = Fraction(seq.provenance["trace_gap_bound"])
@@ -387,8 +387,42 @@ def test_ers_pipeline_third_trace():
     assert sup_norm(vec_sub(rec, data.trace_row)) <= gap_bound
 
 
+# Six stages of one B with |det B| = 2 (the golden ers-det2-six-stages input).
+DET2_SIX_STAGES = {
+    "k": 2, "trace_row": [[1, 3], [2, 5]],
+    "stages": [{"p": 20 + 6 * i, "u": [3 + i % 3, -1 - i % 2],
+                "B": [[1, 1], [1, -1]]} for i in range(6)]}
+
+
+def test_ers_build_forms_one_matrix_product_per_stage(monkeypatch):
+    # Only the error bound's running product B_n ... B_1 is a matrix
+    # product; both partial sums meet the Bs with rows alone.
+    data = ErsStageData.from_json(DET2_SIX_STAGES)
+    products = []
+    real = Matrix.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    seq = ers_pipeline(data, 6)
+    assert len(seq) == 6 and len(products) == 6
+
+
+def test_stages_that_share_a_b_share_one_matrix():
+    data = ErsStageData.from_json(DET2_SIX_STAGES)
+    assert len({id(st.b) for st in data.stages}) == 1
+    two = ErsStageData.from_json({**DET2_SIX_STAGES, "stages": [
+        {"p": 20, "u": [1, 2], "B": [[1, 1], [1, -1]]},
+        {"p": 26, "u": [1, 2], "B": [[1, 1], [0, 1]]},
+        {"p": 32, "u": [1, 2], "B": [[1, 1], [1, -1]]}]})
+    first, second, third = (st.b for st in two.stages)
+    assert first is third and first is not second
+
+
 def test_ers_pipeline_regime_error():
-    data = ErsStageData(1, (ErsStage(5, (7,), Matrix.identity(1)),),
+    data = ErsStageData(1, (Stage(5, (7,), Matrix.identity(1)),),
                         (Fraction(0),))
     with pytest.raises(RegimeViolation):
         ers_pipeline(data, 1)
@@ -397,14 +431,14 @@ def test_ers_pipeline_regime_error():
 def test_strict_bounds_mode():
     # strict mode demands ||B||^(8s) (s!)^16 <= p and ||u||^4 <= p; for
     # s = k+1 = 2 and B = I that floor is 65536
-    modest = ErsStageData(1, (ErsStage(101, (8,), Matrix.identity(1)),
-                              ErsStage(1001, (5,), Matrix.identity(1))),
+    modest = ErsStageData(1, (Stage(101, (8,), Matrix.identity(1)),
+                              Stage(1001, (5,), Matrix.identity(1))),
                           (Fraction(1, 3),))
     build_w_sequence(modest, 2)               # fine without strict bounds
     with pytest.raises(RegimeViolation):
         build_w_sequence(modest, 2, strict=True)
-    big = ErsStageData(1, (ErsStage(65537, (8,), Matrix.identity(1)),
-                           ErsStage(131101, (5,), Matrix.identity(1))),
+    big = ErsStageData(1, (Stage(65537, (8,), Matrix.identity(1)),
+                           Stage(131101, (5,), Matrix.identity(1))),
                        (Fraction(1, 3),))
     build_w_sequence(big, 2, strict=True)
     seq = ers_pipeline(big, 2, strict=True)
@@ -414,8 +448,8 @@ def test_strict_bounds_mode():
 def test_infeasible_stage_is_named():
     """No uniform free parameter makes the bordered matrix of the second
     stage nonnegative; the error says which stage."""
-    data = ErsStageData(1, (ErsStage(10, (-4,), Matrix.from_rows([[1]])),
-                            ErsStage(12, (-8,), Matrix.from_rows([[2]]))),
+    data = ErsStageData(1, (Stage(10, (-4,), Matrix.from_rows([[1]])),
+                            Stage(12, (-8,), Matrix.from_rows([[2]]))),
                         (Fraction(0),))
     with pytest.raises(Infeasible) as info:
         ers_pipeline(data, 2)
@@ -425,7 +459,7 @@ def test_infeasible_stage_is_named():
 def _upper_b_data(stages, rho):
     """k=2 ERS data with the non-symmetric B = [[1, b], [0, 1]] per stage."""
     return ErsStageData(2, tuple(
-        ErsStage(p, u, Matrix.from_rows([[1, b], [0, 1]]))
+        Stage(p, u, Matrix.from_rows([[1, b], [0, 1]]))
         for p, u, b in stages), tuple(Fraction(x) for x in rho))
 
 
@@ -447,7 +481,7 @@ def test_restricted_block_is_p_w_over_the_input_b():
         assert blk == upper_block_matrix(st.p, w, st.b)
         f_next, f_prev = (upper_block_matrix(1, wseq.ys[i], Matrix.identity(k))
                           for i in (n, n - 1))
-        assert f_next * upper_block_matrix(st.p, st.u, st.b) == blk * f_prev
+        assert f_next * upper_block_matrix(st.p, st.v, st.b) == blk * f_prev
 
 
 # Inputs with B = [[1, b], [0, 1]] that the self-check rejected as "restricted

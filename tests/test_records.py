@@ -10,7 +10,7 @@ import pytest
 from dimgroup.ecrs import EcrsProblem, PolyNat
 from dimgroup.ecs import AParams, BParams, ExtensionData, Stage
 from dimgroup.errors import DimensionMismatch, SchemaError
-from dimgroup.ers import ErsStage, ErsStageData, ErsVerifyReport, WSequence
+from dimgroup.ers import ErsStageData, ErsVerifyReport, WSequence
 from dimgroup.exact import Matrix, UnimodularTransform
 from dimgroup.perron import EqualSumsReport, PerronData, UniqueTraceReport
 from dimgroup.realization import RealizationSeq
@@ -33,9 +33,9 @@ BAD_INPUTS = [
     (Stage, (1, (0, 0), SINGULAR), SchemaError,
      "stage factor must exceed 1, got 1"),
     (Stage, (3, (0, 0), I1), DimensionMismatch,
-     "stage B must be k x k with v of length k"),
+     "stage B must be k x k, k the length of the stage vector"),
     (Stage, (3, (0, 0), WIDE), DimensionMismatch,
-     "stage B must be k x k with v of length k"),
+     "stage B must be k x k, k the length of the stage vector"),
     (Stage, (3, (0, 0), SINGULAR), SchemaError,
      "stage B must have nonzero determinant"),
     (ExtensionData, (0, ()), SchemaError, "k must be >= 1"),
@@ -45,17 +45,16 @@ BAD_INPUTS = [
     (AParams, ((1, 2),), SchemaError, "need a_0 .. a_{k+1} with k >= 1"),
     (AParams, ((1, 1, 2),), SchemaError,
      "rank-drop constraint violated: sum (1, 2) != 2 * 1"),
-    (ErsStage, (0, (0,), I1), SchemaError,
-     "stage factor must exceed 1, got 0"),
-    (ErsStage, (3, (0,), I2), DimensionMismatch,
-     "stage B must be k x k with u of length k"),
-    (ErsStage, (3, (0, 0), SINGULAR), SchemaError,
+    (Stage, (0, (0,), I1), SchemaError, "stage factor must exceed 1, got 0"),
+    (Stage, (3, (0,), I2), DimensionMismatch,
+     "stage B must be k x k, k the length of the stage vector"),
+    (Stage, (3, (0,), Matrix.from_rows([[0]])), SchemaError,
      "stage B must have nonzero determinant"),
     (ErsStageData, (0, (), ()), SchemaError, "k must be >= 1"),
     (ErsStageData, (1, (), (1,)), SchemaError, "need at least one stage"),
-    (ErsStageData, (2, (ErsStage(3, (0,), I1),), (1, 1)), DimensionMismatch,
-     "stage row length != k"),
-    (ErsStageData, (1, (ErsStage(3, (0,), I1),), (1, 2)), DimensionMismatch,
+    (ErsStageData, (2, (Stage(3, (0,), I1),), (1, 1)), DimensionMismatch,
+     "stage vector length != k"),
+    (ErsStageData, (1, (Stage(3, (0,), I1),), (1, 2)), DimensionMismatch,
      "trace row length != k"),
     (EcrsProblem, (0, 0, (), FactorSequence(())), SchemaError,
      "k must be >= 1"),
@@ -111,8 +110,7 @@ def _examples():
         "Stage": lambda: Stage(3, (1, 0), I2),
         "ExtensionData": lambda: ExtensionData(1, (Stage(3, (1,), I1),)),
         "AParams": lambda: AParams((1, 1, 1)),
-        "ErsStage": lambda: ErsStage(3, (1,), I1),
-        "ErsStageData": lambda: ErsStageData(1, (ErsStage(3, (1,), I1),),
+        "ErsStageData": lambda: ErsStageData(1, (Stage(3, (1,), I1),),
                                              (Fraction(1, 2),)),
         "EcrsProblem": lambda: EcrsProblem(1, 3, (1,), FactorSequence((4,))),
         "PolyNat": lambda: PolyNat((1, 2)),
@@ -209,7 +207,7 @@ def test_ecrs_problem_defaults():
 
 
 def test_ers_stage_data_stores_the_trace_row_as_fractions():
-    data = ErsStageData(1, (ErsStage(3, (1,), I1),), [1])
+    data = ErsStageData(1, (Stage(3, (1,), I1),), [1])
     assert data.trace_row == (Fraction(1),)
     assert type(data.trace_row) is tuple
     assert type(data.trace_row[0]) is Fraction

@@ -13,8 +13,8 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from dimgroup import cli, exact, perron, verify
 from dimgroup.ecrs import EcrsProblem, ecrs_pipeline
-from dimgroup.ecs import ExtensionData, ecs_pipeline
-from dimgroup.ers import ErsStage, ErsStageData, ers_pipeline
+from dimgroup.ecs import ExtensionData, Stage, ecs_pipeline
+from dimgroup.ers import ErsStageData, ers_pipeline
 from dimgroup.exact import Matrix
 from dimgroup.realization import RealizationSeq
 from dimgroup.supernatural import FactorSequence
@@ -586,8 +586,8 @@ def test_built_ers_and_ecrs_files_take_the_certificate(tmp_path):
     file shares a right kernel of dimension 4 at rank 4, checked in the
     row-space form."""
     ers = ers_pipeline(ErsStageData(2, (
-        ErsStage(47, (-2, -1), Matrix.from_rows([[1, 1], [0, 1]])),
-        ErsStage(63, (-6, 6), Matrix.from_rows([[1, 3], [0, 1]]))),
+        Stage(47, (-2, -1), Matrix.from_rows([[1, 1], [0, 1]])),
+        Stage(63, (-6, 6), Matrix.from_rows([[1, 3], [0, 1]]))),
         (Fraction(1, 6), Fraction(3, 5))), 2)
     ecrs = RealizationSeq.load(_built_file(tmp_path, "ecrs"))
     for seq in (ers, ecrs):
