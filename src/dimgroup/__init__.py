@@ -13,8 +13,7 @@ from .ecs import (AParams, BParams, ExtensionData, Stage, b_compose, b_matrix,
                   choose_a_params, ecs_pipeline, general_ecs_matrix,
                   kernel_vector, normalize_extension, reduce_vector,
                   split_ecs_matrix, telescope_extension)
-from .ers import (ErsStageData, build_w_sequence, ers_pipeline,
-                  restrict_to_kernel_complement, verify_ers)
+from .ers import ErsStageData, build_w_sequence, ers_pipeline, verify_ers
 from .ecrs import (EcrsProblem, PolyNat, commuting_family, ecrs_finisher,
                    ecrs_pipeline, normalize_to_ones, poly_for)
 from .verify import structural_report

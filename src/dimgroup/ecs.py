@@ -124,18 +124,14 @@ def kernel_vector(k: int) -> tuple[int, ...]:
 def split_ecs_matrix(k: int, p: int) -> Matrix:
     """The split-case (k+2)-size matrix: first column (p-k-1, 1, ..., 1),
     middle columns (p-1, e_i, 0), last column (p-k^2-k-1, k, ..., k, k+1);
-    all column sums equal p."""
+    all column sums equal p.  It is the bordered matrix of (p, 0, I_k)
+    with a = (1, 0, ..., 0, k+1)."""
     if k < 1:
         raise SchemaError("k must be >= 1")
     if p <= (k + 1) ** 2:
         raise PTooSmall(f"need p > (k+1)^2 = {(k + 1) ** 2}, got {p}")
-    top = [p - k - 1] + [p - 1] * k + [p - k * k - k - 1]
-    rows = [top]
-    for i in range(k):
-        row = [1] + [1 if j == i else 0 for j in range(k)] + [k]
-        rows.append(row)
-    rows.append([1] + [0] * k + [k + 1])
-    return Matrix.from_rows(rows)
+    return general_ecs_matrix(p, (0,) * k, Matrix.identity(k),
+                              AParams((1,) + (0,) * k + (k + 1,)))
 
 
 def general_ecs_matrix(p: int, v: Sequence[int], b: Matrix,
@@ -400,8 +396,11 @@ def b_matrix(params: BParams) -> Matrix:
 
 
 def b_extract(m: Matrix) -> BParams:
-    """Read the parameters back off a matrix of B-form; raises
-    ParameterExtractionFailed when the matrix is not of that shape."""
+    """Read the parameters back off a matrix of B-form, the bordered matrix
+    of (p, v, B) with a uniform a; raises ParameterExtractionFailed when
+    the matrix is not of that shape.  Every entry is checked: the bottom
+    row, the right column and the column sums, with B read off the middle
+    block.  This is the reader ers_pipeline checks its output with."""
     size = m.rows
     if size != m.cols or size < 3:
         raise ParameterExtractionFailed("wrong shape for B-form")
@@ -410,8 +409,8 @@ def b_extract(m: Matrix) -> BParams:
     if any(m[size - 1, j] != a for j in range(size)):
         raise ParameterExtractionFailed("bottom row not constant")
     v = tuple(m[1 + i, 0] - a for i in range(k))
-    b = Matrix.from_rows([[m[1 + i, 1 + j] - v[i] - a for j in range(k)]
-                          for i in range(k)])
+    b = Matrix._exact_rows([[m[1 + i, 1 + j] - v[i] - a for j in range(k)]
+                            for i in range(k)])
     brow_sums = b.row_sums()
     for i in range(k):
         if m[1 + i, size - 1] != v[i] - brow_sums[i] + a:

@@ -98,10 +98,6 @@ class RegimeViolation(DimgroupError):
     pass
 
 
-class KernelMismatch(DimgroupError):
-    pass
-
-
 # -- ecrs_builder ----------------------------------------------------------
 
 class CongruenceViolated(DimgroupError):

@@ -1,8 +1,9 @@
 """Construction of equal-row-sum realizations by transposing the bordered
 ECS machinery, plus the canonical upper-triangular form utilities: lattice
-rounding, the w-sequence matching a target trace row, and the restriction to
-the kernel complement.  The stages are ecs.Stage records, read and checked
-as ECS stages, their vector v standing for the row u of [[p, u], [0, B]]."""
+rounding and the w-sequence matching a target trace row.  The stages are
+ecs.Stage records, read and checked as ECS stages, their vector v standing
+for the row u of [[p, u], [0, B]].  Each built stage is read back off its
+bordered ECS matrix with ecs.b_extract, the one reader of that shape."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (DimensionMismatch, InvariantViolated, KernelMismatch,
-                     RegimeViolation, SchemaError)
+from .errors import (DimensionMismatch, InvariantViolated,
+                     ParameterExtractionFailed, RegimeViolation, SchemaError)
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
-from .ecs import (ExtensionData, Stage, bordered_stages, kernel_vector,
+from .ecs import (ExtensionData, Stage, b_extract, bordered_stages,
                   read_stages)
 from .realization import (RealizationSeq, json_int, json_list, json_str,
                           parsing)
@@ -100,7 +101,7 @@ def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> Sequence[St
                 f"||B||^2 = {norm_b * norm_b} exceeds p = {st.p}", stage=idx)
         if sup_norm(st.v) >= st.p:
             raise RegimeViolation(
-                f"||z|| = {sup_norm(st.v)} not below p = {st.p}", stage=idx)
+                f"||u|| = {sup_norm(st.v)} not below p = {st.p}", stage=idx)
         if strict:
             if norm_b ** (8 * s) * math.factorial(s) ** 16 > st.p:
                 raise RegimeViolation(
@@ -190,41 +191,6 @@ def build_w_sequence(data: ErsStageData, horizon: int,
     return WSequence(tuple(ys), tuple(ws), rounding + tail)
 
 
-# -- restriction to the kernel complement ------------------------------------------
-
-
-def restrict_to_kernel_complement(matrices: Sequence[Matrix]) -> list[Matrix]:
-    """Rewrite the transposes of shared-kernel ECS matrices in the basis of
-    the kernel complement, the all-ones column and the e_i - e_{k+1},
-    recovering upper-triangular blocks [[p, v^T], [0, B^T]] for
-    bordered-construction inputs.
-
-    Each image is read off the rows of A: A^T 1 is A's column sums and
-    A^T (e_i - e_{k+1}) is row i minus row k+1.  Every image x = A^T y
-    stays in the complement once A z = 0 is checked, since
-    x . z = y . (A z) = 0."""
-    if not matrices:
-        raise DimensionMismatch("no matrices")
-    size = matrices[0].rows
-    k = size - 2
-    if k < 1:
-        raise DimensionMismatch("matrices must have size k+2 with k >= 1")
-    z = kernel_vector(k)
-    out = []
-    for idx, a in enumerate(matrices, start=1):
-        if not a.is_square or a.rows != size:
-            raise DimensionMismatch("sizes must agree", stage=idx)
-        if a.mul_vector(z) != tuple([0] * size):
-            raise KernelMismatch(
-                "matrix does not annihilate the kernel vector", stage=idx)
-        images = [a.column_sums()] + [vec_sub(a.row(i), a.row(k + 1))
-                                      for i in range(1, k + 1)]
-        # Column j of the block holds the coordinates of image j.
-        out.append(Matrix._exact(k + 1, k + 1, [x[0] for x in images] + [
-            x[i] - x[0] for i in range(1, k + 1) for x in images]))
-    return out
-
-
 # -- the pipeline --------------------------------------------------------------
 
 
@@ -233,26 +199,30 @@ def ers_pipeline(data: ErsStageData, horizon: int,
     """Match the target trace row with a w-sequence, build the checked
     bordered ECS matrices of the stages (p, w^T, B^T) with bordered_stages
     (the w vary, so stages rarely share a base) and transpose them, and
-    check the reconstructed trace row of the restricted blocks against the
-    bound.  Transposing makes the checked column sums the row sums and
-    keeps primitivity; the restricted blocks, with determinant p det B,
-    certify rank k+1.  The provenance horizon counts the stages built."""
+    check the output: b_extract reads each bordered stage back whole, and
+    it must give the stage's p and B^T; its v, the w row, rebuilds the
+    trace row, which must lie within the bound.  Transposing makes the
+    checked column sums the row sums and keeps primitivity and rank k+1.
+    The provenance horizon counts the stages built."""
     wseq = build_w_sequence(data, horizon, strict)
     stages = data.stages[:len(wseq.ws)]
     k = data.k
-    ecs_mats = bordered_stages((st.p, w, st.b.transpose())
-                               for st, w in zip(stages, wseq.ws))
+    bts = [st.b.transpose() for st in stages]
+    ecs_mats = bordered_stages((st.p, w, bt)
+                               for st, w, bt in zip(stages, wseq.ws, bts))
 
     # Reconstruct the trace row from the output itself and compare.
-    blocks = restrict_to_kernel_complement(ecs_mats)
     w_rows = []
-    for idx, (blk, st) in enumerate(zip(blocks, stages), start=1):
-        b_rec = Matrix.from_rows([[blk[1 + i, 1 + j] for j in range(k)]
-                                  for i in range(k)])
-        if blk[0, 0] != st.p or b_rec != st.b:
-            raise InvariantViolated("restricted block lost the stage data",
+    for idx, (m, st, bt) in enumerate(zip(ecs_mats, stages, bts), start=1):
+        try:
+            got = b_extract(m)
+        except ParameterExtractionFailed as exc:
+            raise InvariantViolated(f"bordered stage is not of B-form: {exc}",
+                                    stage=idx) from None
+        if got.p != st.p or got.b != bt:
+            raise InvariantViolated("bordered stage lost the stage data",
                                     stage=idx)
-        w_rows.append(tuple(blk[0, 1 + j] for j in range(k)))
+        w_rows.append(got.v)
     # The rows sit on the checked stage data, so the stages' p and B serve.
     reconstructed = partial_sum(w_rows, stages)
     gap = sup_norm(vec_sub(reconstructed, data.trace_row))

@@ -20,14 +20,13 @@ from dimgroup.errors import LambdaTooSmall
 from dimgroup.exact import (Matrix, colsum_norm, content, is_unimodular,
                             sup_norm, vec_sub)
 from dimgroup.ecs import (BParams, ExtensionData, Stage, b_compose,
-                          b_matrix, choose_a_params, ecs_pipeline,
+                          b_extract, b_matrix, choose_a_params, ecs_pipeline,
                           general_ecs_matrix, kernel_vector, reduce_vector,
                           split_ecs_matrix)
 from dimgroup.ecrs import (EcrsProblem, commuting_family, ecrs_pipeline,
                            poly_for)
 from dimgroup.ers import (ErsStageData, build_w_sequence,
-                          ers_pipeline, partial_sum,
-                          restrict_to_kernel_complement)
+                          ers_pipeline, partial_sum)
 from dimgroup.perron import (check_equal_sums_criterion, integer_perron,
                              is_primitive, unique_trace_diagnostic)
 from dimgroup.supernatural import (INFINITE, FactorSequence,
@@ -306,15 +305,11 @@ def test_criterion_09_ers_pipeline():
                                        Fraction(1, 10 ** 6))
         assert diag.numeric_rank_at_tol == 1
 
-        blocks = restrict_to_kernel_complement([m.transpose()
-                                                for m in seq.matrices])
         rec_ws = []
-        for blk, st in zip(blocks, data.stages):
-            assert blk[0, 0] == st.p
-            assert all(blk[1 + i, 0] == 0 for i in range(k))
-            assert Matrix.from_rows([[blk[1 + i, 1 + j] for j in range(k)]
-                                     for i in range(k)]) == st.b.transpose()
-            rec_ws.append(tuple(blk[0, 1 + j] for j in range(k)))
+        for m, st in zip(seq.matrices, data.stages):
+            got = b_extract(m.transpose())
+            assert (got.p, got.b) == (st.p, st.b.transpose())
+            rec_ws.append(got.v)
         rec_trace = partial_sum(rec_ws, data.stages)
         bound = Fraction(seq.provenance["trace_gap_bound"])
         assert sup_norm(vec_sub(rec_trace, data.trace_row)) <= bound

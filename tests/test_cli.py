@@ -118,9 +118,11 @@ def test_decide_rank_is_a_count_or_inf(tmp_path, capsys, rank, code):
 @pytest.mark.parametrize("stages,strict,text", [
     ([{"p": 125, "u": [5], "B": [[1]]}, {"p": 25, "u": [8], "B": [[1]]}],
      False, "stage 2: stage values must be nondecreasing"),
+    ([{"p": 25, "u": [-25], "B": [[1]]}],
+     False, "stage 1: ||u|| = 25 not below p = 25"),
     ([{"p": 65537, "u": [17], "B": [[1]]}],
      True, "stage 1: strict bound ||u|| <= p^(1/4) fails"),
-], ids=["decreasing-p", "strict-u-bound"])
+], ids=["decreasing-p", "plain-u-bound", "strict-u-bound"])
 def test_build_ers_regime_is_checked(tmp_path, capsys, stages, strict, text):
     inp = write(tmp_path, "in.json", {"k": 1, "stages": stages,
                                       "trace_row": [[1, 3]]})

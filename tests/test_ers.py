@@ -6,15 +6,15 @@ from typing import Sequence
 import pytest
 
 from dimgroup.errors import (DimensionMismatch, DimgroupError, Infeasible,
-                             InvariantViolated, KernelMismatch,
+                             InvariantViolated, ParameterExtractionFailed,
                              RegimeViolation)
 from dimgroup.exact import (Matrix, colsum_norm, sup_norm, vec_add,
                             vec_scale, vec_sub)
-from dimgroup.ecs import AParams, Stage, general_ecs_matrix
+from dimgroup.ecs import (AParams, BParams, Stage, b_extract,
+                          general_ecs_matrix, kernel_vector)
 from dimgroup import ers
 from dimgroup.ers import (ErsStageData, build_w_sequence,
-                          ers_pipeline, nearest_int, partial_sum,
-                          restrict_to_kernel_complement, verify_ers)
+                          ers_pipeline, nearest_int, partial_sum, verify_ers)
 from dimgroup.realization import RealizationSeq
 
 
@@ -324,23 +324,23 @@ def test_build_w_regime_violation():
         build_w_sequence(big_b, 1)
 
 
-def test_restrict_examples():
+def test_b_extract_examples():
     m = general_ecs_matrix(7, (1,), Matrix.from_rows([[1]]),
                            AParams.uniform(1, 1))
-    blocks = restrict_to_kernel_complement([m])
-    assert blocks[0].to_rows() == [[7, 1], [0, 1]]
+    assert b_extract(m) == BParams(7, Matrix.from_rows([[1]]), (1,), 1)
 
     m2 = general_ecs_matrix(7, (1,), Matrix.from_rows([[2]]),
                             AParams.uniform(1, 1))
-    blocks = restrict_to_kernel_complement([m2])
-    assert blocks[0].to_rows() == [[7, 1], [0, 2]]
+    assert b_extract(m2) == BParams(7, Matrix.from_rows([[2]]), (1,), 1)
 
-    with pytest.raises(KernelMismatch):
-        restrict_to_kernel_complement([Matrix.from_rows(
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+    with pytest.raises(ParameterExtractionFailed):
+        b_extract(Matrix.identity(3))
 
 
-def test_restrict_general_block_form():
+def test_b_extract_reads_the_whole_b_form():
+    """b_extract returns the (p, B, v, a) a B-form matrix was built from,
+    and rejects every change of one entry by +-1: the bottom row, the
+    right column and the column sums pin each entry given p, v, B, a."""
     rng = random.Random(41)
     for _ in range(30):
         k = rng.randint(1, 3)
@@ -351,13 +351,17 @@ def test_restrict_general_block_form():
                                   for _ in range(k)])
             if b.det() != 0:
                 break
-        m = general_ecs_matrix(p, v, b, AParams.uniform(k, rng.randint(1, 3)))
-        blk = restrict_to_kernel_complement([m])[0]
-        assert blk[0, 0] == p
-        assert tuple(blk[0, 1 + j] for j in range(k)) == v
-        assert all(blk[1 + i, 0] == 0 for i in range(k))
-        assert Matrix.from_rows([[blk[1 + i, 1 + j] for j in range(k)]
-                                 for i in range(k)]) == b.transpose()
+        a = rng.randint(1, 3)
+        m = general_ecs_matrix(p, v, b, AParams.uniform(k, a))
+        assert b_extract(m) == BParams(p, b, v, a)
+        rows = m.to_rows()
+        for i in range(k + 2):
+            for j in range(k + 2):
+                for step in (1, -1):
+                    rows[i][j] += step
+                    with pytest.raises(ParameterExtractionFailed):
+                        b_extract(Matrix.from_rows(rows))
+                    rows[i][j] -= step
 
 
 def test_ers_pipeline_split_like():
@@ -374,17 +378,49 @@ def test_ers_pipeline_split_like():
     assert all(all(x == 1 for x in h) for h in seq.markers)
 
 
-def test_ers_pipeline_third_trace():
-    data = ErsStageData(1, (Stage(25, (8,), Matrix.identity(1)),
-                            Stage(125, (5,), Matrix.identity(1))),
-                        (Fraction(1, 3),))
-    seq = ers_pipeline(data, 2)
+# The k = 1 and k = 2 instances of acceptance criterion 9.
+CRITERION_9 = {
+    1: ErsStageData(1, (Stage(25, (8,), Matrix.identity(1)),
+                        Stage(125, (5,), Matrix.identity(1))),
+                    (Fraction(1, 3),)),
+    2: ErsStageData(2, (Stage(101, (7, 11), Matrix.identity(2)),
+                        Stage(1009, (13, 5), Matrix.identity(2))),
+                    (Fraction(1, 5), Fraction(2, 7))),
+}
+
+
+@pytest.mark.parametrize("k", sorted(CRITERION_9))
+def test_ers_pipeline_third_trace(k):
+    data = CRITERION_9[k]
+    seq = ers_pipeline(data, len(data.stages))
     gap_bound = Fraction(seq.provenance["trace_gap_bound"])
-    blocks = restrict_to_kernel_complement([m.transpose()
-                                            for m in seq.matrices])
-    ws = [tuple(blk[0, 1]) if False else (blk[0, 1],) for blk in blocks]
+    ws = [b_extract(m.transpose()).v for m in seq.matrices]
+    assert all(len(w) == k for w in ws)
     rec = partial_sum(ws, data.stages)
     assert sup_norm(vec_sub(rec, data.trace_row)) <= gap_bound
+
+
+def test_self_check_reads_the_whole_bordered_stage(monkeypatch):
+    """Adding (0, +1, -1) to the top row of a bordered stage keeps A z = 0
+    and column 0's sum but breaks the other column sums, so the ERS stage
+    would not have constant row sums; the self-check must refuse it."""
+    real = ers.bordered_stages
+
+    def tampered(stages):
+        first, *rest = real(stages)
+        rows = first.to_rows()
+        rows[0][1] += 1
+        rows[0][2] -= 1
+        bad = Matrix.from_rows(rows)
+        assert bad.mul_vector(kernel_vector(1)) == (0, 0, 0)
+        assert bad.column_sums()[0] == first.column_sums()[0]
+        return [bad, *rest]
+
+    monkeypatch.setattr(ers, "bordered_stages", tampered)
+    with pytest.raises(InvariantViolated,
+                       match="column sums not constant") as info:
+        ers_pipeline(CRITERION_9[1], 2)
+    assert info.value.stage == 1
 
 
 # Six stages of one B with |det B| = 2 (the golden ers-det2-six-stages input).
@@ -465,19 +501,19 @@ def _upper_b_data(stages, rho):
 
 def test_restricted_block_is_p_w_over_the_input_b():
     """ers_pipeline builds the bordered ECS matrix of (p, w, B^T) and
-    transposes it.  Restricted to the kernel complement, each stage is the
-    upper block [[p, w], [0, B]] with the input's own B, and the commuting
-    squares F_n M_n(u) = [[p, w], [0, B]] F_{n-1}, F_n = [[1, y_n], [0, I]],
-    hold on it."""
+    transposes it.  Read back with b_extract, each stage gives the upper
+    block [[p, w], [0, B]] with the input's own B, its restriction to the
+    kernel complement, and the commuting squares F_n M_n(u) = [[p, w],
+    [0, B]] F_{n-1}, F_n = [[1, y_n], [0, I]], hold on it."""
     data = _upper_b_data([(47, (-2, -1), 1), (63, (-6, 6), 3)], ("1/6", "3/5"))
     seq = ers_pipeline(data, 2)
     wseq = build_w_sequence(data, 2)
-    blocks = restrict_to_kernel_complement(
-        [m.transpose() for m in seq.matrices])
     k = data.k
-    for n, (blk, st, w) in enumerate(zip(blocks, data.stages, wseq.ws),
-                                     start=1):
+    for n, (m, st, w) in enumerate(zip(seq.matrices, data.stages, wseq.ws),
+                                   start=1):
         assert st.b != st.b.transpose()
+        got = b_extract(m.transpose())
+        blk = upper_block_matrix(got.p, got.v, got.b.transpose())
         assert blk == upper_block_matrix(st.p, w, st.b)
         f_next, f_prev = (upper_block_matrix(1, wseq.ys[i], Matrix.identity(k))
                           for i in (n, n - 1))
