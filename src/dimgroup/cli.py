@@ -1,10 +1,13 @@
 """Command-line front end.
 
-    dimgroup build {ecs|ers|ecrs} -i in.json -o out.json
-                   [--horizon N] [--strict-bounds]
+    dimgroup build {ecs|ers|ecrs} -i in.json -o out.json [--strict-bounds]
     dimgroup verify -i out.json
     dimgroup decide --rank R --group g.json --lambda L
     dimgroup telescope -i in.json --cuts 1,3,7 -o out.json
+
+``build ers`` builds every input stage; to build a prefix, give the prefix.
+``decide`` reads --rank and --lambda as a positive integer or "inf" (any
+case, blanks stripped).
 
 Exit codes: 0 ok, 2 schema error, 3 construction infeasible (including a
 pipeline's own InvariantViolated), 4 verification failure, 5 I/O error.
@@ -67,10 +70,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.kind == "ecs":
         seq = ecs_pipeline(ExtensionData.from_json(raw))
     elif args.kind == "ers":
-        data = ErsStageData.from_json(raw)
-        horizon = (len(data.stages) if args.horizon is None
-                   else args.horizon)
-        seq = ers_pipeline(data, horizon, strict=args.strict_bounds)
+        seq = ers_pipeline(ErsStageData.from_json(raw),
+                           strict=args.strict_bounds)
     else:
         seq = ecrs_pipeline(EcrsProblem.from_json(raw))
     seq.save(args.output)
@@ -86,7 +87,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_count_or_inf(text: str):
-    if text.strip().lower() in ("inf", "infinite", "oo"):
+    if text.strip().lower() == "inf":
         return INFINITE
     try:
         count = int(text)
@@ -135,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("kind", choices=["ecs", "ers", "ecrs"])
     p_build.add_argument("-i", "--input", required=True)
     p_build.add_argument("-o", "--output", required=True)
-    p_build.add_argument("--horizon", type=int, default=None,
-                         help="stage horizon for the ers pipeline")
     p_build.add_argument("--strict-bounds", action="store_true",
                          help="enforce the sharper per-stage norm bounds")
     p_build.set_defaults(func=cmd_build)

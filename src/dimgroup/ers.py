@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (DimensionMismatch, InvariantViolated,
-                     ParameterExtractionFailed, RegimeViolation, SchemaError)
+                     ParameterExtractionFailed, RegimeViolation)
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
 from .ecs import (ExtensionData, Stage, b_extract, bordered_stages,
                   read_stages)
@@ -85,13 +85,10 @@ def nearest_int(num: int, den: int) -> int:
     return floor
 
 
-def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> Sequence[Stage]:
-    if horizon < 1:
-        raise SchemaError(f"horizon must be at least 1, got {horizon}")
-    stages = data.stages[:horizon]
+def _check_regime(data: ErsStageData, strict: bool) -> None:
     s = data.k + 1
     prev_p = 1
-    for idx, st in enumerate(stages, start=1):
+    for idx, st in enumerate(data.stages, start=1):
         if st.p < prev_p:
             raise RegimeViolation("stage values must be nondecreasing", stage=idx)
         prev_p = st.p
@@ -109,7 +106,6 @@ def _check_regime(data: ErsStageData, horizon: int, strict: bool) -> Sequence[St
             if sup_norm(st.v) ** 4 > st.p:
                 raise RegimeViolation(
                     "strict bound ||u|| <= p^(1/4) fails", stage=idx)
-    return stages
 
 
 class WSequence(namedtuple("WSequence", "ys ws error_bound")):
@@ -132,12 +128,13 @@ def partial_sum(ws: Sequence[Sequence[int]],
     return tuple(Fraction(x, q) for x in num)
 
 
-def build_w_sequence(data: ErsStageData, horizon: int,
-                     strict: bool = False) -> WSequence:
-    """Integer rows w^i and correction rows y_i with exact commuting squares
-    [[1, y_{n+1}], [0, I]] M_n(z) = M_n(w) [[1, y_n], [0, I]] such that the
-    series of the w's reproduces the target trace row; the reported bound
-    covers both the final rounding and a geometric tail allowance.
+def build_w_sequence(data: ErsStageData, strict: bool = False) -> WSequence:
+    """Integer rows w^i and correction rows y_i, one w per stage of data,
+    with exact commuting squares [[1, y_{n+1}], [0, I]] M_n(z) = M_n(w)
+    [[1, y_n], [0, I]] such that the series of the w's reproduces the target
+    trace row; the reported bound covers both the final rounding and a
+    geometric tail allowance.  A prefix of the stages is built by passing
+    ErsStageData of that prefix.
 
     y_n rounds exact_n = q_n target (B_n ... B_1)^{-1}, computed by the
     recurrence exact_n = p exact_{n-1} B_n^{-1} from exact_0 = target.
@@ -146,8 +143,8 @@ def build_w_sequence(data: ErsStageData, horizon: int,
     denominators, and each level multiplies the denominator by that lcm.
     Only B_N ... B_1, for the bound, is kept as a product.
     """
-    stages = _check_regime(data, horizon, strict)
-    k = data.k
+    _check_regime(data, strict)
+    stages, k = data.stages, data.k
     target = vec_sub(data.trace_row,
                      partial_sum([st.v for st in stages], stages))
     den = math.lcm(*(x.denominator for x in target))
@@ -194,8 +191,7 @@ def build_w_sequence(data: ErsStageData, horizon: int,
 # -- the pipeline --------------------------------------------------------------
 
 
-def ers_pipeline(data: ErsStageData, horizon: int,
-                 strict: bool = False) -> RealizationSeq:
+def ers_pipeline(data: ErsStageData, strict: bool = False) -> RealizationSeq:
     """Match the target trace row with a w-sequence, build the checked
     bordered ECS matrices of the stages (p, w^T, B^T) with bordered_stages
     (the w vary, so stages rarely share a base) and transpose them, and
@@ -203,10 +199,9 @@ def ers_pipeline(data: ErsStageData, horizon: int,
     it must give the stage's p and B^T; its v, the w row, rebuilds the
     trace row, which must lie within the bound.  Transposing makes the
     checked column sums the row sums and keeps primitivity and rank k+1.
-    The provenance horizon counts the stages built."""
-    wseq = build_w_sequence(data, horizon, strict)
-    stages = data.stages[:len(wseq.ws)]
-    k = data.k
+    Every stage of data is built; the provenance horizon is their count."""
+    wseq = build_w_sequence(data, strict)
+    stages, k = data.stages, data.k
     bts = [st.b.transpose() for st in stages]
     ecs_mats = bordered_stages((st.p, w, bt)
                                for st, w, bt in zip(stages, wseq.ws, bts))

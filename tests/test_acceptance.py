@@ -127,12 +127,12 @@ def test_criterion_03_reduce_vector():
 @criterion(4, "w-sequence: commuting squares, norm bound, series gap bound")
 def test_criterion_04_w_sequence():
     rng = random.Random(404)
-    horizon = 8
+    stage_count = 8
     for _ in range(100):
         k = rng.randint(1, 3)
         stages = []
         p = rng.randint(101, 201) | 1
-        for _ in range(horizon):
+        for _ in range(stage_count):
             while True:
                 b = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(k)]
                                       for _ in range(k)])
@@ -145,7 +145,7 @@ def test_criterion_04_w_sequence():
         rho = tuple(Fraction(rng.randint(-30, 30), 2 * rng.randint(0, 30) + 1)
                     for _ in range(k))
         data = ErsStageData(k, tuple(stages), rho)
-        res = build_w_sequence(data, horizon)
+        res = build_w_sequence(data)
         for n, st in enumerate(data.stages, start=1):
             # exact commuting square between the z- and w-presentations
             f_top = Matrix.from_rows(
@@ -294,7 +294,7 @@ def test_criterion_09_ers_pipeline():
                         (Fraction(1, 5), Fraction(2, 7))),
     }
     for k, data in instances.items():
-        seq = ers_pipeline(data, len(data.stages))
+        seq = ers_pipeline(data)
         size = k + 2
         ones = tuple([1] * size)
         for m, p in zip(seq.matrices, seq.stage_values):

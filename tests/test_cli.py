@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -102,7 +103,8 @@ def test_decide_command(tmp_path):
     assert json.loads(stdout)["exists"] is True
 
 
-@pytest.mark.parametrize("rank,code", [("inf", 0), ("INF ", 0), ("x", 2)])
+@pytest.mark.parametrize("rank,code", [("inf", 0), ("INF ", 0), ("x", 2),
+                                       ("oo", 2), ("infinite", 2)])
 def test_decide_rank_is_a_count_or_inf(tmp_path, capsys, rank, code):
     group = write(tmp_path, "g.json", {"finite": {}, "infinite": [2]})
     assert cli.main(["decide", "--rank", rank, "--group", group,
@@ -413,25 +415,80 @@ def test_unreadable_json_is_schema_error(tmp_path, capsys, command, content):
     assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
 
 
-@pytest.mark.parametrize("horizon", ["0", "-3"])
-def test_ers_horizon_below_one_is_schema_error(tmp_path, capsys, horizon):
+def _assert_horizon_is_refused(tmp_path, capsys, horizon):
     inp = write(tmp_path, "in.json", ERS_INPUT)
     out = tmp_path / "out.json"
-    assert cli.main(["build", "ers", "-i", inp, "-o", str(out),
-                     "--horizon", horizon]) == cli.EXIT_SCHEMA
-    assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", "ers", "-i", inp, "-o", str(out),
+                  "--horizon", horizon])
+    assert exc.value.code == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: dimgroup")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("horizon,built", [("1", 1), ("2", 2), ("9", 2)])
-def test_ers_provenance_horizon_counts_the_stages_built(tmp_path, capsys,
-                                                       horizon, built):
-    inp = write(tmp_path, "in.json", ERS_INPUT)
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_ers_horizon_below_one_is_schema_error(tmp_path, capsys, horizon):
+    """build has no --horizon option, so a horizon below one is still a
+    schema error (exit 2), now refused by argparse with no output."""
+    _assert_horizon_is_refused(tmp_path, capsys, horizon)
+
+
+def test_build_has_no_horizon_option(tmp_path, capsys):
+    """build ers builds the stages it is given; --horizon is refused by
+    argparse (exit 2, usage on stderr, no output) and not in build --help."""
+    _assert_horizon_is_refused(tmp_path, capsys, "1")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", "--help"])
+    assert exc.value.code == cli.EXIT_OK
+    help_text = capsys.readouterr().out
+    assert "--strict-bounds" in help_text and "--horizon" not in help_text
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ers_provenance_horizon_counts_the_stages_built(tmp_path, capsys, n):
+    """The provenance horizon is the input's stage count."""
+    inp = write(tmp_path, "in.json",
+                {**ERS_INPUT, "stages": ERS_INPUT["stages"][:n]})
     out = tmp_path / "out.json"
-    assert cli.main(["build", "ers", "-i", inp, "-o", str(out),
-                     "--horizon", horizon]) == cli.EXIT_OK
-    assert json.loads(capsys.readouterr().out)["stages"] == built
-    assert json.loads(out.read_text())["provenance"]["horizon"] == built
+    assert cli.main(["build", "ers", "-i", inp, "-o", str(out)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["stages"] == n
+    assert json.loads(out.read_text())["provenance"]["horizon"] == n
+
+
+# sha256 of the files that `build ers --horizon N` wrote for the whole input
+# before the option was removed; a build of the input's first N stages must
+# write the same bytes.  NON_SYMMETRIC_B_INPUT is the first k = 2 input of
+# test_ers.NON_SYMMETRIC_B.
+NON_SYMMETRIC_B_INPUT = {"k": 2, "stages": [
+    {"p": 67, "u": [6, -5], "B": [[1, 1], [0, 1]]},
+    {"p": 82, "u": [-5, -8], "B": [[1, 2], [0, 1]]},
+    {"p": 111, "u": [4, -6], "B": [[1, 1], [0, 1]]}],
+    "trace_row": [[2, 9], [-1, 4]]}
+HORIZON_BUILD_SHA256 = [
+    (ERS_INPUT, 1,
+     "4c6a266a9e03f86465692331a749f7abc8acd3c0401d3bfd87478e0c24595806"),
+    (ERS_INPUT, 2,
+     "56aa1ac32e2627299f2c5b04d143593c3bb4c6d745670ee565247f07f289e7c2"),
+    (NON_SYMMETRIC_B_INPUT, 1,
+     "8b764c5aca75e5df6b5d44b15c80ef93c106b8c3bc07be110774b806ec863d0c"),
+    (NON_SYMMETRIC_B_INPUT, 2,
+     "e9b2541ccf2cdc1fff68c99742063acf790a993bd06e5f3682eaaf1a9e44784f"),
+    (NON_SYMMETRIC_B_INPUT, 3,
+     "622ec36905efa2051a09c8af504398c66538f00fddba92c4b3b4a8c0f063d39e"),
+]
+
+
+@pytest.mark.parametrize("payload,n,digest", HORIZON_BUILD_SHA256,
+                         ids=["readme-1", "readme-2", "non-symmetric-b-1",
+                              "non-symmetric-b-2", "non-symmetric-b-3"])
+def test_ers_prefix_build_writes_the_horizon_build_bytes(tmp_path, capsys,
+                                                         payload, n, digest):
+    inp = write(tmp_path, "in.json",
+                {**payload, "stages": payload["stages"][:n]})
+    out = tmp_path / "out.json"
+    assert cli.main(["build", "ers", "-i", inp, "-o", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 _STAGE = {"p": 25, "u": [1, 2], "B": [[1, 0], [0, 1]]}
@@ -733,29 +790,27 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
 def test_shared_parser_carries_no_options_between_calls(tmp_path, capsys,
                                                         monkeypatch):
     """An option given to one call is back at its default in the next:
-    --horizon 1 then no --horizon builds every stage, and --strict-bounds
-    then no flag passes strict=False (the p = 65537 stage fails only the
-    strict bound)."""
+    --strict-bounds then no flag passes strict=False (the p = 65537 stage
+    fails only the strict bound), and every call builds every stage."""
     seen = []
     real = cli.ers_pipeline
 
-    def recording(data, horizon, strict=False):
-        seen.append((horizon, strict))
-        return real(data, horizon, strict=strict)
+    def recording(data, strict=False):
+        seen.append(strict)
+        return real(data, strict=strict)
 
     monkeypatch.setattr(cli, "ers_pipeline", recording)
     out = str(tmp_path / "out.json")
     inp = write(tmp_path, "in.json", ERS_INPUT)
-    for extra, stages in ((["--horizon", "1"], 1), ([], 2)):
-        assert cli.main(["build", "ers", "-i", inp, "-o", out, *extra]) == 0
-        assert json.loads(capsys.readouterr().out)["stages"] == stages
+    assert cli.main(["build", "ers", "-i", inp, "-o", out]) == 0
+    assert json.loads(capsys.readouterr().out)["stages"] == 2
     big = write(tmp_path, "big.json", {
         "k": 1, "stages": [{"p": 65537, "u": [17], "B": [[1]]}],
         "trace_row": [[1, 3]]})
     for extra, code in ((["--strict-bounds"], 3), ([], 0)):
         assert cli.main(["build", "ers", "-i", big, "-o", out, *extra]) \
             == code
-    assert seen == [(1, False), (2, False), (1, True), (1, False)]
+    assert seen == [False, True, False]
 
 
 def test_rejected_command_line_leaves_the_parser_unchanged(tmp_path, capsys):
@@ -770,7 +825,7 @@ def test_rejected_command_line_leaves_the_parser_unchanged(tmp_path, capsys):
     assert cli.main(["verify", "-i", out]) == cli.EXIT_OK
     first = capsys.readouterr().out
     for argv in (["verify"], ["verify", "-i", out, "--strict-bounds"],
-                 ["build", "ers", "-i", inp, "-o", out, "--horizon", "x"],
+                 ["build", "erx", "-i", inp, "-o", out],
                  ["bogus"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

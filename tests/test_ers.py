@@ -141,7 +141,7 @@ def test_build_w_trivial_correction():
     data = ErsStageData(1, (Stage(4, (1,), Matrix.identity(1)),
                             Stage(16, (2,), Matrix.identity(1))),
                         (Fraction(9, 32),))
-    w = build_w_sequence(data, 2)
+    w = build_w_sequence(data)
     assert all(y == (0,) for y in w.ys)
     assert w.ws == ((1,), (2,))
     assert partial_sum(w.ws, data.stages) == (Fraction(9, 32),)
@@ -152,8 +152,7 @@ def test_build_w_random_properties():
     for _ in range(40):
         k = rng.randint(1, 3)
         data = _rand_stage_data(rng, k, rng.randint(2, 5))
-        n = len(data.stages)
-        w = build_w_sequence(data, n)
+        w = build_w_sequence(data)
         for i, st in enumerate(data.stages, start=1):
             # commuting square: w^n = z_n + y_{n+1} B_n - p_{n+1} y_n as a
             # matrix identity between the two block presentations
@@ -177,10 +176,13 @@ def test_build_w_random_properties():
 
 
 def test_build_w_bound_improves_with_horizon():
+    """The bound of a build of the first n stages falls as n grows."""
     rng = random.Random(33)
     for _ in range(10):
         data = _rand_stage_data(rng, 2, 5)
-        bounds = [build_w_sequence(data, n).error_bound for n in (2, 3, 4, 5)]
+        bounds = [build_w_sequence(ErsStageData(data.k, data.stages[:n],
+                                                data.trace_row)).error_bound
+                  for n in (2, 3, 4, 5)]
         assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
@@ -210,9 +212,9 @@ def _reference_partial_sum(ws, stages):
     return total
 
 
-def _reference_w_sequence(data, horizon):
+def _reference_w_sequence(data):
     """(ys, ws, error_bound, the exact rows the ys round)."""
-    stages = data.stages[:horizon]
+    stages = data.stages
     target = vec_sub(data.trace_row,
                      _reference_partial_sum([st.v for st in stages], stages))
     ys, ws, exacts = [(0,) * data.k], [], []
@@ -239,11 +241,11 @@ def _b_with_det(rng, k, dets):
             return b
 
 
-def _assert_matches_reference(data, horizon):
-    ys, ws, bound, exacts = _reference_w_sequence(data, horizon)
-    got = build_w_sequence(data, horizon)
+def _assert_matches_reference(data):
+    ys, ws, bound, exacts = _reference_w_sequence(data)
+    got = build_w_sequence(data)
     assert (got.ys, got.ws, got.error_bound) == (ys, ws, bound)
-    stages = data.stages[:horizon]
+    stages = data.stages
     assert partial_sum(ws, stages) == _reference_partial_sum(ws, stages)
     # w^n = u + e_n B - p e_{n-1} with rounding errors |e| <= 1/2; a tie
     # rounded toward zero gives e the opposite sign of exact, and
@@ -273,8 +275,8 @@ def test_w_sequence_matches_the_fraction_reference():
                                          for _ in range(k)), b))
         rho = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12))
                     for _ in range(k))
-        exacts = _assert_matches_reference(
-            ErsStageData(k, tuple(stages), rho), rng.randint(1, n))
+        prefix = tuple(stages[:rng.randint(1, n)])
+        exacts = _assert_matches_reference(ErsStageData(k, prefix, rho))
         ties += sum(Fraction(x).denominator == 2 for row in exacts
                     for x in row)
     assert ties > 0
@@ -288,10 +290,9 @@ def test_w_sequence_tie_rounds_toward_zero(sign):
               Stage(7, (-2,), Matrix.from_rows([[2]])))
     rho = (Fraction(6 * sign, 5) + _reference_partial_sum(
         [st.v for st in stages], stages)[0],)
-    exacts = _assert_matches_reference(ErsStageData(1, stages, rho), 2)
+    exacts = _assert_matches_reference(ErsStageData(1, stages, rho))
     assert exacts == [(3 * sign,), (Fraction(21 * sign, 2),)]
-    assert build_w_sequence(ErsStageData(1, stages, rho), 2).ys[2] \
-        == (10 * sign,)
+    assert build_w_sequence(ErsStageData(1, stages, rho)).ys[2] == (10 * sign,)
 
 
 def test_w_norm_guard_names_the_stage(monkeypatch):
@@ -301,7 +302,7 @@ def test_w_norm_guard_names_the_stage(monkeypatch):
                    for p, u in ((4, 1), (16, 2), (64, 3)))
     data = ErsStageData(1, stages, partial_sum([st.v for st in stages],
                                                stages))
-    assert build_w_sequence(data, 3).ys == ((0,), (0,), (0,), (0,))
+    assert build_w_sequence(data).ys == ((0,), (0,), (0,), (0,))
     levels = iter(range(1, 4))
 
     def off_at_level_2(num, den):
@@ -309,7 +310,7 @@ def test_w_norm_guard_names_the_stage(monkeypatch):
 
     monkeypatch.setattr(ers, "nearest_int", off_at_level_2)
     with pytest.raises(InvariantViolated, match="w-norm") as info:
-        build_w_sequence(data, 3)
+        build_w_sequence(data)
     assert info.value.stage == 3
 
 
@@ -317,11 +318,11 @@ def test_build_w_regime_violation():
     data = ErsStageData(1, (Stage(5, (5,), Matrix.identity(1)),),
                         (Fraction(0),))
     with pytest.raises(RegimeViolation):
-        build_w_sequence(data, 1)
+        build_w_sequence(data)
     big_b = ErsStageData(1, (Stage(5, (1,), Matrix.from_rows([[4]])),),
                          (Fraction(0),))
     with pytest.raises(RegimeViolation):
-        build_w_sequence(big_b, 1)
+        build_w_sequence(big_b)
 
 
 def test_b_extract_examples():
@@ -368,7 +369,7 @@ def test_ers_pipeline_split_like():
     data = ErsStageData(2, (Stage(30, (0, 0), Matrix.identity(2)),
                             Stage(60, (0, 0), Matrix.identity(2))),
                         (Fraction(0), Fraction(0)))
-    seq = ers_pipeline(data, 2)
+    seq = ers_pipeline(data)
     assert seq.stage_values == (30, 60)
     from dimgroup.perron import integer_perron
     for m, p in zip(seq.matrices, seq.stage_values):
@@ -392,7 +393,7 @@ CRITERION_9 = {
 @pytest.mark.parametrize("k", sorted(CRITERION_9))
 def test_ers_pipeline_third_trace(k):
     data = CRITERION_9[k]
-    seq = ers_pipeline(data, len(data.stages))
+    seq = ers_pipeline(data)
     gap_bound = Fraction(seq.provenance["trace_gap_bound"])
     ws = [b_extract(m.transpose()).v for m in seq.matrices]
     assert all(len(w) == k for w in ws)
@@ -419,7 +420,7 @@ def test_self_check_reads_the_whole_bordered_stage(monkeypatch):
     monkeypatch.setattr(ers, "bordered_stages", tampered)
     with pytest.raises(InvariantViolated,
                        match="column sums not constant") as info:
-        ers_pipeline(CRITERION_9[1], 2)
+        ers_pipeline(CRITERION_9[1])
     assert info.value.stage == 1
 
 
@@ -442,7 +443,7 @@ def test_ers_build_forms_one_matrix_product_per_stage(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
-    seq = ers_pipeline(data, 6)
+    seq = ers_pipeline(data)
     assert len(seq) == 6 and len(products) == 6
 
 
@@ -461,7 +462,7 @@ def test_ers_pipeline_regime_error():
     data = ErsStageData(1, (Stage(5, (7,), Matrix.identity(1)),),
                         (Fraction(0),))
     with pytest.raises(RegimeViolation):
-        ers_pipeline(data, 1)
+        ers_pipeline(data)
 
 
 def test_strict_bounds_mode():
@@ -470,14 +471,14 @@ def test_strict_bounds_mode():
     modest = ErsStageData(1, (Stage(101, (8,), Matrix.identity(1)),
                               Stage(1001, (5,), Matrix.identity(1))),
                           (Fraction(1, 3),))
-    build_w_sequence(modest, 2)               # fine without strict bounds
+    build_w_sequence(modest)  # fine without strict bounds
     with pytest.raises(RegimeViolation):
-        build_w_sequence(modest, 2, strict=True)
+        build_w_sequence(modest, strict=True)
     big = ErsStageData(1, (Stage(65537, (8,), Matrix.identity(1)),
                            Stage(131101, (5,), Matrix.identity(1))),
                        (Fraction(1, 3),))
-    build_w_sequence(big, 2, strict=True)
-    seq = ers_pipeline(big, 2, strict=True)
+    build_w_sequence(big, strict=True)
+    seq = ers_pipeline(big, strict=True)
     assert seq.stage_values == (65537, 131101)
 
 
@@ -488,7 +489,7 @@ def test_infeasible_stage_is_named():
                             Stage(12, (-8,), Matrix.from_rows([[2]]))),
                         (Fraction(0),))
     with pytest.raises(Infeasible) as info:
-        ers_pipeline(data, 2)
+        ers_pipeline(data)
     assert info.value.stage == 2
 
 
@@ -506,8 +507,8 @@ def test_restricted_block_is_p_w_over_the_input_b():
     kernel complement, and the commuting squares F_n M_n(u) = [[p, w],
     [0, B]] F_{n-1}, F_n = [[1, y_n], [0, I]], hold on it."""
     data = _upper_b_data([(47, (-2, -1), 1), (63, (-6, 6), 3)], ("1/6", "3/5"))
-    seq = ers_pipeline(data, 2)
-    wseq = build_w_sequence(data, 2)
+    seq = ers_pipeline(data)
+    wseq = build_w_sequence(data)
     k = data.k
     for n, (m, st, w) in enumerate(zip(seq.matrices, data.stages, wseq.ws),
                                    start=1):
@@ -558,7 +559,7 @@ NON_SYMMETRIC_B = [
 @pytest.mark.parametrize("stages,rho", NON_SYMMETRIC_B)
 def test_non_symmetric_b_builds_and_verifies(stages, rho):
     from dimgroup.verify import structural_report
-    seq = ers_pipeline(_upper_b_data(stages, rho), len(stages))
+    seq = ers_pipeline(_upper_b_data(stages, rho))
     assert seq.stage_values == tuple(p for p, _, _ in stages)
     result = structural_report(seq)
     assert result.ok and result.report["derived"]["ers"]

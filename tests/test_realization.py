@@ -114,7 +114,7 @@ def _built():
               "trace_row": [[1, 3]]}
     ecrs_in = {"k": 2, "lambda": 3, "rho": [1, 1], "p_seq": [7, 13, 19]}
     return [ecs_pipeline(ExtensionData.from_json(ecs_in)),
-            ers_pipeline(ErsStageData.from_json(ers_in), 2),
+            ers_pipeline(ErsStageData.from_json(ers_in)),
             ecrs_pipeline(EcrsProblem.from_json(ecrs_in))]
 
 

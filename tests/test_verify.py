@@ -588,7 +588,7 @@ def test_built_ers_and_ecrs_files_take_the_certificate(tmp_path):
     ers = ers_pipeline(ErsStageData(2, (
         Stage(47, (-2, -1), Matrix.from_rows([[1, 1], [0, 1]])),
         Stage(63, (-6, 6), Matrix.from_rows([[1, 3], [0, 1]]))),
-        (Fraction(1, 6), Fraction(3, 5))), 2)
+        (Fraction(1, 6), Fraction(3, 5))))
     ecrs = RealizationSeq.load(_built_file(tmp_path, "ecrs"))
     for seq in (ers, ecrs):
         report, took = certified(seq)
