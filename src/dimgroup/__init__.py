@@ -11,8 +11,8 @@ from .traces import is_good_row, nearly_split_witness, trace_report
 from .realization import RealizationSeq
 from .ecs import (AParams, BParams, ExtensionData, Stage, b_compose, b_matrix,
                   choose_a_params, ecs_pipeline, general_ecs_matrix,
-                  kernel_vector, normalize_extension, reduce_vector,
-                  split_ecs_matrix, telescope_extension)
+                  normalize_extension, reduce_vector, split_ecs_matrix,
+                  telescope_extension)
 from .ers import ErsStageData, build_w_sequence, ers_pipeline, verify_ers
 from .ecrs import (EcrsProblem, PolyNat, commuting_family, ecrs_finisher,
                    ecrs_pipeline, normalize_to_ones, poly_for)

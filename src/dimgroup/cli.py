@@ -6,8 +6,9 @@
     dimgroup telescope -i in.json --cuts 1,3,7 -o out.json
 
 ``build ers`` builds every input stage; to build a prefix, give the prefix.
-``decide`` reads --rank and --lambda as a positive integer or "inf" (any
-case, blanks stripped).
+``decide`` reads --rank and --lambda as a positive integer in ASCII
+decimal digits or "inf" (any case), and ``telescope`` each cut as such an
+integer; blanks around a value are stripped.
 
 Exit codes: 0 ok, 2 schema error, 3 construction infeasible (including a
 pipeline's own InvariantViolated), 4 verification failure, 5 I/O error.
@@ -31,7 +32,7 @@ from . import errors
 from .ecrs import EcrsProblem, ecrs_pipeline
 from .ecs import ExtensionData, ecs_pipeline
 from .ers import ErsStageData, ers_pipeline
-from .realization import RealizationSeq, dump_json, load_json
+from .realization import RealizationSeq, dump_json, json_int, load_json
 from .supernatural import INFINITE, SupernaturalNumber, decide_ecrs
 from .verify import structural_report
 
@@ -90,10 +91,10 @@ def _parse_count_or_inf(text: str):
     if text.strip().lower() == "inf":
         return INFINITE
     try:
-        count = int(text)
+        count = json_int(text.strip())
         if count >= 1:
             return count
-    except ValueError:
+    except (errors.SchemaError, ValueError):    # ValueError: too many digits
         pass
     raise errors.SchemaError(f"not a positive count: {text!r}")
 
@@ -109,8 +110,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
 def cmd_telescope(args: argparse.Namespace) -> int:
     seq = RealizationSeq.load(args.input)
     try:
-        cuts = [int(c) - 1 for c in args.cuts.split(",") if c.strip()]
-    except ValueError:
+        cuts = [json_int(c.strip()) - 1 for c in args.cuts.split(",")
+                if c.strip()]
+    except (errors.SchemaError, ValueError):
         raise errors.SchemaError(f"bad cuts {args.cuts!r}") from None
     composed = seq.telescope(cuts)
     derived = structural_report(composed).report["derived"]

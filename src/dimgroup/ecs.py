@@ -1,10 +1,11 @@
 """Construction of equal-column-sum realizations.
 
 The split-case matrix, the general bordered matrices with their free
-parameters, the chain builder that checks one base G_0 per distinct (v, B)
-and emits each stage as G_0 + p e_0 1^T, the GL(k,Z) reduction of the
-limiting ratio vector, extension normalization / telescoping, the full
-pipeline, and the composition algebra of the bordered matrices.
+parameters, the chain builder that reads one base G_0 per distinct (v, B)
+back with b_extract and emits each stage as G_0 + p e_0 1^T, the GL(k,Z)
+reduction of the limiting ratio vector, extension normalization /
+telescoping, the full pipeline, and the composition algebra of the
+bordered matrices.
 
 Conventions: an extension is presented by stages (p, v, B) standing for the
 block matrix [[p, 0], [v, B]] of size k+1 (v a column); the bordered
@@ -112,12 +113,6 @@ class AParams(namedtuple("AParams", "values")):
         return cls(tuple([a] * (k + 2)))
 
 
-def kernel_vector(k: int) -> tuple[int, ...]:
-    """z = (k+1, -1, ..., -1)^T, the common right kernel of all the bordered
-    matrices; independent of the stage."""
-    return tuple([k + 1] + [-1] * (k + 1))
-
-
 # -- matrix constructors -------------------------------------------------------
 
 
@@ -197,13 +192,16 @@ def bordered_stages(stages: Iterable[tuple[int, Sequence[int], Matrix]]
     """The checked bordered matrices of stages (p, v, B), numbered from 1,
     with the smallest uniform a (choose_a_params).  A stage is G_0 + p e_0
     1^T, G_0 its matrix at p = 0, so each distinct (v, B) is built and
-    checked once: rows below the top nonnegative, column sums 0, z
-    annihilated, a bottom row of one value a >= 1.  As 1^T z = 0, each stage
-    then has column sums p, annihilates z and has rank k+1: less the bottom
-    row, then less column 0, the rows below the top are [[v, B, -B 1],
-    [a, 0, ..., 0]], whose first k+1 columns have determinant +-a det B
-    (det B != 0 is the caller's).  A stage is nonnegative iff p >=
-    -min(G_0[0]), as choose_a_params decides; each is tested primitive."""
+    checked once: its rows below the top nonnegative, and b_extract must
+    read G_0 back as exactly (0, B, v, a) with a >= 1.  Every row of a
+    B-form matrix below the top annihilates z = (k+1, -1, ..., -1), and
+    column sums 0 make the top row minus the sum of the others, so G_0 z =
+    0; as 1^T z = 0, each stage has column sums p, annihilates z and is the
+    B-form of (p, B, v, a).  It has rank k+1: less the bottom row, then
+    less column 0, the rows below the top are [[v, B, -B 1], [a, 0, ...,
+    0]], whose first k+1 columns have determinant +-a det B (det B != 0 is
+    the caller's).  A stage is nonnegative iff p >= -min(G_0[0]), as
+    choose_a_params decides; each is tested primitive."""
     blocks: dict = {}
     out = []
     for idx, (p, v, b) in enumerate(stages, start=1):
@@ -218,13 +216,16 @@ def bordered_stages(stages: Iterable[tuple[int, Sequence[int], Matrix]]
             if min(map(min, lower)) < 0:
                 raise InvariantViolated("negative entry despite the chosen a",
                                         stage=idx)
-            if set(g0.column_sums()) != {0}:
+            try:
+                got = b_extract(g0)
+            except ParameterExtractionFailed as exc:
                 raise InvariantViolated(
-                    "column sums broke ECS by-construction", stage=idx)
-            if any(g0.mul_vector(kernel_vector(len(v)))):
-                raise InvariantViolated("kernel vector not annihilated",
+                    f"bordered stage is not of B-form: {exc}",
+                    stage=idx) from None
+            if got != (0, b, v, a.values[0]):
+                raise InvariantViolated("bordered stage lost the stage data",
                                         stage=idx)
-            if set(lower[-1]) != {lower[-1][0]} or lower[-1][0] < 1:
+            if got.a < 1:
                 raise InvariantViolated("bottom row is not one value a >= 1, "
                                         "so rank k+1 is unproved", stage=idx)
             block = blocks[v, b] = top, sum(lower, ())
@@ -336,9 +337,9 @@ def ecs_pipeline(data: ExtensionData) -> RealizationSeq:
     can carry v outside [0, p).  Telescoping, normalizing and conjugating
     by E each keep the dimension group, so E is found once and each
     distinct B is conjugated once.  Every emitted matrix is proved exactly
-    by bordered_stages: nonnegative, column sums equal to the stage p,
-    kernel vector annihilated, rank k+1 by certificate, primitive.  A
-    single group that still fails raises HorizonExhausted.
+    by bordered_stages: nonnegative, the B-form of its stage (p, E v,
+    E B E^-1) with a >= 1, so column sums p, rank k+1 by certificate,
+    primitive.  A single group that still fails raises HorizonExhausted.
     """
     norm = normalize_extension(data)
     last = norm.stages[-1]
@@ -400,7 +401,7 @@ def b_extract(m: Matrix) -> BParams:
     of (p, v, B) with a uniform a; raises ParameterExtractionFailed when
     the matrix is not of that shape.  Every entry is checked: the bottom
     row, the right column and the column sums, with B read off the middle
-    block.  This is the reader ers_pipeline checks its output with."""
+    block.  bordered_stages checks every base it builds with it."""
     size = m.rows
     if size != m.cols or size < 3:
         raise ParameterExtractionFailed("wrong shape for B-form")

@@ -2,8 +2,8 @@
 ECS machinery, plus the canonical upper-triangular form utilities: lattice
 rounding and the w-sequence matching a target trace row.  The stages are
 ecs.Stage records, read and checked as ECS stages, their vector v standing
-for the row u of [[p, u], [0, B]].  Each built stage is read back off its
-bordered ECS matrix with ecs.b_extract, the one reader of that shape."""
+for the row u of [[p, u], [0, B]].  The built stages come from
+ecs.bordered_stages, which reads each back with ecs.b_extract."""
 
 from __future__ import annotations
 
@@ -12,11 +12,9 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (DimensionMismatch, InvariantViolated,
-                     ParameterExtractionFailed, RegimeViolation)
+from .errors import DimensionMismatch, InvariantViolated, RegimeViolation
 from .exact import (Matrix, colsum_norm, sup_norm, vec_add, vec_scale, vec_sub)
-from .ecs import (ExtensionData, Stage, b_extract, bordered_stages,
-                  read_stages)
+from .ecs import ExtensionData, Stage, bordered_stages, read_stages
 from .realization import (RealizationSeq, json_int, json_list, json_str,
                           parsing)
 
@@ -194,33 +192,17 @@ def build_w_sequence(data: ErsStageData, strict: bool = False) -> WSequence:
 def ers_pipeline(data: ErsStageData, strict: bool = False) -> RealizationSeq:
     """Match the target trace row with a w-sequence, build the checked
     bordered ECS matrices of the stages (p, w^T, B^T) with bordered_stages
-    (the w vary, so stages rarely share a base) and transpose them, and
-    check the output: b_extract reads each bordered stage back whole, and
-    it must give the stage's p and B^T; its v, the w row, rebuilds the
-    trace row, which must lie within the bound.  Transposing makes the
-    checked column sums the row sums and keeps primitivity and rank k+1.
-    Every stage of data is built; the provenance horizon is their count."""
+    (the w vary, so stages rarely share a base) and transpose them.
+    bordered_stages reads each stage back as the B-form of exactly its
+    (p, B^T, w), so the w rows rebuild the trace row of the output, which
+    must lie within the bound.  Transposing makes the checked column sums
+    the row sums and keeps primitivity and rank k+1.  Every stage of data
+    is built; the provenance horizon is their count."""
     wseq = build_w_sequence(data, strict)
     stages, k = data.stages, data.k
-    bts = [st.b.transpose() for st in stages]
-    ecs_mats = bordered_stages((st.p, w, bt)
-                               for st, w, bt in zip(stages, wseq.ws, bts))
-
-    # Reconstruct the trace row from the output itself and compare.
-    w_rows = []
-    for idx, (m, st, bt) in enumerate(zip(ecs_mats, stages, bts), start=1):
-        try:
-            got = b_extract(m)
-        except ParameterExtractionFailed as exc:
-            raise InvariantViolated(f"bordered stage is not of B-form: {exc}",
-                                    stage=idx) from None
-        if got.p != st.p or got.b != bt:
-            raise InvariantViolated("bordered stage lost the stage data",
-                                    stage=idx)
-        w_rows.append(got.v)
-    # The rows sit on the checked stage data, so the stages' p and B serve.
-    reconstructed = partial_sum(w_rows, stages)
-    gap = sup_norm(vec_sub(reconstructed, data.trace_row))
+    ecs_mats = bordered_stages((st.p, w, st.b.transpose())
+                               for st, w in zip(stages, wseq.ws))
+    gap = sup_norm(vec_sub(partial_sum(wseq.ws, stages), data.trace_row))
     if gap > wseq.error_bound:
         raise InvariantViolated(
             f"trace row gap {gap} exceeds reported bound {wseq.error_bound}")

@@ -21,8 +21,7 @@ from dimgroup.exact import (Matrix, colsum_norm, content, is_unimodular,
                             sup_norm, vec_sub)
 from dimgroup.ecs import (BParams, ExtensionData, Stage, b_compose,
                           b_extract, b_matrix, choose_a_params, ecs_pipeline,
-                          general_ecs_matrix, kernel_vector, reduce_vector,
-                          split_ecs_matrix)
+                          general_ecs_matrix, reduce_vector, split_ecs_matrix)
 from dimgroup.ecrs import (EcrsProblem, commuting_family, ecrs_pipeline,
                            poly_for)
 from dimgroup.ers import (ErsStageData, build_w_sequence,
@@ -32,6 +31,8 @@ from dimgroup.perron import (check_equal_sums_criterion, integer_perron,
 from dimgroup.supernatural import (INFINITE, FactorSequence,
                                    SupernaturalNumber, decide_ecrs)
 from dimgroup.traces import is_good_row
+
+from bordered import kernel_vector
 
 
 def criterion(number, description):

@@ -104,8 +104,12 @@ def test_decide_command(tmp_path):
 
 
 @pytest.mark.parametrize("rank,code", [("inf", 0), ("INF ", 0), ("x", 2),
-                                       ("oo", 2), ("infinite", 2)])
+                                       ("oo", 2), ("infinite", 2),
+                                       (" 3", 0), ("1_0", 2), ("+3", 2),
+                                       ("\u0663", 2)])
 def test_decide_rank_is_a_count_or_inf(tmp_path, capsys, rank, code):
+    # Only ASCII decimal digits are a count: int() would also take "1_0",
+    # "+3" and the Arabic-Indic digit three.
     group = write(tmp_path, "g.json", {"finite": {}, "infinite": [2]})
     assert cli.main(["decide", "--rank", rank, "--group", group,
                      "--lambda", "4"]) == code
@@ -760,6 +764,28 @@ def test_telescope_non_integer_cuts_exit_2(tmp_path, capsys):
     assert payload["error"] == "SchemaError"
     assert "bad cuts" in payload["message"]
     assert not tel.exists()
+
+
+@pytest.mark.parametrize("cuts,code", [("1, 2", 0), ("1_0", 2), ("1,+2", 2),
+                                       ("1,\u0661", 2)])
+def test_telescope_cuts_are_decimal_integers(tmp_path, capsys, cuts, code):
+    """A cut is ASCII decimal digits, blanks around it stripped; int()
+    would also read "1_0" (then BadCutPoints, exit 3), "+2" and the
+    Arabic-Indic digit one."""
+    inp = write(tmp_path, "in.json", ECS_INPUT)
+    built = str(tmp_path / "out.json")
+    assert cli.main(["build", "ecs", "-i", inp, "-o", built]) == cli.EXIT_OK
+    capsys.readouterr()
+    tel = tmp_path / "tel.json"
+    assert cli.main(["telescope", "-i", built, "--cuts", cuts,
+                     "-o", str(tel)]) == code
+    payload = json.loads(capsys.readouterr().out)
+    if code:
+        assert payload == {"error": "SchemaError",
+                           "message": f"bad cuts {cuts!r}"}
+        assert not tel.exists()
+    else:
+        assert payload["stages"] == 2
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

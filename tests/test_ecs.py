@@ -14,11 +14,12 @@ from dimgroup.errors import (BadCutPoints, DimgroupError, HorizonExhausted,
 from dimgroup.exact import Matrix, is_unimodular
 from dimgroup.ecs import (AParams, BParams, ExtensionData, Stage, b_compose,
                           b_extract, b_matrix, choose_a_params, ecs_pipeline,
-                          general_ecs_matrix, kernel_vector,
-                          normalize_extension, reduce_vector,
-                          split_ecs_matrix, telescope_extension)
+                          general_ecs_matrix, normalize_extension,
+                          reduce_vector, split_ecs_matrix, telescope_extension)
 from dimgroup.perron import is_primitive
 from dimgroup.verify import structural_report
+
+from bordered import kernel_vector
 
 
 def eps_basis(k):
@@ -515,8 +516,11 @@ def test_one_b_is_conjugated_once(monkeypatch, caplog):
         == ["built 16 stages from 1 distinct (v, B) blocks"]
 
 
-@pytest.mark.parametrize("a", [AParams.uniform(1, 0), AParams((2, 1, 3))])
-def test_rank_certificate_needs_a_at_least_one(monkeypatch, a):
+@pytest.mark.parametrize("a,text", [
+    (AParams.uniform(1, 0), "bottom row is not one value a >= 1"),
+    (AParams((2, 1, 3)), "not of B-form: bottom row not constant"),
+], ids=["a0", "a1"])
+def test_rank_certificate_needs_a_at_least_one(monkeypatch, a, text):
     """With these a every stage below is nonnegative, has column sums p and
     annihilates z, but its bottom row is zero or not one value: the
     certificate's premise fails, and the build stops at stage 1 instead of
@@ -525,7 +529,7 @@ def test_rank_certificate_needs_a_at_least_one(monkeypatch, a):
                                         Matrix.identity(1))
                                   for i in range(4)))
     monkeypatch.setattr(ecs, "choose_a_params", lambda p, v, b: a)
-    with pytest.raises(InvariantViolated, match="a >= 1") as exc:
+    with pytest.raises(InvariantViolated, match=text) as exc:
         ecs_pipeline(data)
     assert exc.value.stage == 1
 
@@ -675,14 +679,15 @@ def test_later_stage_of_a_feasible_block_is_infeasible(ers_form):
 
 @pytest.mark.parametrize("src,dst,amount,text", [
     ((1, 0), (0, 0), 10 ** 6, "negative entry despite the chosen a"),
-    ((0, 1), (0, 0), 1, "column sums broke ECS by-construction"),
-    ((0, 0), (1, 0), 1, "kernel vector not annihilated"),
+    ((0, 1), (0, 0), 1, "not of B-form: column sums not constant"),
+    ((0, 0), (1, 0), 1, "not of B-form: right column mismatch"),
 ], ids=["negative", "column-sums", "kernel"])
 def test_a_broken_base_is_refused_at_its_first_stage(monkeypatch, src, dst,
                                                      amount, text):
     """Each check of a block's base fires, at the block's first stage, on a
     base broken so that the checks before it still pass: an entry below
-    the top made negative, a column sum moved, z no longer annihilated."""
+    the top made negative, a column sum moved, z no longer annihilated
+    (b_extract then reads a v whose right column does not fit)."""
     general = ecs.general_ecs_matrix
 
     def broken(*args):

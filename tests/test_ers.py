@@ -10,12 +10,14 @@ from dimgroup.errors import (DimensionMismatch, DimgroupError, Infeasible,
                              RegimeViolation)
 from dimgroup.exact import (Matrix, colsum_norm, sup_norm, vec_add,
                             vec_scale, vec_sub)
-from dimgroup.ecs import (AParams, BParams, Stage, b_extract,
-                          general_ecs_matrix, kernel_vector)
-from dimgroup import ers
+from dimgroup.ecs import (AParams, BParams, ExtensionData, Stage, b_extract,
+                          ecs_pipeline, general_ecs_matrix)
+from dimgroup import ecs, ers
 from dimgroup.ers import (ErsStageData, build_w_sequence,
                           ers_pipeline, nearest_int, partial_sum, verify_ers)
 from dimgroup.realization import RealizationSeq
+
+from bordered import kernel_vector
 
 
 def upper_block_matrix(p, u, b):
@@ -401,26 +403,50 @@ def test_ers_pipeline_third_trace(k):
     assert sup_norm(vec_sub(rec, data.trace_row)) <= gap_bound
 
 
-def test_self_check_reads_the_whole_bordered_stage(monkeypatch):
-    """Adding (0, +1, -1) to the top row of a bordered stage keeps A z = 0
-    and column 0's sum but breaks the other column sums, so the ERS stage
-    would not have constant row sums; the self-check must refuse it."""
-    real = ers.bordered_stages
+# The stages of CRITERION_9[1] through both pipelines that build bordered
+# stages; each pipeline's bases come from the one writer, general_ecs_matrix.
+_BOTH_PIPELINES = pytest.mark.parametrize("build,data", [
+    (ecs_pipeline, ExtensionData(1, CRITERION_9[1].stages)),
+    (ers_pipeline, CRITERION_9[1]),
+], ids=["ecs", "ers"])
 
-    def tampered(stages):
-        first, *rest = real(stages)
-        rows = first.to_rows()
+
+@_BOTH_PIPELINES
+def test_self_check_reads_the_whole_bordered_stage(monkeypatch, build, data):
+    """Adding (0, +1, -1) to the top row of a bordered base keeps A z = 0
+    and column 0's sum but breaks the other column sums, so no stage would
+    have constant column sums (ERS: row sums); the self-check must refuse
+    it."""
+    real = ecs.general_ecs_matrix
+
+    def tampered(*args):
+        good = real(*args)
+        rows = good.to_rows()
         rows[0][1] += 1
         rows[0][2] -= 1
         bad = Matrix.from_rows(rows)
         assert bad.mul_vector(kernel_vector(1)) == (0, 0, 0)
-        assert bad.column_sums()[0] == first.column_sums()[0]
-        return [bad, *rest]
+        assert bad.column_sums()[0] == good.column_sums()[0]
+        return bad
 
-    monkeypatch.setattr(ers, "bordered_stages", tampered)
+    monkeypatch.setattr(ecs, "general_ecs_matrix", tampered)
     with pytest.raises(InvariantViolated,
                        match="column sums not constant") as info:
-        ers_pipeline(CRITERION_9[1])
+        build(data)
+    assert info.value.stage == 1
+
+
+@_BOTH_PIPELINES
+def test_self_check_compares_the_stage_data(monkeypatch, build, data):
+    """A writer that returns the valid B-form of other data, v + 1, passes
+    every shape check; reading the base back must find that the stage's v
+    was lost."""
+    real = ecs.general_ecs_matrix
+    monkeypatch.setattr(ecs, "general_ecs_matrix", lambda p, v, b, a: real(
+        p, tuple(x + 1 for x in v), b, a))
+    with pytest.raises(InvariantViolated,
+                       match="lost the stage data") as info:
+        build(data)
     assert info.value.stage == 1
 
 
