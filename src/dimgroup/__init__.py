@@ -9,10 +9,9 @@ from .perron import (PerronData, check_equal_sums_criterion, integer_perron,
                      is_primitive, unique_trace_diagnostic)
 from .traces import is_good_row, nearly_split_witness, trace_report
 from .realization import RealizationSeq
-from .ecs import (AParams, BParams, ExtensionData, Stage, b_compose, b_matrix,
-                  choose_a_params, ecs_pipeline, general_ecs_matrix,
-                  normalize_extension, reduce_vector, split_ecs_matrix,
-                  telescope_extension)
+from .ecs import (BParams, ExtensionData, Stage, b_compose, choose_a_params,
+                  ecs_pipeline, general_ecs_matrix, normalize_extension,
+                  reduce_vector, split_ecs_matrix, telescope_extension)
 from .ers import ErsStageData, build_w_sequence, ers_pipeline, verify_ers
 from .ecrs import (EcrsProblem, PolyNat, commuting_family, ecrs_finisher,
                    ecrs_pipeline, normalize_to_ones, poly_for)

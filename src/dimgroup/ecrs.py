@@ -54,6 +54,8 @@ class EcrsProblem(namedtuple("EcrsProblem",
             raise DimensionMismatch("rho must have length k")
         if not p_seq:
             raise SchemaError("need at least one factor")
+        if seed_matrix is not None and not seed_matrix.is_square:
+            raise DimensionMismatch("seed must be square")
         return super().__new__(cls, k, lam, rho, p_seq, q, seed_matrix)
 
     @classmethod

@@ -1,7 +1,7 @@
 """Construction of equal-column-sum realizations.
 
-The split-case matrix, the general bordered matrices with their free
-parameters, the chain builder that reads one base G_0 per distinct (v, B)
+The split-case matrix, the bordered matrix of a stage with its one free
+parameter a, the chain builder that reads one base G_0 per distinct (v, B)
 back with b_extract and emits each stage as G_0 + p e_0 1^T, the GL(k,Z)
 reduction of the limiting ratio vector, extension normalization /
 telescoping, the full pipeline, and the composition algebra of the
@@ -92,77 +92,50 @@ def read_stages(obj, key: str) -> tuple[Stage, ...]:
     return tuple(stages)
 
 
-class AParams(namedtuple("AParams", "values")):
-    """Free integer parameters a_0 .. a_{k+1} subject to the rank-drop
-    constraint sum(a_1..a_{k+1}) = (k+1) a_0."""
-
-    __slots__ = ()
-
-    def __new__(cls, values: tuple[int, ...]):
-        if len(values) < 3:
-            raise SchemaError("need a_0 .. a_{k+1} with k >= 1")
-        k = len(values) - 2
-        if sum(values[1:]) != (k + 1) * values[0]:
-            raise SchemaError(
-                f"rank-drop constraint violated: sum {values[1:]} != "
-                f"{k + 1} * {values[0]}")
-        return super().__new__(cls, values)
-
-    @classmethod
-    def uniform(cls, k: int, a: int) -> "AParams":
-        return cls(tuple([a] * (k + 2)))
-
-
 # -- matrix constructors -------------------------------------------------------
 
 
 def split_ecs_matrix(k: int, p: int) -> Matrix:
     """The split-case (k+2)-size matrix: first column (p-k-1, 1, ..., 1),
     middle columns (p-1, e_i, 0), last column (p-k^2-k-1, k, ..., k, k+1);
-    all column sums equal p.  It is the bordered matrix of (p, 0, I_k)
-    with a = (1, 0, ..., 0, k+1)."""
+    all column sums equal p."""
     if k < 1:
         raise SchemaError("k must be >= 1")
     if p <= (k + 1) ** 2:
         raise PTooSmall(f"need p > (k+1)^2 = {(k + 1) ** 2}, got {p}")
-    return general_ecs_matrix(p, (0,) * k, Matrix.identity(k),
-                              AParams((1,) + (0,) * k + (k + 1,)))
+    rows = [[p - k - 1] + [p - 1] * k + [p - k * k - k - 1]]
+    rows += [[1] + [int(i == j) for j in range(k)] + [k] for i in range(k)]
+    rows.append([1] + [0] * k + [k + 1])
+    return Matrix.from_rows(rows)
 
 
-def general_ecs_matrix(p: int, v: Sequence[int], b: Matrix,
-                       a: AParams) -> Matrix:
-    """The bordered (k+2)-size matrix for stage data (p, v, B) and free
-    parameters a.
+def general_ecs_matrix(p: int, v: Sequence[int], b: Matrix, a: int) -> Matrix:
+    """The bordered (k+2)-size matrix of stage data (p, v, B) with free
+    parameter a.
 
-    Bottom row (a_0, ..., a_{k+1}); middle block columns: col 0 = v + a_0 1,
-    cols 1..k = B + v 1^T + 1 (a_1..a_k), col k+1 = v - B 1 + a_{k+1} 1.  The
-    top row is always computed as p minus the lower column sums, which makes
-    the output ECS by construction; nonnegativity is checked by callers, not
-    forced here.  p, v and a are checked to be exact once; every entry is
-    then exact arithmetic on them and on the checked B.
+    Bottom row a 1^T; middle rows (v + a 1, B + v 1^T + a 1 1^T,
+    v - B 1 + a 1).  The right column is the bordered-construction one; it
+    reduces to the v + (a-1) 1 of the display exactly when B has unit row
+    sums, and it is what makes the family closed under multiplication.
+    The top row is p minus the lower column sums, which makes the output
+    ECS by construction; nonnegativity is checked by callers, not forced
+    here.  p, v and a are checked to be exact once; every entry is then
+    exact arithmetic on them and on the checked B.
     """
     k = len(v)
-    if not b.is_square or b.rows != k or len(a.values) != k + 2:
+    if not b.is_square or b.rows != k:
         raise DimensionMismatch("inconsistent dimensions for bordered matrix")
-    avals = a.values
-    for x in (p, *v, *avals):
+    for x in (p, *v, a):
         _as_exact(x)
     brow_sums = b.row_sums()
-    middle = []
-    for i in range(k):
-        row = [v[i] + avals[0]]
-        for j in range(k):
-            row.append(b[i, j] + v[i] + avals[1 + j])
-        row.append(v[i] - brow_sums[i] + avals[k + 1])
-        middle.append(row)
-    bottom = list(avals)
-    top = [p - sum(middle[i][j] for i in range(k)) - bottom[j]
-           for j in range(k + 2)]
-    return Matrix._exact_rows([top] + middle + [bottom])
+    middle = [[v[i] + a] + [b[i, j] + v[i] + a for j in range(k)]
+              + [v[i] - brow_sums[i] + a] for i in range(k)]
+    top = [p - sum(middle[i][j] for i in range(k)) - a for j in range(k + 2)]
+    return Matrix._exact_rows([top] + middle + [[a] * (k + 2)])
 
 
-def choose_a_params(p: int, v: Sequence[int], b: Matrix) -> AParams:
-    """Smallest uniform a >= 1 making the bordered matrix nonnegative.
+def choose_a_params(p: int, v: Sequence[int], b: Matrix) -> int:
+    """The smallest a >= 1 making the bordered matrix nonnegative.
 
     The bound loop makes every entry below the top row nonnegative, and
     they all increase with a, so the minimal a is forced.  The top row is
@@ -184,15 +157,15 @@ def choose_a_params(p: int, v: Sequence[int], b: Matrix) -> AParams:
     widest = max(max(b.column_sums()), -sum(brow_sums))
     if sum(v) + (k + 1) * lower + widest > p:
         raise Infeasible(_NO_UNIFORM_A.format(p))
-    return AParams.uniform(k, lower)
+    return lower
 
 
 def bordered_stages(stages: Iterable[tuple[int, Sequence[int], Matrix]]
                     ) -> list[Matrix]:
     """The checked bordered matrices of stages (p, v, B), numbered from 1,
-    with the smallest uniform a (choose_a_params).  A stage is G_0 + p e_0
-    1^T, G_0 its matrix at p = 0, so each distinct (v, B) is built and
-    checked once: its rows below the top nonnegative, and b_extract must
+    with the smallest a (choose_a_params).  A stage is G_0 + p e_0 1^T,
+    G_0 its matrix at p = 0, so each distinct (v, B) is built and checked
+    once: its rows below the top nonnegative, and b_extract must
     read G_0 back as exactly (0, B, v, a) with a >= 1.  Every row of a
     B-form matrix below the top annihilates z = (k+1, -1, ..., -1), and
     column sums 0 make the top row minus the sum of the others, so G_0 z =
@@ -222,7 +195,7 @@ def bordered_stages(stages: Iterable[tuple[int, Sequence[int], Matrix]]
                 raise InvariantViolated(
                     f"bordered stage is not of B-form: {exc}",
                     stage=idx) from None
-            if got != (0, b, v, a.values[0]):
+            if got != (0, b, v, a):
                 raise InvariantViolated("bordered stage lost the stage data",
                                         stage=idx)
             if got.a < 1:
@@ -377,28 +350,16 @@ def ecs_pipeline(data: ExtensionData) -> RealizationSeq:
                 {"ecs": True}, {"pipeline": "ecs", "k": data.k, "cuts": cuts})
 
 
-# -- the composition algebra of bordered matrices (uniform parameters) -------------
+# -- the composition algebra of bordered matrices ----------------------------
 
 
 class BParams(namedtuple("BParams", "p b v a")):
     __slots__ = ()
 
 
-def b_matrix(params: BParams) -> Matrix:
-    """The bordered matrix with uniform free parameter a: middle rows
-    (v + a1, B + v 1^T + a 1 1^T, v - B1 + a1), bottom row (a, a 1^T, a),
-    top row the complement making every column sum p.
-
-    The right column is the bordered-construction one; it reduces to the
-    v + (a-1)1 of the display exactly when B has unit row sums, and it is
-    what makes the family closed under multiplication."""
-    return general_ecs_matrix(params.p, params.v, params.b,
-                              AParams.uniform(len(params.v), params.a))
-
-
 def b_extract(m: Matrix) -> BParams:
     """Read the parameters back off a matrix of B-form, the bordered matrix
-    of (p, v, B) with a uniform a; raises ParameterExtractionFailed when
+    of (p, v, B) with parameter a; raises ParameterExtractionFailed when
     the matrix is not of that shape.  Every entry is checked: the bottom
     row, the right column and the column sums, with B read off the middle
     block.  bordered_stages checks every base it builds with it."""
@@ -425,7 +386,8 @@ def b_extract(m: Matrix) -> BParams:
 def b_compose(left: BParams, right: BParams) -> BParams:
     """Multiply two B-form matrices exactly and re-extract the parameters,
     asserting the closure law (pp', BB', p'v + Bv', p'a)."""
-    product = b_matrix(left) * b_matrix(right)
+    product = (general_ecs_matrix(left.p, left.v, left.b, left.a)
+               * general_ecs_matrix(right.p, right.v, right.b, right.a))
     got = b_extract(product)
     expected = BParams(
         left.p * right.p,

@@ -20,7 +20,7 @@ from dimgroup.errors import LambdaTooSmall
 from dimgroup.exact import (Matrix, colsum_norm, content, is_unimodular,
                             sup_norm, vec_sub)
 from dimgroup.ecs import (BParams, ExtensionData, Stage, b_compose,
-                          b_extract, b_matrix, choose_a_params, ecs_pipeline,
+                          b_extract, choose_a_params, ecs_pipeline,
                           general_ecs_matrix, reduce_vector, split_ecs_matrix)
 from dimgroup.ecrs import (EcrsProblem, commuting_family, ecrs_pipeline,
                            poly_for)
@@ -172,7 +172,8 @@ def test_criterion_04_w_sequence():
 def test_criterion_05_b_algebra():
     left = BParams(7, Matrix.identity(1), (1,), 1)
     right = BParams(5, Matrix.identity(1), (2,), 1)
-    product_matrix = b_matrix(left) * b_matrix(right)
+    product_matrix = (general_ecs_matrix(left.p, left.v, left.b, left.a)
+                      * general_ecs_matrix(right.p, right.v, right.b, right.a))
     assert product_matrix.to_rows() == [[18, 17, 19], [12, 13, 11], [5, 5, 5]]
     composed = b_compose(left, right)
     assert (composed.p, composed.v, composed.a) == (35, (7,), 5)

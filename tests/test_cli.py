@@ -387,8 +387,11 @@ def test_build_input_is_parsed_strictly(tmp_path, capsys, kind, payload):
     ("ecrs", {**ECRS_INPUT, "seed_matrix": [[]]}),
     ("ecrs", {**ECRS_INPUT, "rho": [1]}),
     ("ecrs", {"k": 1, "lambda": 2, "rho": [1], "p_seq": []}),
+    ("ecrs", {"k": 1, "lambda": 1, "rho": [1], "p_seq": [3],
+              "seed_matrix": [[1, 1]]}),
 ], ids=["ecs-empty-B", "ecs-long-v", "ecs-non-square-B", "ers-long-trace-row",
-        "ecrs-empty-seed", "ecrs-short-rho", "ecrs-no-factors"])
+        "ecrs-empty-seed", "ecrs-short-rho", "ecrs-no-factors",
+        "ecrs-non-square-seed"])
 def test_misshapen_build_input_is_schema_error(tmp_path, capsys, kind,
                                                payload):
     inp = write(tmp_path, "in.json", payload)

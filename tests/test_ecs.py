@@ -10,16 +10,16 @@ from hypothesis import given, settings, strategies as st
 from dimgroup import cli, ecs, exact
 from dimgroup.errors import (BadCutPoints, DimgroupError, HorizonExhausted,
                              Infeasible, InvariantViolated, NotPrimitive,
-                             ParameterExtractionFailed, PTooSmall, SchemaError)
+                             ParameterExtractionFailed, PTooSmall)
 from dimgroup.exact import Matrix, is_unimodular
-from dimgroup.ecs import (AParams, BParams, ExtensionData, Stage, b_compose,
-                          b_extract, b_matrix, choose_a_params, ecs_pipeline,
-                          general_ecs_matrix, normalize_extension,
-                          reduce_vector, split_ecs_matrix, telescope_extension)
+from dimgroup.ecs import (BParams, ExtensionData, Stage, b_compose, b_extract,
+                          choose_a_params, ecs_pipeline, general_ecs_matrix,
+                          normalize_extension, reduce_vector, split_ecs_matrix,
+                          telescope_extension)
 from dimgroup.perron import is_primitive
 from dimgroup.verify import structural_report
 
-from bordered import kernel_vector
+from bordered import kernel_vector, nonuniform_bordered_matrix
 
 
 def eps_basis(k):
@@ -110,18 +110,17 @@ def test_eps_basis():
 
 
 def test_general_matrix_worked_example():
-    m = general_ecs_matrix(7, (1,), Matrix.from_rows([[1]]),
-                           AParams.uniform(1, 1))
+    m = general_ecs_matrix(7, (1,), Matrix.from_rows([[1]]), 1)
     assert m.to_rows() == [[4, 3, 5], [2, 3, 1], [1, 1, 1]]
     assert set(m.column_sums()) == {7}
 
 
 @pytest.mark.parametrize("p,v,a", [
-    (7.0, (1,), AParams.uniform(1, 1)),
-    (7, (1.0,), AParams.uniform(1, 1)),
-    (7, ("1",), AParams.uniform(1, 1)),
-    (7, (1,), AParams((1.0, 1, 1))),
-    ("7", (1,), AParams.uniform(1, 1)),
+    (7.0, (1,), 1),
+    (7, (1.0,), 1),
+    (7, ("1",), 1),
+    (7, (1,), 1.0),
+    ("7", (1,), 1),
 ], ids=["float-p", "float-v", "str-v", "float-a", "str-p"])
 def test_general_matrix_rejects_inexact_stage_data(p, v, a):
     """p, v and a are checked once, so an inexact value from a caller is a
@@ -141,8 +140,7 @@ def test_general_matrix_kernel_and_eigenrow():
                                   for _ in range(k)])
             if b.det() != 0:
                 break
-        a = AParams.uniform(k, rng.randint(1, 4))
-        m = general_ecs_matrix(p, v, b, a)
+        m = general_ecs_matrix(p, v, b, rng.randint(1, 4))
         assert set(m.column_sums()) == {p}
         assert m.mul_vector(kernel_vector(k)) == tuple([0] * (k + 2))
         assert m.rank() == k + 1
@@ -152,20 +150,14 @@ def test_left_eigenrow_for_eigenvalue_one():
     # B = I case: rows (0, u, -sum(u)) with u.v = 0 fix the matrix on the left
     v = (1, 2, 0)
     u = (2, -1, 5)          # u.v = 0
-    m = general_ecs_matrix(60, v, Matrix.identity(3), AParams.uniform(3, 2))
+    m = general_ecs_matrix(60, v, Matrix.identity(3), 2)
     row = (0,) + u + (-sum(u),)
     assert m.vector_mul(row) == row
 
 
-def test_aparams_constraint():
-    with pytest.raises(SchemaError):
-        AParams((1, 1, 2))      # 1 + 2 != 2 * 1
-    AParams((2, 1, 3))          # 1 + 3 = 2 * 2 is fine
-
-
 def test_choose_a_params():
-    assert choose_a_params(50, (0, 0), Matrix.identity(2)).values == (1,) * 4
-    assert choose_a_params(100, (-3, 1), Matrix.identity(2)).values == (4,) * 4
+    assert choose_a_params(50, (0, 0), Matrix.identity(2)) == 1
+    assert choose_a_params(100, (-3, 1), Matrix.identity(2)) == 4
     with pytest.raises(Infeasible):
         choose_a_params(3, (5, 5), Matrix.identity(2))
 
@@ -178,7 +170,7 @@ def _smallest_uniform_a(p, v, b):
     k = len(v)
     a = 1
     while True:
-        m = general_ecs_matrix(p, v, b, AParams.uniform(k, a))
+        m = general_ecs_matrix(p, v, b, a)
         if all(min(m.row(i)) >= 0 for i in range(1, k + 2)):
             break
         a += 1
@@ -203,7 +195,7 @@ def test_choose_a_params_matches_building_the_matrix():
                 choose_a_params(p, v, b)
             outcomes["infeasible"] += 1
         else:
-            assert choose_a_params(p, v, b) == AParams.uniform(k, expected)
+            assert choose_a_params(p, v, b) == expected
             outcomes["feasible"] += 1
     assert min(outcomes.values()) >= 100
 
@@ -216,7 +208,7 @@ def test_choose_a_params_feasibility_edge():
              ((9, 9), Matrix.from_rows([[-3, -1], [0, -2]]), 3)]
     big = 10 ** 6
     for v, b, widest in cases:
-        a = AParams.uniform(2, _smallest_uniform_a(big, v, b))
+        a = _smallest_uniform_a(big, v, b)
         p = big - min(general_ecs_matrix(big, v, b, a).row(0))
         assert choose_a_params(p, v, b) == a
         top = general_ecs_matrix(p, v, b, a).row(0)
@@ -516,19 +508,24 @@ def test_one_b_is_conjugated_once(monkeypatch, caplog):
         == ["built 16 stages from 1 distinct (v, B) blocks"]
 
 
-@pytest.mark.parametrize("a,text", [
-    (AParams.uniform(1, 0), "bottom row is not one value a >= 1"),
-    (AParams((2, 1, 3)), "not of B-form: bottom row not constant"),
+@pytest.mark.parametrize("name,planted,text", [
+    ("choose_a_params", lambda p, v, b: 0,
+     "bottom row is not one value a >= 1"),
+    ("general_ecs_matrix",
+     lambda p, v, b, a: nonuniform_bordered_matrix(p, v, b, (2, 1, 3)),
+     "not of B-form: bottom row not constant"),
 ], ids=["a0", "a1"])
-def test_rank_certificate_needs_a_at_least_one(monkeypatch, a, text):
-    """With these a every stage below is nonnegative, has column sums p and
+def test_rank_certificate_needs_a_at_least_one(monkeypatch, name, planted,
+                                               text):
+    """With a = 0, or with the non-uniform a = (2, 1, 3) written in place of
+    the one a, every stage below is nonnegative, has column sums p and
     annihilates z, but its bottom row is zero or not one value: the
     certificate's premise fails, and the build stops at stage 1 instead of
     merging groups."""
     data = ExtensionData(1, tuple(Stage(101 + 2 * i, (5,),
                                         Matrix.identity(1))
                                   for i in range(4)))
-    monkeypatch.setattr(ecs, "choose_a_params", lambda p, v, b: a)
+    monkeypatch.setattr(ecs, name, planted)
     with pytest.raises(InvariantViolated, match=text) as exc:
         ecs_pipeline(data)
     assert exc.value.stage == 1
@@ -563,7 +560,7 @@ def _base_floor(v, b):
     """-min(G_0[0]): the least p whose uniform bordered matrix for (v, B)
     has a nonnegative top row, G_0 that matrix at p = 0 with the reference
     a (its entries are far below 10^9)."""
-    a = AParams.uniform(len(v), _smallest_uniform_a(10 ** 9, v, b))
+    a = _smallest_uniform_a(10 ** 9, v, b)
     return -min(general_ecs_matrix(0, v, b, a).row(0))
 
 
@@ -844,9 +841,11 @@ def test_one_b_text_is_parsed_once(monkeypatch):
 def test_b_algebra_worked_example():
     left = BParams(7, Matrix.identity(1), (1,), 1)
     right = BParams(5, Matrix.identity(1), (2,), 1)
-    assert b_matrix(left).to_rows() == [[4, 3, 5], [2, 3, 1], [1, 1, 1]]
-    assert b_matrix(right).to_rows() == [[1, 0, 2], [3, 4, 2], [1, 1, 1]]
-    product = b_matrix(left) * b_matrix(right)
+    left_m = general_ecs_matrix(left.p, left.v, left.b, left.a)
+    right_m = general_ecs_matrix(right.p, right.v, right.b, right.a)
+    assert left_m.to_rows() == [[4, 3, 5], [2, 3, 1], [1, 1, 1]]
+    assert right_m.to_rows() == [[1, 0, 2], [3, 4, 2], [1, 1, 1]]
+    product = left_m * right_m
     assert product.to_rows() == [[18, 17, 19], [12, 13, 11], [5, 5, 5]]
     composed = b_compose(left, right)
     assert (composed.p, composed.v, composed.a) == (35, (7,), 5)
@@ -877,7 +876,9 @@ def test_b_algebra_random_closure_and_associativity():
         x, y, z = params
         xy = b_compose(x, y)
         yz = b_compose(y, z)
-        assert b_matrix(b_compose(xy, z)) == b_matrix(b_compose(x, yz))
+        left, right = b_compose(xy, z), b_compose(x, yz)
+        assert general_ecs_matrix(left.p, left.v, left.b, left.a) \
+            == general_ecs_matrix(right.p, right.v, right.b, right.a)
 
 
 def test_b_extract_rejects_non_b_form():

@@ -10,7 +10,7 @@ from dimgroup.errors import (DimensionMismatch, DimgroupError, Infeasible,
                              RegimeViolation)
 from dimgroup.exact import (Matrix, colsum_norm, sup_norm, vec_add,
                             vec_scale, vec_sub)
-from dimgroup.ecs import (AParams, BParams, ExtensionData, Stage, b_extract,
+from dimgroup.ecs import (BParams, ExtensionData, Stage, b_extract,
                           ecs_pipeline, general_ecs_matrix)
 from dimgroup import ecs, ers
 from dimgroup.ers import (ErsStageData, build_w_sequence,
@@ -328,12 +328,10 @@ def test_build_w_regime_violation():
 
 
 def test_b_extract_examples():
-    m = general_ecs_matrix(7, (1,), Matrix.from_rows([[1]]),
-                           AParams.uniform(1, 1))
+    m = general_ecs_matrix(7, (1,), Matrix.from_rows([[1]]), 1)
     assert b_extract(m) == BParams(7, Matrix.from_rows([[1]]), (1,), 1)
 
-    m2 = general_ecs_matrix(7, (1,), Matrix.from_rows([[2]]),
-                            AParams.uniform(1, 1))
+    m2 = general_ecs_matrix(7, (1,), Matrix.from_rows([[2]]), 1)
     assert b_extract(m2) == BParams(7, Matrix.from_rows([[2]]), (1,), 1)
 
     with pytest.raises(ParameterExtractionFailed):
@@ -355,7 +353,7 @@ def test_b_extract_reads_the_whole_b_form():
             if b.det() != 0:
                 break
         a = rng.randint(1, 3)
-        m = general_ecs_matrix(p, v, b, AParams.uniform(k, a))
+        m = general_ecs_matrix(p, v, b, a)
         assert b_extract(m) == BParams(p, b, v, a)
         rows = m.to_rows()
         for i in range(k + 2):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dimgroup.ecrs import EcrsProblem, PolyNat
-from dimgroup.ecs import AParams, BParams, ExtensionData, Stage
+from dimgroup.ecs import BParams, ExtensionData, Stage
 from dimgroup.errors import DimensionMismatch, SchemaError
 from dimgroup.ers import ErsStageData, ErsVerifyReport, WSequence
 from dimgroup.exact import Matrix, UnimodularTransform
@@ -27,7 +27,9 @@ TALL = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])   # 3 x 2
 
 
 # (record, args, error type, exact message); where two checks fail, the
-# message is the one today's check order raises first.
+# message is the one today's check order raises first.  A row's id is its
+# record and its place in the list, so a new row takes the place of a
+# deleted one and the other ids stay as they are.
 BAD_INPUTS = [
     (Stage, (1, (0,), I1), SchemaError, "stage factor must exceed 1, got 1"),
     (Stage, (1, (0, 0), SINGULAR), SchemaError,
@@ -42,9 +44,10 @@ BAD_INPUTS = [
     (ExtensionData, (1, ()), SchemaError, "need at least one stage"),
     (ExtensionData, (2, (Stage(3, (0,), I1),)), DimensionMismatch,
      "stage vector length != k"),
-    (AParams, ((1, 2),), SchemaError, "need a_0 .. a_{k+1} with k >= 1"),
-    (AParams, ((1, 1, 2),), SchemaError,
-     "rank-drop constraint violated: sum (1, 2) != 2 * 1"),
+    (EcrsProblem, (1, 1, (1,), FactorSequence((3,)), None, WIDE),
+     DimensionMismatch, "seed must be square"),
+    (EcrsProblem, (1, 1, (1,), FactorSequence((3,)), None, TALL),
+     DimensionMismatch, "seed must be square"),
     (Stage, (0, (0,), I1), SchemaError, "stage factor must exceed 1, got 0"),
     (Stage, (3, (0,), I2), DimensionMismatch,
      "stage B must be k x k, k the length of the stage vector"),
@@ -109,7 +112,6 @@ def _examples():
     return {
         "Stage": lambda: Stage(3, (1, 0), I2),
         "ExtensionData": lambda: ExtensionData(1, (Stage(3, (1,), I1),)),
-        "AParams": lambda: AParams((1, 1, 1)),
         "ErsStageData": lambda: ErsStageData(1, (Stage(3, (1,), I1),),
                                              (Fraction(1, 2),)),
         "EcrsProblem": lambda: EcrsProblem(1, 3, (1,), FactorSequence((4,))),
