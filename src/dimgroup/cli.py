@@ -1,6 +1,7 @@
 """Command-line front end.
 
-    dimgroup build {ecs|ers|ecrs} -i in.json -o out.json [--strict-bounds]
+    dimgroup build {ecs|ecrs} -i in.json -o out.json
+    dimgroup build ers -i in.json -o out.json [--strict-bounds]
     dimgroup verify -i out.json
     dimgroup decide --rank R --group g.json --lambda L
     dimgroup telescope -i in.json --cuts 1,3,7 -o out.json
@@ -67,6 +68,8 @@ def _error_payload(exc: Exception) -> dict:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    if args.strict_bounds and args.kind != "ers":
+        raise errors.SchemaError("--strict-bounds applies to build ers only")
     raw = load_json(args.input)
     if args.kind == "ecs":
         seq = ecs_pipeline(ExtensionData.from_json(raw))
@@ -139,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("-i", "--input", required=True)
     p_build.add_argument("-o", "--output", required=True)
     p_build.add_argument("--strict-bounds", action="store_true",
-                         help="enforce the sharper per-stage norm bounds")
+                         help="build ers only: enforce the sharper per-stage "
+                         "norm bounds")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="re-derive every claimed flag")

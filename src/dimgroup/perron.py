@@ -1,15 +1,17 @@
-"""Primitivity, integer Perron data certified by the sum sandwich or one
-charpoly bisection, equal sums, and the unique-trace diagnostic."""
+"""Primitivity, integer Perron data (the root certified by the sum sandwich
+or one charpoly bisection, each vector all ones or one kernel solve), equal
+sums, and the unique-trace diagnostic."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (InvariantViolated, NonSquare, NotIntegerEigenvalue,
                      NotNonnegative, NotPrimitive, SizeMismatch)
-from .exact import Matrix, right_kernel_basis
+from .exact import (Matrix, factor_kernel_basis, primitive_part,
+                    rank_factorization)
 
 
 def is_primitive(a: Matrix) -> bool:
@@ -50,11 +52,6 @@ def _or_combine(row_bits: int, pattern: list[int]) -> int:
     return out
 
 
-# Maps a Perron root r to a content-1 integer basis of ker(a - rI), or of
-# the rows w with w a = r w.
-KernelSolver = Callable[[int], list[tuple[int, ...]]]
-
-
 class PerronData(namedtuple("PerronData", "eigenvalue left right size")):
     """Integer Perron eigenvalue with content-1, strictly positive integer
     left (row) and right (column) eigenvectors."""
@@ -93,45 +90,43 @@ def _shifted(chi: Sequence[int], t: int) -> list[int]:
     return out
 
 
-def integer_perron(a: Matrix, right_kernel: KernelSolver | None = None,
-                   left_kernel: KernelSolver | None = None) -> PerronData:
+def integer_perron(a: Matrix) -> PerronData:
     """Integer Perron data of a primitive matrix, certified by the sum
     sandwich or one charpoly bisection (perron_root).  By Perron-Frobenius
     ker(a - rI) and ker(a^T - rI) are spanned by strictly positive vectors;
     constant row (column) sums make the all-ones vector the right (left) one,
-    and only otherwise is the kernel solved.  A caller that can find one of
-    these kernels more cheaply passes a solver, mapping the root to a
-    content-1 integer basis of it; that basis is checked as a solved one
-    is.  NotIntegerEigenvalue signals input outside this library's
-    constructions."""
+    and only otherwise is the kernel solved.  NotIntegerEigenvalue signals
+    input outside this library's constructions."""
     if not is_primitive(a):
         raise NotPrimitive("integer_perron requires a primitive matrix")
     root = perron_root(a)
-    left = _perron_vector(a, root, left=True, kernel=left_kernel)
-    return PerronData(root, left, _perron_vector(a, root, kernel=right_kernel),
-                      a.rows)
+    return PerronData(root, _perron_vector(a, root, left=True),
+                      _perron_vector(a, root), a.rows)
 
 
-def _perron_vector(a: Matrix, root: int, left: bool = False,
-                   kernel: KernelSolver | None = None) -> tuple[int, ...]:
+def _perron_vector(a: Matrix, root: int, left: bool = False
+                   ) -> tuple[int, ...]:
     """Content-1 vector spanning ker(a - root I), or with ``left`` the row
     vectors w with w a = root w, for primitive a.  Constant row (column)
-    sums give the all-ones vector; otherwise ``kernel`` gives the basis, or
-    it is solved, and only a left solve reads a^T.  Where every column of
-    the solved matrix sums to root, the rows of a - root I sum to zero, so
-    the last one is left out of the solve."""
+    sums give the all-ones vector; otherwise the kernel is solved from one
+    rank factorization of the shifted rows, and only a left solve reads
+    a^T.  The rows go in by their largest entry, smallest first, which
+    keeps the fraction-free elimination's minors small (a built stage's
+    top row carries p).  Where every column of the solved matrix sums to
+    root, the rows of a - root I sum to zero, so the last, largest one is
+    left out of the solve."""
     if len(set(a.column_sums() if left else a.row_sums())) == 1:
         return (1,) * a.rows
-    if kernel is not None:
-        basis = kernel(root)
-    else:
-        if left:
-            a = a.transpose()
-        shifted = [[x - root if i == j else x
-                    for j, x in enumerate(a.row(i))] for i in range(a.rows)]
-        if set(a.column_sums()) == {root}:
-            shifted.pop()
-        basis = right_kernel_basis(Matrix._exact_rows(shifted))
+    if left:
+        a = a.transpose()
+    shifted = sorted(([x - root if i == j else x
+                       for j, x in enumerate(a.row(i))]
+                      for i in range(a.rows)),
+                     key=lambda row: max(map(abs, row)))
+    if set(a.column_sums()) == {root}:
+        shifted.pop()
+    basis = [primitive_part(v) for v in
+             factor_kernel_basis(*rank_factorization(shifted), a.cols)]
     if len(basis) != 1 or not all(x > 0 for x in basis[0]):
         raise InvariantViolated(
             f"Perron root {root} of a primitive matrix has no simple, "

@@ -6,9 +6,10 @@ products, the trace value group, the index of the marker subgroup, goodness
 of the constant row, and the nearly-split witness.  Every flag requires
 every stage to be primitive.
 
-Certificates come first, so a file the library built needs one stage-size
-elimination in all, stage 1's rank factorization (two for ERS files, whose
-stage 1 is factored again transposed):
+Certificates come first, so a file the library built needs stage 1's
+rank factorization (two for ERS files, whose stage 1 is factored again
+transposed) and at most one Perron solve per stage, on s - 1 rows, as
+its only stage-size eliminations:
 
 - Sums: each stage's row and column sums, and whether it is nonnegative,
   are computed once and cached on its matrix; the stage report, the Perron
@@ -23,14 +24,14 @@ stage 1 is factored again transposed):
   N_i = R A_i[:, p], the map it induces on Q^s / K.  det(N_n ... N_1)
   nonzero modulo a 61-bit prime, one elimination per chain, proves every
   core nonsingular and so every telescoped product of rank r (see
-  _quotient_kernels).  Failing either check sends the file to the walk.
+  _common_kernel_certified).  Failing either check sends the file to the
+  walk.
 - Perron data: primitivity is tested once per stage, inside
   integer_perron; constant row (column) sums make the all-ones vector the
-  right (left) Perron vector.  On a certified file the other vector, on
-  the side of the common kernel, is A_i[:, p] y for y spanning
-  ker(N_i - d rho I), an r x r solve on r - 1 rows where N_i's columns
-  sum to d rho; only the rest solve s x s.  Left-hand data is read from
-  the columns: a stage is transposed only to solve or certify a left kernel.
+  right (left) Perron vector.  The other vector spans ker(A - rho I), or
+  that of its transpose, one solve on s - 1 rows where the constant sums
+  make its rows sum to zero.  Left-hand data is read from the columns: a
+  stage is transposed only to solve or certify a left kernel.
 - Nearly-split witness: stage kernels are intersected one at a time; a
   primitive stage whose Perron root is its designed value seeds the common
   eigenvector with its verified Perron vector, and each further stage is
@@ -53,7 +54,6 @@ stage 1 is factored again transposed):
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import namedtuple
@@ -62,7 +62,7 @@ from typing import Sequence
 from .errors import NotIntegerEigenvalue, NotPrimitive
 from .exact import (Matrix, factor_kernel_basis, primitive_part,
                     rank_factorization)
-from .perron import KernelSolver, PerronData, integer_perron
+from .perron import PerronData, integer_perron
 from .realization import RealizationSeq, json_str, json_strs
 from .traces import is_good_row, nearly_split_witness, trace_report
 from .ers import verify_ers
@@ -70,17 +70,15 @@ from .ers import verify_ers
 # The format of the report; "2" writes telescoped kernel ranks as runs,
 # "3" the trace value group as a coprime factorization.
 REPORT_VERSION = "3"
-# The prime modulo which _quotient_kernels multiplies a chain's cores.
+# The prime modulo which _common_kernel_certified multiplies a chain's
+# cores.
 MODULUS = 2**61 - 1
 
 
-def _stage_report(idx: int, m: Matrix, designed: int,
-                  right_kernel: KernelSolver | None = None,
-                  left_kernel: KernelSolver | None = None
+def _stage_report(idx: int, m: Matrix, designed: int
                   ) -> tuple[dict, PerronData | None]:
     """The stage's entry in the report, and its Perron data where it was
-    verified primitive with an integer Perron root.  The kernel solvers
-    are passed on to integer_perron."""
+    verified primitive with an integer Perron root."""
     cols = m.column_sums()
     rows = m.row_sums()
     rep = {
@@ -98,7 +96,7 @@ def _stage_report(idx: int, m: Matrix, designed: int,
     pd = None
     if m.is_square and m.is_nonnegative():
         try:
-            pd = integer_perron(m, right_kernel, left_kernel)
+            pd = integer_perron(m)
         except NotPrimitive:
             rep["primitive"] = False
         except NotIntegerEigenvalue as exc:
@@ -112,12 +110,11 @@ def _stage_report(idx: int, m: Matrix, designed: int,
     return rep, pd
 
 
-def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
-                      reduced: list[Sequence[int]]
-                      ) -> list[KernelSolver] | None:
-    """Per stage, a solver of ker(A_i - root I) for integer_perron, if the
-    s x s stages share K = ker A_1 and have nonsingular cores on Q^s / K;
-    else None.  (p, R) is A_1's rank factorization, d A_1 = A_1[:, p] R.
+def _common_kernel_certified(mats: Sequence[Matrix], pivots: list[int],
+                             reduced: list[Sequence[int]]) -> bool:
+    """True iff the s x s stages share K = ker A_1 and have nonsingular
+    cores on Q^s / K, so that every telescoped product has rank r.  (p, R)
+    is A_1's rank factorization, d A_1 = A_1[:, p] R.
 
     A_i K = 0 iff d A_i = A_i[:, p] R, checked once per distinct row a of
     the chain, as a z = 0 for the s - r kernel vectors z where they are at
@@ -129,9 +126,7 @@ def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
     at least rank N = r.  One elimination decides the chain: the product
     of the den N_i modulo MODULUS, den clearing denominators (x % MODULUS
     is a residue of an int x only), must have r pivots and a final pivot,
-    +-det, prime to MODULUS.  For root != 0, x -> R x maps
-    ker(A_i - root I) onto ker(N_i - d root I), and y -> A_i[:, p] y maps
-    it back, so each solve is r x r, not s x s.
+    +-det, prime to MODULUS.
     """
     s = mats[0].cols
     d = reduced[0][pivots[0]]
@@ -147,36 +142,18 @@ def _quotient_kernels(mats: Sequence[Matrix], pivots: list[int],
                 comb = [x + c * y for x, y in zip(comb, row)]
             leaves = comb != [d * x for x in a]
         if leaves:
-            return None
+            return False
     den = math.lcm(*(x.denominator for a in distinct for x in a
                      if type(x) is not int))
     product = [[int(i == j) for j in pivots] for i in pivots]   # by columns
-    solvers = []
     for m in mats:
         cols = [m.col(j) for j in pivots]
-        core = [tuple([sum(map(operator.mul, row, col)) for col in cols])
+        core = [[sum(map(operator.mul, row, col)) for col in cols]
                 for row in reduced]
         product = [[sum(map(operator.mul, row, col)) * den % MODULUS
                     for row in core] for col in product]
-        solvers.append(functools.partial(_core_kernel, cols, core, d))
     found, echelon = rank_factorization(product)
-    if len(found) < len(pivots) or echelon[0][found[0]] % MODULUS == 0:
-        return None
-    return solvers
-
-
-def _core_kernel(cols: list[tuple], core: list[tuple[int, ...]], d: int,
-                 root: int) -> list[tuple[int, ...]]:
-    """ker(A - root I) as A[:, p] ker(N - d root I), for the columns
-    A[:, p] and core rows N of a certified stage; see _quotient_kernels."""
-    shifted = [(*row[:i], row[i] - d * root, *row[i + 1:])
-               for i, row in enumerate(core)]
-    if set(map(sum, zip(*core))) == {d * root}:    # the rows sum to zero
-        shifted.pop()
-    return [primitive_part([sum(map(operator.mul, row, y))
-                            for row in zip(*cols)])
-            for y in factor_kernel_basis(*rank_factorization(shifted),
-                                         len(core))]
+    return len(found) == len(pivots) and echelon[0][found[0]] % MODULUS != 0
 
 
 def _telescoped_kernel_ranks(mats: Sequence[Matrix]) -> list[dict]:
@@ -235,17 +212,16 @@ def structural_report(seq: RealizationSeq) -> VerificationResult:
     # left kernel certifies the transposed chain, which has the same ranks.
     # At r = s there is no kernel to divide out, and the walk takes one
     # elimination per start, what the cores would cost.
-    right = left = None
+    certified = False
     if 0 < len(pivots) < s and all(m.rows == m.cols == s for m in mats):
-        right = _quotient_kernels(mats, pivots, reduced)
-        if right is None:
+        certified = _common_kernel_certified(mats, pivots, reduced)
+        if not certified:
             transposed = [m.transpose() for m in mats]
-            left = _quotient_kernels(transposed,
-                                     *rank_factorization(transposed[0]))
+            certified = _common_kernel_certified(
+                transposed, *rank_factorization(transposed[0]))
     stages, perron = [], []
     for i, (m, p) in enumerate(zip(mats, seq.stage_values)):
-        rep, pd = _stage_report(i + 1, m, p, right and right[i],
-                                left and left[i])
+        rep, pd = _stage_report(i + 1, m, p)
         stages.append(rep)
         perron.append(pd)
     failures: list[dict] = []
@@ -276,11 +252,11 @@ def structural_report(seq: RealizationSeq) -> VerificationResult:
     failures += [{"stage": culprit.get(flag), "check": flag}
                  for flag, verified in claim_checks.items() if not verified]
 
-    if right is None and left is None:
-        kernel = _telescoped_kernel_ranks(mats)
-    else:
+    if certified:
         kernel = [{"from": i, "runs": [[i, s - len(pivots)]]}
                   for i in range(1, len(mats) + 1)]
+    else:
+        kernel = _telescoped_kernel_ranks(mats)
     trace = None
     if derived["ecs"]:
         trace = trace_report(seq).to_json()

@@ -140,6 +140,22 @@ def test_build_ers_regime_is_checked(tmp_path, capsys, stages, strict, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["ecs", "ecrs"])
+def test_strict_bounds_is_refused_outside_build_ers(tmp_path, capsys, kind):
+    """The flag bounds the ERS regime only; another build is refused with
+    exit 2 before its input is read, and writes no file."""
+    inp = write(tmp_path, "in.json",
+                {"ecs": ECS_INPUT, "ecrs": ECRS_INPUT}[kind])
+    out = tmp_path / "out.json"
+    assert cli.main(["build", kind, "-i", inp, "-o", str(out),
+                     "--strict-bounds"]) == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "SchemaError",
+        "message": "--strict-bounds applies to build ers only"}
+    assert not out.exists()
+    assert cli.main(["build", kind, "-i", inp, "-o", str(out)]) == cli.EXIT_OK
+
+
 def test_telescope_command(tmp_path):
     inp = write(tmp_path, "in.json", ECS_INPUT)
     built = str(tmp_path / "out.json")

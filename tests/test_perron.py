@@ -94,20 +94,26 @@ def test_wielandt_matrix_is_decided_by_squaring():
             assert _wielandt_primitive(Matrix.from_rows(cycle))
 
 
-def test_a_given_kernel_solver_is_checked_as_a_solve_is():
-    """integer_perron takes a solver's basis of ker(A - rho I) only if it is
-    one strictly positive vector; its row and column sums are unequal, so
-    neither vector is the all-ones one."""
+def test_a_perron_solve_is_checked_for_one_positive_vector():
+    """A solved basis of ker(A - rho I) is taken only if it is one strictly
+    positive vector up to sign: two vectors, none, or one with a zero or
+    with entries of both signs raise.  The row and column sums of the
+    example are unequal, so both of its vectors are solved."""
     m = Matrix.from_rows([[1, 2], [3, 6]])
     pd = integer_perron(m)
     assert pd == (7, (1, 2), (1, 3), 2)
-    assert integer_perron(m, lambda root: [pd.right]) == pd
-    assert integer_perron(m, None, lambda root: [pd.left]) == pd
-    for basis in ([pd.right, (1, 0)], [], [(1, 0)], [(-1, -1)]):
-        with pytest.raises(InvariantViolated):
-            integer_perron(m, lambda root: basis)
-        with pytest.raises(InvariantViolated):
-            integer_perron(m, None, lambda root: basis)
+    for basis in ([[1, 3], [1, 0]], [], [[1, 0]], [[2, -1]]):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(perron, "factor_kernel_basis", lambda *args: basis)
+            for left in (False, True):
+                with pytest.raises(InvariantViolated):
+                    _perron_vector(m, 7, left=left)
+            with pytest.raises(InvariantViolated):
+                integer_perron(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perron, "factor_kernel_basis",
+                      lambda *args: [[-2, -6]])
+        assert _perron_vector(m, 7) == (1, 3)
 
 
 def test_is_primitive_transpose_symmetry():
@@ -263,26 +269,30 @@ def test_integer_perron_matches_the_kernels(m):
 
 
 @settings(deadline=None, max_examples=200)
-@given(_perron_matrices(kinds=("rows", "columns")))
-def test_perron_vector_solves_without_the_redundant_row(m):
-    """Constant column sums and unequal row sums (or, for the left vector,
-    the reverse) make the rows of the solved A - rho I sum to zero, so the
-    kernel solve sees one row fewer and returns the vector of the full
-    kernel."""
-    left = len(set(m.column_sums())) > 1
-    assume(is_primitive(m) and (left or len(set(m.row_sums())) > 1))
+@given(_perron_matrices(), st.booleans())
+def test_perron_vector_solves_without_the_redundant_row(m, left):
+    """Where every column of the solved A - rho I (for the left vector, of
+    its transpose) sums to zero, its rows sum to zero, so the kernel solve
+    sees one row fewer; elsewhere it sees every row, as a row left out of
+    a matrix without that dependency could widen its kernel.  Either way
+    it returns the vector of the full kernel."""
+    sums = m.column_sums() if left else m.row_sums()
+    assume(is_primitive(m) and len(set(sums)) > 1)
     root = perron_root(m)
     shifted = m + Matrix.identity(m.rows).scale(-root)
     full = right_kernel_basis(shifted.transpose() if left else shifted)
+    redundant = set(m.row_sums() if left else m.column_sums()) == {root}
+    event(f"left: {left}, redundant row: {redundant}")
     solved = []
+    original = perron.rank_factorization
 
-    def counted(a):
-        solved.append((a.rows, a.cols))
-        return right_kernel_basis(a)
+    def counted(rows):
+        solved.append((len(rows), len(rows[0])))
+        return original(rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(perron, "right_kernel_basis", counted)
+        patch.setattr(perron, "rank_factorization", counted)
         assert [_perron_vector(m, root, left=left)] == full
-    assert solved == [(m.rows - 1, m.rows)]
+    assert solved == [(m.rows - redundant, m.rows)]
 
 
 @settings(deadline=None, max_examples=200)

@@ -26,84 +26,93 @@ WIDE = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])     # 2 x 3
 TALL = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])   # 3 x 2
 
 
-# (record, args, error type, exact message); where two checks fail, the
-# message is the one today's check order raises first.  A row's id is its
-# record and its place in the list, so a new row takes the place of a
-# deleted one and the other ids stay as they are.
+# (number, record, args, error type, exact message); where two checks
+# fail, the message is the one today's check order raises first.  A row's
+# id is its record and its own number, so deleting a row renames no other
+# case; a new row takes a number no row has had.
 BAD_INPUTS = [
-    (Stage, (1, (0,), I1), SchemaError, "stage factor must exceed 1, got 1"),
-    (Stage, (1, (0, 0), SINGULAR), SchemaError,
+    (0, Stage, (1, (0,), I1), SchemaError,
      "stage factor must exceed 1, got 1"),
-    (Stage, (3, (0, 0), I1), DimensionMismatch,
+    (1, Stage, (1, (0, 0), SINGULAR), SchemaError,
+     "stage factor must exceed 1, got 1"),
+    (2, Stage, (3, (0, 0), I1), DimensionMismatch,
      "stage B must be k x k, k the length of the stage vector"),
-    (Stage, (3, (0, 0), WIDE), DimensionMismatch,
+    (3, Stage, (3, (0, 0), WIDE), DimensionMismatch,
      "stage B must be k x k, k the length of the stage vector"),
-    (Stage, (3, (0, 0), SINGULAR), SchemaError,
+    (4, Stage, (3, (0, 0), SINGULAR), SchemaError,
      "stage B must have nonzero determinant"),
-    (ExtensionData, (0, ()), SchemaError, "k must be >= 1"),
-    (ExtensionData, (1, ()), SchemaError, "need at least one stage"),
-    (ExtensionData, (2, (Stage(3, (0,), I1),)), DimensionMismatch,
+    (5, ExtensionData, (0, ()), SchemaError, "k must be >= 1"),
+    (6, ExtensionData, (1, ()), SchemaError, "need at least one stage"),
+    (7, ExtensionData, (2, (Stage(3, (0,), I1),)), DimensionMismatch,
      "stage vector length != k"),
-    (EcrsProblem, (1, 1, (1,), FactorSequence((3,)), None, WIDE),
+    (8, EcrsProblem, (1, 1, (1,), FactorSequence((3,)), None, WIDE),
      DimensionMismatch, "seed must be square"),
-    (EcrsProblem, (1, 1, (1,), FactorSequence((3,)), None, TALL),
+    (9, EcrsProblem, (1, 1, (1,), FactorSequence((3,)), None, TALL),
      DimensionMismatch, "seed must be square"),
-    (Stage, (0, (0,), I1), SchemaError, "stage factor must exceed 1, got 0"),
-    (Stage, (3, (0,), I2), DimensionMismatch,
+    (10, Stage, (0, (0,), I1), SchemaError,
+     "stage factor must exceed 1, got 0"),
+    (11, Stage, (3, (0,), I2), DimensionMismatch,
      "stage B must be k x k, k the length of the stage vector"),
-    (Stage, (3, (0,), Matrix.from_rows([[0]])), SchemaError,
+    (12, Stage, (3, (0,), Matrix.from_rows([[0]])), SchemaError,
      "stage B must have nonzero determinant"),
-    (ErsStageData, (0, (), ()), SchemaError, "k must be >= 1"),
-    (ErsStageData, (1, (), (1,)), SchemaError, "need at least one stage"),
-    (ErsStageData, (2, (Stage(3, (0,), I1),), (1, 1)), DimensionMismatch,
+    (13, ErsStageData, (0, (), ()), SchemaError, "k must be >= 1"),
+    (14, ErsStageData, (1, (), (1,)), SchemaError, "need at least one stage"),
+    (15, ErsStageData, (2, (Stage(3, (0,), I1),), (1, 1)), DimensionMismatch,
      "stage vector length != k"),
-    (ErsStageData, (1, (Stage(3, (0,), I1),), (1, 2)), DimensionMismatch,
+    (16, ErsStageData, (1, (Stage(3, (0,), I1),), (1, 2)), DimensionMismatch,
      "trace row length != k"),
-    (EcrsProblem, (0, 0, (), FactorSequence(())), SchemaError,
+    (17, EcrsProblem, (0, 0, (), FactorSequence(())), SchemaError,
      "k must be >= 1"),
-    (EcrsProblem, (1, 0, (1,), FactorSequence((3,))), SchemaError,
+    (18, EcrsProblem, (1, 0, (1,), FactorSequence((3,))), SchemaError,
      "lambda must be >= 1"),
-    (EcrsProblem, (2, 3, (1,), FactorSequence((4,))), DimensionMismatch,
+    (19, EcrsProblem, (2, 3, (1,), FactorSequence((4,))), DimensionMismatch,
      "rho must have length k"),
-    (EcrsProblem, (1, 3, (1,), FactorSequence(())), SchemaError,
+    (20, EcrsProblem, (1, 3, (1,), FactorSequence(())), SchemaError,
      "need at least one factor"),
-    (PolyNat, ((1, 0, -1),), SchemaError, "coefficients must be nonnegative"),
-    (SupernaturalNumber, ({2: 1}, [2, 1]), SchemaError,
+    (21, PolyNat, ((1, 0, -1),), SchemaError,
+     "coefficients must be nonnegative"),
+    (22, SupernaturalNumber, ({2: 1}, [2, 1]), SchemaError,
      "primes [2] both finite and infinite"),
-    (SupernaturalNumber, ({1: 1, 4: 1},), SchemaError,
+    (23, SupernaturalNumber, ({1: 1, 4: 1},), SchemaError,
      "primes must be at least 2, got [1]"),
-    (SupernaturalNumber, ({9: 1}, [4]), SchemaError,
+    (24, SupernaturalNumber, ({9: 1}, [4]), SchemaError,
      "keys must be prime, got [4, 9]"),
-    (SupernaturalNumber, ({2: 1, 3: 0},), SchemaError,
+    (25, SupernaturalNumber, ({2: 1, 3: 0},), SchemaError,
      "multiplicity of 3 must be positive, got 0"),
-    (FactorSequence, ([3, 2.5, "7"],), SchemaError,
+    (26, FactorSequence, ([3, 2.5, "7"],), SchemaError,
      "every factor must be an integer, got 2.5"),
-    (FactorSequence, ([3, True],), SchemaError,
+    (27, FactorSequence, ([3, True],), SchemaError,
      "every factor must be an integer, got True"),
-    (FactorSequence, ([3, 1],), SchemaError, "every factor must exceed 1"),
-    (RealizationSeq, ((), ()), DimensionMismatch,
+    (28, FactorSequence, ([3, 1],), SchemaError, "every factor must exceed 1"),
+    (29, RealizationSeq, ((), ()), DimensionMismatch,
      "realization needs at least one stage"),
-    (RealizationSeq, ((I2,), (3, 5)), DimensionMismatch,
+    (30, RealizationSeq, ((I2,), (3, 5)), DimensionMismatch,
      "one designed eigenvalue per stage"),
-    (RealizationSeq, ((I2, Matrix.identity(3)), (1, 1)), DimensionMismatch,
+    (31, RealizationSeq, ((I2, Matrix.identity(3)), (1, 1)), DimensionMismatch,
      "stage dimensions do not chain"),
-    (RealizationSeq, ((I2,), (1,), ((1, 1),)), DimensionMismatch,
+    (32, RealizationSeq, ((I2,), (1,), ((1, 1),)), DimensionMismatch,
      "one marker per level"),
-    (RealizationSeq, ((I2, I2), (1, 1), ((1, 1), (1,), (1, 1))),
+    (33, RealizationSeq, ((I2, I2), (1, 1), ((1, 1), (1,), (1, 1))),
      DimensionMismatch, "marker length wrong at level 2"),
-    (RealizationSeq, ((TALL,), (1,), ((1, 1), (1, 1))), DimensionMismatch,
+    (34, RealizationSeq, ((TALL,), (1,), ((1, 1), (1, 1))), DimensionMismatch,
      "marker length wrong at last level"),
 ]
 
 
 @pytest.mark.parametrize(
-    "record,args,error,message", BAD_INPUTS,
-    ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(BAD_INPUTS)])
+    "record,args,error,message",
+    [pytest.param(*row, id=f"{row[0].__name__}-{number}")
+     for number, *row in BAD_INPUTS])
 def test_bad_input_raises_the_checked_error(record, args, error, message):
     with pytest.raises(error) as info:
         record(*args)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_bad_input_numbers_are_distinct():
+    numbers = [row[0] for row in BAD_INPUTS]
+    assert len(set(numbers)) == len(numbers)
 
 
 def _examples():

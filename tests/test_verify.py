@@ -392,7 +392,8 @@ def certified(seq):
 def uncertified_report(seq):
     """The report with the quotient certificate switched off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_quotient_kernels", lambda *args: None)
+        patch.setattr(verify, "_common_kernel_certified",
+                      lambda *args: False)
         return structural_report(seq).report
 
 
@@ -488,36 +489,6 @@ def test_a_chain_failing_the_certificate_takes_the_scan(second):
     assert any(r["kernel_rank"] != 1 for r in expand(report))
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.integers(1, 4).flatmap(lambda r: st.lists(
-    st.lists(st.integers(-3, 3), min_size=r, max_size=r),
-    min_size=r, max_size=r)), st.integers(-3, 3), st.booleans())
-def test_core_kernel_leaves_out_a_row_only_where_the_columns_sum_to_the_shift(
-        core, root, balanced):
-    """With d = 2 and A[:, p] = I, _core_kernel solves N - 2 root I on
-    r - 1 rows exactly where every column of N sums to 2 root, and returns
-    the kernel of the whole N - 2 root I, singular or not; a row left out
-    elsewhere could give a nonsingular N - 2 root I a kernel."""
-    d, r = 2, len(core)
-    if balanced:
-        core[-1] = [d * root - sum(col[:-1]) for col in zip(*core)]
-    balanced = all(sum(col) == d * root for col in zip(*core))
-    full = exact.right_kernel_basis(Matrix.from_rows(
-        [[x - d * root * (i == j) for j, x in enumerate(row)]
-         for i, row in enumerate(core)]))
-    event(f"columns sum to d root: {balanced}, kernel dimension {len(full)}")
-    solved = []
-    original = verify.rank_factorization
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "rank_factorization",
-                      lambda rows: solved.append(len(rows)) or original(rows))
-        kernel = verify._core_kernel(
-            [tuple(int(i == j) for i in range(r)) for j in range(r)],
-            [tuple(row) for row in core], d, root)
-    assert kernel == full
-    assert solved == [r - balanced]
-
-
 @pytest.mark.parametrize("chain", ["SGG", "GSG", "GGZ"])
 def test_one_singular_core_anywhere_refuses_the_chain(chain):
     """The stages share K = span e_1, and G's core on Q^3 / K is
@@ -536,15 +507,15 @@ def test_one_singular_core_anywhere_refuses_the_chain(chain):
     assert {"from": 1, "to": 3, "kernel_rank": 2} in expand(report)
 
 
-def test_built_ecs_file_makes_one_stage_size_elimination(tmp_path,
+def test_built_ecs_file_makes_one_perron_solve_per_stage(tmp_path,
                                                         monkeypatch):
-    """Stage 1's rank factorization is the only elimination of a 4-column
-    matrix.  The n = 16 cores on the quotient are certified by one more,
-    of their 3 x 3 product modulo MODULUS, and each Perron kernel is
-    solved on 2 rows of its shifted 3 x 3 core, whose columns sum to the
-    shift: n + 2 eliminations in all, where one rank factorization per
-    core made 2n + 1.  No kernel is solved by right_kernel_basis, and the
-    kernel-rank walk is never entered."""
+    """Stage 1's rank factorization and one Perron solve per stage are the
+    only eliminations of a 4-column matrix: each stage's right Perron
+    vector is solved on 3 rows of its shifted 4 x 4 stage, whose columns
+    sum to the shift.  The n = 16 cores on the quotient are certified by
+    one more elimination, of their 3 x 3 product modulo MODULUS: n + 2 in
+    all.  No kernel is solved by right_kernel_basis, and the kernel-rank
+    walk is never entered."""
     seq = RealizationSeq.load(_built_file(tmp_path, "ecs"))
     shapes, solved = [], []
     original = exact._eliminate
@@ -557,10 +528,10 @@ def test_built_ecs_file_makes_one_stage_size_elimination(tmp_path,
     assert took and report["ok"]
     assert len(seq) == 16 and seq.matrices[0].cols == 4
     widths = [width for _, width in shapes]
-    assert widths.count(4) == 1 and set(widths) == {3, 4}
+    assert widths.count(4) == len(seq) + 1 and set(widths) == {3, 4}
     assert len(shapes) == len(seq) + 2
     assert shapes.count((3, 3)) == 1
-    assert shapes.count((2, 3)) == len(seq)
+    assert shapes[1:].count((3, 4)) == len(seq)
     assert solved == []
 
 
